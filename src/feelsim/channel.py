@@ -17,15 +17,6 @@ _LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One worker's uplink channel vector for one round."""
-
-    worker_id: int
-    round_index: int
-    h: ComplexVector  # shape (antennas,), complex128
-
-
-@dataclass(frozen=True)
 class BeamState:
     """Receive combiner and the per-watt SINR gain it achieves."""
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +47,9 @@ from .streams import (
     substream,
 )
 
+if TYPE_CHECKING:  # annotations only: io_cli imports this module at run time
+    from .io_cli import ExperimentConfig
+
 BANDWIDTH_MODES = ("equal", "adaptive")
 CHANNEL_MODES = ("block", "static")
 
@@ -60,48 +64,6 @@ class WorkerProfile:
     distance_m: float
     los_angle: float
     remaining_energy_j: float = math.inf
-
-
-@dataclass(frozen=True)
-class RoundConfig:
-    """Operational knobs shared by every round of an experiment."""
-
-    select_fraction: float
-    threshold: float
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    bandwidth_hz: float
-    noise_power_w: float
-    cycles_per_sample: float
-    antennas: int = 4
-    pathloss_exp: float = 3.2
-    rician_k_db: float = 8.0
-    deadline_s: float | None = None  # None -> derived from the fleet, see default_deadline
-    bandwidth_mode: str = "equal"
-    channel_mode: str = "block"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.select_fraction <= 1.0:
-            raise ValueError(f"select_fraction must be in (0, 1], got {self.select_fraction}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.bandwidth_hz <= 0.0 or self.noise_power_w <= 0.0:
-            raise ValueError("bandwidth and noise power must be positive")
-        if self.cycles_per_sample <= 0.0:
-            raise ValueError(f"cycles_per_sample must be positive, got {self.cycles_per_sample}")
-        if self.antennas < 1:
-            raise ValueError(f"antennas must be >= 1, got {self.antennas}")
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
-            raise ValueError(f"deadline must be positive, got {self.deadline_s}")
-        if self.bandwidth_mode not in BANDWIDTH_MODES:
-            raise ValueError(f"bandwidth_mode must be one of {BANDWIDTH_MODES}")
-        if self.channel_mode not in CHANNEL_MODES:
-            raise ValueError(f"channel_mode must be one of {CHANNEL_MODES}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +186,7 @@ def select_workers(
 
 
 def default_deadline(
-    workers: list[WorkerProfile], config: RoundConfig, model_bits: int, seed: int, trial: int
+    workers: list[WorkerProfile], config: ExperimentConfig, model_bits: int, seed: int, trial: int
 ) -> float:
     """Round deadline giving 1.5x slack over a pessimistic straight-through pass.
 
@@ -268,7 +230,7 @@ def _plan_worker(
     profile: WorkerProfile,
     kappa: int,
     model_bits: int,
-    config: RoundConfig,
+    config: ExperimentConfig,
     deadline_s: float,
     bandwidth_hz: float,
     beta: float,
@@ -288,9 +250,8 @@ def _plan_worker(
 
 def run_round(
     state: ExperimentState,
-    config: RoundConfig,
+    config: ExperimentConfig,
     round_index: int,
-    max_workers: int = 1,
 ) -> RoundRecord:
     """Advance the experiment by one deadline-bound communication round."""
     if config.deadline_s is None:
@@ -318,8 +279,8 @@ def run_round(
         )
         return h, local_model, decision
 
-    if max_workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    if config.parallel_workers > 1 and len(selected) > 1:
+        with ThreadPoolExecutor(config.parallel_workers) as pool:
             trained = list(pool.map(train_one, selected))
     else:
         trained = [train_one(p) for p in selected]
@@ -417,19 +378,16 @@ def run_experiment(
     workers: list[WorkerProfile],
     test_data: LabeledDataset,
     architecture: list[int],
-    config: RoundConfig,
-    rounds: int,
+    config: ExperimentConfig,
     seed: int,
     trial: int = 0,
-    max_workers: int = 1,
 ) -> tuple[list[RoundRecord], ModelParameters]:
-    """Run one trial of `rounds` sequential rounds from a fresh global model.
+    """Run one trial of config.rounds sequential rounds from a fresh global model.
 
+    `seed` is passed separately because a run may override the config's seed.
     A None deadline in the config is resolved once, up front, from the fleet.
     Returns the per-round records plus the final global model.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     model = init_model(architecture, substream(seed, DOMAIN_INIT, trial))
     if config.deadline_s is None:
         bits = param_bits(model.architecture)
@@ -437,5 +395,5 @@ def run_experiment(
     state = ExperimentState(
         model=model, workers=workers, test_data=test_data, seed=seed, trial=trial
     )
-    records = [run_round(state, config, r, max_workers=max_workers) for r in range(1, rounds + 1)]
+    records = [run_round(state, config, r) for r in range(1, config.rounds + 1)]
     return records, state.model

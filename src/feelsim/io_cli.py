@@ -12,6 +12,7 @@ import json
 import math
 import struct
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from . import __version__
 from .federation import (
     BANDWIDTH_MODES,
     CHANNEL_MODES,
-    RoundConfig,
     RoundRecord,
     WorkerProfile,
     partition_iid,
@@ -123,6 +123,13 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(
+                    f"{name} must be {self.__annotations__[name]}, got {value!r}"
+                )
+
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         need(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
         need(self.trials >= 1, f"trials must be >= 1, got {self.trials}")
@@ -186,6 +193,22 @@ class ExperimentConfig:
         return d
 
 
+def _accepted_types(hint) -> tuple[type, ...]:
+    """What a field annotated `hint` (int, float, str, or X | None) may hold.
+
+    JSON has one number type, so a float field takes an int too.  bool is an
+    int subclass, so __post_init__ rejects it separately.
+    """
+    widen = {float: (int, float)}
+    return tuple(t for h in typing.get_args(hint) or (hint,) for t in widen.get(h, (h,)))
+
+
+_FIELD_TYPES = {
+    name: _accepted_types(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config; see ExperimentConfig for the fields."""
     path = Path(path)
@@ -208,10 +231,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if raw.get("energy_budget_j", 0) is None:
         raw = dict(raw)
         raw["energy_budget_j"] = math.inf
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+    return ExperimentConfig(**raw)
 
 
 def write_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -417,25 +437,6 @@ def build_workers(
     return profiles
 
 
-def _round_config(config: ExperimentConfig) -> RoundConfig:
-    return RoundConfig(
-        select_fraction=config.select_fraction,
-        threshold=config.threshold,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        bandwidth_hz=config.bandwidth_hz,
-        noise_power_w=config.noise_power_w,
-        cycles_per_sample=config.cycles_per_sample,
-        antennas=config.antennas,
-        pathloss_exp=config.pathloss_exp,
-        rician_k_db=config.rician_k_db,
-        deadline_s=config.deadline_s,
-        bandwidth_mode=config.bandwidth_mode,
-        channel_mode=config.channel_mode,
-    )
-
-
 def load_dataset(config: ExperimentConfig, seed: int) -> LabeledDataset:
     """Build the full dataset the config describes (shared by all trials)."""
     rng = substream(seed, DOMAIN_DATA)
@@ -476,14 +477,10 @@ def run_from_config(
         hidden = 32 if config.data_source == "mnist" else 16
     n_classes = int(data.labels.max()) + 1
     architecture = [data.features.shape[1], hidden, n_classes]
-    rcfg = _round_config(config)
     per_trial = []
     for t in range(config.trials):
         workers = build_workers(config, train, seed, t)
-        records, _ = run_experiment(
-            workers, test, architecture, rcfg, config.rounds, seed,
-            trial=t, max_workers=config.parallel_workers,
-        )
+        records, _ = run_experiment(workers, test, architecture, config, seed, trial=t)
         per_trial.append(records)
         if not quiet:
             last = records[-1]
@@ -516,7 +513,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     gen_p.add_argument("--spread", type=float, default=0.3)
     gen_p.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("selftest", help="run the built-in numerical checks")
+    sub.add_parser("selftest", help="run two short end-to-end simulation checks")
 
     try:
         args = parser.parse_args(argv)

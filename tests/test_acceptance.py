@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from feelsim.channel import beam_and_gain, uplink_rate
-from feelsim.federation import RoundConfig, default_deadline, run_experiment
+from feelsim.federation import default_deadline, run_experiment
 from feelsim.io_cli import (
     ExperimentConfig,
     build_workers,
@@ -79,18 +79,6 @@ def reference_base(**over):
     )
     base.update(over)
     return ExperimentConfig(**base)
-
-
-def round_config_from(cfg: ExperimentConfig) -> RoundConfig:
-    return RoundConfig(
-        select_fraction=cfg.select_fraction, threshold=cfg.threshold,
-        epochs=cfg.epochs, batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate, bandwidth_hz=cfg.bandwidth_hz,
-        noise_power_w=cfg.noise_power_w, cycles_per_sample=cfg.cycles_per_sample,
-        antennas=cfg.antennas, pathloss_exp=cfg.pathloss_exp,
-        rician_k_db=cfg.rician_k_db, deadline_s=cfg.deadline_s,
-        bandwidth_mode=cfg.bandwidth_mode, channel_mode=cfg.channel_mode,
-    )
 
 
 BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
@@ -271,8 +259,7 @@ def test_criterion_06_budgeted_protocol_invariants(tmp_path):
     train, _ = split_train_test(data, cfg0.train_fraction, cfg0.seed)
     fleet = build_workers(cfg0, train, cfg0.seed, 0)
     shard_sizes = {p.worker_id: len(p.dataset) for p in fleet}
-    deadline = default_deadline(fleet, round_config_from(cfg0),
-                                param_bits([8, 16, 4]), cfg0.seed, 0)
+    deadline = default_deadline(fleet, cfg0, param_bits([8, 16, 4]), cfg0.seed, 0)
     budget = 0.25
     cfg = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2,
                          deadline_s=deadline, energy_budget_j=budget)
@@ -333,8 +320,7 @@ def test_criterion_07_reduces_to_plain_fedavg():
     data = load_dataset(cfg, cfg.seed)
     train, test = split_train_test(data, cfg.train_fraction, cfg.seed)
     fleet = build_workers(cfg, train, cfg.seed, 0)
-    records, final_model = run_experiment(
-        fleet, test, [8, 16, 4], round_config_from(cfg), cfg.rounds, cfg.seed, trial=0)
+    records, final_model = run_experiment(fleet, test, [8, 16, 4], cfg, cfg.seed, trial=0)
     assert all(r.n_updates == len(r.worker_stats) for r in records), \
         "a worker missed the deadline; equivalence run must be drop-free"
 

@@ -5,7 +5,6 @@ import pytest
 
 from feelsim.federation import (
     ExperimentState,
-    RoundConfig,
     WorkerProfile,
     default_deadline,
     partition_iid,
@@ -14,6 +13,7 @@ from feelsim.federation import (
     run_round,
     select_workers,
 )
+from feelsim.io_cli import ExperimentConfig
 from feelsim.learning import LabeledDataset, param_bits, serialize_params
 from feelsim.resource_optimizer import DeviceBounds
 
@@ -38,7 +38,7 @@ def fast_config(**over):
                 learning_rate=0.05, bandwidth_hz=1e6, noise_power_w=1e-12,
                 cycles_per_sample=5e5, antennas=4)
     base.update(over)
-    return RoundConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def make_fleet(k=6, n=600, seed=900, budgets=None, dist=(10.0, 60.0)):
@@ -203,7 +203,7 @@ class TestRunRound:
 
     def test_protocol_invariants(self):
         fleet = make_fleet()
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=3, seed=23)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=3), seed=23)
         cfg = fast_config()
         prev_cum = 0.0
         for rec in records:
@@ -229,8 +229,8 @@ class TestRunRound:
         cfg = fast_config()
         bits = param_bits(ARCH)
         deadline = default_deadline(fleet, cfg, bits, seed=23, trial=0)
-        cfg = fast_config(deadline_s=deadline)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, cfg, rounds=3, seed=23)
+        cfg = fast_config(deadline_s=deadline, rounds=3)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, cfg, seed=23)
         checked = 0
         for rec in records:
             for s in rec.worker_stats:
@@ -241,15 +241,15 @@ class TestRunRound:
 
     def test_adaptive_bandwidth_caps_total_share(self):
         fleet = make_fleet()
-        cfg = fast_config(bandwidth_mode="adaptive")
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, cfg, rounds=2, seed=29)
+        cfg = fast_config(bandwidth_mode="adaptive", rounds=2)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, cfg, seed=29)
         for rec in records:
             assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
             assert rec.n_updates > 0
 
     def test_learning_actually_progresses(self):
         fleet = make_fleet()
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=6, seed=31)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=6), seed=31)
         assert records[-1].test_accuracy > records[0].test_accuracy
         assert records[-1].test_loss < records[0].test_loss
 
@@ -257,7 +257,7 @@ class TestRunRound:
 class TestEnergyLedger:
     def probe_round_one(self, seed=37):
         fleet = make_fleet()
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=1, seed=seed)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=seed)
         return records[0]
 
     def test_partial_compute_charge_then_dead(self):
@@ -267,7 +267,7 @@ class TestEnergyLedger:
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=1, seed=37)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=37)
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
         assert s.e_cmp_j == pytest.approx(budget, rel=1e-12)
@@ -282,7 +282,7 @@ class TestEnergyLedger:
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=1, seed=37)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=37)
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
         assert s.e_cmp_j == pytest.approx(target.e_cmp_j, rel=1e-12)
@@ -296,7 +296,7 @@ class TestEnergyLedger:
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=1, seed=37)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=37)
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert s.feasible
         assert s.remaining_energy_j == pytest.approx(0.0, abs=1e-15)
@@ -304,7 +304,7 @@ class TestEnergyLedger:
 
     def test_remaining_never_negative_under_starvation(self):
         fleet = make_fleet(budgets=[1e-6] * 6)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(), rounds=4, seed=41)
+        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=4), seed=41)
         for rec in records:
             for s in rec.worker_stats:
                 assert s.remaining_energy_j >= 0.0
@@ -315,8 +315,8 @@ class TestEnergyLedger:
 
 class TestDeterminism:
     def test_identical_runs_match_bit_for_bit(self):
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=3, seed=43)
-        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=3, seed=43)
+        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
+        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
         assert serialize_params(ma) == serialize_params(mb)
         for a, b in zip(ra, rb):
             assert a.test_loss == b.test_loss
@@ -325,29 +325,29 @@ class TestDeterminism:
             assert a.worker_stats == b.worker_stats
 
     def test_thread_pool_does_not_change_results(self):
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=3,
-                                seed=47, max_workers=1)
-        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=3,
-                                seed=47, max_workers=4)
+        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH,
+                                fast_config(rounds=3, parallel_workers=1), seed=47)
+        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH,
+                                fast_config(rounds=3, parallel_workers=4), seed=47)
         assert serialize_params(ma) == serialize_params(mb)
         for a, b in zip(ra, rb):
             assert a.worker_stats == b.worker_stats
             assert a.test_loss == b.test_loss
 
     def test_explicit_deadline_equals_resolved_default(self):
-        cfg = fast_config()
+        cfg = fast_config(rounds=2)
         bits = param_bits(ARCH)
         deadline = default_deadline(make_fleet(), cfg, bits, seed=53, trial=0)
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, cfg, rounds=2, seed=53)
+        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, cfg, seed=53)
         rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH,
-                                fast_config(deadline_s=deadline), rounds=2, seed=53)
+                                fast_config(deadline_s=deadline, rounds=2), seed=53)
         assert serialize_params(ma) == serialize_params(mb)
         for a, b in zip(ra, rb):
             assert a.worker_stats == b.worker_stats
 
     def test_seed_changes_results(self):
-        ra, _ = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=2, seed=59)
-        rb, _ = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=2, seed=60)
+        ra, _ = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=59)
+        rb, _ = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=60)
         assert ra[-1].test_loss != rb[-1].test_loss
 
 
@@ -357,17 +357,16 @@ class TestChannelModes:
     # interferers, and the tight distance band plus the higher noise floor
     # keep every worker's upload power between its clamps, where it tracks
     # the per-round link gain
-    def mode_config(self, mode):
+    def mode_config(self, mode, rounds):
         return fast_config(epochs=1, threshold=1.0, channel_mode=mode,
-                           antennas=8, noise_power_w=1e-10)
+                           antennas=8, noise_power_w=1e-10, rounds=rounds)
 
     def mode_fleet(self):
         return make_fleet(dist=(28.0, 32.0))
 
     def test_static_repeats_the_same_link_each_round(self):
-        cfg = self.mode_config("static")
-        records, _ = run_experiment(self.mode_fleet(), TEST_DATA, ARCH, cfg,
-                                    rounds=3, seed=61)
+        cfg = self.mode_config("static", rounds=3)
+        records, _ = run_experiment(self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
         first = records[0].worker_stats
         for rec in records[1:]:
             for a, b in zip(first, rec.worker_stats):
@@ -377,9 +376,8 @@ class TestChannelModes:
                 assert a.f_cmp_hz == b.f_cmp_hz
 
     def test_block_fading_redraws_each_round(self):
-        cfg = self.mode_config("block")
-        records, _ = run_experiment(self.mode_fleet(), TEST_DATA, ARCH, cfg,
-                                    rounds=2, seed=61)
+        cfg = self.mode_config("block", rounds=2)
+        records, _ = run_experiment(self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
         a = [s.p_up_w for s in records[0].worker_stats]
         b = [s.p_up_w for s in records[1].worker_stats]
         bounds = self.mode_fleet()[0].bounds
@@ -408,4 +406,4 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_config(channel_mode="fancy")
         with pytest.raises(ValueError):
-            run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(), rounds=0, seed=1)
+            fast_config(rounds=0)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from feelsim.io_cli import (
 )
 from feelsim.learning import LabeledDataset
 from feelsim.streams import DOMAIN_DATA, substream
+
+
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def small_config(**over):
@@ -96,6 +100,12 @@ class TestConfig:
         path.write_text('{"rounds": "ten"}\n')
         with pytest.raises(ConfigError):
             load_config(path)
+        for field, text in [("rounds", "2.5"), ("rounds", "true"), ("seed", "1.5"),
+                            ("hidden_width", "4.5"), ("workers", "20.0"),
+                            ("learning_rate", "true")]:
+            path.write_text(f'{{"{field}": {text}}}\n')
+            with pytest.raises(ConfigError, match=field):
+                load_config(path)
 
     def test_constraints_enforced(self):
         with pytest.raises(ConfigError, match="rounds"):
@@ -110,6 +120,28 @@ class TestConfig:
             small_config(data_source="mnist")
         with pytest.raises(ConfigError, match="p_min_dbm"):
             small_config(p_min_dbm=25.0, p_max_dbm=20.0)
+        with pytest.raises(ConfigError, match="rounds"):
+            small_config(rounds=2.5)
+        with pytest.raises(ConfigError, match="rounds"):
+            small_config(rounds=True)
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=1.5)
+        with pytest.raises(ConfigError, match="hidden_width"):
+            small_config(hidden_width=4.5)
+        with pytest.raises(ConfigError, match="workers"):
+            small_config(workers=20.0)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            small_config(learning_rate=True)
+
+    def test_int_for_float_and_null_for_optional_accepted(self):
+        # JSON writes 1e6 as 1000000 just as well; optional fields take null
+        cfg = small_config(bandwidth_hz=1000000, hidden_width=None, deadline_s=None)
+        assert cfg.bandwidth_hz == 1e6
+
+    @pytest.mark.parametrize("path", PRESETS, ids=[p.name for p in PRESETS])
+    def test_shipped_presets_load(self, path):
+        cfg = load_config(path)
+        assert cfg.as_dict() == json.loads(path.read_text())
 
 
 class TestSyntheticData:
@@ -384,3 +416,7 @@ class TestCli:
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2
         capsys.readouterr()
+
+    def test_selftest(self, capsys):
+        assert cli_main(["selftest"]) == 0
+        assert "2/2 checks passed" in capsys.readouterr().out

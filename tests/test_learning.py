@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from feelsim.io_cli import generate_synthetic
 from feelsim.learning import (
     LOG_GUARD,
     LabeledDataset,
@@ -180,6 +181,17 @@ class TestGradientAndSgd:
         with pytest.raises(ValueError):
             sgd_epoch(model, data, np.arange(8), batch_size=4, lr=0.0,
                       rng=np.random.default_rng(1))
+
+    def test_central_training_reaches_accuracy_floor(self):
+        # 30 full-data epochs on separable blobs must learn, not merely move
+        rng = np.random.default_rng(71)
+        data = generate_synthetic(8, 4, 1200, 0.3, rng)
+        train, test = data.take(np.arange(1000)), data.take(np.arange(1000, 1200))
+        model = init_model([8, 16, 4], rng)
+        for _ in range(30):
+            model = sgd_epoch(model, train, np.arange(len(train)), 20, 0.05, rng)
+        _, acc = evaluate(model, test)
+        assert acc >= 0.95
 
 
 class TestFiltering:
