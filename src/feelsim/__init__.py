@@ -22,7 +22,6 @@ from .federation import (
 from .io_cli import (
     ConfigError,
     ExperimentConfig,
-    MetricsRow,
     cli_main,
     generate_synthetic,
     load_config,
@@ -35,13 +34,10 @@ from .learning import (
     LabeledDataset,
     ModelParameters,
     aggregate,
-    cross_entropy_loss,
     evaluate,
     filter_samples,
-    forward,
     init_model,
     local_round,
-    output_gradient,
     sgd_epoch,
 )
 from .numerics import (
@@ -61,11 +57,9 @@ from .resource_optimizer import (
     ResourcePlan,
     Workload,
     computation_energy,
-    computation_time,
     effective_cycles,
     minimize_round_energy,
     optimal_bandwidth,
     required_power,
-    upload_energy,
     upload_time_bounds,
 )

@@ -53,6 +53,11 @@ if TYPE_CHECKING:  # annotations only: io_cli imports this module at run time
 BANDWIDTH_MODES = ("equal", "adaptive")
 CHANNEL_MODES = ("block", "static")
 
+# what a worker whose round could not be planned is charged and logs
+_IDLE = ResourcePlan(
+    t_cmp_s=0.0, t_up_s=0.0, f_hz=0.0, p_w=0.0, bandwidth_hz=0.0, e_cmp_j=0.0, e_up_j=0.0
+)
+
 
 @dataclass
 class WorkerProfile:
@@ -226,28 +231,6 @@ def default_deadline(
     return 1.5 * (t_cmp + t_up)
 
 
-def _plan_worker(
-    profile: WorkerProfile,
-    kappa: int,
-    model_bits: int,
-    config: ExperimentConfig,
-    deadline_s: float,
-    bandwidth_hz: float,
-    beta: float,
-) -> ResourcePlan | None:
-    workload = Workload(
-        dataset_size=len(profile.dataset),
-        excluded_count=kappa,
-        epochs=config.epochs,
-        cycles_per_sample=config.cycles_per_sample,
-        model_bits=model_bits,
-    )
-    try:
-        return minimize_round_energy(workload, deadline_s, bandwidth_hz, beta, profile.bounds)
-    except InfeasibleError:
-        return None
-
-
 def run_round(
     state: ExperimentState,
     config: ExperimentConfig,
@@ -291,12 +274,30 @@ def run_round(
         for i in range(len(selected))
     ]
 
-    n_sel = len(selected)
-    shares = [config.bandwidth_hz / n_sel] * n_sel
-    plans = [
-        _plan_worker(p, t[2].excluded_count, model_bits, config, deadline, s, b.beta)
-        for p, t, s, b in zip(selected, trained, shares, beams)
+    workloads = [
+        Workload(
+            dataset_size=len(p.dataset),
+            excluded_count=t[2].excluded_count,
+            epochs=config.epochs,
+            cycles_per_sample=config.cycles_per_sample,
+            model_bits=model_bits,
+        )
+        for p, t in zip(selected, trained)
     ]
+
+    def plan_all(shares: list[float]) -> list[ResourcePlan | None]:
+        plans: list[ResourcePlan | None] = []
+        for profile, workload, share, beam in zip(selected, workloads, shares, beams):
+            try:
+                plans.append(
+                    minimize_round_energy(workload, deadline, share, beam.beta, profile.bounds)
+                )
+            except InfeasibleError:
+                plans.append(None)
+        return plans
+
+    shares = [config.bandwidth_hz / len(selected)] * len(selected)
+    plans = plan_all(shares)
     if config.bandwidth_mode == "adaptive":
         fractions = []
         for plan, beam, share in zip(plans, beams, shares):
@@ -312,10 +313,7 @@ def run_round(
         if total > 1.0:
             fractions = [f / total for f in fractions]
         shares = [f * config.bandwidth_hz for f in fractions]
-        plans = [
-            _plan_worker(p, t[2].excluded_count, model_bits, config, deadline, s, b.beta)
-            for p, t, s, b in zip(selected, trained, shares, beams)
-        ]
+        plans = plan_all(shares)
 
     updates: list[tuple[ModelParameters, int]] = []
     stats: list[WorkerRoundStats] = []
@@ -325,38 +323,28 @@ def run_round(
     for profile, (_, local_model, decision), plan, share in zip(selected, trained, plans, shares):
         total_kappa += decision.excluded_count
         total_data += len(profile.dataset)
-        lam = share / config.bandwidth_hz
         if plan is None:
-            stats.append(WorkerRoundStats(
-                worker_id=profile.worker_id, kappa=decision.excluded_count,
-                e_cmp_j=0.0, e_up_j=0.0, t_cmp_s=0.0, t_up_s=0.0, f_cmp_hz=0.0,
-                p_up_w=0.0, bandwidth_share=lam, feasible=False,
-                remaining_energy_j=profile.remaining_energy_j,
-            ))
-            continue
-        cost = plan.e_cmp_j + plan.e_up_j
-        if cost <= profile.remaining_energy_j:
-            profile.remaining_energy_j -= cost
-            inst_energy += cost
-            updates.append((local_model, len(profile.dataset)))
-            stats.append(WorkerRoundStats(
-                worker_id=profile.worker_id, kappa=decision.excluded_count,
-                e_cmp_j=plan.e_cmp_j, e_up_j=plan.e_up_j, t_cmp_s=plan.t_cmp_s,
-                t_up_s=plan.t_up_s, f_cmp_hz=plan.f_hz, p_up_w=plan.p_w,
-                bandwidth_share=lam, feasible=True,
-                remaining_energy_j=profile.remaining_energy_j,
-            ))
+            charged, delivered = _IDLE, False
+        elif plan.total_energy_j <= profile.remaining_energy_j:
+            charged, delivered = plan, True
         else:
             # battery dies mid-round: the compute spend is real, the upload never runs
-            charged = min(plan.e_cmp_j, profile.remaining_energy_j)
-            profile.remaining_energy_j -= charged
-            inst_energy += charged
-            stats.append(WorkerRoundStats(
-                worker_id=profile.worker_id, kappa=decision.excluded_count,
-                e_cmp_j=charged, e_up_j=0.0, t_cmp_s=plan.t_cmp_s, t_up_s=0.0,
-                f_cmp_hz=plan.f_hz, p_up_w=0.0, bandwidth_share=lam, feasible=False,
-                remaining_energy_j=profile.remaining_energy_j,
-            ))
+            charged = replace(
+                plan, e_cmp_j=min(plan.e_cmp_j, profile.remaining_energy_j),
+                e_up_j=0.0, t_up_s=0.0, p_w=0.0,
+            )
+            delivered = False
+        profile.remaining_energy_j -= charged.total_energy_j
+        inst_energy += charged.total_energy_j
+        if delivered:
+            updates.append((local_model, len(profile.dataset)))
+        stats.append(WorkerRoundStats(
+            worker_id=profile.worker_id, kappa=decision.excluded_count,
+            e_cmp_j=charged.e_cmp_j, e_up_j=charged.e_up_j, t_cmp_s=charged.t_cmp_s,
+            t_up_s=charged.t_up_s, f_cmp_hz=charged.f_hz, p_up_w=charged.p_w,
+            bandwidth_share=share / config.bandwidth_hz, feasible=delivered,
+            remaining_energy_j=profile.remaining_energy_j,
+        ))
 
     if updates:
         state.model = aggregate(updates)

@@ -32,7 +32,10 @@ from .learning import LabeledDataset
 from .resource_optimizer import DeviceBounds
 from .streams import DOMAIN_DATA, DOMAIN_PARTITION, DOMAIN_PROFILE, substream
 
-GLOBAL_HEADER = "round,test_loss,test_accuracy,inst_energy_j,cum_energy_j,excluded_fraction"
+GLOBAL_COLUMNS = (
+    "test_loss", "test_accuracy", "inst_energy_j", "cum_energy_j", "excluded_fraction"
+)
+GLOBAL_HEADER = "round," + ",".join(GLOBAL_COLUMNS)
 WORKERS_HEADER = (
     "trial,round,worker_id,kappa,e_cmp_j,e_up_j,t_cmp_s,t_up_s,f_cmp_hz,p_up_w,lambda,feasible"
 )
@@ -51,18 +54,6 @@ class IdxFormatError(ValueError):
 
 def _dbm_to_w(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """One line of the global metrics file."""
-
-    round_index: int
-    test_loss: float
-    test_accuracy: float
-    inst_energy_j: float
-    cum_energy_j: float
-    excluded_fraction: float
 
 
 @dataclass(frozen=True)
@@ -317,39 +308,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def global_rows(records: list[RoundRecord]) -> list[MetricsRow]:
-    return [
-        MetricsRow(
-            round_index=r.round_index,
-            test_loss=r.test_loss,
-            test_accuracy=r.test_accuracy,
-            inst_energy_j=r.inst_energy_j,
-            cum_energy_j=r.cum_energy_j,
-            excluded_fraction=r.excluded_fraction,
-        )
-        for r in records
-    ]
-
-
-def mean_rows(per_trial: list[list[RoundRecord]]) -> list[MetricsRow]:
-    """Round-by-round mean of the global curves across trials."""
-    rounds = len(per_trial[0])
-    if any(len(t) != rounds for t in per_trial):
-        raise ValueError("trials ran different numbers of rounds")
-    out = []
-    for i in range(rounds):
-        rows = [t[i] for t in per_trial]
-        out.append(MetricsRow(
-            round_index=rows[0].round_index,
-            test_loss=float(np.mean([r.test_loss for r in rows])),
-            test_accuracy=float(np.mean([r.test_accuracy for r in rows])),
-            inst_energy_j=float(np.mean([r.inst_energy_j for r in rows])),
-            cum_energy_j=float(np.mean([r.cum_energy_j for r in rows])),
-            excluded_fraction=float(np.mean([r.excluded_fraction for r in rows])),
-        ))
-    return out
-
-
 def write_metrics(
     per_trial: list[list[RoundRecord]],
     out_dir: str | Path,
@@ -368,11 +326,10 @@ def write_metrics(
     with paths["global"].open("w", newline="") as fh:
         fh.write(GLOBAL_HEADER + "\n")
         w = csv.writer(fh, lineterminator="\n")
-        for row in mean_rows(per_trial):
-            w.writerow([
-                row.round_index, _fmt(row.test_loss), _fmt(row.test_accuracy),
-                _fmt(row.inst_energy_j), _fmt(row.cum_energy_j),
-                _fmt(row.excluded_fraction),
+        # round by round mean across trials; strict: every trial ran the same rounds
+        for rows in zip(*per_trial, strict=True):
+            w.writerow([rows[0].round_index] + [
+                _fmt(np.mean([getattr(r, col) for r in rows])) for col in GLOBAL_COLUMNS
             ])
 
     if len(per_trial) > 1:
@@ -381,12 +338,10 @@ def write_metrics(
             fh.write("trial," + GLOBAL_HEADER + "\n")
             w = csv.writer(fh, lineterminator="\n")
             for t, records in enumerate(per_trial):
-                for row in global_rows(records):
-                    w.writerow([
-                        t, row.round_index, _fmt(row.test_loss), _fmt(row.test_accuracy),
-                        _fmt(row.inst_energy_j), _fmt(row.cum_energy_j),
-                        _fmt(row.excluded_fraction),
-                    ])
+                for r in records:
+                    w.writerow(
+                        [t, r.round_index] + [_fmt(getattr(r, col)) for col in GLOBAL_COLUMNS]
+                    )
 
     with paths["workers"].open("w", newline="") as fh:
         fh.write(WORKERS_HEADER + "\n")

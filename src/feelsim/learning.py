@@ -3,7 +3,8 @@
 All arithmetic is float64 numpy.  The classifier is a small fully connected
 network with ReLU hidden layers and a softmax head; nothing here depends on a
 deep-learning framework, which keeps byte-level determinism under our control
-and makes serialized updates a fixed, schedule-independent size.
+and fixes the size of a model update (`param_bits`) independently of the
+training schedule.
 """
 from __future__ import annotations
 
@@ -78,7 +79,7 @@ def init_model(architecture: Sequence[int], rng: np.random.Generator) -> ModelPa
 
 
 def param_bits(architecture: Sequence[int]) -> int:
-    """Serialized update size in bits: 64 per weight or bias."""
+    """Model update size in bits: one float64 per weight or bias."""
     arch = tuple(int(n) for n in architecture)
     return 64 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(arch[:-1], arch[1:]))
 
@@ -105,33 +106,6 @@ def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, l
     return a, acts
 
 
-def forward(model: ModelParameters, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"forward expects a 1-D sample, got shape {x.shape}")
-    probs, _ = _forward_batch(model, x[None, :])
-    return probs[0]
-
-
-def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
-    """Negative log-probability of the true class, floored at LOG_GUARD."""
-    label = int(label)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} outside [0, {probs.shape[-1]})")
-    return float(-np.log(max(float(probs[label]), LOG_GUARD)))
-
-
-def output_gradient(probs: np.ndarray, label: int) -> np.ndarray:
-    """Gradient of the cross entropy wrt the softmax input: probs - onehot."""
-    label = int(label)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} outside [0, {probs.shape[-1]})")
-    g = np.asarray(probs, dtype=np.float64).copy()
-    g[label] -= 1.0
-    return g
-
-
 def loss_and_gradient(
     model: ModelParameters, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
@@ -153,7 +127,7 @@ def loss_and_gradient(
     loss = float(np.mean(-np.log(np.maximum(p_true, LOG_GUARD))))
 
     delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0  # batched output_gradient
+    delta[np.arange(n), y] -= 1.0  # d loss / d logits = probs - onehot
     delta /= n
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
     for i in range(len(model.layers) - 1, -1, -1):
@@ -274,30 +248,3 @@ def evaluate(model: ModelParameters, data: LabeledDataset) -> tuple[float, float
         loss_sum += float(-np.log(np.maximum(p_true, LOG_GUARD)).sum())
         correct += int((probs.argmax(axis=1) == labels).sum())
     return loss_sum / len(data), correct / len(data)
-
-
-def serialize_params(model: ModelParameters) -> bytes:
-    """Flat little-endian float64 payload: per layer, row-major weights then bias."""
-    parts = []
-    for w, b in model.layers:
-        parts.append(np.ascontiguousarray(w, dtype=np.float64).ravel())
-        parts.append(np.ascontiguousarray(b, dtype=np.float64))
-    return np.concatenate(parts).astype("<f8").tobytes()
-
-
-def deserialize_params(payload: bytes, architecture: Sequence[int]) -> ModelParameters:
-    """Inverse of serialize_params for a known architecture."""
-    arch = tuple(int(n) for n in architecture)
-    expected = param_bits(arch) // 8
-    if len(payload) != expected:
-        raise ValueError(f"payload is {len(payload)} bytes, architecture needs {expected}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    layers = []
-    pos = 0
-    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
-        w = flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in).copy()
-        pos += fan_in * fan_out
-        b = flat[pos : pos + fan_out].copy()
-        pos += fan_out
-        layers.append((w, b))
-    return ModelParameters(layers=tuple(layers), architecture=arch)

@@ -8,7 +8,6 @@ on the hot path of the per-round resource optimization.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,6 @@ def golden_section_min(
     bounds: Interval,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    check_unimodal: bool = False,
 ) -> tuple[float, float]:
     """Minimize a scalar function over a closed interval by golden-section search.
 
@@ -113,30 +111,14 @@ def golden_section_min(
 
     The objective may return +inf to mark infeasible points; the bracket then
     contracts away from the infeasible side as long as the feasible region is
-    an interval.  With check_unimodal=True a 1000-point pre-scan runs first,
-    and if it sees more than one local minimum the routine warns and returns
-    the scan's argmin instead.
+    an interval.  On an objective that is not unimodal on the bracket the
+    result may be only a local minimum.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lo, hi = bounds.lo, bounds.hi
     if hi - lo <= 0.0:
         return lo, f(lo)
-
-    if check_unimodal:
-        xs = np.linspace(lo, hi, 1000)
-        ys = np.array([f(x) for x in xs])
-        finite = np.isfinite(ys)
-        interior = ys[1:-1]
-        is_min = (interior < ys[:-2]) & (interior <= ys[2:]) & finite[1:-1]
-        if int(is_min.sum()) > 1:
-            warnings.warn(
-                "objective is not unimodal on the bracket; returning grid argmin",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            k = int(np.nanargmin(np.where(finite, ys, np.inf)))
-            return float(xs[k]), float(ys[k])
 
     r = GOLDEN_SHRINK
     x1 = lo + r * (hi - lo)

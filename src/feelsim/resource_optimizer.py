@@ -105,12 +105,6 @@ def effective_cycles(workload: Workload) -> float:
     return w.cycles_per_sample * (w.epochs * w.dataset_size - w.excluded_count * (w.epochs - 1))
 
 
-def computation_time(cycles: float, f_hz: float) -> float:
-    if f_hz <= 0.0:
-        raise ValueError(f"CPU frequency must be positive, got {f_hz}")
-    return cycles / f_hz
-
-
 def computation_energy(workload: Workload, f_hz: float, capacitance: float) -> float:
     """Dynamic CPU energy at clock f_hz for the round's effective cycles."""
     if f_hz <= 0.0:
@@ -137,11 +131,6 @@ def required_power(model_bits: int, t_up_s: float, bandwidth_hz: float, beta: fl
         return bandwidth_hz * math.expm1(model_bits * _LN2 / (t_up_s * bandwidth_hz)) / beta
     except OverflowError:
         return math.inf
-
-
-def upload_energy(model_bits: int, t_up_s: float, bandwidth_hz: float, beta: float) -> float:
-    """Radio energy of delivering model_bits in t_up_s at the required power."""
-    return t_up_s * required_power(model_bits, t_up_s, bandwidth_hz, beta)
 
 
 def upload_time_bounds(cycles: float, deadline_s: float, bounds: DeviceBounds) -> Interval:

@@ -14,8 +14,9 @@ from feelsim.federation import (
     select_workers,
 )
 from feelsim.io_cli import ExperimentConfig
-from feelsim.learning import LabeledDataset, param_bits, serialize_params
+from feelsim.learning import LabeledDataset, init_model, param_bits
 from feelsim.resource_optimizer import DeviceBounds
+from feelsim.streams import DOMAIN_INIT, substream
 
 BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
                       capacitance=2e-28)
@@ -57,6 +58,13 @@ def make_fleet(k=6, n=600, seed=900, budgets=None, dist=(10.0, 60.0)):
 
 
 TEST_DATA = make_dataset(n=200, seed=901)
+
+
+def assert_models_equal(a, b):
+    assert a.architecture == b.architecture
+    for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
+        assert np.array_equal(w1, w2)
+        assert np.array_equal(b1, b2)
 
 
 class TestPartitionIid:
@@ -312,12 +320,33 @@ class TestEnergyLedger:
         assert records[-1].inst_energy_j == 0.0
         assert records[-1].n_updates == 0
 
+    @pytest.mark.parametrize("bandwidth_mode", ["equal", "adaptive"])
+    def test_unplannable_worker_is_charged_nothing(self, bandwidth_mode):
+        # 1 ms is below every worker's compute floor at f_max (>= 5.5 ms), so
+        # each plan raises InfeasibleDeadlineError
+        budgets = [0.5 + 0.1 * i for i in range(6)]
+        fleet = make_fleet(budgets=budgets)
+        cfg = fast_config(deadline_s=1e-3, rounds=2, bandwidth_mode=bandwidth_mode)
+        records, model = run_experiment(fleet, TEST_DATA, ARCH, cfg, seed=67)
+        for rec in records:
+            assert rec.n_updates == 0
+            assert rec.inst_energy_j == 0.0
+            assert len(rec.worker_stats) == 6
+            for s in rec.worker_stats:
+                assert not s.feasible
+                assert (s.e_cmp_j, s.e_up_j, s.t_cmp_s, s.t_up_s, s.f_cmp_hz, s.p_up_w) == (0.0,) * 6
+                assert s.bandwidth_share == pytest.approx(1.0 / 6, rel=1e-15)
+                assert s.remaining_energy_j == budgets[s.worker_id]
+        assert [p.remaining_energy_j for p in fleet] == budgets
+        assert records[-1].cum_energy_j == 0.0
+        assert_models_equal(model, init_model(ARCH, substream(67, DOMAIN_INIT, 0)))
+
 
 class TestDeterminism:
     def test_identical_runs_match_bit_for_bit(self):
         ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
         rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
-        assert serialize_params(ma) == serialize_params(mb)
+        assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.test_loss == b.test_loss
             assert a.test_accuracy == b.test_accuracy
@@ -329,7 +358,7 @@ class TestDeterminism:
                                 fast_config(rounds=3, parallel_workers=1), seed=47)
         rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH,
                                 fast_config(rounds=3, parallel_workers=4), seed=47)
-        assert serialize_params(ma) == serialize_params(mb)
+        assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.worker_stats == b.worker_stats
             assert a.test_loss == b.test_loss
@@ -341,7 +370,7 @@ class TestDeterminism:
         ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, cfg, seed=53)
         rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH,
                                 fast_config(deadline_s=deadline, rounds=2), seed=53)
-        assert serialize_params(ma) == serialize_params(mb)
+        assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.worker_stats == b.worker_stats
 

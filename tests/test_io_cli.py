@@ -22,6 +22,7 @@ from feelsim.io_cli import (
     run_from_config,
     split_train_test,
     write_config,
+    write_metrics,
 )
 from feelsim.learning import LabeledDataset
 from feelsim.streams import DOMAIN_DATA, substream
@@ -342,16 +343,34 @@ class TestMetricsFiles:
 
     def test_multi_trial_mean_and_by_trial_file(self, tmp_path):
         cfg, (per_trial, paths) = self.run_small(tmp_path, trials=2)
+        fields = ("test_loss", "test_accuracy", "inst_energy_j", "cum_energy_j",
+                  "excluded_fraction")
         assert len(per_trial) == 2
         assert "global_by_trial" in paths
         by_trial = paths["global_by_trial"].read_text().splitlines()
-        assert by_trial[0] == "trial," + GLOBAL_HEADER
+        assert by_trial[0] == "trial,round," + ",".join(fields)
         assert len(by_trial) == 1 + 2 * cfg.rounds
+        # one row per (trial, round), in that order, with every value at repr precision
+        lines = iter(by_trial[1:])
+        for t, records in enumerate(per_trial):
+            for rec in records:
+                want = [str(t), str(rec.round_index)]
+                want += [repr(float(getattr(rec, f))) for f in fields]
+                assert next(lines).split(",") == want
         # the global file is the across-trial mean, row by row
-        glines = paths["global"].read_text().splitlines()[1:]
-        for i, line in enumerate(glines):
-            want = np.mean([t[i].test_loss for t in per_trial])
-            assert float(line.split(",")[1]) == pytest.approx(float(want), rel=1e-15)
+        glines = paths["global"].read_text().splitlines()
+        assert glines[0] == "round," + ",".join(fields)
+        assert len(glines) == 1 + cfg.rounds
+        for i, line in enumerate(glines[1:]):
+            want = [str(per_trial[0][i].round_index)]
+            want += [repr(float(np.mean([getattr(t[i], f) for t in per_trial])))
+                     for f in fields]
+            assert line.split(",") == want
+
+    def test_trials_with_different_round_counts_rejected(self, tmp_path):
+        cfg, (per_trial, _) = self.run_small(tmp_path, trials=2)
+        with pytest.raises(ValueError):
+            write_metrics([per_trial[0], per_trial[1][:1]], tmp_path / "uneven", cfg, cfg.seed)
 
     def test_single_trial_omits_by_trial_file(self, tmp_path):
         cfg, (_, paths) = self.run_small(tmp_path)
@@ -420,3 +439,18 @@ class TestCli:
     def test_selftest(self, capsys):
         assert cli_main(["selftest"]) == 0
         assert "2/2 checks passed" in capsys.readouterr().out
+
+
+class TestPublicSurface:
+    def test_readme_planner_snippet(self, capsys):
+        # the first code block of README's "Library use" imports from the package
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "from feelsim import" in snippet
+        scope: dict = {}
+        exec(snippet, scope)
+        plan = scope["plan"]
+        assert abs(plan.t_cmp_s + plan.t_up_s - 0.05) < 1e-9
+        assert plan.total_energy_j == plan.e_cmp_j + plan.e_up_j > 0.0
+        capsys.readouterr()

@@ -9,17 +9,12 @@ from feelsim.learning import (
     LabeledDataset,
     ModelParameters,
     aggregate,
-    cross_entropy_loss,
-    deserialize_params,
     evaluate,
     filter_samples,
-    forward,
     init_model,
     local_round,
     loss_and_gradient,
-    output_gradient,
     param_bits,
-    serialize_params,
     sgd_epoch,
 )
 from feelsim.streams import DOMAIN_TRAIN as TRAIN
@@ -57,28 +52,46 @@ def assert_models_equal(a, b):
         assert np.array_equal(b1, b2)
 
 
+def confidently_wrong_model():
+    """Single layer whose class-1 logit sits 1000 below class 0: p(1) underflows to 0."""
+    return ModelParameters(layers=((np.zeros((2, 3)), np.array([0.0, -1000.0])),),
+                           architecture=(3, 2))
+
+
 class TestForward:
     def test_frozen_output_gradient(self):
-        g = output_gradient(np.array([0.2, 0.3, 0.5]), 1)
-        assert np.allclose(g, [0.2, -0.7, 0.5], atol=1e-15)
+        # zero weights and log-probability biases give softmax output [0.2, 0.3, 0.5]
+        model = ModelParameters(layers=((np.zeros((3, 2)), np.log([0.2, 0.3, 0.5])),),
+                                architecture=(2, 3))
+        _, grads = loss_and_gradient(model, np.ones((1, 2)), np.array([1]))
+        (gw, gb), = grads
+        assert np.allclose(gb, [0.2, -0.7, 0.5], atol=1e-15)
+        assert np.allclose(gw, np.outer([0.2, -0.7, 0.5], [1.0, 1.0]), atol=1e-15)
 
     def test_uniform_probs_loss_is_log_classes(self):
         zero = zeroed(init_model([4, 10], np.random.default_rng(0)))
         data = tiny_dataset(n=40, dim=4, classes=10)
-        probs = forward(zero, data.features[0])
-        assert np.allclose(probs, 0.1, atol=1e-15)
-        assert cross_entropy_loss(probs, 3) == pytest.approx(math.log(10.0), rel=1e-12)
+        loss, grads = loss_and_gradient(zero, data.features, data.labels)
+        assert loss == pytest.approx(math.log(10.0), rel=1e-12)
+        # mean of (probs - onehot) with every prob at 1/10
+        freq = np.bincount(data.labels, minlength=10) / len(data)
+        assert np.allclose(grads[0][1], 0.1 - freq, atol=1e-15)
 
     def test_loss_guard_blocks_log_of_zero(self):
-        loss = cross_entropy_loss(np.array([1.0, 0.0]), 1)
+        x, y = np.zeros((4, 3)), np.ones(4, dtype=np.int64)
+        loss, grads = loss_and_gradient(confidently_wrong_model(), x, y)
         assert math.isfinite(loss)
         assert loss == pytest.approx(-math.log(LOG_GUARD), rel=1e-12)
+        assert np.array_equal(grads[0][1], [1.0, -1.0])
 
     def test_label_range_checked(self):
-        with pytest.raises(ValueError):
-            cross_entropy_loss(np.array([0.5, 0.5]), 2)
-        with pytest.raises(ValueError):
-            output_gradient(np.array([0.5, 0.5]), -1)
+        model = init_model([6, 3], np.random.default_rng(0))
+        data = tiny_dataset(n=8)
+        for bad in (3, -1):
+            labels = data.labels.copy()
+            labels[5] = bad
+            with pytest.raises(ValueError):
+                loss_and_gradient(model, data.features, labels)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(301)
@@ -89,21 +102,32 @@ class TestForward:
         shifted_layers[-1] = (w, b + 123.456)
         shifted = ModelParameters(layers=tuple(shifted_layers),
                                   architecture=model.architecture)
-        for row in data.features[:16]:
-            assert np.max(np.abs(forward(model, row) - forward(shifted, row))) <= 1e-12
+        loss, grads = loss_and_gradient(model, data.features, data.labels)
+        loss_s, grads_s = loss_and_gradient(shifted, data.features, data.labels)
+        assert abs(loss - loss_s) <= 1e-12
+        for (gw, gb), (sw, sb) in zip(grads, grads_s):
+            assert np.max(np.abs(gw - sw)) <= 1e-12
+            assert np.max(np.abs(gb - sb)) <= 1e-12
 
     def test_matches_manual_forward(self):
+        # on a one-sample batch the output bias gradient is probs - onehot
         rng = np.random.default_rng(302)
         model = init_model([6, 8, 3], rng)
         data = tiny_dataset(n=24)
         ref = manual_forward(model, data.features)
-        for i, row in enumerate(data.features):
-            assert np.allclose(forward(model, row), ref[i], atol=1e-12)
+        for i, (row, label) in enumerate(zip(data.features, data.labels)):
+            _, grads = loss_and_gradient(model, row[None, :], label[None])
+            probs = grads[-1][1].copy()
+            probs[label] += 1.0
+            assert np.allclose(probs, ref[i], atol=1e-12)
 
     def test_rejects_wrong_width(self):
         model = init_model([6, 3], np.random.default_rng(0))
+        data = tiny_dataset(n=8, dim=5)
         with pytest.raises(ValueError):
-            forward(model, np.zeros(5))
+            evaluate(model, data)
+        with pytest.raises(ValueError):
+            loss_and_gradient(model, data.features, data.labels)
 
 
 class TestGradientAndSgd:
@@ -158,8 +182,8 @@ class TestGradientAndSgd:
         model = init_model([6, 5, 3], np.random.default_rng(306))
         data = tiny_dataset(n=10)
         loss, _ = loss_and_gradient(model, data.features, data.labels)
-        per_sample = [cross_entropy_loss(forward(model, x), y)
-                      for x, y in zip(data.features, data.labels)]
+        probs = manual_forward(model, data.features)
+        per_sample = [-math.log(max(p[y], LOG_GUARD)) for p, y in zip(probs, data.labels)]
         assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
 
     def test_input_model_untouched(self):
@@ -354,30 +378,18 @@ class TestAggregateAndEvaluate:
         assert loss_big == pytest.approx(want_loss, rel=1e-12)
         assert acc_big == pytest.approx(want_acc, abs=1e-15)
 
+    def test_evaluate_loss_guard_blocks_log_of_zero(self):
+        data = LabeledDataset(np.zeros((4, 3)), np.array([1, 1, 0, 0]))
+        loss, acc = evaluate(confidently_wrong_model(), data)
+        assert loss == pytest.approx(-0.5 * math.log(LOG_GUARD), rel=1e-12)
+        assert acc == 0.5
+
 
 class TestSerialization:
-    def test_round_trip_exact(self):
-        model = init_model([7, 5, 4], np.random.default_rng(321))
-        back = deserialize_params(serialize_params(model), [7, 5, 4])
-        assert_models_equal(model, back)
-
-    def test_layout_is_row_major_little_endian(self):
-        w = np.arange(6, dtype=np.float64).reshape(2, 3)
-        b = np.array([9.5, -1.0])
-        model = ModelParameters(layers=((w, b),), architecture=(3, 2))
-        vals = np.frombuffer(serialize_params(model), dtype="<f8")
-        assert np.array_equal(vals, [0, 1, 2, 3, 4, 5, 9.5, -1.0])
-
     def test_bit_count_reference_architecture(self):
         assert param_bits([784, 32, 10]) == 1_628_800
         model = init_model([784, 32, 10], np.random.default_rng(322))
-        assert len(serialize_params(model)) * 8 == 1_628_800
-
-    def test_length_mismatch_raises(self):
-        model = init_model([7, 5, 4], np.random.default_rng(323))
-        blob = serialize_params(model)
-        with pytest.raises(ValueError):
-            deserialize_params(blob[:-8], [7, 5, 4])
+        assert 64 * sum(w.size + b.size for w, b in model.layers) == 1_628_800
 
 
 class TestDatasetValidation:

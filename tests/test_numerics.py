@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -105,19 +104,6 @@ class TestGoldenSection:
     def test_degenerate_interval(self):
         x, fx = golden_section_min(lambda t: t * t, Interval(2.0, 2.0))
         assert x == 2.0 and fx == 4.0
-
-    def test_non_unimodal_prescan_warns(self):
-        def two_wells(t):
-            return (t - 0.2) ** 2 * (t - 0.8) ** 2
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            x, _ = golden_section_min(
-                two_wells, Interval(0.0, 1.0), check_unimodal=True
-            )
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        # grid argmin lands in one of the two wells
-        assert min(abs(x - 0.2), abs(x - 0.8)) <= 1e-2
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

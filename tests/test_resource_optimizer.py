@@ -13,13 +13,11 @@ from feelsim.resource_optimizer import (
     InfeasiblePowerError,
     Workload,
     computation_energy,
-    computation_time,
     effective_cycles,
     minimize_round_energy,
     optimal_bandwidth,
     required_power,
     round_energy_objective,
-    upload_energy,
     upload_time_bounds,
 )
 
@@ -107,10 +105,13 @@ class TestComputationEnergy:
             b = computation_energy(Workload(640, 0, 1, 20.0, 13568), 3e9, 2e-28)
             assert a == b
 
-    def test_computation_time(self):
-        assert computation_time(60000.0, 2e9) == 3e-5
+    def test_validation(self):
+        w = Workload(1000, 0, 1, 20.0, 13568)
+        for f in (0.0, -1e9):
+            with pytest.raises(ValueError):
+                computation_energy(w, f, 2e-28)
         with pytest.raises(ValueError):
-            computation_time(60000.0, 0.0)
+            computation_energy(w, 1e9, 0.0)
 
 
 class TestPowerAndUploadEnergy:
@@ -118,7 +119,7 @@ class TestPowerAndUploadEnergy:
         assert required_power(1_000_000, 0.5, 2e6, 1e8) == pytest.approx(0.02, rel=1e-12)
 
     def test_frozen_energy_example(self):
-        assert upload_energy(1_000_000, 0.5, 2e6, 1e8) == pytest.approx(0.01, rel=1e-12)
+        assert 0.5 * required_power(1_000_000, 0.5, 2e6, 1e8) == pytest.approx(0.01, rel=1e-12)
 
     def test_rate_power_round_trip(self):
         rng = np.random.default_rng(41)
@@ -136,7 +137,7 @@ class TestPowerAndUploadEnergy:
 
     def test_upload_energy_strictly_decreasing(self):
         ts = np.linspace(0.01, 2.0, 300)
-        es = [upload_energy(500_000, float(t), 1e6, 1e6) for t in ts]
+        es = [t * required_power(500_000, float(t), 1e6, 1e6) for t in ts]
         assert all(b < a for a, b in zip(es, es[1:]))
 
     def test_overflow_is_infinite(self):
