@@ -7,8 +7,9 @@ the bandwidth, plan each worker's compute/upload operating point, charge
 energy budgets, and aggregate the updates that made it back in time.
 
 Every random draw comes from a stream keyed by (seed, domain, trial, worker,
-round), so per-worker work is order-independent and can run on a thread pool
-without changing a single bit of the output.
+round), so per-worker work is order-independent: the scheduled workers train
+as stacked models, in contiguous chunks that can run on a thread pool, without
+changing a single bit of the output.
 """
 from __future__ import annotations
 
@@ -246,29 +247,36 @@ def run_round(
         state.workers, config.select_fraction, substream(seed, DOMAIN_SELECT, trial, round_index)
     )
 
-    def train_one(profile: WorkerProfile):
+    channels = []
+    for profile in selected:
         if config.channel_mode == "static":
             ch_rng = substream(seed, DOMAIN_CHANNEL, trial, profile.worker_id)
         else:
             ch_rng = substream(seed, DOMAIN_CHANNEL, trial, profile.worker_id, round_index)
-        h = sample_channel(
+        channels.append(sample_channel(
             ch_rng, profile.distance_m, config.pathloss_exp, config.rician_k_db,
             config.antennas, profile.los_angle,
-        )
-        tr_rng = substream(seed, DOMAIN_TRAIN, trial, profile.worker_id, round_index)
-        local_model, decision = local_round(
-            state.model, profile.dataset, config.epochs, config.batch_size,
-            config.learning_rate, config.threshold, tr_rng,
-        )
-        return h, local_model, decision
+        ))
 
-    if config.parallel_workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(config.parallel_workers) as pool:
-            trained = list(pool.map(train_one, selected))
+    def train_chunk(chunk: list[WorkerProfile]):
+        return local_round(
+            state.model, [p.dataset for p in chunk], config.epochs, config.batch_size,
+            config.learning_rate, config.threshold,
+            [substream(seed, DOMAIN_TRAIN, trial, p.worker_id, round_index) for p in chunk],
+        )
+
+    # up to parallel_workers contiguous chunks, each trained as one stack
+    n_chunks = min(config.parallel_workers, len(selected))
+    cuts = [len(selected) * c // n_chunks for c in range(n_chunks + 1)]
+    chunks = [selected[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    if n_chunks > 1:
+        with ThreadPoolExecutor(n_chunks) as pool:
+            trained = list(pool.map(train_chunk, chunks))
     else:
-        trained = [train_one(p) for p in selected]
+        trained = [train_chunk(selected)]
+    local_models = [m for models, _ in trained for m in models]
+    decisions = [d for _, chunk_decisions in trained for d in chunk_decisions]
 
-    channels = [t[0] for t in trained]
     beams = [
         beam_and_gain(channels[i], channels[:i] + channels[i + 1 :], config.noise_power_w)
         for i in range(len(selected))
@@ -277,12 +285,12 @@ def run_round(
     workloads = [
         Workload(
             dataset_size=len(p.dataset),
-            excluded_count=t[2].excluded_count,
+            excluded_count=decision.excluded_count,
             epochs=config.epochs,
             cycles_per_sample=config.cycles_per_sample,
             model_bits=model_bits,
         )
-        for p, t in zip(selected, trained)
+        for p, decision in zip(selected, decisions)
     ]
 
     def plan_all(shares: list[float]) -> list[ResourcePlan | None]:
@@ -320,7 +328,9 @@ def run_round(
     inst_energy = 0.0
     total_kappa = 0
     total_data = 0
-    for profile, (_, local_model, decision), plan, share in zip(selected, trained, plans, shares):
+    for profile, local_model, decision, plan, share in zip(
+        selected, local_models, decisions, plans, shares
+    ):
         total_kappa += decision.excluded_count
         total_data += len(profile.dataset)
         if plan is None:

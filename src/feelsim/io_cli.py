@@ -120,6 +120,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name} must be {self.__annotations__[name]}, got {value!r}"
                 )
+            # JSON's Infinity and NaN parse to floats; only the budget may be unbounded
+            if float in kinds and value is not None and name != "energy_budget_j":
+                need(math.isfinite(value), f"{name} must be finite, got {value!r}")
 
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         need(self.workers >= 1, f"workers must be >= 1, got {self.workers}")

@@ -8,6 +8,7 @@ training schedule.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,9 +85,30 @@ def param_bits(architecture: Sequence[int]) -> int:
     return 64 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(arch[:-1], arch[1:]))
 
 
+def _stack(model: ModelParameters, k: int) -> ModelParameters:
+    """k copies of a 2-D model along a new leading worker axis."""
+    return ModelParameters(
+        layers=tuple((np.repeat(w[None], k, axis=0), np.repeat(b[None], k, axis=0))
+                     for w, b in model.layers),
+        architecture=model.architecture,
+    )
+
+
+def _member(model: ModelParameters, i: int) -> ModelParameters:
+    """Worker i of a stacked model, as 2-D views."""
+    return ModelParameters(
+        layers=tuple((w[i], b[i]) for w, b in model.layers), architecture=model.architecture
+    )
+
+
 def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Probabilities and the per-layer activations needed for backprop."""
-    if x.ndim != 2 or x.shape[1] != model.architecture[0]:
+    """Probabilities and the per-layer activations needed for backprop.
+
+    A stacked model (weights (k, out, in), biases (k, out)) takes x of shape
+    (k, n, d) and runs x[i] through worker i; every product and reduction on
+    a slice is the one a 2-D call makes, so each slice's bytes are too.
+    """
+    if x.ndim != model.layers[0][0].ndim or x.shape[-1] != model.architecture[0]:
         raise ValueError(
             f"input shape {x.shape} does not match network input width "
             f"{model.architecture[0]}"
@@ -95,14 +117,14 @@ def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, l
     a = x
     last = len(model.layers) - 1
     for i, (w, b) in enumerate(model.layers):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
         if i < last:
             a = np.maximum(z, 0.0)
             acts.append(a)
         else:
-            z -= z.max(axis=1, keepdims=True)  # shift-invariant softmax
+            z -= z.max(axis=-1, keepdims=True)  # shift-invariant softmax
             e = np.exp(z)
-            a = e / e.sum(axis=1, keepdims=True)
+            a = e / e.sum(axis=-1, keepdims=True)
     return a, acts
 
 
@@ -112,27 +134,35 @@ def loss_and_gradient(
     """Mean cross entropy over a batch and its gradient wrt every parameter.
 
     Args:
-        model: current parameters.
-        x: batch features, shape (n, d).
-        y: batch labels, shape (n,).
+        model: current parameters, 2-D or stacked over k workers.
+        x: batch features, shape (n, d); for a stacked model, k batches of
+            n rows one after another, shape (k*n, d), worker i's first.
+        y: batch labels, shape (n,) or (k*n,).
 
     Returns:
-        (loss, grads) with grads shaped exactly like model.layers.
+        (loss, grads) with grads shaped exactly like model.layers; the loss is
+        the mean over all rows.
     """
-    n = x.shape[0]
+    if x.shape[0] == 0:
+        raise ValueError("cannot take the gradient of an empty batch")
+    weights = model.layers[0][0]
+    if weights.ndim == 3:
+        x = x.reshape(weights.shape[0], -1, x.shape[-1])
+    n = x.shape[-2]
     probs, acts = _forward_batch(model, x)
-    if y.size and (y.min() < 0 or y.max() >= probs.shape[1]):
-        raise ValueError(f"labels outside [0, {probs.shape[1]})")
-    p_true = probs[np.arange(n), y]
-    loss = float(np.mean(-np.log(np.maximum(p_true, LOG_GUARD))))
-
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0  # d loss / d logits = probs - onehot
+    classes = probs.shape[-1]
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise ValueError(f"labels outside [0, {classes})")
+    delta = probs  # d loss / d logits = probs - onehot, built in place
+    flat = delta.reshape(-1, classes)  # a view: softmax output is C-contiguous
+    rows = np.arange(flat.shape[0])
+    p_true = flat[rows, y]
+    loss = -float(np.log(np.maximum(p_true, LOG_GUARD)).sum()) / rows.size
+    flat[rows, y] -= 1.0
     delta /= n
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
     for i in range(len(model.layers) - 1, -1, -1):
-        a_prev = acts[i]
-        grads[i] = (delta.T @ a_prev, delta.sum(axis=0))
+        grads[i] = (delta.swapaxes(-1, -2) @ acts[i], delta.sum(axis=-2))
         if i > 0:
             delta = delta @ model.layers[i][0]
             delta *= acts[i] > 0.0  # ReLU mask, subgradient 0 at the kink
@@ -141,31 +171,69 @@ def loss_and_gradient(
 
 def sgd_epoch(
     model: ModelParameters,
-    data: LabeledDataset,
-    indices: np.ndarray,
+    data: LabeledDataset | Sequence[LabeledDataset],
+    indices: np.ndarray | Sequence[np.ndarray],
     batch_size: int,
     lr: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> ModelParameters:
     """One pass of mini-batch SGD over data[indices] in a fresh shuffle.
 
     Runs ceil(len(indices) / batch_size) updates (the tail batch may be
     short) and returns new parameters; the input model is untouched.
+
+    A stacked model (see local_round) trains k workers at once: data, indices
+    and rng are then k-long sequences and worker i runs its own epoch on
+    data[i][indices[i]] shuffled by rng[i].  At each step, the workers whose
+    batches have the same length train in one loss_and_gradient call.
+    Batches are never padded, so every worker gets the bytes of its own
+    single-worker epoch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if lr <= 0.0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    order = rng.permutation(np.asarray(indices, dtype=np.intp))
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    single = isinstance(data, LabeledDataset)
+    if single:
+        model, data, indices, rng = _stack(model, 1), [data], [indices], [rng]
+    weights = model.layers[0][0]
+    if weights.ndim != 3 or weights.shape[0] != len(data):
+        raise ValueError(f"{len(data)} datasets for a model of weight shape {weights.shape}")
+    feats, labels = [], []
+    for d, idx, r in zip(data, indices, rng, strict=True):
+        order = r.permutation(np.asarray(idx, dtype=np.intp))
+        feats.append(d.features[order])
+        labels.append(d.labels[order])
+    sizes = [f.shape[0] for f in feats]
     layers = [(w.copy(), b.copy()) for w, b in model.layers]
-    work = ModelParameters(layers=tuple(layers), architecture=model.architecture)
-    for start in range(0, order.size, batch_size):
-        batch = order[start : start + batch_size]
-        _, grads = loss_and_gradient(work, data.features[batch], data.labels[batch])
-        for (w, b), (gw, gb) in zip(layers, grads):
-            w -= lr * gw
-            b -= lr * gb
-    return work
+    for start in range(0, max(sizes, default=0), batch_size):
+        groups: dict[int, list[int]] = {}  # batch length -> workers
+        for i, size in enumerate(sizes):
+            if size > start:
+                groups.setdefault(min(batch_size, size - start), []).append(i)
+        for length, group in groups.items():
+            stop = start + length
+            x = np.concatenate([feats[i][start:stop] for i in group])
+            y = np.concatenate([labels[i][start:stop] for i in group])
+            # neighbouring workers train on views of the stack, in place;
+            # any other group on gathered copies that are written back
+            run = group[-1] - group[0] + 1 == len(group)
+            part = slice(group[0], group[-1] + 1) if run else group
+            sub = [(w[part], b[part]) for w, b in layers]
+            _, grads = loss_and_gradient(
+                ModelParameters(layers=tuple(sub), architecture=model.architecture), x, y
+            )
+            for (w, b), (gw, gb) in zip(sub, grads):
+                gw *= lr  # the products lr * gw, without a stack-sized temporary
+                gb *= lr
+                w -= gw
+                b -= gb
+            if not run:
+                for (w, b), (w_part, b_part) in zip(layers, sub):
+                    w[part] = w_part
+                    b[part] = b_part
+    whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
+    return _member(whole, 0) if single else whole
 
 
 def filter_samples(
@@ -189,27 +257,40 @@ def filter_samples(
 
 def local_round(
     global_model: ModelParameters,
-    data: LabeledDataset,
+    data: LabeledDataset | Sequence[LabeledDataset],
     epochs: int,
     batch_size: int,
     lr: float,
     threshold: float,
-    rng: np.random.Generator,
-) -> tuple[ModelParameters, FilterDecision]:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> tuple[ModelParameters, FilterDecision] | tuple[list[ModelParameters], list[FilterDecision]]:
     """One worker's round: full first epoch, filter, remaining epochs on the rest.
 
     The filter always runs (its verdict prices the round's workload) but with
     epochs == 1 training is exactly one plain epoch.
+
+    With equal-length sequences of datasets and streams, one per worker, every
+    worker starts from global_model and they train as one stack: weights
+    (k, out, in) and biases (k, out), one SGD step for all of them at a time
+    (see sgd_epoch), each filtered on its own model after epoch 1.  Returns
+    the lists of models and decisions, each equal to that worker's own
+    single-worker call.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if len(data) == 0:
+    single = isinstance(data, LabeledDataset)
+    datasets, rngs = ([data], [rng]) if single else (list(data), list(rng))
+    if any(len(d) == 0 for d in datasets):
         raise ValueError("cannot train on an empty dataset")
-    model = sgd_epoch(global_model, data, np.arange(len(data)), batch_size, lr, rng)
-    decision = filter_samples(model, data, threshold)
+    everything = [np.arange(len(d)) for d in datasets]
+    stack = sgd_epoch(_stack(global_model, len(datasets)), datasets, everything,
+                      batch_size, lr, rngs)
+    decisions = [filter_samples(_member(stack, i), d, threshold) for i, d in enumerate(datasets)]
+    kept = [decision.included_indices for decision in decisions]
     for _ in range(epochs - 1):
-        model = sgd_epoch(model, data, decision.included_indices, batch_size, lr, rng)
-    return model, decision
+        stack = sgd_epoch(stack, datasets, kept, batch_size, lr, rngs)
+    models = [_member(stack, i) for i in range(len(datasets))]
+    return (models[0], decisions[0]) if single else (models, decisions)
 
 
 def aggregate(updates: Sequence[tuple[ModelParameters, int]]) -> ModelParameters:

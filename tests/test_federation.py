@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,24 @@ class TestDeterminism:
             assert a.worker_stats == b.worker_stats
             assert a.test_loss == b.test_loss
 
+    def test_chunking_does_not_change_results(self):
+        # label-skewed shards of unequal size, all 7 scheduled: 1, 2 or 3 stacks
+        data = make_dataset(n=602, seed=905)
+        shards = partition_noniid(data, 7, np.random.default_rng(906))
+        assert len({len(shard) for shard in shards}) > 1
+        runs = []
+        for chunks in (1, 2, 3):
+            fleet = make_fleet(k=7)
+            for profile, shard in zip(fleet, shards):
+                profile.dataset = shard
+            runs.append(run_experiment(fleet, TEST_DATA, ARCH,
+                                       fast_config(rounds=3, parallel_workers=chunks), seed=49))
+        (ra, ma), *others = runs
+        assert any(s.kappa for r in ra for s in r.worker_stats)  # ragged later epochs
+        for rb, mb in others:
+            assert_models_equal(ma, mb)
+            assert ra == rb
+
     def test_explicit_deadline_equals_resolved_default(self):
         cfg = fast_config(rounds=2)
         bits = param_bits(ARCH)
@@ -436,3 +455,41 @@ class TestConfigValidation:
             fast_config(channel_mode="fancy")
         with pytest.raises(ValueError):
             fast_config(rounds=0)
+
+
+class TestTrainingCallSites:
+    """One round trains through learning's module functions, which per-layer
+    tracing wraps: a path around them would make its figures read 0."""
+
+    def test_round_rows_and_filter_calls(self, monkeypatch):
+        from feelsim import learning
+
+        rows, filtered = [], []
+        grad, keep = learning.loss_and_gradient, learning.filter_samples
+
+        def counting_grad(model, x, y):
+            rows.append(x.shape[0])
+            return grad(model, x, y)
+
+        def counting_filter(model, data, threshold):
+            decision = keep(model, data, threshold)
+            filtered.append((len(data), decision.included_indices.size))
+            return decision
+
+        monkeypatch.setattr(learning, "loss_and_gradient", counting_grad)
+        monkeypatch.setattr(learning, "filter_samples", counting_filter)
+        fleet = make_fleet()
+        cfg = fast_config(epochs=3, threshold=0.4)
+        cfg = replace(cfg, deadline_s=default_deadline(fleet, cfg, param_bits(ARCH), 59, 0))
+        state = ExperimentState(model=init_model(ARCH, np.random.default_rng(59)),
+                                workers=fleet, test_data=TEST_DATA, seed=59)
+        record = run_round(state, cfg, 1)
+
+        assert len(filtered) == len(record.worker_stats) == 6
+        assert [n - kept for n, kept in filtered] == [s.kappa for s in record.worker_stats]
+        assert sum(rows) == sum(n + (cfg.epochs - 1) * kept for n, kept in filtered)
+        assert 0 < sum(kept for _, kept in filtered) < sum(n for n, _ in filtered)
+        # one call per step for all six 100-row shards, not one per worker
+        batches = sum(math.ceil(n / cfg.batch_size) + (cfg.epochs - 1)
+                      * math.ceil(kept / cfg.batch_size) for n, kept in filtered)
+        assert len(rows) < batches

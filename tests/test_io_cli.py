@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -28,6 +29,11 @@ from feelsim.learning import LabeledDataset
 from feelsim.streams import DOMAIN_DATA, substream
 
 
+# every float field except energy_budget_j, whose null/infinity is an unbounded budget
+FINITE_FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if "float" in str(f.type) and f.name != "energy_budget_j"
+]
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
@@ -103,7 +109,8 @@ class TestConfig:
             load_config(path)
         for field, text in [("rounds", "2.5"), ("rounds", "true"), ("seed", "1.5"),
                             ("hidden_width", "4.5"), ("workers", "20.0"),
-                            ("learning_rate", "true")]:
+                            ("learning_rate", "true"), ("learning_rate", "Infinity"),
+                            ("deadline_s", "NaN")]:
             path.write_text(f'{{"{field}": {text}}}\n')
             with pytest.raises(ConfigError, match=field):
                 load_config(path)
@@ -133,6 +140,12 @@ class TestConfig:
             small_config(workers=20.0)
         with pytest.raises(ConfigError, match="learning_rate"):
             small_config(learning_rate=True)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", FINITE_FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            small_config(**{name: value})
 
     def test_int_for_float_and_null_for_optional_accepted(self):
         # JSON writes 1e6 as 1000000 just as well; optional fields take null

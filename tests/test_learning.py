@@ -202,9 +202,15 @@ class TestGradientAndSgd:
         with pytest.raises(ValueError):
             sgd_epoch(model, data, np.arange(8), batch_size=0, lr=0.1,
                       rng=np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            sgd_epoch(model, data, np.arange(8), batch_size=4, lr=0.0,
-                      rng=np.random.default_rng(1))
+        for lr in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sgd_epoch(model, data, np.arange(8), batch_size=4, lr=lr,
+                          rng=np.random.default_rng(1))
+
+    def test_empty_batch_rejected(self):
+        model = init_model([6, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty batch"):
+            loss_and_gradient(model, np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
 
     def test_central_training_reaches_accuracy_floor(self):
         # 30 full-data epochs on separable blobs must learn, not merely move
@@ -329,6 +335,83 @@ class TestLocalRound:
         empty = LabeledDataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             local_round(model, empty, 1, 16, 0.1, 0.7, np.random.default_rng(1))
+
+
+def skewed_shards():
+    """Label-skewed shards of 40, 37, 40 and 23 rows; the last one's features are
+    scaled so far out that every softmax saturates and the filter keeps nothing."""
+    data = tiny_dataset(n=400, seed=320)
+    shards = []
+    for size, classes, scale in [(40, (0, 1), 1.0), (37, (1, 2), 1.0),
+                                 (40, (0, 2), 1.0), (23, (2,), 1e3)]:
+        idx = np.flatnonzero(np.isin(data.labels, classes))[:size]
+        part = data.take(idx)
+        shards.append(LabeledDataset(part.features * scale, part.labels))
+    return shards
+
+
+class TestStackedRound:
+    """Workers trained as one stack get exactly their single-worker bytes."""
+
+    def test_matches_single_worker_calls(self):
+        model = init_model([6, 5, 3], np.random.default_rng(321))
+        shards = skewed_shards()
+
+        def streams():
+            return [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
+
+        # batch 16 gives tails of 8, 5, 8 and 7 rows in epoch 1: one step trains
+        # workers 0 and 2 together, which are not neighbours in the stack
+        models, decisions = local_round(model, shards, 3, 16, 0.1, 0.7, streams())
+        kept = [d.included_indices.size for d in decisions]
+        assert kept[-1] == 0 and len(set(kept)) == len(kept)  # ragged later epochs
+        for shard, rng, got, decision in zip(shards, streams(), models, decisions):
+            ref, expect = local_round(model, shard, 3, 16, 0.1, 0.7, rng)
+            assert_models_equal(got, ref)
+            assert decision.excluded_count == expect.excluded_count
+            assert np.array_equal(decision.included_indices, expect.included_indices)
+
+    def test_stacked_gradient_matches_per_worker_calls(self):
+        rng = np.random.default_rng(323)
+        models = [init_model([6, 5, 3], rng) for _ in range(3)]
+        stacked = ModelParameters(
+            layers=tuple((np.stack([m.layers[i][0] for m in models]),
+                          np.stack([m.layers[i][1] for m in models])) for i in range(2)),
+            architecture=models[0].architecture)
+        data = tiny_dataset(n=3 * 11, seed=324)
+        loss, grads = loss_and_gradient(stacked, data.features, data.labels)
+        losses = []
+        for j, model in enumerate(models):
+            rows = slice(11 * j, 11 * (j + 1))
+            part_loss, ref = loss_and_gradient(model, data.features[rows], data.labels[rows])
+            losses.append(part_loss)
+            for (gw, gb), (rw, rb) in zip(grads, ref):
+                assert np.array_equal(gw[j], rw)
+                assert np.array_equal(gb[j], rb)
+        assert loss == pytest.approx(np.mean(losses), rel=1e-12)
+
+    def test_one_gradient_call_per_batch_length(self, monkeypatch):
+        from feelsim import learning
+
+        rows = []
+        grad = learning.loss_and_gradient
+
+        def counting(model, x, y):
+            rows.append(x.shape[0])
+            return grad(model, x, y)
+
+        monkeypatch.setattr(learning, "loss_and_gradient", counting)
+        model = init_model([6, 5, 3], np.random.default_rng(322))
+        shards = skewed_shards()
+        streams = [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
+        local_round(model, shards, 1, 16, 0.1, 0.7, streams)
+        # steps of 16 x 4 workers, then 16 x 3 + 7, then 8 x 2 + 5
+        assert rows == [64, 48, 7, 16, 5]
+
+    def test_rejects_mismatched_streams(self):
+        model = init_model([6, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            local_round(model, skewed_shards(), 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
 
 
 class TestAggregateAndEvaluate:
