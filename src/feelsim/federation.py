@@ -177,6 +177,11 @@ def partition_noniid(
     return shards
 
 
+def schedule_size(k: int, fraction: float) -> int:
+    """Workers scheduled per round: ceil(fraction * k), at least 1, at most k."""
+    return min(k, max(1, math.ceil(fraction * k)))
+
+
 def select_workers(
     workers: list[WorkerProfile], fraction: float, rng: np.random.Generator
 ) -> list[WorkerProfile]:
@@ -186,7 +191,7 @@ def select_workers(
     k = len(workers)
     if k == 0:
         raise ValueError("no workers to select from")
-    n_sel = min(k, max(1, math.ceil(fraction * k)))
+    n_sel = schedule_size(k, fraction)
     chosen = sorted(rng.choice(k, size=n_sel, replace=False).tolist())
     return [workers[i] for i in chosen]
 
@@ -205,7 +210,7 @@ def default_deadline(
     """
     if not workers:
         raise ValueError("no workers to derive a deadline from")
-    n_sel = min(len(workers), max(1, math.ceil(config.select_fraction * len(workers))))
+    n_sel = schedule_size(len(workers), config.select_fraction)
     share = config.bandwidth_hz / n_sel
     channels = []
     for p in workers:
@@ -215,12 +220,12 @@ def default_deadline(
             config.antennas, p.los_angle,
         ))
     powers = [float(np.vdot(h, h).real) for h in channels]
+    # strongest first, ties in id order; each worker's interferers are the
+    # first n_sel - 1 others in this order
+    strongest = sorted(range(len(channels)), key=lambda j: -powers[j])[:n_sel]
     betas = []
     for i, h in enumerate(channels):
-        others = sorted(
-            (j for j in range(len(channels)) if j != i), key=lambda j: -powers[j]
-        )[: n_sel - 1]
-        interferers = [channels[j] for j in others]
+        interferers = [channels[j] for j in strongest if j != i][: n_sel - 1]
         betas.append(beam_and_gain(h, interferers, config.noise_power_w).beta)
     beta_worst = float(min(betas)) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)

@@ -381,7 +381,6 @@ def build_workers(
         p_min_w=config.p_min_w,
         p_max_w=config.p_max_w,
         capacitance=config.capacitance,
-        energy_budget_j=config.energy_budget_j,
     )
     prof_rng = substream(seed, DOMAIN_PROFILE, trial)
     profiles = []
@@ -463,48 +462,20 @@ def cli_main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the config output directory")
 
-    gen_p = sub.add_parser("gen-data", help="write a synthetic dataset to an .npz file")
-    gen_p.add_argument("--out", required=True, help="output .npz path")
-    gen_p.add_argument("--dim", type=int, default=8)
-    gen_p.add_argument("--classes", type=int, default=4)
-    gen_p.add_argument("--samples", type=int, default=4000)
-    gen_p.add_argument("--spread", type=float, default=0.3)
-    gen_p.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("selftest", help="run two short end-to-end simulation checks")
-
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code) if exc.code else 0
 
-    if args.command == "run":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        config = load_config(args.config)
         _, paths = run_from_config(config, seed=args.seed, out_dir=args.out)
-        for name in sorted(paths):
-            print(f"{name}: {paths[name]}")
-        return 0
-
-    if args.command == "gen-data":
-        rng = substream(args.seed, DOMAIN_DATA)
-        try:
-            data = generate_synthetic(args.dim, args.classes, args.samples, args.spread, rng)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(out, features=data.features, labels=data.labels)
-        print(f"wrote {len(data)} samples to {out}")
-        return 0
-
-    from .selftest import run_selftest  # deferred: keeps CLI startup light
-
-    return run_selftest()
+    except (ConfigError, IdxFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for name in sorted(paths):
+        print(f"{name}: {paths[name]}")
+    return 0
 
 
 def main() -> None:

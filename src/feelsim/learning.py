@@ -26,12 +26,6 @@ class ModelParameters:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     architecture: tuple[int, ...]
 
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            layers=tuple((w.copy(), b.copy()) for w, b in self.layers),
-            architecture=self.architecture,
-        )
-
 
 @dataclass(frozen=True)
 class LabeledDataset:

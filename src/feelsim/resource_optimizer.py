@@ -43,7 +43,6 @@ class DeviceBounds:
     p_min_w: float
     p_max_w: float
     capacitance: float  # effective switched capacitance, J / (cycle Hz^2)
-    energy_budget_j: float = math.inf
 
     def __post_init__(self) -> None:
         if not (0.0 < self.f_min_hz <= self.f_max_hz):
@@ -52,8 +51,6 @@ class DeviceBounds:
             raise ValueError(f"need 0 <= p_min <= p_max, got [{self.p_min_w}, {self.p_max_w}]")
         if self.capacitance <= 0.0:
             raise ValueError(f"capacitance must be positive, got {self.capacitance}")
-        if self.energy_budget_j < 0.0:
-            raise ValueError(f"energy budget must be non-negative, got {self.energy_budget_j}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ DOMAIN_SELECT = 4
 DOMAIN_TRAIN = 5
 DOMAIN_CHANNEL = 6
 DOMAIN_DEADLINE = 7
-DOMAIN_TRIAL = 8
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:

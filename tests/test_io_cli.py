@@ -26,7 +26,6 @@ from feelsim.io_cli import (
     write_metrics,
 )
 from feelsim.learning import LabeledDataset
-from feelsim.streams import DOMAIN_DATA, substream
 
 
 # every float field except energy_budget_j, whose null/infinity is an unbounded budget
@@ -140,6 +139,8 @@ class TestConfig:
             small_config(workers=20.0)
         with pytest.raises(ConfigError, match="learning_rate"):
             small_config(learning_rate=True)
+        with pytest.raises(ConfigError, match="energy_budget_j"):
+            small_config(energy_budget_j=-1.0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", FINITE_FLOAT_FIELDS)
@@ -426,20 +427,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_gen_data(self, tmp_path, capsys):
-        out = tmp_path / "data.npz"
-        code = cli_main(["gen-data", "--out", str(out), "--dim", "6", "--classes", "3",
-                         "--samples", "90", "--spread", "0.4", "--seed", "11"])
-        assert code == 0
-        with np.load(out) as blob:
-            want = generate_synthetic(6, 3, 90, 0.4, substream(11, DOMAIN_DATA))
-            assert np.array_equal(blob["features"], want.features)
-            assert np.array_equal(blob["labels"], want.labels)
-
-    def test_gen_data_bad_args_exit_2(self, tmp_path, capsys):
-        code = cli_main(["gen-data", "--out", str(tmp_path / "x.npz"), "--classes", "1"])
+    def test_run_missing_mnist_files_exits_2(self, tmp_path, capsys):
+        cfg = small_config(data_source="mnist", mnist_images_path=str(tmp_path / "none.idx"),
+                           mnist_labels_path=str(tmp_path / "none-labels.idx"))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg, cfg_path)
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "none.idx" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--bogus"]) == 2
@@ -448,10 +444,6 @@ class TestCli:
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2
         capsys.readouterr()
-
-    def test_selftest(self, capsys):
-        assert cli_main(["selftest"]) == 0
-        assert "2/2 checks passed" in capsys.readouterr().out
 
 
 class TestPublicSurface:

@@ -327,5 +327,3 @@ class TestMinimizeRoundEnergy:
             DeviceBounds(1e9, 9e9, 0.2, 0.1, 2e-28)
         with pytest.raises(ValueError):
             DeviceBounds(1e9, 9e9, 1e-4, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            DeviceBounds(1e9, 9e9, 1e-4, 0.1, 2e-28, energy_budget_j=-1.0)
