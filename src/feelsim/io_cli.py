@@ -298,8 +298,12 @@ def load_mnist_idx(
         raise IdxFormatError("dataset files contain zero examples")
     order = rng.permutation(n)
     if subset_size is not None:
-        if not 1 <= subset_size <= n:
-            raise ValueError(f"subset_size must be in [1, {n}], got {subset_size}")
+        if subset_size < 1:
+            raise ValueError(f"subset_size must be >= 1, got {subset_size}")
+        if subset_size > n:
+            raise IdxFormatError(
+                f"mnist_subset {subset_size} exceeds the {n} examples in {images_path}"
+            )
         order = order[:subset_size]
     return LabeledDataset(
         features=images[order].astype(np.float64) / 255.0,

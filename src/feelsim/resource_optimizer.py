@@ -4,18 +4,34 @@ Each scheduled worker has a deadline T to finish local training and push its
 model update.  Training time plus upload time must fill T exactly, so the
 single free variable is the upload slot t_up: the CPU clock is then pinned at
 f = cycles / (T - t_up), and the transmit power is whatever closes the link
-in t_up on the allocated bandwidth.  Total energy is strictly convex in t_up
-on the feasible window in practice, and a golden-section search finds the
-minimizer without derivatives.
+in t_up on the allocated bandwidth.
+
+The round energy E(t) = C cycles^3 / (2 (T - t)^2) + t max(p_req(t), p_min)
+is convex in t_up on the window: the compute term is convex;
+t p_req(t) = (B / beta) t expm1(x) with x = bits ln2 / (t B) is convex (its
+second derivative is (B / beta) x^2 e^x / t); t p_min is linear; the max of
+convex functions is convex; and p_max only cuts off the slots below some
+t_up, where E is +inf.  So a window edge is the minimizer as soon as the
+energy does not fall on moving from it into the window: right slope >= 0 at
+the lower edge (clock at f_min), left slope <= 0 at the upper edge (clock at
+f_max).  round_energy_slope gives these one-sided slopes.  The planner
+returns such an edge without a search when its slope clears the rounding of
+the energy, so it returns exactly the plan the search would have found; an
+optimum inside the window is found by golden-section search.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .numerics import Interval, golden_section_min, lambert_w0
 
 _LN2 = math.log(2.0)
+# A window edge skips the search only if its slope clears _ROUNDING (1 + x)
+# times the round energy (see minimize_round_energy); that is at least twice
+# what two objective evaluations, each within (4 + x) eps, can round by.
+_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 class InfeasibleError(RuntimeError):
@@ -198,6 +214,57 @@ def round_energy_objective(
     return computation_energy(workload, f, bounds.capacitance) + t_up_s * p
 
 
+def _upload_slope_loss(x: float) -> float:
+    """x e^x - expm1(x) = sum_{n>=2} (n-1) x^n / n!, without cancellation at small x."""
+    if x >= 0.5:
+        return (x - 1.0) * math.expm1(x) + x
+    total, term, n = 0.0, x, 1
+    while True:
+        n += 1
+        term *= x / n
+        total += (n - 1) * term
+        if (n - 1) * term <= 1e-17 * total:
+            return total
+
+
+def round_energy_slope(
+    t_up_s: float,
+    side: int,
+    workload: Workload,
+    deadline_s: float,
+    bandwidth_hz: float,
+    beta: float,
+    bounds: DeviceBounds,
+) -> float:
+    """One-sided derivative dE/dt_up of round_energy_objective at t_up_s.
+
+    side = +1 gives the right derivative, -1 the left one; they differ only
+    where the required power crosses p_min.  The compute term contributes
+    C f^3 with f = cycles / (T - t_up).  On a side where the required power
+    stays at or below p_min the upload term is t_up p_min and contributes
+    p_min; otherwise it is (B / beta) t_up expm1(x) with
+    x = bits ln2 / (t_up B), whose slope is -(B / beta)(x e^x - expm1(x)).
+    p_max is not applied: the slope is meaningful only where the objective is
+    finite on that side.
+    """
+    if side not in (-1, 1):
+        raise ValueError(f"side must be +1 or -1, got {side}")
+    t_cmp = deadline_s - t_up_s
+    if t_up_s <= 0.0 or t_cmp <= 0.0:
+        raise ValueError(f"upload slot {t_up_s} is outside (0, {deadline_s})")
+    f = effective_cycles(workload) / t_cmp
+    slope_cmp = bounds.capacitance * f * f * f
+    p_req = required_power(workload.model_bits, t_up_s, bandwidth_hz, beta)
+    # the required power falls as t_up grows: right of t_up it is below
+    # p_req, left of it above
+    if p_req < bounds.p_min_w or (side > 0 and p_req == bounds.p_min_w):
+        return slope_cmp + bounds.p_min_w
+    if math.isinf(p_req):
+        return -math.inf
+    x = workload.model_bits * _LN2 / (t_up_s * bandwidth_hz)
+    return slope_cmp - bandwidth_hz * _upload_slope_loss(x) / beta
+
+
 def minimize_round_energy(
     workload: Workload,
     deadline_s: float,
@@ -207,7 +274,12 @@ def minimize_round_energy(
 ) -> ResourcePlan:
     """Pick the upload slot (hence CPU clock and transmit power) of least energy.
 
-    Golden-section search over the feasible slot window, then an explicit
+    The round energy is convex in the slot (module docstring), so a window
+    edge whose one-sided slope into the window does not descend is the
+    minimizer and is returned without a search.  The certificate needs that
+    slope clear of the rounding of the energy evaluations, so that the edge
+    is also what the search below would have picked.  Otherwise a
+    golden-section search over the window runs, followed by an explicit
     endpoint check so boundary minima are exact.  Raises
     InfeasibleDeadlineError / InfeasiblePowerError when the window is empty or
     the link cannot be closed even at p_max in the widest slot.
@@ -222,26 +294,58 @@ def minimize_round_energy(
             f"upload window {window.hi:.6g} s"
         )
 
+    def plan_at(t_up: float) -> ResourcePlan:
+        t_cmp = deadline_s - t_up
+        f = cycles / t_cmp
+        p_req = required_power(workload.model_bits, t_up, bandwidth_hz, beta)
+        p = min(max(p_req, bounds.p_min_w), bounds.p_max_w)
+        return ResourcePlan(
+            t_cmp_s=t_cmp,
+            t_up_s=t_up,
+            f_hz=f,
+            p_w=p,
+            bandwidth_hz=bandwidth_hz,
+            e_cmp_j=computation_energy(workload, f, bounds.capacitance),
+            e_up_j=t_up * p,
+        )
+
+    tol = max(window.width * 1e-9, 1e-15)
+
+    def certified_edge(t_edge: float, side: int) -> ResourcePlan | None:
+        """The plan at t_edge if the slope into the window proves it optimal."""
+        if required_power(workload.model_bits, t_edge, bandwidth_hz, beta) > bounds.p_max_w:
+            return None  # the objective is +inf at t_edge
+        inward = side * round_energy_slope(
+            t_edge, side, workload, deadline_s, bandwidth_hz, beta, bounds
+        )
+        if inward < 0.0:
+            return None
+        plan = plan_at(t_edge)
+        # The search's final probes other than t_edge lie at least `reach`
+        # inside the window: golden section keeps them about 0.24 tol from its
+        # bracket ends, and a distinct float is half an ulp away or more.  By
+        # convexity such a probe costs at least inward * reach more than the
+        # edge; that must beat the rounding of both objective values, each
+        # within (4 + x) eps relative (expm1 magnifies the rounding of x by up
+        # to 1 + x), for the search to have picked the edge too.  The slope's
+        # own rounding is smaller by a factor reach / t_cmp.
+        reach = max(0.1 * tol, 0.5 * math.ulp(t_edge))
+        x = workload.model_bits * _LN2 / (t_edge * bandwidth_hz)
+        if inward * reach < _ROUNDING * (1.0 + x) * plan.total_energy_j:
+            return None
+        return plan
+
+    for t_edge, side in ((window.lo, +1), (window.hi, -1)):
+        edge_plan = certified_edge(t_edge, side)
+        if edge_plan is not None:
+            return edge_plan
+
     def objective(t: float) -> float:
         return round_energy_objective(t, workload, deadline_s, bandwidth_hz, beta, bounds)
 
-    tol = max(window.width * 1e-9, 1e-15)
     t_up, e_best = golden_section_min(objective, window, tol=tol, max_iter=1000)
     for t_edge in (window.lo, window.hi):
         e_edge = objective(t_edge)
         if e_edge < e_best:
             t_up, e_best = t_edge, e_edge
-
-    t_cmp = deadline_s - t_up
-    f = cycles / t_cmp
-    p_req = required_power(workload.model_bits, t_up, bandwidth_hz, beta)
-    p = min(max(p_req, bounds.p_min_w), bounds.p_max_w)
-    return ResourcePlan(
-        t_cmp_s=t_cmp,
-        t_up_s=t_up,
-        f_hz=f,
-        p_w=p,
-        bandwidth_hz=bandwidth_hz,
-        e_cmp_j=computation_energy(workload, f, bounds.capacitance),
-        e_up_j=t_up * p,
-    )
+    return plan_at(t_up)

@@ -218,7 +218,7 @@ class TestIdxLoading:
         img, lab = write_idx_pair(tmp_path, images, labels)
         data = load_mnist_idx(img, lab, 4, np.random.default_rng(22))
         assert len(data) == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(IdxFormatError, match="mnist_subset 11 exceeds the 10 examples"):
             load_mnist_idx(img, lab, 11, np.random.default_rng(22))
         with pytest.raises(ValueError):
             load_mnist_idx(img, lab, 0, np.random.default_rng(22))
@@ -436,6 +436,19 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "none.idx" in err
+
+    def test_run_mnist_subset_beyond_files_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        images = rng.integers(0, 256, size=(40, 4, 4), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, np.arange(40, dtype=np.uint8) % 4)
+        cfg = small_config(data_source="mnist", mnist_images_path=str(img),
+                           mnist_labels_path=str(lab), mnist_subset=1000)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg, cfg_path)
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mnist_subset 1000 exceeds the 40 examples" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--bogus"]) == 2

@@ -1,16 +1,21 @@
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
+from feelsim import resource_optimizer
 from feelsim.channel import uplink_rate
-from feelsim.numerics import Interval
+from feelsim.numerics import golden_section_min
 from feelsim.resource_optimizer import (
     DeviceBounds,
     InfeasibleBandwidthError,
     InfeasibleDeadlineError,
+    InfeasibleError,
     InfeasiblePowerError,
+    ResourcePlan,
     Workload,
     computation_energy,
     effective_cycles,
@@ -18,6 +23,7 @@ from feelsim.resource_optimizer import (
     optimal_bandwidth,
     required_power,
     round_energy_objective,
+    round_energy_slope,
     upload_time_bounds,
 )
 
@@ -52,6 +58,86 @@ def grid_objective(ts, w, deadline, bw, beta, bounds):
         p_req = bw * np.expm1(w.model_bits * LN2 / (ts * bw)) / beta
     e = e_cmp + ts * np.maximum(p_req, bounds.p_min_w)
     return np.where(p_req > bounds.p_max_w, np.inf, e)
+
+
+def search_then_endpoint_check(w, deadline, bw, beta, bounds):
+    """The planner without the edge certificate: golden section over the whole
+    window, then the endpoint check, as minimize_round_energy did before it."""
+    rho = effective_cycles(w)
+    win = upload_time_bounds(rho, deadline, bounds)
+    if required_power(w.model_bits, win.hi, bw, beta) > bounds.p_max_w:
+        raise InfeasiblePowerError("p_max cannot close the link")
+
+    def objective(t):
+        return round_energy_objective(t, w, deadline, bw, beta, bounds)
+
+    t_up, e_best = golden_section_min(objective, win, tol=max(win.width * 1e-9, 1e-15),
+                                      max_iter=1000)
+    for t_edge in (win.lo, win.hi):
+        e_edge = objective(t_edge)
+        if e_edge < e_best:
+            t_up, e_best = t_edge, e_edge
+    t_cmp = deadline - t_up
+    f = rho / t_cmp
+    p = min(max(required_power(w.model_bits, t_up, bw, beta), bounds.p_min_w), bounds.p_max_w)
+    return ResourcePlan(t_cmp, t_up, f, p, bw, computation_energy(w, f, bounds.capacitance),
+                        t_up * p)
+
+
+def plan_bytes(plan):
+    return tuple(float(v).hex() for v in dataclasses.astuple(plan))
+
+
+def draw_wide_case(rng):
+    """Planning instance from wide ranges: most are infeasible, the rest end at
+    either window edge, clamped at p_min or not, or inside the window."""
+    size = int(rng.integers(1, 3001))
+    w = Workload(size, int(rng.integers(0, size + 1)), int(rng.integers(1, 8)),
+                 10.0 ** rng.uniform(0, 3), int(rng.integers(1000, 2_000_000)))
+    f_min = 10.0 ** rng.uniform(7, 9.5)
+    p_min = 10.0 ** rng.uniform(-6, -2)
+    bounds = DeviceBounds(f_min, f_min * 10.0 ** rng.uniform(0, 1.5), p_min,
+                          p_min * 10.0 ** rng.uniform(0, 4), 10.0 ** rng.uniform(-29, -26))
+    return w, 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(4, 7), 10.0 ** rng.uniform(2, 12), bounds
+
+
+def draw_flat_edge_case(rng):
+    """Instance whose lo or hi window edge lies within a relative 1e-15..1e-3 of
+    the energy's unconstrained minimizer t*, where the slope at the edge is
+    nearly zero; returns (case, which edge moved) or None."""
+    size = int(rng.integers(200, 2001))
+    w = Workload(size, int(rng.integers(0, size + 1)), int(rng.integers(1, 6)), 20.0, 13568)
+    rho = effective_cycles(w)
+    beta = 10.0 ** rng.uniform(4, 10)
+    bw = 10.0 ** rng.uniform(5.5, 6.5)
+    deadline = (rho / BOUNDS.f_max_hz * rng.uniform(1.05, 30.0)
+                + w.model_bits / uplink_rate(bw, beta, BOUNDS.p_max_w) * rng.uniform(1.05, 20.0))
+    args = (w, deadline, bw, beta, BOUNDS)
+    hi = deadline - rho / BOUNDS.f_max_hz
+    if round_energy_slope(hi, -1, *args) <= 0.0:
+        return None  # t* lies beyond f_max
+    lo, t_star = 0.0, hi
+    while True:  # bisect the monotone slope for t*
+        mid = 0.5 * (lo + t_star)
+        if mid in (lo, t_star):
+            break
+        if round_energy_slope(mid, +1, *args) < 0.0:
+            lo = mid
+        else:
+            t_star = mid
+    if required_power(w.model_bits, t_star, bw, beta) > BOUNDS.p_max_w:
+        return None
+    edge = t_star * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -3))
+    if not 0.0 < edge < hi:
+        return None
+    f_edge = rho / (deadline - edge)
+    if rng.random() < 0.5:
+        if f_edge > BOUNDS.f_max_hz:
+            return None
+        bounds, side = dataclasses.replace(BOUNDS, f_min_hz=f_edge), +1
+    else:
+        bounds, side = dataclasses.replace(BOUNDS, f_min_hz=f_edge / 9.0, f_max_hz=f_edge), -1
+    return (w, deadline, bw, beta, bounds), side
 
 
 class TestEffectiveCycles:
@@ -327,3 +413,159 @@ class TestMinimizeRoundEnergy:
             DeviceBounds(1e9, 9e9, 0.2, 0.1, 2e-28)
         with pytest.raises(ValueError):
             DeviceBounds(1e9, 9e9, 1e-4, 0.1, 0.0)
+
+
+class TestRoundEnergySlope:
+    W = Workload(600, 300, 5, 2e4, 13568)
+    DEADLINE = 0.2
+
+    def args(self, beta, bounds=BOUNDS):
+        return (self.W, self.DEADLINE, 1e6, beta, bounds)
+
+    @staticmethod
+    def one_sided_difference(t, side, args):
+        h = 1e-7 * t
+        e = round_energy_objective(t, *args)
+        return side * (round_energy_objective(t + side * h, *args) - e) / h
+
+    def scale(self, t, args):
+        # |compute slope| + |upload slope|, the size the slope's error is relative to
+        w, deadline, bw, beta, bounds = args
+        f = effective_cycles(w) / (deadline - t)
+        return bounds.capacitance * f ** 3 + bw / beta * math.exp(w.model_bits * LN2 / (t * bw))
+
+    @pytest.mark.parametrize("beta, clamped", [(2e6, False), (1e10, True)])
+    def test_matches_finite_differences(self, beta, clamped):
+        args = self.args(beta)
+        for t in (0.1, 0.12, 0.15):
+            assert round_energy_objective(t, *args) < math.inf
+            assert (required_power(self.W.model_bits, t, 1e6, beta) < BOUNDS.p_min_w) == clamped
+            for side in (-1, 1):
+                slope = round_energy_slope(t, side, *args)
+                fd = self.one_sided_difference(t, side, args)
+                assert slope == pytest.approx(fd, abs=1e-5 * self.scale(t, args))
+            assert round_energy_slope(t, -1, *args) == round_energy_slope(t, 1, *args)
+
+    def test_clamp_boundary_kink(self):
+        # p_min equal to the required power at t0: right of t0 the power is
+        # clamped at p_min, left of it the link needs more
+        t0, beta = 0.1, 2e6
+        bounds = dataclasses.replace(
+            BOUNDS, p_min_w=required_power(self.W.model_bits, t0, 1e6, beta))
+        args = self.args(beta, bounds)
+        right = round_energy_slope(t0, 1, *args)
+        left = round_energy_slope(t0, -1, *args)
+        f = effective_cycles(self.W) / (self.DEADLINE - t0)
+        assert right == pytest.approx(BOUNDS.capacitance * f ** 3 + bounds.p_min_w,
+                                      rel=1e-12, abs=0.0)
+        x = self.W.model_bits * LN2 / (t0 * 1e6)
+        assert right - left == pytest.approx(1e6 / beta * x * math.exp(x), rel=1e-9, abs=0.0)
+        for side, slope in ((1, right), (-1, left)):
+            fd = self.one_sided_difference(t0, side, args)
+            assert slope == pytest.approx(fd, abs=1e-5 * self.scale(t0, args))
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.1, 0.4999, 0.5, 2.0, 30.0])
+    def test_upload_slope_without_cancellation(self, x):
+        # p_min = 0 keeps the upload unclamped and a tiny capacitance makes the
+        # compute slope negligible, so the slope is -(B / beta)(x e^x - expm1(x))
+        bits, bw, beta = 13568, 1e6, 1e8
+        t = bits * LN2 / (x * bw)
+        bounds = DeviceBounds(1e9, 9e9, 0.0, 1e300, 1e-300)
+        slope = round_energy_slope(t, 1, Workload(1, 0, 1, 1.0, bits), 2.0 * t, bw, beta, bounds)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            xd = Decimal(bits * LN2 / (t * bw))  # the x the planner computes
+            exact = xd * xd.exp() - (xd.exp() - 1)
+        assert -slope == pytest.approx(bw / beta * float(exact), rel=1e-13, abs=0.0)
+
+    def test_validation(self):
+        args = self.args(2e6)
+        with pytest.raises(ValueError):
+            round_energy_slope(0.1, 0, *args)
+        for t in (0.0, self.DEADLINE, 0.3):
+            with pytest.raises(ValueError):
+                round_energy_slope(t, 1, *args)
+
+
+class TestEdgeCertificate:
+    def test_matches_search_then_endpoint_check(self):
+        rng = np.random.default_rng(79)
+        classes = {}
+        sign_only_wrong = 0
+        cases = [(draw_wide_case(rng), None) for _ in range(1500)]
+        cases += [c for c in (draw_flat_edge_case(rng) for _ in range(600)) if c is not None]
+        for case, moved in cases:
+            try:
+                ref = search_then_endpoint_check(*case)
+            except InfeasibleError as exc:
+                with pytest.raises(type(exc)):
+                    minimize_round_energy(*case)
+                kind = type(exc).__name__
+            else:
+                assert plan_bytes(minimize_round_energy(*case)) == plan_bytes(ref)
+                w, deadline, _, _, bounds = case
+                win = upload_time_bounds(effective_cycles(w), deadline, bounds)
+                if ref.t_up_s == win.lo:
+                    kind = "lo clamped" if ref.p_w == bounds.p_min_w else "lo"
+                else:
+                    kind = "hi" if ref.t_up_s == win.hi else "interior"
+                if moved is not None:
+                    kind = f"flat {kind}"
+                    # the slope's sign alone would return the moved edge, but the
+                    # search picks a point of equal energy to rounding
+                    t_edge = win.lo if moved > 0 else win.hi
+                    if (moved * round_energy_slope(t_edge, moved, *case) >= 0.0
+                            and ref.t_up_s != t_edge):
+                        sign_only_wrong += 1
+            classes[kind] = classes.get(kind, 0) + 1
+        for kind in ("lo", "lo clamped", "hi", "interior", "InfeasibleDeadlineError",
+                     "InfeasiblePowerError", "flat lo", "flat hi", "flat interior"):
+            assert classes.get(kind, 0) >= 10, classes
+        assert sign_only_wrong >= 10
+
+    @pytest.mark.parametrize("case, edge", [
+        ((Workload(600, 520, 5, 20.0, 13568), 0.05, 1e6, 1e8, BOUNDS), "lo"),
+        ((Workload(600, 520, 5, 20.0, 13568), 0.05, 1e6, 1e10, BOUNDS), "lo clamped"),
+        ((Workload(600, 0, 1, 20.0, 13568), 13568 * LN2 / 3e6 + 12000 / 2e9, 1e6, 2.5e8,
+          DeviceBounds(1e9, 2e9, 1e-4, 0.1, 1e-30)), "hi"),
+    ], ids=["f_min", "f_min-p_min", "f_max"])
+    def test_edge_optimum_skips_the_search(self, monkeypatch, case, edge):
+        ref = search_then_endpoint_check(*case)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("golden_section_min called for an edge optimum")
+
+        monkeypatch.setattr(resource_optimizer, "golden_section_min", no_search)
+        plan = minimize_round_energy(*case)
+        assert plan_bytes(plan) == plan_bytes(ref)
+        w, deadline, _, _, bounds = case
+        if edge == "hi":
+            assert plan.f_hz == pytest.approx(bounds.f_max_hz, rel=1e-12)
+        else:
+            assert plan.f_hz == pytest.approx(bounds.f_min_hz, rel=1e-12)
+            assert (plan.p_w == bounds.p_min_w) == (edge == "lo clamped")
+
+    def test_edge_the_link_cannot_use_is_not_certified(self):
+        # at f_min the slot is too short for p_max, yet the energy's slope
+        # there is positive: the optimum is where p_max first closes the link
+        w = Workload(600, 0, 1, 2000.0, 13568)
+        t_lo = w.model_bits * LN2 / 3e6
+        bounds = dataclasses.replace(BOUNDS, capacitance=1e-25)
+        case = (w, t_lo + effective_cycles(w) / bounds.f_min_hz, 1e6, 1e8, bounds)
+        assert required_power(w.model_bits, t_lo, 1e6, 1e8) > bounds.p_max_w
+        assert round_energy_slope(t_lo, 1, *case) > 0.0
+        plan = minimize_round_energy(*case)
+        assert plan_bytes(plan) == plan_bytes(search_then_endpoint_check(*case))
+        assert plan.t_up_s > t_lo
+        assert plan.p_w == pytest.approx(bounds.p_max_w, rel=1e-9)
+
+    def test_interior_optimum_still_searches(self, monkeypatch):
+        # the unfiltered preset's shape: too slow at f_min, optimum inside
+        calls = []
+        monkeypatch.setattr(resource_optimizer, "golden_section_min",
+                            lambda *a, **k: calls.append(1) or golden_section_min(*a, **k))
+        case = (Workload(160, 0, 5, 5e5, 13568), 0.35, 5e5, 4e7, BOUNDS)
+        plan = minimize_round_energy(*case)
+        win = upload_time_bounds(effective_cycles(case[0]), 0.35, BOUNDS)
+        assert win.lo < plan.t_up_s < win.hi and calls == [1]
+        assert plan_bytes(plan) == plan_bytes(search_then_endpoint_check(*case))
