@@ -45,7 +45,7 @@ from .numerics import (
     Interval,
     SingularMatrixError,
     golden_section_min,
-    lambert_w0,
+    lambert_wm1,
     max_generalized_eigvec,
 )
 from .resource_optimizer import (

@@ -240,6 +240,9 @@ def filter_samples(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    if threshold == 1.0:
+        # no softmax probability exceeds 1: skip the forward pass
+        return FilterDecision(included_indices=np.arange(len(data)), excluded_count=0)
     included = []
     for start in range(0, len(data), _EVAL_CHUNK):
         probs, _ = _forward_batch(model, data.features[start : start + _EVAL_CHUNK])

@@ -1,6 +1,6 @@
 """Scalar and linear-algebra primitives used by the radio and scheduling layers.
 
-Provides the principal-branch Lambert W function, a golden-section scalar
+Provides the lower-branch Lambert W function, a golden-section scalar
 minimizer, and the dominant generalized eigenvector used for receive
 beamforming.  All routines are deterministic and allocation-light; they sit
 on the hot path of the per-round resource optimization.
@@ -18,7 +18,7 @@ ComplexVector = np.ndarray
 # Interior probe ratio for golden-section search: (3 - sqrt(5)) / 2.
 GOLDEN_SHRINK = (3.0 - math.sqrt(5.0)) / 2.0
 
-_BRANCH_POINT = -math.exp(-1.0)  # -1/e, left edge of the W0 domain
+_BRANCH_POINT = -math.exp(-1.0)  # -1/e, left edge of the W-1 domain
 
 
 class SingularMatrixError(ValueError):
@@ -52,45 +52,44 @@ def unit_norm(v: ComplexVector) -> ComplexVector:
     return v / n
 
 
-def lambert_w0(x: float) -> float:
-    """Principal branch W0 of w * exp(w) = x, for x >= -1/e.
+def lambert_wm1(x: float) -> float:
+    """Lower branch W-1 of w * exp(w) = x, for -1/e <= x < 0; W-1(x) <= -1.
 
     Uses a branch-point series / log-asymptotic initial guess followed by
-    Halley iteration.  Converges to residual |w e^w - x| <= 1e-12 * max(1, |x|)
-    in a handful of steps over the whole domain.
+    Halley iteration.  Converges to residual |w e^w - x| <= 1e-12 |x| in a
+    handful of steps for -1/e <= x <= -1e-300 (closer to 0, e^w is subnormal).
     """
     x = float(x)
     if math.isnan(x):
-        raise ValueError("lambert_w0 is undefined for NaN")
+        raise ValueError("lambert_wm1 is undefined for NaN")
+    if x >= 0.0:
+        raise ValueError(f"lambert_wm1 requires -1/e <= x < 0, got {x}")
     if x < _BRANCH_POINT:
         # allow only representation-level slop below the branch point
         if x < _BRANCH_POINT * (1.0 + 1e-12) - 1e-300:
-            raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
+            raise ValueError(f"lambert_wm1 requires x >= -1/e, got {x}")
         x = _BRANCH_POINT
-    if x == 0.0:
-        return 0.0
 
     if x < -0.25:
-        # series around the branch point in p = sqrt(2 (e x + 1))
-        p = math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
+        # series around the branch point in p = -sqrt(2 (e x + 1))
+        p = -math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
         w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - 11.0 / 72.0 * p))
-    elif x < math.e:
-        w = x / (1.0 + x)  # decent near 0, corrected by Halley below
     else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
+        l1 = math.log(-x)
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
 
     for _ in range(64):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= 1e-13 * max(1.0, abs(x)):
+        if abs(f) <= 1e-13 * abs(x):
             break
         wp1 = w + 1.0
         # Halley step; second-order correction keeps the branch-point case stable
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
+        if abs(step) <= 1e-16 * abs(w):
             break
     return w
 

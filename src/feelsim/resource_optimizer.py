@@ -16,8 +16,16 @@ energy does not fall on moving from it into the window: right slope >= 0 at
 the lower edge (clock at f_min), left slope <= 0 at the upper edge (clock at
 f_max).  round_energy_slope gives these one-sided slopes.  The planner
 returns such an edge without a search when its slope clears the rounding of
-the energy, so it returns exactly the plan the search would have found; an
-optimum inside the window is found by golden-section search.
+the energy, so it returns exactly the plan the search would have found.
+
+Where p_max cannot close the link at the lower edge, the feasible part of
+the window starts at t_p = bits ln2 / (B log1p(p_max beta / B)), the slot in
+which p_max delivers the bits exactly.  E is convex on [t_p, hi] as well, so
+t_p is the minimizer when the right slope there is >= 0.  The planner
+computes t_p in closed form (stepped up by ulps until p_max suffices) and
+returns it without a search; this plan sits exactly where the search's
+probes only approach, so its energy is at most theirs.  Any other optimum
+inside the window is found by golden-section search.
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .numerics import Interval, golden_section_min, lambert_w0
+from .numerics import Interval, golden_section_min, lambert_wm1
 
 _LN2 = math.log(2.0)
 # A window edge skips the search only if its slope clears _ROUNDING (1 + x)
@@ -171,22 +179,41 @@ def upload_time_bounds(cycles: float, deadline_s: float, bounds: DeviceBounds) -
 def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: float) -> float:
     """Smallest bandwidth that uploads model_bits in t_up_s at power_w.
 
-    Solving the rate equation for bandwidth gives a Lambert-W form in
-    pi = model_bits ln2 / (t_up power beta).  A finite positive solution on the
-    principal branch exists only for pi > 1; below that the link is too weak
-    for any finite allocation and InfeasibleBandwidthError is raised.
+    The rate B log2(1 + power beta / B) rises with B towards power beta / ln2,
+    so the bits fit in the slot with finite bandwidth only if
+    pi = model_bits ln2 / (t_up power beta) < 1; otherwise
+    InfeasibleBandwidthError is raised.  With y = power beta / B the rate
+    equation reads ln(1 + y) = pi y, whose root y > 0 comes from the lower
+    Lambert-W branch: B = model_bits ln2 / (t_up (-W-1(-pi e^-pi) - pi)).
+
+    Within about 1e-4 of pi = 1 the Lambert argument lies within rounding of
+    the branch point -1/e and the closed form keeps few digits of y, so Newton
+    steps on ln(1 + y) - pi y finish the job.  That function is concave, so
+    from the right of the root the steps fall monotonically onto it; a start
+    on the left is replaced by the bound y <= 1/pi^2 - 1, which follows from
+    ln(1 + y) <= y / sqrt(1 + y).  What is left is the problem's own
+    conditioning: y moves by pi / (1 - pi) times a relative change of pi.
     """
     if t_up_s <= 0.0 or power_w <= 0.0 or beta <= 0.0:
         raise ValueError("t_up, power and beta must all be positive")
     if model_bits < 1:
         raise ValueError(f"model_bits must be >= 1, got {model_bits}")
     pi = model_bits * _LN2 / (t_up_s * power_w * beta)
-    if pi <= 1.0:
+    if pi >= 1.0:
         raise InfeasibleBandwidthError(
-            f"rate target needs pi > 1 for a finite bandwidth optimum, got pi = {pi:.6g}"
+            f"rate target needs pi < 1 for a finite bandwidth, got pi = {pi:.6g}"
         )
-    w0 = lambert_w0(-pi * math.exp(-pi))
-    return model_bits * _LN2 / (t_up_s * (w0 + pi))
+    delta = 1.0 - pi
+    y = (-lambert_wm1(-pi * math.exp(-pi)) - pi) / pi
+    if math.log1p(y) > pi * y:
+        y = delta * (1.0 + pi) / (pi * pi)
+    for _ in range(100):
+        # (ln(1 + y) - pi y) over its derivative 1 / (1 + y) - pi, both < 0
+        step = (math.log1p(y) - pi * y) * (1.0 + y) / (delta - pi * y)
+        if not step > 0.0 or y - step == y:
+            break
+        y -= step
+    return power_w * beta / y
 
 
 def round_energy_objective(
@@ -278,9 +305,12 @@ def minimize_round_energy(
     edge whose one-sided slope into the window does not descend is the
     minimizer and is returned without a search.  The certificate needs that
     slope clear of the rounding of the energy evaluations, so that the edge
-    is also what the search below would have picked.  Otherwise a
-    golden-section search over the window runs, followed by an explicit
-    endpoint check so boundary minima are exact.  Raises
+    is also what the search below would have picked.  A third certificate
+    covers a lower edge too short for p_max: if t_p, the first slot in which
+    p_max closes the link, lies inside the window and the right slope there
+    is >= 0, t_p is returned.  Otherwise a golden-section search over the
+    window runs, followed by an explicit endpoint check so boundary minima
+    are exact.  Raises
     InfeasibleDeadlineError / InfeasiblePowerError when the window is empty or
     the link cannot be closed even at p_max in the widest slot.
     """
@@ -339,6 +369,16 @@ def minimize_round_energy(
         edge_plan = certified_edge(t_edge, side)
         if edge_plan is not None:
             return edge_plan
+
+    # the first slot in which p_max closes the link (module docstring)
+    t_p = workload.model_bits * _LN2 / (
+        bandwidth_hz * math.log1p(bounds.p_max_w * beta / bandwidth_hz)
+    )
+    if window.lo < t_p < window.hi:
+        while required_power(workload.model_bits, t_p, bandwidth_hz, beta) > bounds.p_max_w:
+            t_p = math.nextafter(t_p, math.inf)  # a few ulps of rounding at most
+        if round_energy_slope(t_p, +1, workload, deadline_s, bandwidth_hz, beta, bounds) >= 0.0:
+            return plan_at(t_p)
 
     def objective(t: float) -> float:
         return round_energy_objective(t, workload, deadline_s, bandwidth_hz, beta, bounds)

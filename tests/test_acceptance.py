@@ -31,7 +31,7 @@ from feelsim.learning import (
     param_bits,
     sgd_epoch,
 )
-from feelsim.numerics import lambert_w0
+from feelsim.numerics import lambert_wm1
 from feelsim.resource_optimizer import (
     DeviceBounds,
     Workload,
@@ -178,18 +178,22 @@ def test_criterion_02_plans_match_brute_force():
 
 
 def test_criterion_03_lambert_residuals():
-    """w * exp(w) must reproduce x across the whole principal-branch range."""
+    """w * exp(w) must reproduce x across the lower branch, the one
+    optimal_bandwidth uses: -1/e < x < 0, relative to |x|, with w <= -1."""
     lo = -1.0 / math.e + 1e-9
     xs = np.concatenate([
-        np.linspace(lo, 0.5, 4000),
-        np.geomspace(0.5, 1e6, 6000),
+        np.linspace(lo, -0.01, 4000),
+        -np.geomspace(0.01, 1e-300, 6000),
     ])
     worst = 0.0
+    on_branch = True
     for x in xs:
-        w = lambert_w0(float(x))
-        worst = max(worst, abs(w * math.exp(w) - x) / max(1.0, abs(x)))
-    verdict(3, "lambert residuals", worst <= 1e-10,
-            f"max residual {worst:.3e} over {xs.size} points (tol 1e-10)")
+        w = lambert_wm1(float(x))
+        worst = max(worst, abs(w * math.exp(w) - x) / abs(x))
+        on_branch = on_branch and w <= -1.0
+    verdict(3, "lambert residuals", worst <= 1e-10 and on_branch,
+            f"max relative residual {worst:.3e} over {xs.size} points (tol 1e-10), "
+            f"all on W-1: {on_branch}")
 
 
 def test_criterion_04_beamformer_optimality():

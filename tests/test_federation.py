@@ -256,6 +256,24 @@ class TestRunRound:
             assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
             assert rec.n_updates > 0
 
+    def test_adaptive_bandwidth_shrinks_only_padded_links(self):
+        # a link padded up to p_min needs less than its equal share and gives
+        # the rest up; every other link needs exactly the share it was planned on
+        records = {}
+        for mode in ("equal", "adaptive"):
+            cfg = fast_config(bandwidth_mode=mode, rounds=2)
+            records[mode], _ = run_experiment(make_fleet(), TEST_DATA, ARCH, cfg, seed=29)
+        padded = 0
+        for eq, ad in zip(records["equal"], records["adaptive"]):
+            for s_eq, s_ad in zip(eq.worker_stats, ad.worker_stats):
+                assert s_eq.feasible and s_ad.feasible
+                if s_eq.p_up_w == BOUNDS.p_min_w:
+                    assert s_ad.bandwidth_share < (1 - 1e-6) * s_eq.bandwidth_share
+                    padded += 1
+                else:
+                    assert s_ad.bandwidth_share == pytest.approx(s_eq.bandwidth_share, rel=1e-6)
+        assert padded > 0
+
     def test_learning_actually_progresses(self):
         fleet = make_fleet()
         records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=6), seed=31)

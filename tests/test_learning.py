@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from feelsim import learning
 from feelsim.io_cli import generate_synthetic
 from feelsim.learning import (
     LOG_GUARD,
@@ -231,6 +232,18 @@ class TestFiltering:
         dec = filter_samples(model, data, 1.0)
         assert dec.excluded_count == 0
         assert np.array_equal(dec.included_indices, np.arange(len(data)))
+
+    def test_threshold_one_skips_the_forward_pass(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass run at threshold 1.0")
+
+        monkeypatch.setattr(learning, "_forward_batch", no_forward)
+        model = init_model([6, 5, 3], np.random.default_rng(308))
+        data = tiny_dataset(n=5000)  # spans two evaluation chunks
+        dec = filter_samples(model, data, 1.0)
+        assert dec.excluded_count == 0
+        assert np.array_equal(dec.included_indices, np.arange(len(data)))
+        assert dec.included_indices.dtype == np.intp
 
     def test_threshold_zero_drops_everything(self):
         model = init_model([6, 5, 3], np.random.default_rng(309))

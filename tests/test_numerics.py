@@ -9,7 +9,7 @@ from feelsim.numerics import (
     Interval,
     SingularMatrixError,
     golden_section_min,
-    lambert_w0,
+    lambert_wm1,
     max_generalized_eigvec,
     rayleigh_quotient,
     unit_norm,
@@ -36,42 +36,48 @@ def test_golden_shrink_constant():
 
 class TestLambertW:
     def test_known_value(self):
-        assert abs(lambert_w0(1.0) - 0.5671432904097838) <= 1e-14
+        # W-1(-0.1) = -3.577152063957297..., from a 60-digit reference
+        assert abs(lambert_wm1(-0.1) - -3.577152063957297) <= 1e-14
 
     def test_branch_point(self):
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
+        assert lambert_wm1(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
 
     def test_zero(self):
-        assert lambert_w0(0.0) == 0.0
+        # W-1 falls to -inf as x rises to 0: the branch stops short of 0
+        assert lambert_wm1(-1e-300) == pytest.approx(-697.3227762954601, rel=1e-13)
+        for x in (0.0, -0.0, 1e-300):
+            with pytest.raises(ValueError):
+                lambert_wm1(x)
 
     def test_against_scipy(self):
-        # independent route: scipy's complex implementation
+        # independent route: scipy's complex implementation, kept 1e-6 off the
+        # branch point, where scipy's k=-1 branch returns about -1
         xs = np.concatenate([
-            np.linspace(-1.0 / math.e + 1e-9, -1e-6, 500),
-            np.linspace(1e-6, 10.0, 500),
-            np.logspace(1.0, 8.0, 500),
+            np.linspace(-1.0 / math.e + 1e-6, -1e-6, 500),
+            -np.logspace(-6.0, -300.0, 500),
         ])
         for x in xs:
-            ours = lambert_w0(float(x))
-            ref = float(scipy_lambertw(float(x), 0).real)
+            ours = lambert_wm1(float(x))
+            ref = float(scipy_lambertw(float(x), -1).real)
             assert abs(ours - ref) <= 1e-10 * max(1.0, abs(ref)), f"x={x}"
 
     def test_identity_residual(self):
         xs = np.concatenate([
-            np.linspace(-1.0 / math.e + 1e-9, 1.0, 5000),
-            np.logspace(0.0, 6.0, 5000),
+            np.linspace(-1.0 / math.e + 1e-12, -1e-3, 5000),
+            -np.logspace(-3.0, -300.0, 5000),
         ])
         for x in xs:
-            w = lambert_w0(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-10 * max(1.0, abs(x))
+            w = lambert_wm1(float(x))
+            assert w <= -1.0
+            assert abs(w * math.exp(w) - x) <= 1e-10 * abs(x)
 
     def test_below_branch_raises(self):
         with pytest.raises(ValueError):
-            lambert_w0(-0.4)
+            lambert_wm1(-0.4)
 
     def test_nan_raises(self):
         with pytest.raises(ValueError):
-            lambert_w0(float("nan"))
+            lambert_wm1(float("nan"))
 
 
 class TestGoldenSection:

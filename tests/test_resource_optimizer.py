@@ -1,13 +1,15 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from feelsim import resource_optimizer
+from feelsim import federation, resource_optimizer
 from feelsim.channel import uplink_rate
+from feelsim.io_cli import load_config, run_from_config
 from feelsim.numerics import golden_section_min
 from feelsim.resource_optimizer import (
     DeviceBounds,
@@ -28,6 +30,7 @@ from feelsim.resource_optimizer import (
 )
 
 LN2 = math.log(2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
                       capacitance=2e-28)
 
@@ -88,6 +91,27 @@ def plan_bytes(plan):
     return tuple(float(v).hex() for v in dataclasses.astuple(plan))
 
 
+def power_limit_slot(w, deadline, bw, beta, bounds):
+    """The first slot in which p_max closes the link: the closed form
+    bits ln2 / (B log1p(p_max beta / B)), stepped up to a float that p_max
+    reaches; None unless it lies strictly inside the window."""
+    win = upload_time_bounds(effective_cycles(w), deadline, bounds)
+    t_p = w.model_bits * LN2 / (bw * math.log1p(bounds.p_max_w * beta / bw))
+    if not win.lo < t_p < win.hi:
+        return None
+    while required_power(w.model_bits, t_p, bw, beta) > bounds.p_max_w:
+        t_p = math.nextafter(t_p, math.inf)
+    return t_p
+
+
+def assert_power_limit_plan(plan, case, ref):
+    """plan sits at the first slot p_max can use, and costs no more than ref."""
+    assert plan.t_up_s == power_limit_slot(*case)
+    assert plan.p_w <= case[4].p_max_w
+    assert plan.p_w == pytest.approx(case[4].p_max_w, rel=1e-13, abs=0.0)
+    assert plan.total_energy_j <= ref.total_energy_j
+
+
 def draw_wide_case(rng):
     """Planning instance from wide ranges: most are infeasible, the rest end at
     either window edge, clamped at p_min or not, or inside the window."""
@@ -99,6 +123,18 @@ def draw_wide_case(rng):
     bounds = DeviceBounds(f_min, f_min * 10.0 ** rng.uniform(0, 1.5), p_min,
                           p_min * 10.0 ** rng.uniform(0, 4), 10.0 ** rng.uniform(-29, -26))
     return w, 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(4, 7), 10.0 ** rng.uniform(2, 12), bounds
+
+
+def draw_power_limited_case(rng):
+    """Instance of the unfiltered preset's shape: the slot at f_min is too
+    short for p_max, so the feasible part of the window starts inside it."""
+    size = int(rng.integers(50, 400))
+    w = Workload(size, int(rng.integers(0, size + 1)), int(rng.integers(1, 6)), 5e5, 13568)
+    beta = 10.0 ** rng.uniform(6, 9)
+    bw = 10.0 ** rng.uniform(4.5, 5.5)
+    t_p = w.model_bits / uplink_rate(bw, beta, BOUNDS.p_max_w)
+    t_slow = effective_cycles(w) / BOUNDS.f_min_hz
+    return w, t_p + t_slow * rng.uniform(0.12, 0.99), bw, beta, BOUNDS
 
 
 def draw_flat_edge_case(rng):
@@ -263,12 +299,52 @@ class TestUploadWindow:
 
 
 class TestOptimalBandwidth:
+    @staticmethod
+    def beta_for(pi, bits, t, p):
+        # pi = bits ln2 / (t p beta)
+        return bits * LN2 / (t * p * pi)
+
     def test_frozen_example(self):
-        # pi = 2 with unit slot: bits ln2 / (p beta) = 2
-        bits = 1_000_000
-        beta = bits * LN2 / 2.0 / 0.1
-        bw = optimal_bandwidth(bits, 1.0, 0.1, beta)
-        assert bw == pytest.approx(4.3495e5, rel=1e-4)
+        bits, t, p = 1_000_000, 1.0, 0.1
+        beta = self.beta_for(0.5, bits, t, p)
+        bw = optimal_bandwidth(bits, t, p, beta)
+        assert bw == pytest.approx(5.5168e5, rel=1e-4)
+        assert uplink_rate(bw, beta, p) * t == pytest.approx(bits, rel=1e-9)
+
+    def test_round_trip(self):
+        # the bandwidth carries exactly the bits in the slot
+        rng = np.random.default_rng(43)
+        pis = np.concatenate([np.geomspace(1e-3, 0.999, 200), 10.0 ** rng.uniform(-3, 0, 200)])
+        for pi in np.minimum(pis, 0.999):
+            bits = int(rng.integers(10_000, 3_000_000))
+            t = 10.0 ** rng.uniform(-2, 1)
+            p = 10.0 ** rng.uniform(-4, -1)
+            beta = self.beta_for(pi, bits, t, p)
+            bw = optimal_bandwidth(bits, t, p, beta)
+            assert uplink_rate(bw, beta, p) * t == pytest.approx(bits, rel=1e-9), f"pi={pi}"
+            # and it is the smallest such bandwidth: the rate grows with it
+            assert uplink_rate(bw * (1 - 1e-6), beta, p) * t < bits
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_near_pi_one_matches_exact_root(self, gap):
+        # pi = 1 - gap puts the Lambert argument within gap^2 / 2 of the branch
+        # point; the bandwidth must still match the root y of ln(1 + y) = pi y
+        # taken to 60 digits, up to the conditioning pi / (1 - pi) of y in pi
+        bits, t, p = 1_000_000, 1.0, 0.1
+        beta = self.beta_for(1.0 - gap, bits, t, p)
+        pi_float = bits * LN2 / (t * p * beta)  # the pi the planner computes
+        bw = optimal_bandwidth(bits, t, p, beta)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            pi = Decimal(pi_float)
+            y = 1 / (pi * pi) - 1  # right of the root: Newton falls onto it
+            for _ in range(200):
+                step = ((1 + y).ln() - pi * y) / (1 / (1 + y) - pi)
+                y -= step
+                if abs(step) < y * Decimal("1e-50"):
+                    break
+            exact = float(Decimal(p) * Decimal(beta) / y)
+        assert bw == pytest.approx(exact, rel=16 * 2.0 ** -52 / (1.0 - pi_float), abs=0.0)
 
     def test_against_scipy_lambertw(self):
         rng = np.random.default_rng(47)
@@ -276,29 +352,27 @@ class TestOptimalBandwidth:
             bits = int(rng.integers(10_000, 3_000_000))
             t = 10.0 ** rng.uniform(-2, 1)
             p = 10.0 ** rng.uniform(-4, -1)
-            pi = 10.0 ** rng.uniform(0.01, 2.5)
-            beta = bits * LN2 / (t * p * pi)
-            if pi <= 1.0:
-                continue
+            pi = 10.0 ** rng.uniform(-3, -0.01)
+            beta = self.beta_for(pi, bits, t, p)
             ours = optimal_bandwidth(bits, t, p, beta)
-            w0 = float(scipy_lambertw(-pi * math.exp(-pi), 0).real)
-            ref = bits * LN2 / (t * (w0 + pi))
+            wm1 = float(scipy_lambertw(-pi * math.exp(-pi), -1).real)
+            ref = bits * LN2 / (t * (-wm1 - pi))
             assert ours == pytest.approx(ref, rel=1e-10)
 
     def test_infeasible_branch_raises(self):
+        # pi >= 1: even unlimited bandwidth tops out at p beta / ln2 bits/s
         bits = 1_000_000
-        for pi in (0.2, 0.9999, 1.0):
-            beta = bits * LN2 / (1.0 * 0.1 * pi)
+        for pi in (1.0, 1.0001, 2.0):
+            beta = self.beta_for(pi, bits, 1.0, 0.1)
+            assert uplink_rate(1e15, beta, 0.1) < bits
             with pytest.raises(InfeasibleBandwidthError):
                 optimal_bandwidth(bits, 1.0, 0.1, beta)
 
     def test_huge_pi_limit(self):
-        # exp(-pi) underflows; W0 term vanishes and bw -> bits ln2 / (t pi)
+        # exp(-pi) would underflow; the link is far too weak for any bandwidth
         bits = 1_000_000
-        pi = 800.0
-        beta = bits * LN2 / (1.0 * 0.1 * pi)
-        bw = optimal_bandwidth(bits, 1.0, 0.1, beta)
-        assert bw == pytest.approx(bits * LN2 / pi, rel=1e-9)
+        with pytest.raises(InfeasibleBandwidthError):
+            optimal_bandwidth(bits, 1.0, 0.1, self.beta_for(800.0, bits, 1.0, 0.1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -488,12 +562,22 @@ class TestRoundEnergySlope:
 
 
 class TestEdgeCertificate:
+    @staticmethod
+    def forbid_search(monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("golden_section_min called for a certified optimum")
+
+        monkeypatch.setattr(resource_optimizer, "golden_section_min", no_search)
+
     def test_matches_search_then_endpoint_check(self):
+        # every plan equals the search's byte for byte, except where the
+        # right slope at the first slot p_max can use proves that slot optimal
         rng = np.random.default_rng(79)
         classes = {}
         sign_only_wrong = 0
         cases = [(draw_wide_case(rng), None) for _ in range(1500)]
         cases += [c for c in (draw_flat_edge_case(rng) for _ in range(600)) if c is not None]
+        cases += [(draw_power_limited_case(rng), None) for _ in range(200)]
         for case, moved in cases:
             try:
                 ref = search_then_endpoint_check(*case)
@@ -502,13 +586,19 @@ class TestEdgeCertificate:
                     minimize_round_energy(*case)
                 kind = type(exc).__name__
             else:
-                assert plan_bytes(minimize_round_energy(*case)) == plan_bytes(ref)
+                plan = minimize_round_energy(*case)
                 w, deadline, _, _, bounds = case
                 win = upload_time_bounds(effective_cycles(w), deadline, bounds)
-                if ref.t_up_s == win.lo:
-                    kind = "lo clamped" if ref.p_w == bounds.p_min_w else "lo"
+                t_p = power_limit_slot(*case)
+                if t_p is not None and round_energy_slope(t_p, +1, *case) >= 0.0:
+                    assert_power_limit_plan(plan, case, ref)
+                    kind = "p_max"
                 else:
-                    kind = "hi" if ref.t_up_s == win.hi else "interior"
+                    assert plan_bytes(plan) == plan_bytes(ref)
+                    if ref.t_up_s == win.lo:
+                        kind = "lo clamped" if ref.p_w == bounds.p_min_w else "lo"
+                    else:
+                        kind = "hi" if ref.t_up_s == win.hi else "interior"
                 if moved is not None:
                     kind = f"flat {kind}"
                     # the slope's sign alone would return the moved edge, but the
@@ -518,7 +608,7 @@ class TestEdgeCertificate:
                             and ref.t_up_s != t_edge):
                         sign_only_wrong += 1
             classes[kind] = classes.get(kind, 0) + 1
-        for kind in ("lo", "lo clamped", "hi", "interior", "InfeasibleDeadlineError",
+        for kind in ("lo", "lo clamped", "hi", "interior", "p_max", "InfeasibleDeadlineError",
                      "InfeasiblePowerError", "flat lo", "flat hi", "flat interior"):
             assert classes.get(kind, 0) >= 10, classes
         assert sign_only_wrong >= 10
@@ -531,11 +621,7 @@ class TestEdgeCertificate:
     ], ids=["f_min", "f_min-p_min", "f_max"])
     def test_edge_optimum_skips_the_search(self, monkeypatch, case, edge):
         ref = search_then_endpoint_check(*case)
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("golden_section_min called for an edge optimum")
-
-        monkeypatch.setattr(resource_optimizer, "golden_section_min", no_search)
+        self.forbid_search(monkeypatch)
         plan = minimize_round_energy(*case)
         assert plan_bytes(plan) == plan_bytes(ref)
         w, deadline, _, _, bounds = case
@@ -545,27 +631,58 @@ class TestEdgeCertificate:
             assert plan.f_hz == pytest.approx(bounds.f_min_hz, rel=1e-12)
             assert (plan.p_w == bounds.p_min_w) == (edge == "lo clamped")
 
-    def test_edge_the_link_cannot_use_is_not_certified(self):
+    def test_edge_the_link_cannot_use_is_not_certified(self, monkeypatch):
         # at f_min the slot is too short for p_max, yet the energy's slope
-        # there is positive: the optimum is where p_max first closes the link
+        # there is positive: the optimum is where p_max first closes the link,
+        # and that slot is returned, not the edge
         w = Workload(600, 0, 1, 2000.0, 13568)
         t_lo = w.model_bits * LN2 / 3e6
         bounds = dataclasses.replace(BOUNDS, capacitance=1e-25)
         case = (w, t_lo + effective_cycles(w) / bounds.f_min_hz, 1e6, 1e8, bounds)
         assert required_power(w.model_bits, t_lo, 1e6, 1e8) > bounds.p_max_w
         assert round_energy_slope(t_lo, 1, *case) > 0.0
+        ref = search_then_endpoint_check(*case)
+        self.forbid_search(monkeypatch)
         plan = minimize_round_energy(*case)
-        assert plan_bytes(plan) == plan_bytes(search_then_endpoint_check(*case))
         assert plan.t_up_s > t_lo
-        assert plan.p_w == pytest.approx(bounds.p_max_w, rel=1e-9)
+        assert_power_limit_plan(plan, case, ref)
+
+    def test_power_limit_optimum_skips_the_search(self, monkeypatch):
+        # the unfiltered preset's shape: too slow at f_min, and the energy
+        # still rises where p_max first closes the link
+        case = (Workload(160, 0, 5, 5e5, 13568), 0.35, 5e5, 4e7, BOUNDS)
+        t_p = power_limit_slot(*case)
+        assert t_p is not None and round_energy_slope(t_p, +1, *case) > 0.0
+        ref = search_then_endpoint_check(*case)
+        self.forbid_search(monkeypatch)
+        plan = minimize_round_energy(*case)
+        assert_power_limit_plan(plan, case, ref)
+        assert plan.total_energy_j < ref.total_energy_j
+        assert plan.t_cmp_s + plan.t_up_s == pytest.approx(0.35, rel=1e-15)
 
     def test_interior_optimum_still_searches(self, monkeypatch):
-        # the unfiltered preset's shape: too slow at f_min, optimum inside
+        # a stronger link than the preset's: the energy falls past the first
+        # slot p_max can use and bottoms out at a power below p_max
         calls = []
         monkeypatch.setattr(resource_optimizer, "golden_section_min",
                             lambda *a, **k: calls.append(1) or golden_section_min(*a, **k))
-        case = (Workload(160, 0, 5, 5e5, 13568), 0.35, 5e5, 4e7, BOUNDS)
+        case = (Workload(160, 0, 5, 5e5, 13568), 0.35, 5e5, 1e9, BOUNDS)
         plan = minimize_round_energy(*case)
         win = upload_time_bounds(effective_cycles(case[0]), 0.35, BOUNDS)
         assert win.lo < plan.t_up_s < win.hi and calls == [1]
+        assert BOUNDS.p_min_w < plan.p_w < 0.9 * BOUNDS.p_max_w
         assert plan_bytes(plan) == plan_bytes(search_then_endpoint_check(*case))
+
+    def test_preset_unfiltered_plans_rarely_search(self, monkeypatch, tmp_path):
+        # on the unfiltered preset nearly every optimum is the first slot
+        # p_max can use, so few plans reach golden section
+        plans, searches = [], []
+        plan = federation.minimize_round_energy
+        monkeypatch.setattr(federation, "minimize_round_energy",
+                            lambda *a, **k: plans.append(1) or plan(*a, **k))
+        monkeypatch.setattr(resource_optimizer, "golden_section_min",
+                            lambda *a, **k: searches.append(1) or golden_section_min(*a, **k))
+        cfg = dataclasses.replace(load_config(CONFIGS / "synthetic_unfiltered.json"), rounds=10)
+        run_from_config(cfg, seed=1, out_dir=tmp_path, quiet=True)
+        assert len(plans) == 20
+        assert len(searches) < len(plans) / 4, (len(searches), len(plans))
