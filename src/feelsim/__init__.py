@@ -43,10 +43,8 @@ from .learning import (
 from .numerics import (
     GOLDEN_SHRINK,
     Interval,
-    SingularMatrixError,
     golden_section_min,
     lambert_wm1,
-    max_generalized_eigvec,
 )
 from .resource_optimizer import (
     DeviceBounds,

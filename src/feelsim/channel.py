@@ -1,9 +1,9 @@
 """Uplink channel model: Rician fading draws, receive beamforming, and rate.
 
 The base station has a small antenna array; each worker uploads through a
-distance-attenuated Rician channel.  Beamforming treats the other scheduled
-workers as interferers and maximizes post-combining SINR per unit transmit
-power; the achievable rate then follows the usual bandwidth-scaled log law.
+distance-attenuated Rician channel on its own orthogonal share of the band,
+so no other worker interferes and matched filtering is the best receive
+combiner; the achievable rate then follows the usual bandwidth-scaled log law.
 """
 from __future__ import annotations
 
@@ -11,17 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ComplexVector, max_generalized_eigvec, rayleigh_quotient
+from .numerics import ComplexVector, unit_norm
 
 _LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
 class BeamState:
-    """Receive combiner and the per-watt SINR gain it achieves."""
+    """Receive combiner and the per-watt SNR gain it achieves."""
 
     w: ComplexVector  # unit-norm combiner
-    beta: float  # |h^H w|^2 / (w^H (interference + noise) w), in 1/W terms
+    beta: float  # |h^H w|^2 / noise power, in 1/W terms
 
 
 def sample_channel(
@@ -54,28 +54,16 @@ def sample_channel(
     return np.sqrt(distance_m ** (-pathloss_exp)) * small
 
 
-def beam_and_gain(
-    target: ComplexVector,
-    interferers: list[ComplexVector],
-    noise_power_w: float,
-) -> BeamState:
-    """Best receive combiner for `target` against `interferers` plus noise.
+def beam_and_gain(target: ComplexVector, noise_power_w: float) -> BeamState:
+    """Matched-filter combiner for `target` on an interference-free sub-band.
 
-    Maximizes |h^H w|^2 / (w^H A w) with A = sum of interferer outer products
-    plus noise_power_w * I.  With no interferers this reduces to matched
-    combining and beta = ||h||^2 / noise_power_w.
+    w = h / ||h|| maximizes |h^H w|^2 / (noise_power_w ||w||^2), giving
+    beta = ||h||^2 / noise_power_w.
     """
     if noise_power_w <= 0.0:
         raise ValueError(f"noise power must be positive, got {noise_power_w}")
     h = np.asarray(target, dtype=np.complex128)
-    a = noise_power_w * np.eye(h.size, dtype=np.complex128)
-    for hp in interferers:
-        hp = np.asarray(hp, dtype=np.complex128)
-        if hp.shape != h.shape:
-            raise ValueError("interferer and target channel shapes differ")
-        a += np.outer(hp, hp.conj())
-    w = max_generalized_eigvec(h, a)
-    return BeamState(w=w, beta=rayleigh_quotient(h, a, w))
+    return BeamState(w=unit_norm(h), beta=float(np.vdot(h, h).real) / noise_power_w)
 
 
 def uplink_rate(bandwidth_hz: float, beta: float, power_w: float) -> float:

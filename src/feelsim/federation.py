@@ -2,9 +2,10 @@
 
 A round proceeds as: sample the scheduled workers, draw their uplink channels,
 run local training (full first epoch, confidence filter, remaining epochs on
-the surviving samples), beamform against the co-scheduled interferers, split
-the bandwidth, plan each worker's compute/upload operating point, charge
-energy budgets, and aggregate the updates that made it back in time.
+the surviving samples), matched-filter each worker's channel (every worker
+uploads on its own orthogonal share of the band), split the bandwidth, plan
+each worker's compute/upload operating point, charge energy budgets, and
+aggregate the updates that made it back in time.
 
 Every random draw comes from a stream keyed by (seed, domain, trial, worker,
 round), so per-worker work is order-independent: the scheduled workers train
@@ -203,31 +204,22 @@ def default_deadline(
 
     Budgeted as the slowest worker's unfiltered compute time at f_max plus the
     worst worker's upload time on an equal bandwidth share at full power,
-    beamformed against the strongest co-schedulable interferers and derated by
-    a 6 dB fading margin (round-time channels are fresh draws).  Uses a
-    dedicated stream so the figure does not disturb (or depend on) the
+    derated by a 6 dB fading margin (round-time channels are fresh draws).
+    Uses a dedicated stream so the figure does not disturb (or depend on) the
     simulation's own channel draws.
     """
     if not workers:
         raise ValueError("no workers to derive a deadline from")
-    n_sel = schedule_size(len(workers), config.select_fraction)
-    share = config.bandwidth_hz / n_sel
-    channels = []
+    share = config.bandwidth_hz / schedule_size(len(workers), config.select_fraction)
+    betas = []
     for p in workers:
         rng = substream(seed, DOMAIN_DEADLINE, trial, p.worker_id)
-        channels.append(sample_channel(
+        h = sample_channel(
             rng, p.distance_m, config.pathloss_exp, config.rician_k_db,
             config.antennas, p.los_angle,
-        ))
-    powers = [float(np.vdot(h, h).real) for h in channels]
-    # strongest first, ties in id order; each worker's interferers are the
-    # first n_sel - 1 others in this order
-    strongest = sorted(range(len(channels)), key=lambda j: -powers[j])[:n_sel]
-    betas = []
-    for i, h in enumerate(channels):
-        interferers = [channels[j] for j in strongest if j != i][: n_sel - 1]
-        betas.append(beam_and_gain(h, interferers, config.noise_power_w).beta)
-    beta_worst = float(min(betas)) / 4.0  # 6 dB margin for the per-round refresh
+        )
+        betas.append(beam_and_gain(h, config.noise_power_w).beta)
+    beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
     t_cmp = max(
@@ -282,10 +274,7 @@ def run_round(
     local_models = [m for models, _ in trained for m in models]
     decisions = [d for _, chunk_decisions in trained for d in chunk_decisions]
 
-    beams = [
-        beam_and_gain(channels[i], channels[:i] + channels[i + 1 :], config.noise_power_w)
-        for i in range(len(selected))
-    ]
+    beams = [beam_and_gain(h, config.noise_power_w) for h in channels]
 
     workloads = [
         Workload(
@@ -312,20 +301,18 @@ def run_round(
     shares = [config.bandwidth_hz / len(selected)] * len(selected)
     plans = plan_all(shares)
     if config.bandwidth_mode == "adaptive":
-        fractions = []
-        for plan, beam, share in zip(plans, beams, shares):
-            if plan is None:
-                fractions.append(share / config.bandwidth_hz)
-                continue
-            try:
-                bw = optimal_bandwidth(model_bits, plan.t_up_s, plan.p_w, beam.beta)
-            except InfeasibleBandwidthError:
-                bw = share
-            fractions.append(bw / config.bandwidth_hz)
-        total = sum(fractions)
-        if total > 1.0:
-            fractions = [f / total for f in fractions]
-        shares = [f * config.bandwidth_hz for f in fractions]
+        # a link padded up to p_min needs less than its share; the band it
+        # frees goes to the other links in proportion to their shares
+        shrunk = {}
+        for i, (profile, plan, beam) in enumerate(zip(selected, plans, beams)):
+            if plan is not None and plan.p_w == profile.bounds.p_min_w:
+                try:
+                    shrunk[i] = optimal_bandwidth(model_bits, plan.t_up_s, plan.p_w, beam.beta)
+                except InfeasibleBandwidthError:
+                    pass
+        kept = sum(share for i, share in enumerate(shares) if i not in shrunk)
+        scale = (config.bandwidth_hz - sum(shrunk.values())) / kept if kept else 1.0
+        shares = [shrunk.get(i, share * scale) for i, share in enumerate(shares)]
         plans = plan_all(shares)
 
     updates: list[tuple[ModelParameters, int]] = []

@@ -1,9 +1,9 @@
-"""Scalar and linear-algebra primitives used by the radio and scheduling layers.
+"""Scalar and vector primitives used by the radio and scheduling layers.
 
 Provides the lower-branch Lambert W function, a golden-section scalar
-minimizer, and the dominant generalized eigenvector used for receive
-beamforming.  All routines are deterministic and allocation-light; they sit
-on the hot path of the per-round resource optimization.
+minimizer, and the unit-norm scaling of receive combiners.  All routines are
+deterministic and allocation-light; they sit on the hot path of the per-round
+resource optimization.
 """
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ ComplexVector = np.ndarray
 GOLDEN_SHRINK = (3.0 - math.sqrt(5.0)) / 2.0
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, left edge of the W-1 domain
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a beamforming covariance cannot be inverted."""
 
 
 @dataclass(frozen=True)
@@ -139,29 +135,3 @@ def golden_section_min(
             x2 = lo + (1.0 - r) * (hi - lo)
             f2 = f(x2)
     return (x1, f1) if f1 < f2 else (x2, f2)
-
-
-def max_generalized_eigvec(a: ComplexVector, m: np.ndarray) -> ComplexVector:
-    """Unit vector w maximizing |a^H w|^2 / (w^H M w) for Hermitian PD M.
-
-    The maximizer is M^{-1} a up to scale, so a single linear solve suffices.
-    Raises SingularMatrixError when M is numerically singular.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    m = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 1 or m.shape != (a.size, a.size):
-        raise ValueError(f"shape mismatch: a has {a.shape}, M has {m.shape}")
-    try:
-        v = np.linalg.solve(m, a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"covariance solve failed: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise SingularMatrixError("covariance solve produced non-finite entries")
-    return unit_norm(v)
-
-
-def rayleigh_quotient(a: ComplexVector, m: np.ndarray, w: ComplexVector) -> float:
-    """|a^H w|^2 / (w^H M w), the gain achieved by combiner w."""
-    num = abs(np.vdot(a, w)) ** 2
-    den = float(np.real(np.vdot(w, m @ w)))
-    return num / den

@@ -197,29 +197,21 @@ def test_criterion_03_lambert_residuals():
 
 
 def test_criterion_04_beamformer_optimality():
-    """Closed-form beam gain dominates random probes and the match-only beam."""
+    """On an orthogonal sub-band no unit combiner beats ||h||^2 / N0."""
     rng = np.random.default_rng(401)
     margin = math.inf
     for _ in range(200):
         m = 4
         h = (rng.normal(size=m) + 1j * rng.normal(size=m)) * rng.uniform(0.1, 2.0)
-        n_int = int(rng.integers(0, 4))
-        interferers = [
-            (rng.normal(size=m) + 1j * rng.normal(size=m)) * rng.uniform(0.1, 2.0)
-            for _ in range(n_int)
-        ]
         noise = 10.0 ** rng.uniform(-9, -3)
-        beta_star = beam_and_gain(h, interferers, noise).beta
+        beta_star = beam_and_gain(h, noise).beta
 
         probes = rng.normal(size=(10_000, m)) + 1j * rng.normal(size=(10_000, m))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         mrc = (h / np.linalg.norm(h))[None, :]
         probes = np.concatenate([probes, mrc])
-        num = np.abs(probes.conj() @ h) ** 2
-        den = np.full(probes.shape[0], noise)
-        for g in interferers:
-            den += np.abs(probes.conj() @ g) ** 2
-        margin = min(margin, beta_star / float(np.max(num / den)))
+        gains = np.abs(probes.conj() @ h) ** 2 / noise
+        margin = min(margin, beta_star / float(np.max(gains)))
     verdict(4, "beamformer optimality", margin >= 1.0 - 1e-9,
             f"200 instances, 10001 probes each: min gain ratio {margin:.12f}")
 
@@ -264,7 +256,7 @@ def test_criterion_06_budgeted_protocol_invariants(tmp_path):
     fleet = build_workers(cfg0, train, cfg0.seed, 0)
     shard_sizes = {p.worker_id: len(p.dataset) for p in fleet}
     deadline = default_deadline(fleet, cfg0, param_bits([8, 16, 4]), cfg0.seed, 0)
-    budget = 0.25
+    budget = 0.3
     cfg = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2,
                          deadline_s=deadline, energy_budget_j=budget)
     _, paths = run_from_config(cfg, out_dir=tmp_path / "budgeted", quiet=True)

@@ -7,11 +7,8 @@ from scipy.special import lambertw as scipy_lambertw
 from feelsim.numerics import (
     GOLDEN_SHRINK,
     Interval,
-    SingularMatrixError,
     golden_section_min,
     lambert_wm1,
-    max_generalized_eigvec,
-    rayleigh_quotient,
     unit_norm,
 )
 
@@ -138,46 +135,7 @@ class TestGoldenSection:
             golden_section_min(lambda t: t, Interval(0.0, 1.0), tol=0.0)
 
 
-class TestGeneralizedEigvec:
-    def test_identity_covariance_is_matched_direction(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w = max_generalized_eigvec(a, np.eye(4))
-        # equal up to a complex phase
-        inner = abs(np.vdot(a / np.linalg.norm(a), w))
-        assert abs(inner - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-
-    def test_dominates_random_probes(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            m = b @ b.conj().T + 0.1 * np.eye(4)
-            w = max_generalized_eigvec(a, m)
-            q = rayleigh_quotient(a, m, w)
-            probes = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
-            for v in probes:
-                assert q >= rayleigh_quotient(a, m, v) - 1e-9 * q
-
-    def test_closed_form_quotient(self):
-        # for the solve-based maximizer, the quotient equals a^H M^{-1} a
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = b @ b.conj().T + np.eye(3)
-        w = max_generalized_eigvec(a, m)
-        expect = float(np.real(np.vdot(a, np.linalg.solve(m, a))))
-        assert rayleigh_quotient(a, m, w) == pytest.approx(expect, rel=1e-12)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            max_generalized_eigvec(np.array([1.0 + 0j, 0.0]), np.zeros((2, 2)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            max_generalized_eigvec(np.ones(3, dtype=complex), np.eye(2))
-
+class TestUnitNorm:
     def test_unit_norm_rejects_zero(self):
         with pytest.raises(ValueError):
             unit_norm(np.zeros(3, dtype=complex))
