@@ -7,7 +7,7 @@ to minimize round energy.  Everything is deterministic given a seed.
 """
 __version__ = "0.1.0"
 
-from .channel import BeamState, beam_and_gain, sample_channel, uplink_rate
+from .channel import beam_and_gain, sample_channel, uplink_rate
 from .federation import (
     ExperimentState,
     RoundRecord,

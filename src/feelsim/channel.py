@@ -1,4 +1,4 @@
-"""Uplink channel model: Rician fading draws, receive beamforming, and rate.
+"""Uplink channel model: Rician fading draws, receive beamforming gain, and rate.
 
 The base station has a small antenna array; each worker uploads through a
 distance-attenuated Rician channel on its own orthogonal share of the band,
@@ -7,21 +7,13 @@ combiner; the achievable rate then follows the usual bandwidth-scaled log law.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .numerics import ComplexVector, unit_norm
+from .numerics import ComplexVector
 
 _LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class BeamState:
-    """Receive combiner and the per-watt SNR gain it achieves."""
-
-    w: ComplexVector  # unit-norm combiner
-    beta: float  # |h^H w|^2 / noise power, in 1/W terms
 
 
 def sample_channel(
@@ -54,16 +46,19 @@ def sample_channel(
     return np.sqrt(distance_m ** (-pathloss_exp)) * small
 
 
-def beam_and_gain(target: ComplexVector, noise_power_w: float) -> BeamState:
-    """Matched-filter combiner for `target` on an interference-free sub-band.
+def beam_and_gain(target: ComplexVector, noise_power_w: float) -> float:
+    """Per-watt SNR gain beta of matched filtering `target` on an interference-free sub-band.
 
-    w = h / ||h|| maximizes |h^H w|^2 / (noise_power_w ||w||^2), giving
-    beta = ||h||^2 / noise_power_w.
+    The matched combiner w = h / ||h|| maximizes |h^H w|^2 / (noise_power_w ||w||^2),
+    giving beta = ||h||^2 / noise_power_w; only beta is returned, in 1/W terms.
     """
     if noise_power_w <= 0.0:
         raise ValueError(f"noise power must be positive, got {noise_power_w}")
     h = np.asarray(target, dtype=np.complex128)
-    return BeamState(w=unit_norm(h), beta=float(np.vdot(h, h).real) / noise_power_w)
+    power = float(np.vdot(h, h).real)
+    if not 0.0 < power < math.inf:  # NaN fails too
+        raise ValueError("channel vector must be nonzero and finite")
+    return power / noise_power_w
 
 
 def uplink_rate(bandwidth_hz: float, beta: float, power_w: float) -> float:

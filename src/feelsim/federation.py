@@ -218,7 +218,7 @@ def default_deadline(
             rng, p.distance_m, config.pathloss_exp, config.rician_k_db,
             config.antennas, p.los_angle,
         )
-        betas.append(beam_and_gain(h, config.noise_power_w).beta)
+        betas.append(beam_and_gain(h, config.noise_power_w))
     beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
@@ -274,7 +274,7 @@ def run_round(
     local_models = [m for models, _ in trained for m in models]
     decisions = [d for _, chunk_decisions in trained for d in chunk_decisions]
 
-    beams = [beam_and_gain(h, config.noise_power_w) for h in channels]
+    betas = [beam_and_gain(h, config.noise_power_w) for h in channels]
 
     workloads = [
         Workload(
@@ -289,10 +289,10 @@ def run_round(
 
     def plan_all(shares: list[float]) -> list[ResourcePlan | None]:
         plans: list[ResourcePlan | None] = []
-        for profile, workload, share, beam in zip(selected, workloads, shares, beams):
+        for profile, workload, share, beta in zip(selected, workloads, shares, betas):
             try:
                 plans.append(
-                    minimize_round_energy(workload, deadline, share, beam.beta, profile.bounds)
+                    minimize_round_energy(workload, deadline, share, beta, profile.bounds)
                 )
             except InfeasibleError:
                 plans.append(None)
@@ -304,10 +304,10 @@ def run_round(
         # a link padded up to p_min needs less than its share; the band it
         # frees goes to the other links in proportion to their shares
         shrunk = {}
-        for i, (profile, plan, beam) in enumerate(zip(selected, plans, beams)):
+        for i, (profile, plan, beta) in enumerate(zip(selected, plans, betas)):
             if plan is not None and plan.p_w == profile.bounds.p_min_w:
                 try:
-                    shrunk[i] = optimal_bandwidth(model_bits, plan.t_up_s, plan.p_w, beam.beta)
+                    shrunk[i] = optimal_bandwidth(model_bits, plan.t_up_s, plan.p_w, beta)
                 except InfeasibleBandwidthError:
                     pass
         kept = sum(share for i, share in enumerate(shares) if i not in shrunk)

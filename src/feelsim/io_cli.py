@@ -333,11 +333,11 @@ def write_metrics(
     with paths["global"].open("w", newline="") as fh:
         fh.write(GLOBAL_HEADER + "\n")
         w = csv.writer(fh, lineterminator="\n")
-        # round by round mean across trials; strict: every trial ran the same rounds
+        # round by round mean across trials; strict: every trial ran the same rounds.
+        # Each column is a contiguous row, so its mean sums as a 1-D mean does.
         for rows in zip(*per_trial, strict=True):
-            w.writerow([rows[0].round_index] + [
-                _fmt(np.mean([getattr(r, col) for r in rows])) for col in GLOBAL_COLUMNS
-            ])
+            table = np.array([[getattr(r, col) for r in rows] for col in GLOBAL_COLUMNS])
+            w.writerow([rows[0].round_index] + [_fmt(m) for m in np.mean(table, axis=1)])
 
     if len(per_trial) > 1:
         paths["global_by_trial"] = out / "global_by_trial.csv"

@@ -111,14 +111,15 @@ def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, l
     a = x
     last = len(model.layers) - 1
     for i, (w, b) in enumerate(model.layers):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
+        z = a @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         if i < last:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
             acts.append(a)
         else:
-            z -= z.max(axis=-1, keepdims=True)  # shift-invariant softmax
-            e = np.exp(z)
-            a = e / e.sum(axis=-1, keepdims=True)
+            z -= np.maximum.reduce(z, axis=-1, keepdims=True)  # shift-invariant softmax
+            a = np.exp(z, out=z)
+            a /= np.add.reduce(a, axis=-1, keepdims=True)
     return a, acts
 
 
@@ -145,18 +146,18 @@ def loss_and_gradient(
     n = x.shape[-2]
     probs, acts = _forward_batch(model, x)
     classes = probs.shape[-1]
-    if y.size and (y.min() < 0 or y.max() >= classes):
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
         raise ValueError(f"labels outside [0, {classes})")
     delta = probs  # d loss / d logits = probs - onehot, built in place
     flat = delta.reshape(-1, classes)  # a view: softmax output is C-contiguous
     rows = np.arange(flat.shape[0])
     p_true = flat[rows, y]
-    loss = -float(np.log(np.maximum(p_true, LOG_GUARD)).sum()) / rows.size
-    flat[rows, y] -= 1.0
+    loss = -float(np.add.reduce(np.log(np.maximum(p_true, LOG_GUARD)))) / rows.size
+    flat[rows, y] = p_true - 1.0
     delta /= n
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
     for i in range(len(model.layers) - 1, -1, -1):
-        grads[i] = (delta.swapaxes(-1, -2) @ acts[i], delta.sum(axis=-2))
+        grads[i] = (delta.swapaxes(-1, -2) @ acts[i], np.add.reduce(delta, axis=-2))
         if i > 0:
             delta = delta @ model.layers[i][0]
             delta *= acts[i] > 0.0  # ReLU mask, subgradient 0 at the kink
@@ -179,9 +180,10 @@ def sgd_epoch(
     A stacked model (see local_round) trains k workers at once: data, indices
     and rng are then k-long sequences and worker i runs its own epoch on
     data[i][indices[i]] shuffled by rng[i].  At each step, the workers whose
-    batches have the same length train in one loss_and_gradient call.
-    Batches are never padded, so every worker gets the bytes of its own
-    single-worker epoch.
+    batches have the same length train in one loss_and_gradient call.  The
+    epoch's rows are gathered once, in step order, so each call reads one
+    contiguous slice.  Batches are never padded, so every worker gets the
+    bytes of its own single-worker epoch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -199,33 +201,49 @@ def sgd_epoch(
         feats.append(d.features[order])
         labels.append(d.labels[order])
     sizes = [f.shape[0] for f in feats]
-    layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    steps = []  # (start, batch length, workers), in training order
     for start in range(0, max(sizes, default=0), batch_size):
         groups: dict[int, list[int]] = {}  # batch length -> workers
         for i, size in enumerate(sizes):
             if size > start:
                 groups.setdefault(min(batch_size, size - start), []).append(i)
-        for length, group in groups.items():
-            stop = start + length
-            x = np.concatenate([feats[i][start:stop] for i in group])
-            y = np.concatenate([labels[i][start:stop] for i in group])
-            # neighbouring workers train on views of the stack, in place;
-            # any other group on gathered copies that are written back
-            run = group[-1] - group[0] + 1 == len(group)
-            part = slice(group[0], group[-1] + 1) if run else group
-            sub = [(w[part], b[part]) for w, b in layers]
-            _, grads = loss_and_gradient(
-                ModelParameters(layers=tuple(sub), architecture=model.architecture), x, y
-            )
-            for (w, b), (gw, gb) in zip(sub, grads):
-                gw *= lr  # the products lr * gw, without a stack-sized temporary
-                gb *= lr
-                w -= gw
-                b -= gb
-            if not run:
-                for (w, b), (w_part, b_part) in zip(layers, sub):
-                    w[part] = w_part
-                    b[part] = b_part
+        steps.extend((start, length, group) for length, group in groups.items())
+    layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    if steps:
+        # every step's rows, gathered once: each step trains on the next slice
+        x_all = np.concatenate([feats[i][s:s + n] for s, n, group in steps for i in group])
+        y_all = np.concatenate([labels[i][s:s + n] for s, n, group in steps for i in group])
+    views: dict[tuple[int, int], ModelParameters] = {}  # worker range -> model of views
+    offset = 0
+    for _, length, group in steps:
+        stop = offset + length * len(group)
+        x, y = x_all[offset:stop], y_all[offset:stop]
+        offset = stop
+        # neighbouring workers train on views of the stack, in place;
+        # any other group on gathered copies that are written back
+        run = group[-1] - group[0] + 1 == len(group)
+        if run:
+            key = (group[0], group[-1] + 1)
+            if key not in views:
+                part = slice(*key)
+                views[key] = ModelParameters(
+                    layers=tuple((w[part], b[part]) for w, b in layers),
+                    architecture=model.architecture,
+                )
+            sub = views[key]
+        else:
+            sub = ModelParameters(layers=tuple((w[group], b[group]) for w, b in layers),
+                                  architecture=model.architecture)
+        _, grads = loss_and_gradient(sub, x, y)
+        for (w, b), (gw, gb) in zip(sub.layers, grads):
+            gw *= lr  # the products lr * gw, without a stack-sized temporary
+            gb *= lr
+            w -= gw
+            b -= gb
+        if not run:
+            for (w, b), (w_part, b_part) in zip(layers, sub.layers):
+                w[group] = w_part
+                b[group] = b_part
     whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
     return _member(whole, 0) if single else whole
 

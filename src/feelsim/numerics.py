@@ -1,7 +1,7 @@
-"""Scalar and vector primitives used by the radio and scheduling layers.
+"""Scalar primitives used by the radio and scheduling layers.
 
 Provides the lower-branch Lambert W function, a golden-section scalar
-minimizer, and the unit-norm scaling of receive combiners.  All routines are
+minimizer, and the complex-vector type of channels.  All routines are
 deterministic and allocation-light; they sit on the hot path of the per-round
 resource optimization.
 """
@@ -37,15 +37,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-def unit_norm(v: ComplexVector) -> ComplexVector:
-    """Return v scaled to unit Euclidean norm."""
-    v = np.asarray(v, dtype=np.complex128)
-    n = np.linalg.norm(v)
-    if n == 0.0 or not np.isfinite(n):
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    return v / n
 
 
 def lambert_wm1(x: float) -> float:

@@ -204,7 +204,7 @@ def test_criterion_04_beamformer_optimality():
         m = 4
         h = (rng.normal(size=m) + 1j * rng.normal(size=m)) * rng.uniform(0.1, 2.0)
         noise = 10.0 ** rng.uniform(-9, -3)
-        beta_star = beam_and_gain(h, noise).beta
+        beta_star = beam_and_gain(h, noise)
 
         probes = rng.normal(size=(10_000, m)) + 1j * rng.normal(size=(10_000, m))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)

@@ -62,26 +62,36 @@ class TestSampleChannel:
 class TestBeamAndGain:
     def test_scalar_no_interference(self):
         # |h|^2 = 4e-6 over noise 1e-8 -> gain 400
-        state = beam_and_gain(np.array([2e-3 + 0j]), 1e-8)
-        assert state.beta == pytest.approx(400.0, rel=1e-12)
+        assert beam_and_gain(np.array([2e-3 + 0j]), 1e-8) == pytest.approx(400.0, rel=1e-12)
 
     def test_matched_combining_without_interferers(self):
         rng = np.random.default_rng(3)
         h = sample_channel(rng, 40.0, 3.2, 8.0, 4)
-        state = beam_and_gain(h, 1e-8)
+        beta = beam_and_gain(h, 1e-8)
         expect = float(np.vdot(h, h).real) / 1e-8
-        assert state.beta == pytest.approx(expect, rel=1e-10)
-        assert abs(np.vdot(h, state.w)) ** 2 / 1e-8 == pytest.approx(state.beta, rel=1e-12)
+        assert beta == pytest.approx(expect, rel=1e-10)
+        w = h / np.linalg.norm(h)  # the matched combiner attains beta
+        assert abs(np.vdot(h, w)) ** 2 / 1e-8 == pytest.approx(beta, rel=1e-12)
 
     def test_unit_norm_combiner(self):
+        # beta is the gain of a unit-norm combiner: scaling w changes nothing
         rng = np.random.default_rng(5)
         h = sample_channel(rng, 40.0, 3.2, 8.0, 4)
-        state = beam_and_gain(h, 1e-8)
-        assert abs(np.linalg.norm(state.w) - 1.0) <= 1e-12
+        w = h / np.linalg.norm(h)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        for scale in (1e-3, 1.0, 7.5):
+            gain = abs(np.vdot(h, scale * w)) ** 2 / (1e-8 * np.linalg.norm(scale * w) ** 2)
+            assert gain == pytest.approx(beam_and_gain(h, 1e-8), rel=1e-12)
 
     def test_bad_noise(self):
         with pytest.raises(ValueError):
             beam_and_gain(np.ones(2, dtype=complex), 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, 1e200])
+    def test_rejects_zero_or_non_finite_channel(self, bad):
+        # 1e200 is finite but its power overflows to inf
+        with pytest.raises(ValueError):
+            beam_and_gain(np.array([bad, 1e-200], dtype=complex), 1e-8)
 
 
 class TestUplinkRate:

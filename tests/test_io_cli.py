@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import feelsim
+from feelsim.federation import RoundRecord
 from feelsim.io_cli import (
     GLOBAL_HEADER,
     WORKERS_HEADER,
@@ -381,6 +385,22 @@ class TestMetricsFiles:
                      for f in fields]
             assert line.split(",") == want
 
+    @pytest.mark.parametrize("trials", [1, 3, 9, 17])
+    def test_global_mean_matches_per_cell_mean(self, tmp_path, trials):
+        # random magnitudes make the summation order show in the last bits
+        rng = np.random.default_rng(trials)
+        fields = GLOBAL_HEADER.split(",")[1:]
+        per_trial = [
+            [RoundRecord(i, *(rng.standard_normal(len(fields)) * 10.0 ** rng.uniform(-6, 6)),
+                         n_updates=0, worker_stats=()) for i in range(5)]
+            for _ in range(trials)
+        ]
+        paths = write_metrics(per_trial, tmp_path, small_config(trials=trials), 5)
+        for i, line in enumerate(paths["global"].read_text().splitlines()[1:]):
+            want = [str(i)] + [repr(float(np.mean([getattr(t[i], f) for t in per_trial])))
+                               for f in fields]
+            assert line.split(",") == want
+
     def test_trials_with_different_round_counts_rejected(self, tmp_path):
         cfg, (per_trial, _) = self.run_small(tmp_path, trials=2)
         with pytest.raises(ValueError):
@@ -419,6 +439,19 @@ class TestCli:
         assert (out_dir / "manifest.json").exists()
         printed = capsys.readouterr().out
         assert "global.csv" in printed
+
+    def test_python_m_feelsim_run(self, tmp_path):
+        write_config(small_config(), tmp_path / "cfg.json")
+        src = Path(feelsim.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "feelsim", "run", "--config", str(tmp_path / "cfg.json"),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("global.csv", "workers.csv", "manifest.json"):
+            assert (tmp_path / "out" / name).is_file()
 
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

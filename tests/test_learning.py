@@ -88,11 +88,12 @@ class TestForward:
     def test_label_range_checked(self):
         model = init_model([6, 3], np.random.default_rng(0))
         data = tiny_dataset(n=8)
-        for bad in (3, -1):
-            labels = data.labels.copy()
-            labels[5] = bad
-            with pytest.raises(ValueError):
-                loss_and_gradient(model, data.features, labels)
+        for dtype in (np.int32, np.int64):
+            for bad in (3, 4, -1, np.iinfo(dtype).min, np.iinfo(dtype).max):
+                labels = data.labels.astype(dtype)
+                labels[5] = bad
+                with pytest.raises(ValueError):
+                    loss_and_gradient(model, data.features, labels)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(301)
@@ -404,16 +405,19 @@ class TestStackedRound:
         assert loss == pytest.approx(np.mean(losses), rel=1e-12)
 
     def test_one_gradient_call_per_batch_length(self, monkeypatch):
-        from feelsim import learning
-
-        rows = []
-        grad = learning.loss_and_gradient
+        rows, filtered = [], []
+        grad, keep = learning.loss_and_gradient, learning.filter_samples
 
         def counting(model, x, y):
             rows.append(x.shape[0])
             return grad(model, x, y)
 
+        def recording(model, data, threshold):
+            filtered.append((model, data))
+            return keep(model, data, threshold)
+
         monkeypatch.setattr(learning, "loss_and_gradient", counting)
+        monkeypatch.setattr(learning, "filter_samples", recording)
         model = init_model([6, 5, 3], np.random.default_rng(322))
         shards = skewed_shards()
         streams = [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
@@ -421,10 +425,98 @@ class TestStackedRound:
         # steps of 16 x 4 workers, then 16 x 3 + 7, then 8 x 2 + 5
         assert rows == [64, 48, 7, 16, 5]
 
+        # the presets' shape: two 160-row shards at batch 20, threshold 1.0
+        rows.clear()
+        filtered.clear()
+        data = tiny_dataset(n=320, seed=326)
+        shards = [data.take(np.arange(160)), data.take(np.arange(160, 320))]
+        local_round(model, shards, 3, 20, 0.1, 1.0, streams[:2])
+        assert rows == [40] * 8 * 3  # eight steps of 2 x 20 rows per epoch
+        # once per worker, on its own dataset and its own 2-D view of the stack
+        assert [d for _, d in filtered] == shards
+        (first, _), (second, _) = filtered
+        for (w, b), (v, c) in zip(first.layers, second.layers):
+            assert w.ndim == 2 and b.ndim == 1
+            assert w.base is v.base is not None and not np.shares_memory(w, v)
+
     def test_rejects_mismatched_streams(self):
         model = init_model([6, 3], np.random.default_rng(0))
         with pytest.raises(ValueError):
             local_round(model, skewed_shards(), 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
+
+
+def reference_sgd_epoch(model, data, indices, batch_size, lr, rng):
+    """sgd_epoch's stacked loop as it was before each epoch gathered its batches
+    once: every step concatenates its own rows and builds its own model of views."""
+    feats, labels = [], []
+    for d, idx, r in zip(data, indices, rng, strict=True):
+        order = r.permutation(np.asarray(idx, dtype=np.intp))
+        feats.append(d.features[order])
+        labels.append(d.labels[order])
+    sizes = [f.shape[0] for f in feats]
+    layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    for start in range(0, max(sizes, default=0), batch_size):
+        groups = {}
+        for i, size in enumerate(sizes):
+            if size > start:
+                groups.setdefault(min(batch_size, size - start), []).append(i)
+        for length, group in groups.items():
+            stop = start + length
+            x = np.concatenate([feats[i][start:stop] for i in group])
+            y = np.concatenate([labels[i][start:stop] for i in group])
+            run = group[-1] - group[0] + 1 == len(group)
+            part = slice(group[0], group[-1] + 1) if run else group
+            sub = [(w[part], b[part]) for w, b in layers]
+            _, grads = loss_and_gradient(
+                ModelParameters(layers=tuple(sub), architecture=model.architecture), x, y
+            )
+            for (w, b), (gw, gb) in zip(sub, grads):
+                gw *= lr
+                gb *= lr
+                w -= gw
+                b -= gb
+            if not run:
+                for (w, b), (w_part, b_part) in zip(layers, sub):
+                    w[part] = w_part
+                    b[part] = b_part
+    return ModelParameters(layers=tuple(layers), architecture=model.architecture)
+
+
+def random_epoch_cases():
+    rng = np.random.default_rng(327)
+    for _ in range(8):
+        k = int(rng.integers(1, 6))
+        yield [int(n) for n in rng.integers(0, 60, size=k)], int(rng.integers(1, 24))
+
+
+class TestEpochAgainstReference:
+    """sgd_epoch gives the reference loop's bytes on any mix of shard sizes."""
+
+    @pytest.mark.parametrize("sizes, batch", [
+        ([40, 40, 40], 16),  # equal sizes: one group per step
+        ([37], 8),  # k = 1
+        ([40, 0, 23], 16),  # a worker with no kept indices
+        ([0, 0, 0], 16),  # no steps at all
+        ([40, 37, 40, 23], 16),  # tails 8, 5, 8, 7: workers 0 and 2 train together
+        *random_epoch_cases(),
+    ])
+    def test_matches_reference_loop(self, sizes, batch):
+        rng = np.random.default_rng(sum(sizes) + batch)
+        members = [init_model([6, 5, 3], rng) for _ in sizes]
+        stack = ModelParameters(
+            layers=tuple((np.stack([m.layers[i][0] for m in members]),
+                          np.stack([m.layers[i][1] for m in members])) for i in range(2)),
+            architecture=members[0].architecture)
+        data = [tiny_dataset(n=60, seed=330 + j) for j in range(len(sizes))]
+        kept = [np.sort(rng.choice(60, size=n, replace=False)) for n in sizes]
+
+        def streams():
+            return [substream(17, TRAIN, 0, j, batch) for j in range(len(sizes))]
+
+        got = sgd_epoch(stack, data, kept, batch, 0.1, streams())
+        assert_models_equal(got, reference_sgd_epoch(stack, data, kept, batch, 0.1, streams()))
+        if not any(sizes):
+            assert_models_equal(got, stack)
 
 
 class TestAggregateAndEvaluate:

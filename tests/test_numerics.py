@@ -9,7 +9,6 @@ from feelsim.numerics import (
     Interval,
     golden_section_min,
     lambert_wm1,
-    unit_norm,
 )
 
 
@@ -134,8 +133,3 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             golden_section_min(lambda t: t, Interval(0.0, 1.0), tol=0.0)
 
-
-class TestUnitNorm:
-    def test_unit_norm_rejects_zero(self):
-        with pytest.raises(ValueError):
-            unit_norm(np.zeros(3, dtype=complex))
