@@ -484,3 +484,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -132,35 +132,36 @@ def loss_and_gradient(
         model: current parameters, 2-D or stacked over k workers.
         x: batch features, shape (n, d); for a stacked model, k batches of
             n rows one after another, shape (k*n, d), worker i's first.
-        y: batch labels, shape (n,) or (k*n,).
+        y: target rows, shape (rows, classes) for the rows of x: one-hot
+            for a labelled batch (np.eye(classes)[labels]).
 
     Returns:
         (loss, grads) with grads shaped exactly like model.layers; the loss is
         the mean over all rows.
     """
-    if x.shape[0] == 0:
+    rows, classes = x.shape[0], model.architecture[-1]
+    if rows == 0:
         raise ValueError("cannot take the gradient of an empty batch")
+    if y.shape != (rows, classes):
+        raise ValueError(f"targets must have shape {(rows, classes)}, got {y.shape}")
     weights = model.layers[0][0]
     if weights.ndim == 3:
         x = x.reshape(weights.shape[0], -1, x.shape[-1])
     n = x.shape[-2]
     probs, acts = _forward_batch(model, x)
-    classes = probs.shape[-1]
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
-        raise ValueError(f"labels outside [0, {classes})")
-    delta = probs  # d loss / d logits = probs - onehot, built in place
-    flat = delta.reshape(-1, classes)  # a view: softmax output is C-contiguous
-    rows = np.arange(flat.shape[0])
-    p_true = flat[rows, y]
-    loss = -float(np.add.reduce(np.log(np.maximum(p_true, LOG_GUARD)))) / rows.size
-    flat[rows, y] = p_true - 1.0
+    delta = probs  # d loss / d logits = probs - targets, built in place
+    flat = delta.reshape(rows, classes)  # a view: softmax output is C-contiguous
+    loss = -np.vdot(y, np.log(np.maximum(flat, LOG_GUARD))) / rows
+    flat -= y
     delta /= n
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
     for i in range(len(model.layers) - 1, -1, -1):
         grads[i] = (delta.swapaxes(-1, -2) @ acts[i], np.add.reduce(delta, axis=-2))
         if i > 0:
             delta = delta @ model.layers[i][0]
-            delta *= acts[i] > 0.0  # ReLU mask, subgradient 0 at the kink
+            # ReLU mask, subgradient 0 at the kink: activations are +0.0 or
+            # positive, so their sign is exactly 0.0 or 1.0
+            delta *= np.sign(acts[i])
     return loss, grads
 
 
@@ -171,80 +172,104 @@ def sgd_epoch(
     batch_size: int,
     lr: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
+    epochs: int = 1,
 ) -> ModelParameters:
-    """One pass of mini-batch SGD over data[indices] in a fresh shuffle.
+    """`epochs` passes of mini-batch SGD over data[indices], each in a fresh shuffle.
 
-    Runs ceil(len(indices) / batch_size) updates (the tail batch may be
-    short) and returns new parameters; the input model is untouched.
+    Each pass runs ceil(len(indices) / batch_size) updates (the tail batch
+    may be short); returns new parameters, the input model is untouched.
 
     A stacked model (see local_round) trains k workers at once: data, indices
-    and rng are then k-long sequences and worker i runs its own epoch on
-    data[i][indices[i]] shuffled by rng[i].  At each step, the workers whose
-    batches have the same length train in one loss_and_gradient call.  The
-    epoch's rows are gathered once, in step order, so each call reads one
-    contiguous slice.  Batches are never padded, so every worker gets the
-    bytes of its own single-worker epoch.
+    and rng are then k-long sequences and worker i runs its own passes on
+    data[i][indices[i]] shuffled by rng[i], one permutation per pass.  At
+    each step, the workers whose batches have the same length train in one
+    loss_and_gradient call.  A pass's rows are gathered once, in step order,
+    so each call reads one contiguous slice; the labels of all passes are
+    checked and turned into one-hot targets once.  Batches are never padded,
+    so every worker gets the bytes of its own single-worker passes.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not 0.0 < lr < math.inf:
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     single = isinstance(data, LabeledDataset)
     if single:
         model, data, indices, rng = _stack(model, 1), [data], [indices], [rng]
     weights = model.layers[0][0]
     if weights.ndim != 3 or weights.shape[0] != len(data):
         raise ValueError(f"{len(data)} datasets for a model of weight shape {weights.shape}")
-    feats, labels = [], []
-    for d, idx, r in zip(data, indices, rng, strict=True):
-        order = r.permutation(np.asarray(idx, dtype=np.intp))
-        feats.append(d.features[order])
-        labels.append(d.labels[order])
-    sizes = [f.shape[0] for f in feats]
-    steps = []  # (start, batch length, workers), in training order
+    perms = []  # per worker, one shuffle of its indices per pass, in pass order
+    for idx, r in zip(indices, rng, strict=True):
+        idx = np.asarray(idx, dtype=np.intp)
+        perms.append([r.permutation(idx) for _ in range(epochs)])
+    sizes = [p[0].size for p in perms]
+    layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
+    # one pass's schedule: neighbouring workers train on views of the stack,
+    # in place; any other group (None here) on gathered copies written back
+    plan = []  # (rows, workers, model of views or None), in training order
+    views: dict[tuple[int, int], ModelParameters] = {}  # worker range -> model of views
+    # a pass's rows form one block in training order, so that every step reads
+    # a contiguous slice; worker i's shuffled rows [start:stop] go to offset
+    spans: list[list[tuple[int, int, int]]] = [[] for _ in perms]  # (start, stop, offset)
+    filled = 0  # rows of a pass placed so far
     for start in range(0, max(sizes, default=0), batch_size):
         groups: dict[int, list[int]] = {}  # batch length -> workers
         for i, size in enumerate(sizes):
             if size > start:
                 groups.setdefault(min(batch_size, size - start), []).append(i)
-        steps.extend((start, length, group) for length, group in groups.items())
-    layers = [(w.copy(), b.copy()) for w, b in model.layers]
-    if steps:
-        # every step's rows, gathered once: each step trains on the next slice
-        x_all = np.concatenate([feats[i][s:s + n] for s, n, group in steps for i in group])
-        y_all = np.concatenate([labels[i][s:s + n] for s, n, group in steps for i in group])
-    views: dict[tuple[int, int], ModelParameters] = {}  # worker range -> model of views
-    offset = 0
-    for _, length, group in steps:
-        stop = offset + length * len(group)
-        x, y = x_all[offset:stop], y_all[offset:stop]
-        offset = stop
-        # neighbouring workers train on views of the stack, in place;
-        # any other group on gathered copies that are written back
-        run = group[-1] - group[0] + 1 == len(group)
-        if run:
-            key = (group[0], group[-1] + 1)
-            if key not in views:
-                part = slice(*key)
-                views[key] = ModelParameters(
-                    layers=tuple((w[part], b[part]) for w, b in layers),
-                    architecture=model.architecture,
-                )
-            sub = views[key]
-        else:
-            sub = ModelParameters(layers=tuple((w[group], b[group]) for w, b in layers),
-                                  architecture=model.architecture)
-        _, grads = loss_and_gradient(sub, x, y)
-        for (w, b), (gw, gb) in zip(sub.layers, grads):
-            gw *= lr  # the products lr * gw, without a stack-sized temporary
-            gb *= lr
-            w -= gw
-            b -= gb
-        if not run:
-            for (w, b), (w_part, b_part) in zip(layers, sub.layers):
-                w[group] = w_part
-                b[group] = b_part
-    whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
+        for length, group in groups.items():
+            sub = None
+            if group[-1] - group[0] + 1 == len(group):
+                key = (group[0], group[-1] + 1)
+                if key not in views:
+                    part = slice(*key)
+                    views[key] = ModelParameters(
+                        layers=tuple((w[part], b[part]) for w, b in layers),
+                        architecture=model.architecture,
+                    )
+                sub = views[key]
+            plan.append((length * len(group), group, sub))
+            for i in group:
+                spans[i].append((start, start + length, filled))
+                filled += length
+    labels = np.empty((epochs, filled), dtype=np.intp)  # every pass's, one row per pass
+    for d, p, size, own in zip(data, perms, sizes, spans, strict=True):
+        worker_labels = d.labels[np.concatenate(p)].reshape(epochs, size)
+        for a, b, o in own:
+            labels[:, o:o + b - a] = worker_labels[:, a:b]
+    classes = model.architecture[-1]
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= classes):
+        raise ValueError(f"labels outside [0, {classes})")
+    targets = np.eye(classes).take(labels, axis=0)
+    x_all = np.empty((filled, model.architecture[0]))  # one pass's rows, refilled
+    for epoch in range(epochs):
+        for d, p, own in zip(data, perms, spans):
+            shuffled = d.features[p[epoch]]
+            for a, b, o in own:
+                x_all[o:o + b - a] = shuffled[a:b]
+        offset = 0
+        for rows, group, sub in plan:
+            stop = offset + rows
+            x, y = x_all[offset:stop], targets[epoch, offset:stop]
+            offset = stop
+            gathered = sub is None
+            if gathered:
+                sub = ModelParameters(layers=tuple((w[group], b[group]) for w, b in layers),
+                                      architecture=model.architecture)
+            _, grads = loss_and_gradient(sub, x, y)
+            for (w, b), (gw, gb) in zip(sub.layers, grads):
+                gw *= lr  # the products lr * gw, without a stack-sized temporary
+                gb *= lr
+                w -= gw
+                b -= gb
+            if gathered:
+                for (w, b), (w_part, b_part) in zip(layers, sub.layers):
+                    w[group] = w_part
+                    b[group] = b_part
     return _member(whole, 0) if single else whole
 
 
@@ -281,8 +306,10 @@ def local_round(
 ) -> tuple[ModelParameters, FilterDecision] | tuple[list[ModelParameters], list[FilterDecision]]:
     """One worker's round: full first epoch, filter, remaining epochs on the rest.
 
-    The filter always runs (its verdict prices the round's workload) but with
-    epochs == 1 training is exactly one plain epoch.
+    That is two sgd_epoch calls: one pass on every sample, then epochs - 1
+    passes on the samples the filter kept.  The filter always runs (its
+    verdict prices the round's workload) but with epochs == 1 training is
+    exactly one plain epoch, in one call.
 
     With equal-length sequences of datasets and streams, one per worker, every
     worker starts from global_model and they train as one stack: weights
@@ -302,8 +329,8 @@ def local_round(
                       batch_size, lr, rngs)
     decisions = [filter_samples(_member(stack, i), d, threshold) for i, d in enumerate(datasets)]
     kept = [decision.included_indices for decision in decisions]
-    for _ in range(epochs - 1):
-        stack = sgd_epoch(stack, datasets, kept, batch_size, lr, rngs)
+    if epochs > 1:
+        stack = sgd_epoch(stack, datasets, kept, batch_size, lr, rngs, epochs=epochs - 1)
     models = [_member(stack, i) for i in range(len(datasets))]
     return (models[0], decisions[0]) if single else (models, decisions)
 

@@ -107,7 +107,7 @@ def test_criterion_01_gradient_check():
         rng = np.random.default_rng(seed)
         model = init_model(arch, rng)
         x = rng.normal(size=(batch, arch[0]))
-        y = rng.integers(0, arch[-1], size=batch).astype(np.int64)
+        y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=batch).astype(np.int64)]
         _, grads = loss_and_gradient(model, x, y)
         flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         if coords is None:

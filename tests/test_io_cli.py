@@ -453,6 +453,28 @@ class TestCli:
         for name in ("global.csv", "workers.csv", "manifest.json"):
             assert (tmp_path / "out" / name).is_file()
 
+    def test_python_m_io_cli_run(self, tmp_path):
+        write_config(small_config(), tmp_path / "cfg.json")
+        (tmp_path / "bad.json").write_text('{"rounds": 0}\n')
+        src = Path(feelsim.__file__).resolve().parent.parent
+
+        def run(config):
+            return subprocess.run(
+                [sys.executable, "-m", "feelsim.io_cli", "run", "--config", str(config),
+                 "--out", str(tmp_path / "out")],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, timeout=120,
+            )
+
+        proc = run(tmp_path / "cfg.json")
+        assert proc.returncode == 0, proc.stderr
+        for name in ("global.csv", "workers.csv", "manifest.json"):
+            assert (tmp_path / "out" / name).is_file()
+        proc = run(tmp_path / "bad.json")
+        assert proc.returncode == 2
+        # runpy may warn first: the package's __init__ has imported io_cli already
+        assert "error: rounds must be >= 1" in proc.stderr.splitlines()[-1]
+
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"rounds": 0}\n')

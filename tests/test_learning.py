@@ -46,6 +46,15 @@ def manual_forward(model, x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def stacked(members):
+    """The models of several workers as one stack, worker i at index i."""
+    return ModelParameters(
+        layers=tuple((np.stack([m.layers[i][0] for m in members]),
+                      np.stack([m.layers[i][1] for m in members]))
+                     for i in range(len(members[0].layers))),
+        architecture=members[0].architecture)
+
+
 def assert_models_equal(a, b):
     assert a.architecture == b.architecture
     for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
@@ -64,7 +73,7 @@ class TestForward:
         # zero weights and log-probability biases give softmax output [0.2, 0.3, 0.5]
         model = ModelParameters(layers=((np.zeros((3, 2)), np.log([0.2, 0.3, 0.5])),),
                                 architecture=(2, 3))
-        _, grads = loss_and_gradient(model, np.ones((1, 2)), np.array([1]))
+        _, grads = loss_and_gradient(model, np.ones((1, 2)), np.eye(3)[[1]])
         (gw, gb), = grads
         assert np.allclose(gb, [0.2, -0.7, 0.5], atol=1e-15)
         assert np.allclose(gw, np.outer([0.2, -0.7, 0.5], [1.0, 1.0]), atol=1e-15)
@@ -72,7 +81,7 @@ class TestForward:
     def test_uniform_probs_loss_is_log_classes(self):
         zero = zeroed(init_model([4, 10], np.random.default_rng(0)))
         data = tiny_dataset(n=40, dim=4, classes=10)
-        loss, grads = loss_and_gradient(zero, data.features, data.labels)
+        loss, grads = loss_and_gradient(zero, data.features, np.eye(10)[data.labels])
         assert loss == pytest.approx(math.log(10.0), rel=1e-12)
         # mean of (probs - onehot) with every prob at 1/10
         freq = np.bincount(data.labels, minlength=10) / len(data)
@@ -80,20 +89,61 @@ class TestForward:
 
     def test_loss_guard_blocks_log_of_zero(self):
         x, y = np.zeros((4, 3)), np.ones(4, dtype=np.int64)
-        loss, grads = loss_and_gradient(confidently_wrong_model(), x, y)
+        loss, grads = loss_and_gradient(confidently_wrong_model(), x, np.eye(2)[y])
         assert math.isfinite(loss)
         assert loss == pytest.approx(-math.log(LOG_GUARD), rel=1e-12)
         assert np.array_equal(grads[0][1], [1.0, -1.0])
 
     def test_label_range_checked(self):
+        # sgd_epoch checks the labels of all its passes once, before any step
         model = init_model([6, 3], np.random.default_rng(0))
-        data = tiny_dataset(n=8)
         for dtype in (np.int32, np.int64):
             for bad in (3, 4, -1, np.iinfo(dtype).min, np.iinfo(dtype).max):
-                labels = data.labels.astype(dtype)
-                labels[5] = bad
-                with pytest.raises(ValueError):
-                    loss_and_gradient(model, data.features, labels)
+                data = tiny_dataset(n=8)
+                data = LabeledDataset(data.features, data.labels.astype(dtype))
+                data.labels[5] = bad  # after LabeledDataset's own check
+                for epochs in (1, 2):
+                    with pytest.raises(ValueError, match="labels outside"):
+                        sgd_epoch(model, data, np.arange(8), 4, 0.1,
+                                  np.random.default_rng(1), epochs=epochs)
+
+    def test_target_shape_checked(self):
+        model = init_model([6, 3], np.random.default_rng(0))
+        data = tiny_dataset(n=8)
+        for targets in (data.labels, np.eye(4)[data.labels], np.eye(3)[data.labels[:7]],
+                        np.eye(3)[data.labels][None]):
+            with pytest.raises(ValueError, match="targets must have shape"):
+                loss_and_gradient(model, data.features, targets)
+
+    def test_relu_mask_by_sign_matches_bool_mask(self):
+        # loss_and_gradient masks with the sign of np.maximum(z, 0.0), which is
+        # +0.0 or positive: the products must be the bool mask's, signed zeros too
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [-0.0, 0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf,
+                   1.5, -2.0, 1e308, -1e308]
+        rng = np.random.default_rng(325)
+        z = rng.permutation(np.tile(special, 40))
+        d = rng.permutation(np.tile([-3.0, -0.0, 0.0, 2.5, -tiny, 7e-320], 80))
+        for a in (np.maximum(z, 0.0), np.maximum(z.copy(), 0.0, out=z.copy())):
+            assert (d * np.sign(a)).tobytes() == (d * (a > 0.0)).tobytes()
+            masked = d.copy()
+            masked *= np.sign(a)
+            assert masked.tobytes() == (d * (a > 0.0)).tobytes()
+
+    def test_matches_label_reference(self):
+        # one-hot target rows give the label-based gradient's bytes
+        rng = np.random.default_rng(328)
+        for arch, k, n in [([6, 3], 1, 9), ([6, 5, 3], 1, 16), ([6, 7, 4, 3], 3, 5)]:
+            members = [init_model(arch, rng) for _ in range(k)]
+            model = members[0] if k == 1 else stacked(members)
+            x = rng.normal(size=(k * n, 6)) * 3.0
+            y = rng.integers(0, 3, size=k * n)
+            loss, grads = loss_and_gradient(model, x, np.eye(3)[y])
+            ref_loss, ref = reference_loss_and_gradient(model, x, y)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            for (gw, gb), (rw, rb) in zip(grads, ref):
+                assert gw.tobytes() == rw.tobytes()
+                assert gb.tobytes() == rb.tobytes()
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(301)
@@ -104,8 +154,9 @@ class TestForward:
         shifted_layers[-1] = (w, b + 123.456)
         shifted = ModelParameters(layers=tuple(shifted_layers),
                                   architecture=model.architecture)
-        loss, grads = loss_and_gradient(model, data.features, data.labels)
-        loss_s, grads_s = loss_and_gradient(shifted, data.features, data.labels)
+        targets = np.eye(3)[data.labels]
+        loss, grads = loss_and_gradient(model, data.features, targets)
+        loss_s, grads_s = loss_and_gradient(shifted, data.features, targets)
         assert abs(loss - loss_s) <= 1e-12
         for (gw, gb), (sw, sb) in zip(grads, grads_s):
             assert np.max(np.abs(gw - sw)) <= 1e-12
@@ -118,7 +169,7 @@ class TestForward:
         data = tiny_dataset(n=24)
         ref = manual_forward(model, data.features)
         for i, (row, label) in enumerate(zip(data.features, data.labels)):
-            _, grads = loss_and_gradient(model, row[None, :], label[None])
+            _, grads = loss_and_gradient(model, row[None, :], np.eye(3)[label[None]])
             probs = grads[-1][1].copy()
             probs[label] += 1.0
             assert np.allclose(probs, ref[i], atol=1e-12)
@@ -128,8 +179,8 @@ class TestForward:
         data = tiny_dataset(n=8, dim=5)
         with pytest.raises(ValueError):
             evaluate(model, data)
-        with pytest.raises(ValueError):
-            loss_and_gradient(model, data.features, data.labels)
+        with pytest.raises(ValueError, match="input shape"):
+            loss_and_gradient(model, data.features, np.eye(3)[data.labels])
 
 
 class TestGradientAndSgd:
@@ -138,7 +189,7 @@ class TestGradientAndSgd:
         data = tiny_dataset(n=16)
 
         order = substream(9, TRAIN, 0).permutation(np.arange(16, dtype=np.intp))
-        _, grads = loss_and_gradient(model, data.features[order], data.labels[order])
+        _, grads = loss_and_gradient(model, data.features[order], np.eye(3)[data.labels[order]])
         stepped = ModelParameters(layers=tuple(
             (w - 0.1 * gw, b - 0.1 * gb)
             for (w, b), (gw, gb) in zip(model.layers, grads)),
@@ -157,7 +208,7 @@ class TestGradientAndSgd:
         manual = model
         for lo in range(0, 45, 20):
             idx = order[lo:lo + 20]
-            _, grads = loss_and_gradient(manual, data.features[idx], data.labels[idx])
+            _, grads = loss_and_gradient(manual, data.features[idx], np.eye(3)[data.labels[idx]])
             manual = ModelParameters(layers=tuple(
                 (w - 0.05 * gw, b - 0.05 * gb)
                 for (w, b), (gw, gb) in zip(manual.layers, grads)),
@@ -171,11 +222,11 @@ class TestGradientAndSgd:
         model = init_model([6, 5, 3], np.random.default_rng(305))
         data = tiny_dataset(n=32)
         half = data.take(np.arange(16))
-        _, g16 = loss_and_gradient(model, half.features, half.labels)
+        _, g16 = loss_and_gradient(model, half.features, np.eye(3)[half.labels])
         # duplicating every row leaves the mean gradient unchanged
         dup = LabeledDataset(np.concatenate([half.features] * 2),
                              np.concatenate([half.labels] * 2))
-        _, gdup = loss_and_gradient(model, dup.features, dup.labels)
+        _, gdup = loss_and_gradient(model, dup.features, np.eye(3)[dup.labels])
         for (gw, gb), (dw, db) in zip(g16, gdup):
             assert np.allclose(gw, dw, atol=1e-15)
             assert np.allclose(gb, db, atol=1e-15)
@@ -183,7 +234,7 @@ class TestGradientAndSgd:
     def test_loss_matches_scalar_path(self):
         model = init_model([6, 5, 3], np.random.default_rng(306))
         data = tiny_dataset(n=10)
-        loss, _ = loss_and_gradient(model, data.features, data.labels)
+        loss, _ = loss_and_gradient(model, data.features, np.eye(3)[data.labels])
         probs = manual_forward(model, data.features)
         per_sample = [-math.log(max(p[y], LOG_GUARD)) for p, y in zip(probs, data.labels)]
         assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
@@ -208,11 +259,15 @@ class TestGradientAndSgd:
             with pytest.raises(ValueError):
                 sgd_epoch(model, data, np.arange(8), batch_size=4, lr=lr,
                           rng=np.random.default_rng(1))
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match="epochs"):
+                sgd_epoch(model, data, np.arange(8), batch_size=4, lr=0.1,
+                          rng=np.random.default_rng(1), epochs=epochs)
 
     def test_empty_batch_rejected(self):
         model = init_model([6, 3], np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty batch"):
-            loss_and_gradient(model, np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+            loss_and_gradient(model, np.zeros((0, 6)), np.zeros((0, 3)))
 
     def test_central_training_reaches_accuracy_floor(self):
         # 30 full-data epochs on separable blobs must learn, not merely move
@@ -388,16 +443,13 @@ class TestStackedRound:
     def test_stacked_gradient_matches_per_worker_calls(self):
         rng = np.random.default_rng(323)
         models = [init_model([6, 5, 3], rng) for _ in range(3)]
-        stacked = ModelParameters(
-            layers=tuple((np.stack([m.layers[i][0] for m in models]),
-                          np.stack([m.layers[i][1] for m in models])) for i in range(2)),
-            architecture=models[0].architecture)
         data = tiny_dataset(n=3 * 11, seed=324)
-        loss, grads = loss_and_gradient(stacked, data.features, data.labels)
+        loss, grads = loss_and_gradient(stacked(models), data.features, np.eye(3)[data.labels])
         losses = []
         for j, model in enumerate(models):
             rows = slice(11 * j, 11 * (j + 1))
-            part_loss, ref = loss_and_gradient(model, data.features[rows], data.labels[rows])
+            part_loss, ref = loss_and_gradient(model, data.features[rows],
+                                              np.eye(3)[data.labels[rows]])
             losses.append(part_loss)
             for (gw, gb), (rw, rb) in zip(grads, ref):
                 assert np.array_equal(gw[j], rw)
@@ -405,8 +457,8 @@ class TestStackedRound:
         assert loss == pytest.approx(np.mean(losses), rel=1e-12)
 
     def test_one_gradient_call_per_batch_length(self, monkeypatch):
-        rows, filtered = [], []
-        grad, keep = learning.loss_and_gradient, learning.filter_samples
+        rows, filtered, passes = [], [], []
+        grad, keep, epoch = learning.loss_and_gradient, learning.filter_samples, learning.sgd_epoch
 
         def counting(model, x, y):
             rows.append(x.shape[0])
@@ -416,22 +468,30 @@ class TestStackedRound:
             filtered.append((model, data))
             return keep(model, data, threshold)
 
+        def sgd_passes(*args, epochs=1):
+            passes.append(epochs)
+            return epoch(*args, epochs=epochs)
+
         monkeypatch.setattr(learning, "loss_and_gradient", counting)
         monkeypatch.setattr(learning, "filter_samples", recording)
+        monkeypatch.setattr(learning, "sgd_epoch", sgd_passes)
         model = init_model([6, 5, 3], np.random.default_rng(322))
         shards = skewed_shards()
         streams = [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
         local_round(model, shards, 1, 16, 0.1, 0.7, streams)
         # steps of 16 x 4 workers, then 16 x 3 + 7, then 8 x 2 + 5
         assert rows == [64, 48, 7, 16, 5]
+        assert passes == [1]  # epochs 1: one call, then the filter
 
         # the presets' shape: two 160-row shards at batch 20, threshold 1.0
         rows.clear()
         filtered.clear()
+        passes.clear()
         data = tiny_dataset(n=320, seed=326)
         shards = [data.take(np.arange(160)), data.take(np.arange(160, 320))]
         local_round(model, shards, 3, 20, 0.1, 1.0, streams[:2])
         assert rows == [40] * 8 * 3  # eight steps of 2 x 20 rows per epoch
+        assert passes == [1, 2]  # pass 1 on all rows, then the other two on the kept
         # once per worker, on its own dataset and its own 2-D view of the stack
         assert [d for _, d in filtered] == shards
         (first, _), (second, _) = filtered
@@ -445,9 +505,39 @@ class TestStackedRound:
             local_round(model, skewed_shards(), 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
 
 
+def reference_loss_and_gradient(model, x, y):
+    """loss_and_gradient as it was when it took integer labels y: every call
+    range-checks them and builds the one-hot step with a fancy get and set."""
+    if x.shape[0] == 0:
+        raise ValueError("cannot take the gradient of an empty batch")
+    weights = model.layers[0][0]
+    if weights.ndim == 3:
+        x = x.reshape(weights.shape[0], -1, x.shape[-1])
+    n = x.shape[-2]
+    probs, acts = learning._forward_batch(model, x)
+    classes = probs.shape[-1]
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
+        raise ValueError(f"labels outside [0, {classes})")
+    delta = probs
+    flat = delta.reshape(-1, classes)
+    rows = np.arange(flat.shape[0])
+    p_true = flat[rows, y]
+    loss = -float(np.add.reduce(np.log(np.maximum(p_true, LOG_GUARD)))) / rows.size
+    flat[rows, y] = p_true - 1.0
+    delta /= n
+    grads = [None] * len(model.layers)
+    for i in range(len(model.layers) - 1, -1, -1):
+        grads[i] = (delta.swapaxes(-1, -2) @ acts[i], np.add.reduce(delta, axis=-2))
+        if i > 0:
+            delta = delta @ model.layers[i][0]
+            delta *= acts[i] > 0.0
+    return loss, grads
+
+
 def reference_sgd_epoch(model, data, indices, batch_size, lr, rng):
-    """sgd_epoch's stacked loop as it was before each epoch gathered its batches
-    once: every step concatenates its own rows and builds its own model of views."""
+    """One pass of sgd_epoch's stacked loop as it was before a call gathered its
+    batches once: every step concatenates its own rows and labels, builds its
+    own model of views and takes the label-based gradient."""
     feats, labels = [], []
     for d, idx, r in zip(data, indices, rng, strict=True):
         order = r.permutation(np.asarray(idx, dtype=np.intp))
@@ -467,7 +557,7 @@ def reference_sgd_epoch(model, data, indices, batch_size, lr, rng):
             run = group[-1] - group[0] + 1 == len(group)
             part = slice(group[0], group[-1] + 1) if run else group
             sub = [(w[part], b[part]) for w, b in layers]
-            _, grads = loss_and_gradient(
+            _, grads = reference_loss_and_gradient(
                 ModelParameters(layers=tuple(sub), architecture=model.architecture), x, y
             )
             for (w, b), (gw, gb) in zip(sub, grads):
@@ -489,34 +579,60 @@ def random_epoch_cases():
         yield [int(n) for n in rng.integers(0, 60, size=k)], int(rng.integers(1, 24))
 
 
+EPOCH_CASES = [
+    ([40, 40, 40], 16),  # equal sizes: one group per step
+    ([37], 8),  # k = 1
+    ([40, 0, 23], 16),  # a worker with no kept indices
+    ([0, 0, 0], 16),  # no steps at all
+    ([40, 37, 40, 23], 16),  # tails 8, 5, 8, 7: workers 0 and 2 train together
+    *random_epoch_cases(),
+]
+
+
+def epoch_case(sizes, batch):
+    """A stack of len(sizes) workers, their data, kept indices and a stream maker."""
+    rng = np.random.default_rng(sum(sizes) + batch)
+    stack = stacked([init_model([6, 5, 3], rng) for _ in sizes])
+    data = [tiny_dataset(n=60, seed=330 + j) for j in range(len(sizes))]
+    kept = [np.sort(rng.choice(60, size=n, replace=False)) for n in sizes]
+
+    def streams():
+        return [substream(17, TRAIN, 0, j, batch) for j in range(len(sizes))]
+
+    return stack, data, kept, streams
+
+
 class TestEpochAgainstReference:
     """sgd_epoch gives the reference loop's bytes on any mix of shard sizes."""
 
-    @pytest.mark.parametrize("sizes, batch", [
-        ([40, 40, 40], 16),  # equal sizes: one group per step
-        ([37], 8),  # k = 1
-        ([40, 0, 23], 16),  # a worker with no kept indices
-        ([0, 0, 0], 16),  # no steps at all
-        ([40, 37, 40, 23], 16),  # tails 8, 5, 8, 7: workers 0 and 2 train together
-        *random_epoch_cases(),
-    ])
+    @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_matches_reference_loop(self, sizes, batch):
-        rng = np.random.default_rng(sum(sizes) + batch)
-        members = [init_model([6, 5, 3], rng) for _ in sizes]
-        stack = ModelParameters(
-            layers=tuple((np.stack([m.layers[i][0] for m in members]),
-                          np.stack([m.layers[i][1] for m in members])) for i in range(2)),
-            architecture=members[0].architecture)
-        data = [tiny_dataset(n=60, seed=330 + j) for j in range(len(sizes))]
-        kept = [np.sort(rng.choice(60, size=n, replace=False)) for n in sizes]
-
-        def streams():
-            return [substream(17, TRAIN, 0, j, batch) for j in range(len(sizes))]
-
+        stack, data, kept, streams = epoch_case(sizes, batch)
         got = sgd_epoch(stack, data, kept, batch, 0.1, streams())
         assert_models_equal(got, reference_sgd_epoch(stack, data, kept, batch, 0.1, streams()))
         if not any(sizes):
             assert_models_equal(got, stack)
+
+    @pytest.mark.parametrize("epochs", [2, 4])  # epochs 1: test_matches_reference_loop
+    @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
+    def test_passes_match_reference_loop(self, sizes, batch, epochs):
+        # one call of `epochs` passes against the reference run once per pass
+        stack, data, kept, streams = epoch_case(sizes, batch)
+        got = sgd_epoch(stack, data, kept, batch, 0.1, streams(), epochs=epochs)
+        want, rngs = stack, streams()
+        for _ in range(epochs):
+            want = reference_sgd_epoch(want, data, kept, batch, 0.1, rngs)
+        assert_models_equal(got, want)
+
+    @pytest.mark.parametrize("epochs", [2, 4])
+    @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
+    def test_passes_equal_chained_calls(self, sizes, batch, epochs):
+        stack, data, kept, streams = epoch_case(sizes, batch)
+        got = sgd_epoch(stack, data, kept, batch, 0.1, streams(), epochs=epochs)
+        want, rngs = stack, streams()
+        for _ in range(epochs):
+            want = sgd_epoch(want, data, kept, batch, 0.1, rngs)
+        assert_models_equal(got, want)
 
 
 class TestAggregateAndEvaluate:
