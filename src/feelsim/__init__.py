@@ -19,16 +19,6 @@ from .federation import (
     run_round,
     select_workers,
 )
-from .io_cli import (
-    ConfigError,
-    ExperimentConfig,
-    cli_main,
-    generate_synthetic,
-    load_config,
-    load_mnist_idx,
-    run_from_config,
-    write_metrics,
-)
 from .learning import (
     FilterDecision,
     LabeledDataset,
@@ -61,3 +51,15 @@ from .resource_optimizer import (
     required_power,
     upload_time_bounds,
 )
+
+# io_cli's names load on first use, so `python -m feelsim.io_cli` runs that
+# module once, as __main__, rather than again after the package imported it
+_IO_CLI = {"ConfigError", "ExperimentConfig", "cli_main", "generate_synthetic",
+           "load_config", "load_mnist_idx", "run_from_config", "write_metrics"}
+
+
+def __getattr__(name: str):
+    if name in _IO_CLI:
+        from . import io_cli
+        return getattr(io_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

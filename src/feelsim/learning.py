@@ -181,12 +181,15 @@ def sgd_epoch(
 
     A stacked model (see local_round) trains k workers at once: data, indices
     and rng are then k-long sequences and worker i runs its own passes on
-    data[i][indices[i]] shuffled by rng[i], one permutation per pass.  At
-    each step, the workers whose batches have the same length train in one
+    data[i][indices[i]] shuffled by rng[i], one permutation per pass.  The
+    stack trains as a copy ordered longest shard first (ties in worker
+    order), so at each step the workers whose batches have the same length
+    are neighbours: they train in place on views of the copy, in one
     loss_and_gradient call.  A pass's rows are gathered once, in step order,
     so each call reads one contiguous slice; the labels of all passes are
     checked and turned into one-hot targets once.  Batches are never padded,
-    so every worker gets the bytes of its own single-worker passes.
+    so every worker gets the bytes of its own single-worker passes, returned
+    in input order.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -204,12 +207,14 @@ def sgd_epoch(
     for idx, r in zip(indices, rng, strict=True):
         idx = np.asarray(idx, dtype=np.intp)
         perms.append([r.permutation(idx) for _ in range(epochs)])
+    order = sorted(range(len(perms)), key=lambda i: -perms[i][0].size)  # longest first, stable
+    data, perms = [data[i] for i in order], [perms[i] for i in order]
     sizes = [p[0].size for p in perms]
-    layers = [(w.copy(), b.copy()) for w, b in model.layers]
-    whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
-    # one pass's schedule: neighbouring workers train on views of the stack,
-    # in place; any other group (None here) on gathered copies written back
-    plan = []  # (rows, workers, model of views or None), in training order
+    layers = [(w.take(order, axis=0), b.take(order, axis=0)) for w, b in model.layers]
+    # one pass's schedule: workers of one batch length are a contiguous run of
+    # the ordered stack (a full batch is a prefix, equal short tails mean equal
+    # sizes) and train in place on views of it
+    plan = []  # (rows, model of views), in training order
     views: dict[tuple[int, int], ModelParameters] = {}  # worker range -> model of views
     # a pass's rows form one block in training order, so that every step reads
     # a contiguous slice; worker i's shuffled rows [start:stop] go to offset
@@ -221,17 +226,14 @@ def sgd_epoch(
             if size > start:
                 groups.setdefault(min(batch_size, size - start), []).append(i)
         for length, group in groups.items():
-            sub = None
-            if group[-1] - group[0] + 1 == len(group):
-                key = (group[0], group[-1] + 1)
-                if key not in views:
-                    part = slice(*key)
-                    views[key] = ModelParameters(
-                        layers=tuple((w[part], b[part]) for w, b in layers),
-                        architecture=model.architecture,
-                    )
-                sub = views[key]
-            plan.append((length * len(group), group, sub))
+            key = (group[0], group[-1] + 1)
+            if key not in views:
+                part = slice(*key)
+                views[key] = ModelParameters(
+                    layers=tuple((w[part], b[part]) for w, b in layers),
+                    architecture=model.architecture,
+                )
+            plan.append((length * len(group), views[key]))
             for i in group:
                 spans[i].append((start, start + length, filled))
                 filled += length
@@ -252,24 +254,20 @@ def sgd_epoch(
             for a, b, o in own:
                 x_all[o:o + b - a] = shuffled[a:b]
         offset = 0
-        for rows, group, sub in plan:
+        for rows, sub in plan:
             stop = offset + rows
-            x, y = x_all[offset:stop], targets[epoch, offset:stop]
+            _, grads = loss_and_gradient(sub, x_all[offset:stop], targets[epoch, offset:stop])
             offset = stop
-            gathered = sub is None
-            if gathered:
-                sub = ModelParameters(layers=tuple((w[group], b[group]) for w, b in layers),
-                                      architecture=model.architecture)
-            _, grads = loss_and_gradient(sub, x, y)
             for (w, b), (gw, gb) in zip(sub.layers, grads):
                 gw *= lr  # the products lr * gw, without a stack-sized temporary
                 gb *= lr
                 w -= gw
                 b -= gb
-            if gathered:
-                for (w, b), (w_part, b_part) in zip(layers, sub.layers):
-                    w[group] = w_part
-                    b[group] = b_part
+    inverse = sorted(range(len(order)), key=order.__getitem__)  # back to input order
+    for w, b in layers:  # in place: each temporary is one layer, freed at once
+        w[...] = w.take(inverse, axis=0)
+        b[...] = b.take(inverse, axis=0)
+    whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
     return _member(whole, 0) if single else whole
 
 

@@ -468,11 +468,12 @@ class TestCli:
 
         proc = run(tmp_path / "cfg.json")
         assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr  # the module body runs once
         for name in ("global.csv", "workers.csv", "manifest.json"):
             assert (tmp_path / "out" / name).is_file()
         proc = run(tmp_path / "bad.json")
         assert proc.returncode == 2
-        # runpy may warn first: the package's __init__ has imported io_cli already
+        assert "RuntimeWarning" not in proc.stderr
         assert "error: rounds must be >= 1" in proc.stderr.splitlines()[-1]
 
     def test_run_bad_config_exits_2(self, tmp_path, capsys):

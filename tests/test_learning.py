@@ -430,7 +430,7 @@ class TestStackedRound:
             return [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
 
         # batch 16 gives tails of 8, 5, 8 and 7 rows in epoch 1: one step trains
-        # workers 0 and 2 together, which are not neighbours in the stack
+        # workers 0 and 2 together, neighbours once the stack is ordered longest first
         models, decisions = local_round(model, shards, 3, 16, 0.1, 0.7, streams())
         kept = [d.included_indices.size for d in decisions]
         assert kept[-1] == 0 and len(set(kept)) == len(kept)  # ragged later epochs
@@ -536,8 +536,10 @@ def reference_loss_and_gradient(model, x, y):
 
 def reference_sgd_epoch(model, data, indices, batch_size, lr, rng):
     """One pass of sgd_epoch's stacked loop as it was before a call gathered its
-    batches once: every step concatenates its own rows and labels, builds its
-    own model of views and takes the label-based gradient."""
+    batches once and ordered its stack longest first: every step concatenates
+    its own rows and labels, builds its own model of views, or a gathered copy
+    written back after the step when the group's workers are not neighbours in
+    input order, and takes the label-based gradient."""
     feats, labels = [], []
     for d, idx, r in zip(data, indices, rng, strict=True):
         order = r.permutation(np.asarray(idx, dtype=np.intp))
@@ -586,6 +588,7 @@ EPOCH_CASES = [
     ([0, 0, 0], 16),  # no steps at all
     ([40, 37, 40, 23], 16),  # tails 8, 5, 8, 7: workers 0 and 2 train together
     *random_epoch_cases(),
+    ([5, 23, 40], 16),  # ascending sizes: the longest-first stack reverses them
 ]
 
 
@@ -612,6 +615,23 @@ class TestEpochAgainstReference:
         assert_models_equal(got, reference_sgd_epoch(stack, data, kept, batch, 0.1, streams()))
         if not any(sizes):
             assert_models_equal(got, stack)
+
+    @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
+    def test_every_step_updates_views_of_one_stack(self, sizes, batch, monkeypatch):
+        calls = []
+        grad = learning.loss_and_gradient
+
+        def recording(model, x, y):
+            calls.append(model.layers)
+            return grad(model, x, y)
+
+        monkeypatch.setattr(learning, "loss_and_gradient", recording)
+        stack, data, kept, streams = epoch_case(sizes, batch)
+        sgd_epoch(stack, data, kept, batch, 0.1, streams())
+        for layers in calls:
+            for (w, b), (w0, b0) in zip(layers, calls[0]):
+                assert w.base is not None and w.base is w0.base
+                assert b.base is not None and b.base is b0.base
 
     @pytest.mark.parametrize("epochs", [2, 4])  # epochs 1: test_matches_reference_loop
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
