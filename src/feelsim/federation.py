@@ -197,6 +197,17 @@ def select_workers(
     return [workers[i] for i in chosen]
 
 
+def _link_gain(
+    profile: WorkerProfile, config: ExperimentConfig, rng: np.random.Generator
+) -> float:
+    """Draw the worker's channel from rng; return its matched-filter gain beta."""
+    h = sample_channel(
+        rng, profile.distance_m, config.pathloss_exp, config.rician_k_db,
+        config.antennas, profile.los_angle,
+    )
+    return beam_and_gain(h, config.noise_power_w)
+
+
 def default_deadline(
     workers: list[WorkerProfile], config: ExperimentConfig, model_bits: int, seed: int, trial: int
 ) -> float:
@@ -211,14 +222,8 @@ def default_deadline(
     if not workers:
         raise ValueError("no workers to derive a deadline from")
     share = config.bandwidth_hz / schedule_size(len(workers), config.select_fraction)
-    betas = []
-    for p in workers:
-        rng = substream(seed, DOMAIN_DEADLINE, trial, p.worker_id)
-        h = sample_channel(
-            rng, p.distance_m, config.pathloss_exp, config.rician_k_db,
-            config.antennas, p.los_angle,
-        )
-        betas.append(beam_and_gain(h, config.noise_power_w))
+    betas = [_link_gain(p, config, substream(seed, DOMAIN_DEADLINE, trial, p.worker_id))
+             for p in workers]
     beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
@@ -244,16 +249,9 @@ def run_round(
         state.workers, config.select_fraction, substream(seed, DOMAIN_SELECT, trial, round_index)
     )
 
-    channels = []
-    for profile in selected:
-        if config.channel_mode == "static":
-            ch_rng = substream(seed, DOMAIN_CHANNEL, trial, profile.worker_id)
-        else:
-            ch_rng = substream(seed, DOMAIN_CHANNEL, trial, profile.worker_id, round_index)
-        channels.append(sample_channel(
-            ch_rng, profile.distance_m, config.pathloss_exp, config.rician_k_db,
-            config.antennas, profile.los_angle,
-        ))
+    block = () if config.channel_mode == "static" else (round_index,)  # static: one draw a trial
+    betas = [_link_gain(p, config, substream(seed, DOMAIN_CHANNEL, trial, p.worker_id, *block))
+             for p in selected]
 
     def train_chunk(chunk: list[WorkerProfile]):
         return local_round(
@@ -273,8 +271,6 @@ def run_round(
         trained = [train_chunk(selected)]
     local_models = [m for models, _ in trained for m in models]
     decisions = [d for _, chunk_decisions in trained for d in chunk_decisions]
-
-    betas = [beam_and_gain(h, config.noise_power_w) for h in channels]
 
     workloads = [
         Workload(

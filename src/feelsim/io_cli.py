@@ -414,10 +414,11 @@ def load_dataset(config: ExperimentConfig, seed: int) -> LabeledDataset:
 def split_train_test(
     data: LabeledDataset, train_fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
+    """Seeded train/test split; ConfigError when either side would be empty."""
     n = len(data)
     n_train = int(round(train_fraction * n))
     if not 0 < n_train < n:
-        raise ValueError(f"train fraction {train_fraction} leaves an empty split of {n}")
+        raise ConfigError(f"train_fraction {train_fraction} leaves an empty split of {n} samples")
     order = substream(seed, DOMAIN_DATA, 1).permutation(n)
     return data.take(order[:n_train]), data.take(order[n_train:])
 
@@ -432,6 +433,15 @@ def run_from_config(
     seed = config.seed if seed is None else int(seed)
     data = load_dataset(config, seed)
     train, test = split_train_test(data, config.train_fraction, seed)
+    # what the partition needs of the data, checked for both data sources
+    if config.workers > len(train):
+        raise ConfigError(f"workers must be <= the {len(train)} training samples, "
+                          f"got {config.workers}")
+    if config.partition == "noniid":  # only here: np.unique adds ~1 MB to an iid run's peak RSS
+        classes = np.unique(train.labels).size
+        if config.classes_per_worker > classes:
+            raise ConfigError(f"classes_per_worker must be <= the {classes} training classes, "
+                              f"got {config.classes_per_worker}")
     if config.hidden_width is not None:
         hidden = config.hidden_width
     else:

@@ -178,6 +178,7 @@ def sgd_epoch(
 
     Each pass runs ceil(len(indices) / batch_size) updates (the tail batch
     may be short); returns new parameters, the input model is untouched.
+    Indices must lie in [0, len(data)): a negative one raises IndexError too.
 
     A stacked model (see local_round) trains k workers at once: data, indices
     and rng are then k-long sequences and worker i runs its own passes on
@@ -185,11 +186,12 @@ def sgd_epoch(
     stack trains as a copy ordered longest shard first (ties in worker
     order), so at each step the workers whose batches have the same length
     are neighbours: they train in place on views of the copy, in one
-    loss_and_gradient call.  A pass's rows are gathered once, in step order,
-    so each call reads one contiguous slice; the labels of all passes are
-    checked and turned into one-hot targets once.  Batches are never padded,
-    so every worker gets the bytes of its own single-worker passes, returned
-    in input order.
+    loss_and_gradient call.  Every pass is one row of indices into the
+    joined shards, in step order: one take gathers a pass's features, so
+    each call reads one contiguous slice, and one take gives the labels of
+    all passes, checked and turned into one-hot targets once.  Batches are
+    never padded, so every worker gets the bytes of its own single-worker
+    passes, returned in input order.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -203,23 +205,23 @@ def sgd_epoch(
     weights = model.layers[0][0]
     if weights.ndim != 3 or weights.shape[0] != len(data):
         raise ValueError(f"{len(data)} datasets for a model of weight shape {weights.shape}")
-    perms = []  # per worker, one shuffle of its indices per pass, in pass order
-    for idx, r in zip(indices, rng, strict=True):
+    perms, first = [], 0  # per worker, (epochs, size): its shuffles as rows of the joined shards
+    for d, idx, r in zip(data, indices, rng, strict=True):
         idx = np.asarray(idx, dtype=np.intp)
-        perms.append([r.permutation(idx) for _ in range(epochs)])
-    order = sorted(range(len(perms)), key=lambda i: -perms[i][0].size)  # longest first, stable
-    data, perms = [data[i] for i in order], [perms[i] for i in order]
-    sizes = [p[0].size for p in perms]
+        if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(d)):
+            raise IndexError(f"indices outside [0, {len(d)})")
+        perms.append(np.stack([r.permutation(idx) for _ in range(epochs)]) + first)
+        first += len(d)
+    order = sorted(range(len(perms)), key=lambda i: -perms[i].shape[1])  # longest first, stable
+    perms = [perms[i] for i in order]
+    sizes = [p.shape[1] for p in perms]
     layers = [(w.take(order, axis=0), b.take(order, axis=0)) for w, b in model.layers]
     # one pass's schedule: workers of one batch length are a contiguous run of
     # the ordered stack (a full batch is a prefix, equal short tails mean equal
     # sizes) and train in place on views of it
-    plan = []  # (rows, model of views), in training order
+    plan = []  # (row count, model of views), in training order
     views: dict[tuple[int, int], ModelParameters] = {}  # worker range -> model of views
-    # a pass's rows form one block in training order, so that every step reads
-    # a contiguous slice; worker i's shuffled rows [start:stop] go to offset
-    spans: list[list[tuple[int, int, int]]] = [[] for _ in perms]  # (start, stop, offset)
-    filled = 0  # rows of a pass placed so far
+    rows = [np.empty((epochs, 0), dtype=np.intp)]  # every pass's rows, in step order
     for start in range(0, max(sizes, default=0), batch_size):
         groups: dict[int, list[int]] = {}  # batch length -> workers
         for i, size in enumerate(sizes):
@@ -234,28 +236,24 @@ def sgd_epoch(
                     architecture=model.architecture,
                 )
             plan.append((length * len(group), views[key]))
-            for i in group:
-                spans[i].append((start, start + length, filled))
-                filled += length
-    labels = np.empty((epochs, filled), dtype=np.intp)  # every pass's, one row per pass
-    for d, p, size, own in zip(data, perms, sizes, spans, strict=True):
-        worker_labels = d.labels[np.concatenate(p)].reshape(epochs, size)
-        for a, b, o in own:
-            labels[:, o:o + b - a] = worker_labels[:, a:b]
+            rows.extend(perms[i][:, start:start + length] for i in group)
+    rows = np.concatenate(rows, axis=1)  # (epochs, rows of one pass)
+    # the joined shards: empty heads fix the dtypes and let a stack hold no workers
+    labels = np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]).take(rows)
     classes = model.architecture[-1]
     if labels.size and (np.minimum.reduce(labels, axis=None) < 0
                         or np.maximum.reduce(labels, axis=None) >= classes):
         raise ValueError(f"labels outside [0, {classes})")
     targets = np.eye(classes).take(labels, axis=0)
-    x_all = np.empty((filled, model.architecture[0]))  # one pass's rows, refilled
+    features = np.concatenate([np.empty((0, model.architecture[0])), *(d.features for d in data)])
+    x_all = np.empty((rows.shape[1], model.architecture[0]))  # one pass's rows, refilled
     for epoch in range(epochs):
-        for d, p, own in zip(data, perms, spans):
-            shuffled = d.features[p[epoch]]
-            for a, b, o in own:
-                x_all[o:o + b - a] = shuffled[a:b]
+        # every index is in range (checked above), so clipping changes nothing;
+        # the default mode="raise" would gather into a buffer and copy it over
+        features.take(rows[epoch], axis=0, out=x_all, mode="clip")
         offset = 0
-        for rows, sub in plan:
-            stop = offset + rows
+        for n, sub in plan:
+            stop = offset + n
             _, grads = loss_and_gradient(sub, x_all[offset:stop], targets[epoch, offset:stop])
             offset = stop
             for (w, b), (gw, gb) in zip(sub.layers, grads):

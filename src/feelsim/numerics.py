@@ -2,8 +2,9 @@
 
 Provides the lower-branch Lambert W function, a golden-section scalar
 minimizer, and the complex-vector type of channels.  All routines are
-deterministic and allocation-light; they sit on the hot path of the per-round
-resource optimization.
+deterministic and allocation-light.  They serve the per-round resource
+planner but seldom run: golden section only for a plan whose optimum lies
+strictly inside its window, Lambert W only in the adaptive bandwidth split.
 """
 from __future__ import annotations
 

@@ -506,6 +506,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mnist_subset 1000 exceeds the 40 examples" in err
 
+    @pytest.mark.parametrize("over, message", [
+        (dict(workers=5000), "workers must be <= the 320 training samples"),
+        (dict(partition="noniid", classes_per_worker=5),
+         "classes_per_worker must be <= the 4 training classes"),
+        (dict(synthetic_samples=4, train_fraction=0.9, workers=1),
+         "train_fraction 0.9 leaves an empty split"),
+    ], ids=["workers", "classes_per_worker", "train_fraction"])
+    def test_run_config_beyond_data_exits_2(self, tmp_path, capsys, over, message):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(small_config(**over), cfg_path)
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--bogus"]) == 2
         capsys.readouterr()

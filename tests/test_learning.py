@@ -263,6 +263,20 @@ class TestGradientAndSgd:
             with pytest.raises(ValueError, match="epochs"):
                 sgd_epoch(model, data, np.arange(8), batch_size=4, lr=0.1,
                           rng=np.random.default_rng(1), epochs=epochs)
+        # a negative index must not wrap: in the joined shards of a stack it
+        # would read a neighbouring worker's row
+        for indices in ([-1, 0, 1], [0, 8]):
+            with pytest.raises(IndexError):
+                sgd_epoch(model, data, np.array(indices), batch_size=4, lr=0.1,
+                          rng=np.random.default_rng(1))
+
+    def test_stack_of_no_workers(self):
+        model = init_model([6, 3], np.random.default_rng(0))
+        empty = learning._stack(model, 0)
+        trained = sgd_epoch(empty, [], [], batch_size=4, lr=0.1, rng=[], epochs=2)
+        assert [w.shape for w, _ in trained.layers] == [(0, 3, 6)]
+        models, decisions = local_round(model, [], 2, 4, 0.1, 0.8, [])
+        assert models == [] and decisions == []
 
     def test_empty_batch_rejected(self):
         model = init_model([6, 3], np.random.default_rng(0))
