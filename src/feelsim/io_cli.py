@@ -376,9 +376,15 @@ def build_workers(
     if config.partition == "iid":
         shards = partition_iid(train, config.workers, part_rng)
     else:
-        shards = partition_noniid(
-            train, config.workers, part_rng, classes_per_worker=config.classes_per_worker
-        )
+        # which classes get the extra shard slot depends on the partition
+        # stream, so whether a class has a sample for each slot is known only here
+        try:
+            shards = partition_noniid(
+                train, config.workers, part_rng, classes_per_worker=config.classes_per_worker
+            )
+        except ValueError as exc:
+            raise ConfigError(f"workers {config.workers} with classes_per_worker "
+                              f"{config.classes_per_worker} split the data too finely: {exc}") from exc
     bounds = DeviceBounds(
         f_min_hz=config.f_min_hz,
         f_max_hz=config.f_max_hz,

@@ -49,8 +49,8 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def take(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices])
+    def take(self, rows: np.ndarray) -> "LabeledDataset":
+        return LabeledDataset(self.features[rows], self.labels[rows])
 
 
 @dataclass(frozen=True)
@@ -167,31 +167,29 @@ def loss_and_gradient(
 
 def sgd_epoch(
     model: ModelParameters,
-    data: LabeledDataset | Sequence[LabeledDataset],
-    indices: np.ndarray | Sequence[np.ndarray],
+    data: Sequence[LabeledDataset],
     batch_size: int,
     lr: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: Sequence[np.random.Generator],
     epochs: int = 1,
 ) -> ModelParameters:
-    """`epochs` passes of mini-batch SGD over data[indices], each in a fresh shuffle.
+    """`epochs` passes of mini-batch SGD for a stack of k workers, each in a fresh shuffle.
 
-    Each pass runs ceil(len(indices) / batch_size) updates (the tail batch
-    may be short); returns new parameters, the input model is untouched.
-    Indices must lie in [0, len(data)): a negative one raises IndexError too.
+    The model is stacked (see local_round), and data and rng are k-long
+    sequences: worker i trains on every row of data[i], one pass in the order
+    rng[i].permutation(len(data[i])), drawn afresh for each pass.  A pass
+    runs ceil(len(data[i]) / batch_size) updates (the tail batch may be
+    short); returns new parameters, the input model is untouched.
 
-    A stacked model (see local_round) trains k workers at once: data, indices
-    and rng are then k-long sequences and worker i runs its own passes on
-    data[i][indices[i]] shuffled by rng[i], one permutation per pass.  The
-    stack trains as a copy ordered longest shard first (ties in worker
+    The stack trains as a copy ordered longest shard first (ties in worker
     order), so at each step the workers whose batches have the same length
     are neighbours: they train in place on views of the copy, in one
     loss_and_gradient call.  Every pass is one row of indices into the
     joined shards, in step order: one take gathers a pass's features, so
     each call reads one contiguous slice, and one take gives the labels of
     all passes, checked and turned into one-hot targets once.  Batches are
-    never padded, so every worker gets the bytes of its own single-worker
-    passes, returned in input order.
+    never padded, so every worker gets the bytes it would get in a stack of
+    its own, returned in input order.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -199,18 +197,12 @@ def sgd_epoch(
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    single = isinstance(data, LabeledDataset)
-    if single:
-        model, data, indices, rng = _stack(model, 1), [data], [indices], [rng]
     weights = model.layers[0][0]
     if weights.ndim != 3 or weights.shape[0] != len(data):
         raise ValueError(f"{len(data)} datasets for a model of weight shape {weights.shape}")
     perms, first = [], 0  # per worker, (epochs, size): its shuffles as rows of the joined shards
-    for d, idx, r in zip(data, indices, rng, strict=True):
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(d)):
-            raise IndexError(f"indices outside [0, {len(d)})")
-        perms.append(np.stack([r.permutation(idx) for _ in range(epochs)]) + first)
+    for d, r in zip(data, rng, strict=True):
+        perms.append(np.stack([r.permutation(len(d)) for _ in range(epochs)]) + first)
         first += len(d)
     order = sorted(range(len(perms)), key=lambda i: -perms[i].shape[1])  # longest first, stable
     perms = [perms[i] for i in order]
@@ -248,7 +240,7 @@ def sgd_epoch(
     features = np.concatenate([np.empty((0, model.architecture[0])), *(d.features for d in data)])
     x_all = np.empty((rows.shape[1], model.architecture[0]))  # one pass's rows, refilled
     for epoch in range(epochs):
-        # every index is in range (checked above), so clipping changes nothing;
+        # every index is a row of the joined shards, so clipping changes nothing;
         # the default mode="raise" would gather into a buffer and copy it over
         features.take(rows[epoch], axis=0, out=x_all, mode="clip")
         offset = 0
@@ -265,8 +257,7 @@ def sgd_epoch(
     for w, b in layers:  # in place: each temporary is one layer, freed at once
         w[...] = w.take(inverse, axis=0)
         b[...] = b.take(inverse, axis=0)
-    whole = ModelParameters(layers=tuple(layers), architecture=model.architecture)
-    return _member(whole, 0) if single else whole
+    return ModelParameters(layers=tuple(layers), architecture=model.architecture)
 
 
 def filter_samples(
@@ -293,42 +284,37 @@ def filter_samples(
 
 def local_round(
     global_model: ModelParameters,
-    data: LabeledDataset | Sequence[LabeledDataset],
+    data: Sequence[LabeledDataset],
     epochs: int,
     batch_size: int,
     lr: float,
     threshold: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[ModelParameters, FilterDecision] | tuple[list[ModelParameters], list[FilterDecision]]:
-    """One worker's round: full first epoch, filter, remaining epochs on the rest.
+    rng: Sequence[np.random.Generator],
+) -> tuple[list[ModelParameters], list[FilterDecision]]:
+    """The workers' round: full first epoch, filter, remaining epochs on the rest.
 
-    That is two sgd_epoch calls: one pass on every sample, then epochs - 1
-    passes on the samples the filter kept.  The filter always runs (its
-    verdict prices the round's workload) but with epochs == 1 training is
-    exactly one plain epoch, in one call.
-
-    With equal-length sequences of datasets and streams, one per worker, every
-    worker starts from global_model and they train as one stack: weights
+    data and rng hold one dataset and one stream per worker.  Every worker
+    starts from global_model and they train as one stack: weights
     (k, out, in) and biases (k, out), one SGD step for all of them at a time
-    (see sgd_epoch), each filtered on its own model after epoch 1.  Returns
-    the lists of models and decisions, each equal to that worker's own
-    single-worker call.
+    (see sgd_epoch).  That is two sgd_epoch calls: one pass on every sample,
+    then, after each worker is filtered on its own model, epochs - 1 passes
+    on the rows its filter kept.  The filter always runs (its verdict prices
+    the round's workload) but with epochs == 1 training is exactly one plain
+    epoch, in one call.  Returns the lists of models and decisions, in worker
+    order; a worker's bytes do not depend on which others share its stack.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    single = isinstance(data, LabeledDataset)
-    datasets, rngs = ([data], [rng]) if single else (list(data), list(rng))
-    if any(len(d) == 0 for d in datasets):
+    if any(len(d) == 0 for d in data):
         raise ValueError("cannot train on an empty dataset")
-    everything = [np.arange(len(d)) for d in datasets]
-    stack = sgd_epoch(_stack(global_model, len(datasets)), datasets, everything,
-                      batch_size, lr, rngs)
-    decisions = [filter_samples(_member(stack, i), d, threshold) for i, d in enumerate(datasets)]
-    kept = [decision.included_indices for decision in decisions]
+    stack = sgd_epoch(_stack(global_model, len(data)), data, batch_size, lr, rng)
+    decisions = [filter_samples(_member(stack, i), d, threshold) for i, d in enumerate(data)]
     if epochs > 1:
-        stack = sgd_epoch(stack, datasets, kept, batch_size, lr, rngs, epochs=epochs - 1)
-    models = [_member(stack, i) for i in range(len(datasets))]
-    return (models[0], decisions[0]) if single else (models, decisions)
+        # a worker that kept every row passes d itself: a copy of it would only add memory
+        kept = [d if decision.excluded_count == 0 else d.take(decision.included_indices)
+                for d, decision in zip(data, decisions)]
+        stack = sgd_epoch(stack, kept, batch_size, lr, rng, epochs=epochs - 1)
+    return [_member(stack, i) for i in range(len(data))], decisions
 
 
 def aggregate(updates: Sequence[tuple[ModelParameters, int]]) -> ModelParameters:

@@ -27,9 +27,9 @@ from feelsim.learning import (
     ModelParameters,
     filter_samples,
     init_model,
+    local_round,
     loss_and_gradient,
     param_bits,
-    sgd_epoch,
 )
 from feelsim.numerics import lambert_wm1
 from feelsim.resource_optimizer import (
@@ -410,8 +410,8 @@ def test_criterion_09_threshold_nesting():
     model = init_model([8, 16, 4], np.random.default_rng(902))
     train_rng = np.random.default_rng(903)
     for _ in range(15):
-        model = sgd_epoch(model, data, np.arange(800), batch_size=32, lr=0.05,
-                          rng=train_rng)
+        (model,), _ = local_round(model, [data], epochs=1, batch_size=32, lr=0.05,
+                                  threshold=1.0, rng=[train_rng])
 
     prev: set | None = None
     counts = []

@@ -512,7 +512,9 @@ class TestCli:
          "classes_per_worker must be <= the 4 training classes"),
         (dict(synthetic_samples=4, train_fraction=0.9, workers=1),
          "train_fraction 0.9 leaves an empty split"),
-    ], ids=["workers", "classes_per_worker", "train_fraction"])
+        (dict(partition="noniid", workers=200),
+         "workers 200 with classes_per_worker 2 split the data too finely: class"),
+    ], ids=["workers", "classes_per_worker", "train_fraction", "noniid_shard_slots"])
     def test_run_config_beyond_data_exits_2(self, tmp_path, capsys, over, message):
         cfg_path = tmp_path / "cfg.json"
         write_config(small_config(**over), cfg_path)

@@ -55,6 +55,12 @@ def stacked(members):
         architecture=members[0].architecture)
 
 
+def train_one(model, data, batch_size, lr, rng, epochs=1):
+    """sgd_epoch on a stack of one worker, returned as that worker's 2-D model."""
+    trained = sgd_epoch(stacked([model]), [data], batch_size, lr, [rng], epochs=epochs)
+    return learning._member(trained, 0)
+
+
 def assert_models_equal(a, b):
     assert a.architecture == b.architecture
     for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
@@ -104,8 +110,8 @@ class TestForward:
                 data.labels[5] = bad  # after LabeledDataset's own check
                 for epochs in (1, 2):
                     with pytest.raises(ValueError, match="labels outside"):
-                        sgd_epoch(model, data, np.arange(8), 4, 0.1,
-                                  np.random.default_rng(1), epochs=epochs)
+                        train_one(model, data, 4, 0.1, np.random.default_rng(1),
+                                  epochs=epochs)
 
     def test_target_shape_checked(self):
         model = init_model([6, 3], np.random.default_rng(0))
@@ -195,8 +201,7 @@ class TestGradientAndSgd:
             for (w, b), (gw, gb) in zip(model.layers, grads)),
             architecture=model.architecture)
 
-        trained = sgd_epoch(model, data, np.arange(16), batch_size=16, lr=0.1,
-                            rng=substream(9, TRAIN, 0))
+        trained = train_one(model, data, batch_size=16, lr=0.1, rng=substream(9, TRAIN, 0))
         assert_models_equal(stepped, trained)
 
     def test_update_count_is_ceil(self):
@@ -214,8 +219,7 @@ class TestGradientAndSgd:
                 for (w, b), (gw, gb) in zip(manual.layers, grads)),
                 architecture=model.architecture)
 
-        trained = sgd_epoch(model, data, np.arange(45), batch_size=20, lr=0.05,
-                            rng=substream(9, TRAIN, 1))
+        trained = train_one(model, data, batch_size=20, lr=0.05, rng=substream(9, TRAIN, 1))
         assert_models_equal(manual, trained)
 
     def test_gradient_mean_normalized(self):
@@ -240,11 +244,10 @@ class TestGradientAndSgd:
         assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
 
     def test_input_model_untouched(self):
-        model = init_model([6, 5, 3], np.random.default_rng(307))
+        model = stacked([init_model([6, 5, 3], np.random.default_rng(307))])
         snap = [(w.copy(), b.copy()) for w, b in model.layers]
         data = tiny_dataset(n=20)
-        sgd_epoch(model, data, np.arange(20), batch_size=8, lr=0.1,
-                  rng=np.random.default_rng(1))
+        sgd_epoch(model, [data], batch_size=8, lr=0.1, rng=[np.random.default_rng(1)])
         for (w0, b0), (w1, b1) in zip(snap, model.layers):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
@@ -253,27 +256,19 @@ class TestGradientAndSgd:
         model = init_model([6, 3], np.random.default_rng(0))
         data = tiny_dataset(n=8)
         with pytest.raises(ValueError):
-            sgd_epoch(model, data, np.arange(8), batch_size=0, lr=0.1,
-                      rng=np.random.default_rng(1))
+            train_one(model, data, batch_size=0, lr=0.1, rng=np.random.default_rng(1))
         for lr in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                sgd_epoch(model, data, np.arange(8), batch_size=4, lr=lr,
-                          rng=np.random.default_rng(1))
+                train_one(model, data, batch_size=4, lr=lr, rng=np.random.default_rng(1))
         for epochs in (0, -1):
             with pytest.raises(ValueError, match="epochs"):
-                sgd_epoch(model, data, np.arange(8), batch_size=4, lr=0.1,
-                          rng=np.random.default_rng(1), epochs=epochs)
-        # a negative index must not wrap: in the joined shards of a stack it
-        # would read a neighbouring worker's row
-        for indices in ([-1, 0, 1], [0, 8]):
-            with pytest.raises(IndexError):
-                sgd_epoch(model, data, np.array(indices), batch_size=4, lr=0.1,
-                          rng=np.random.default_rng(1))
+                train_one(model, data, batch_size=4, lr=0.1, rng=np.random.default_rng(1),
+                          epochs=epochs)
 
     def test_stack_of_no_workers(self):
         model = init_model([6, 3], np.random.default_rng(0))
         empty = learning._stack(model, 0)
-        trained = sgd_epoch(empty, [], [], batch_size=4, lr=0.1, rng=[], epochs=2)
+        trained = sgd_epoch(empty, [], batch_size=4, lr=0.1, rng=[], epochs=2)
         assert [w.shape for w, _ in trained.layers] == [(0, 3, 6)]
         models, decisions = local_round(model, [], 2, 4, 0.1, 0.8, [])
         assert models == [] and decisions == []
@@ -290,7 +285,7 @@ class TestGradientAndSgd:
         train, test = data.take(np.arange(1000)), data.take(np.arange(1000, 1200))
         model = init_model([8, 16, 4], rng)
         for _ in range(30):
-            model = sgd_epoch(model, train, np.arange(len(train)), 20, 0.05, rng)
+            model = train_one(model, train, 20, 0.05, rng)
         _, acc = evaluate(model, test)
         assert acc >= 0.95
 
@@ -367,10 +362,9 @@ class TestLocalRound:
     def test_single_epoch_training_ignores_threshold(self):
         model = init_model([6, 5, 3], np.random.default_rng(313))
         data = tiny_dataset(n=40)
-        got, dec = local_round(model, data, epochs=1, batch_size=16, lr=0.1,
-                               threshold=0.1, rng=substream(9, TRAIN, 0, 0, 1))
-        ref = sgd_epoch(model, data, np.arange(40), batch_size=16, lr=0.1,
-                        rng=substream(9, TRAIN, 0, 0, 1))
+        (got,), (dec,) = local_round(model, [data], epochs=1, batch_size=16, lr=0.1,
+                                     threshold=0.1, rng=[substream(9, TRAIN, 0, 0, 1)])
+        ref = train_one(model, data, batch_size=16, lr=0.1, rng=substream(9, TRAIN, 0, 0, 1))
         assert_models_equal(got, ref)
         # the filter verdict is still reported, from the epoch-1 model
         expect = filter_samples(ref, data, 0.1)
@@ -380,27 +374,25 @@ class TestLocalRound:
     def test_threshold_one_equals_plain_epochs(self):
         model = init_model([6, 5, 3], np.random.default_rng(314))
         data = tiny_dataset(n=40)
-        got, dec = local_round(model, data, epochs=3, batch_size=16, lr=0.1,
-                               threshold=1.0, rng=substream(9, TRAIN, 2, 0, 5))
+        (got,), (dec,) = local_round(model, [data], epochs=3, batch_size=16, lr=0.1,
+                                     threshold=1.0, rng=[substream(9, TRAIN, 2, 0, 5)])
         assert dec.excluded_count == 0
         ref_rng = substream(9, TRAIN, 2, 0, 5)
         ref = model
         for _ in range(3):
-            ref = sgd_epoch(ref, data, np.arange(40), batch_size=16, lr=0.1,
-                            rng=ref_rng)
+            ref = train_one(ref, data, batch_size=16, lr=0.1, rng=ref_rng)
         assert_models_equal(got, ref)
 
     def test_filter_applies_from_second_epoch(self):
         model = init_model([6, 5, 3], np.random.default_rng(315))
         data = tiny_dataset(n=60)
-        got, dec = local_round(model, data, epochs=2, batch_size=16, lr=0.1,
-                               threshold=0.6, rng=substream(11, TRAIN, 0, 0, 1))
+        (got,), (dec,) = local_round(model, [data], epochs=2, batch_size=16, lr=0.1,
+                                     threshold=0.6, rng=[substream(11, TRAIN, 0, 0, 1)])
         # replay: epoch 1 on everything, filter on that model, epoch 2 on the rest
         ref_rng = substream(11, TRAIN, 0, 0, 1)
-        after1 = sgd_epoch(model, data, np.arange(60), batch_size=16, lr=0.1,
-                           rng=ref_rng)
+        after1 = train_one(model, data, batch_size=16, lr=0.1, rng=ref_rng)
         expect = filter_samples(after1, data, 0.6)
-        after2 = sgd_epoch(after1, data, expect.included_indices, batch_size=16,
+        after2 = train_one(after1, data.take(expect.included_indices), batch_size=16,
                            lr=0.1, rng=ref_rng)
         assert dec.excluded_count == expect.excluded_count
         assert_models_equal(got, after2)
@@ -408,8 +400,8 @@ class TestLocalRound:
     def test_deterministic_per_stream(self):
         model = init_model([6, 5, 3], np.random.default_rng(316))
         data = tiny_dataset(n=40)
-        a, da = local_round(model, data, 3, 16, 0.1, 0.7, substream(3, TRAIN, 1, 0, 2))
-        b, db = local_round(model, data, 3, 16, 0.1, 0.7, substream(3, TRAIN, 1, 0, 2))
+        (a,), (da,) = local_round(model, [data], 3, 16, 0.1, 0.7, [substream(3, TRAIN, 1, 0, 2)])
+        (b,), (db,) = local_round(model, [data], 3, 16, 0.1, 0.7, [substream(3, TRAIN, 1, 0, 2)])
         assert da.excluded_count == db.excluded_count
         assert_models_equal(a, b)
 
@@ -417,7 +409,7 @@ class TestLocalRound:
         model = init_model([6, 3], np.random.default_rng(0))
         empty = LabeledDataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            local_round(model, empty, 1, 16, 0.1, 0.7, np.random.default_rng(1))
+            local_round(model, [empty], 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
 
 
 def skewed_shards():
@@ -434,7 +426,7 @@ def skewed_shards():
 
 
 class TestStackedRound:
-    """Workers trained as one stack get exactly their single-worker bytes."""
+    """Workers trained as one stack get exactly the bytes of a stack of their own."""
 
     def test_matches_single_worker_calls(self):
         model = init_model([6, 5, 3], np.random.default_rng(321))
@@ -449,7 +441,7 @@ class TestStackedRound:
         kept = [d.included_indices.size for d in decisions]
         assert kept[-1] == 0 and len(set(kept)) == len(kept)  # ragged later epochs
         for shard, rng, got, decision in zip(shards, streams(), models, decisions):
-            ref, expect = local_round(model, shard, 3, 16, 0.1, 0.7, rng)
+            (ref,), (expect,) = local_round(model, [shard], 3, 16, 0.1, 0.7, [rng])
             assert_models_equal(got, ref)
             assert decision.excluded_count == expect.excluded_count
             assert np.array_equal(decision.included_indices, expect.included_indices)
@@ -512,6 +504,34 @@ class TestStackedRound:
         for (w, b), (v, c) in zip(first.layers, second.layers):
             assert w.ndim == 2 and b.ndim == 1
             assert w.base is v.base is not None and not np.shares_memory(w, v)
+
+    def test_second_call_trains_on_kept_rows(self, monkeypatch):
+        calls = []
+        epoch = learning.sgd_epoch
+
+        def recording(model, data, *args, **kwargs):
+            calls.append(list(data))
+            return epoch(model, data, *args, **kwargs)
+
+        monkeypatch.setattr(learning, "sgd_epoch", recording)
+        model = init_model([6, 5, 3], np.random.default_rng(322))
+        shards = skewed_shards()
+
+        def streams():
+            return [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
+
+        # threshold 1.0 keeps every row: both calls train on the workers' own datasets
+        local_round(model, shards, 3, 16, 0.1, 1.0, streams())
+        assert all(d is s for d, s in zip(calls[0] + calls[1], shards * 2, strict=True))
+        calls.clear()
+        _, decisions = local_round(model, shards, 3, 16, 0.1, 0.7, streams())
+        first, second = calls
+        assert all(d is s for d, s in zip(first, shards, strict=True))
+        kept = [dec.included_indices for dec in decisions]
+        assert [len(d) for d in second] == [k.size for k in kept] != [len(s) for s in shards]
+        for d, s, k in zip(second, shards, kept, strict=True):
+            assert np.array_equal(d.features, s.features[k])
+            assert np.array_equal(d.labels, s.labels[k])
 
     def test_rejects_mismatched_streams(self):
         model = init_model([6, 3], np.random.default_rng(0))
@@ -607,7 +627,8 @@ EPOCH_CASES = [
 
 
 def epoch_case(sizes, batch):
-    """A stack of len(sizes) workers, their data, kept indices and a stream maker."""
+    """A stack of len(sizes) workers, their data, kept indices, the kept rows
+    of each worker's data and a stream maker."""
     rng = np.random.default_rng(sum(sizes) + batch)
     stack = stacked([init_model([6, 5, 3], rng) for _ in sizes])
     data = [tiny_dataset(n=60, seed=330 + j) for j in range(len(sizes))]
@@ -616,7 +637,7 @@ def epoch_case(sizes, batch):
     def streams():
         return [substream(17, TRAIN, 0, j, batch) for j in range(len(sizes))]
 
-    return stack, data, kept, streams
+    return stack, data, kept, [d.take(k) for d, k in zip(data, kept)], streams
 
 
 class TestEpochAgainstReference:
@@ -624,8 +645,8 @@ class TestEpochAgainstReference:
 
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_matches_reference_loop(self, sizes, batch):
-        stack, data, kept, streams = epoch_case(sizes, batch)
-        got = sgd_epoch(stack, data, kept, batch, 0.1, streams())
+        stack, data, kept, rows, streams = epoch_case(sizes, batch)
+        got = sgd_epoch(stack, rows, batch, 0.1, streams())
         assert_models_equal(got, reference_sgd_epoch(stack, data, kept, batch, 0.1, streams()))
         if not any(sizes):
             assert_models_equal(got, stack)
@@ -640,8 +661,8 @@ class TestEpochAgainstReference:
             return grad(model, x, y)
 
         monkeypatch.setattr(learning, "loss_and_gradient", recording)
-        stack, data, kept, streams = epoch_case(sizes, batch)
-        sgd_epoch(stack, data, kept, batch, 0.1, streams())
+        stack, _, _, rows, streams = epoch_case(sizes, batch)
+        sgd_epoch(stack, rows, batch, 0.1, streams())
         for layers in calls:
             for (w, b), (w0, b0) in zip(layers, calls[0]):
                 assert w.base is not None and w.base is w0.base
@@ -651,8 +672,8 @@ class TestEpochAgainstReference:
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_passes_match_reference_loop(self, sizes, batch, epochs):
         # one call of `epochs` passes against the reference run once per pass
-        stack, data, kept, streams = epoch_case(sizes, batch)
-        got = sgd_epoch(stack, data, kept, batch, 0.1, streams(), epochs=epochs)
+        stack, data, kept, rows, streams = epoch_case(sizes, batch)
+        got = sgd_epoch(stack, rows, batch, 0.1, streams(), epochs=epochs)
         want, rngs = stack, streams()
         for _ in range(epochs):
             want = reference_sgd_epoch(want, data, kept, batch, 0.1, rngs)
@@ -661,11 +682,11 @@ class TestEpochAgainstReference:
     @pytest.mark.parametrize("epochs", [2, 4])
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_passes_equal_chained_calls(self, sizes, batch, epochs):
-        stack, data, kept, streams = epoch_case(sizes, batch)
-        got = sgd_epoch(stack, data, kept, batch, 0.1, streams(), epochs=epochs)
+        stack, _, _, rows, streams = epoch_case(sizes, batch)
+        got = sgd_epoch(stack, rows, batch, 0.1, streams(), epochs=epochs)
         want, rngs = stack, streams()
         for _ in range(epochs):
-            want = sgd_epoch(want, data, kept, batch, 0.1, rngs)
+            want = sgd_epoch(want, rows, batch, 0.1, rngs)
         assert_models_equal(got, want)
 
 
