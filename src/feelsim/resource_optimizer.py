@@ -14,32 +14,25 @@ convex functions is convex; and p_max only cuts off the slots below some
 t_up, where E is +inf.  So a window edge is the minimizer as soon as the
 energy does not fall on moving from it into the window: right slope >= 0 at
 the lower edge (clock at f_min), left slope <= 0 at the upper edge (clock at
-f_max).  round_energy_slope gives these one-sided slopes.  The planner
-returns such an edge without a search when its slope clears the rounding of
-the energy, so it returns exactly the plan the search would have found.
+f_max).  round_energy_slope gives these one-sided slopes, and the planner
+returns such an edge on the slope's sign alone, without a search.
 
 Where p_max cannot close the link at the lower edge, the feasible part of
 the window starts at t_p = bits ln2 / (B log1p(p_max beta / B)), the slot in
 which p_max delivers the bits exactly.  E is convex on [t_p, hi] as well, so
-t_p is the minimizer when the right slope there is >= 0.  The planner
-computes t_p in closed form (stepped up by ulps until p_max suffices) and
-returns it without a search; this plan sits exactly where the search's
-probes only approach, so its energy is at most theirs.  Any other optimum
-inside the window is found by golden-section search.
+t_p takes the lower edge's place: the planner computes it in closed form,
+clamps it into the window, steps it up by ulps until p_max suffices, and
+returns it when the right slope there is >= 0.  Any other optimum inside the
+window is found by golden-section search.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .numerics import Interval, golden_section_min, lambert_wm1
 
 _LN2 = math.log(2.0)
-# A window edge skips the search only if its slope clears _ROUNDING (1 + x)
-# times the round energy (see minimize_round_energy); that is at least twice
-# what two objective evaluations, each within (4 + x) eps, can round by.
-_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 class InfeasibleError(RuntimeError):
@@ -301,18 +294,16 @@ def minimize_round_energy(
 ) -> ResourcePlan:
     """Pick the upload slot (hence CPU clock and transmit power) of least energy.
 
-    The round energy is convex in the slot (module docstring), so a window
-    edge whose one-sided slope into the window does not descend is the
-    minimizer and is returned without a search.  The certificate needs that
-    slope clear of the rounding of the energy evaluations, so that the edge
-    is also what the search below would have picked.  A third certificate
-    covers a lower edge too short for p_max: if t_p, the first slot in which
-    p_max closes the link, lies inside the window and the right slope there
-    is >= 0, t_p is returned.  Otherwise a golden-section search over the
-    window runs, followed by an explicit endpoint check so boundary minima
-    are exact.  Raises
-    InfeasibleDeadlineError / InfeasiblePowerError when the window is empty or
-    the link cannot be closed even at p_max in the widest slot.
+    The round energy is convex in the slot (module docstring).  Let t_first
+    be the first slot of the window in which p_max closes the link: the lower
+    edge, or else t_p.  If the right slope at t_first is >= 0, t_first is the
+    minimizer; otherwise, if the left slope at the upper edge is <= 0, that
+    edge is.  Either is returned on the slope's sign alone.  In every other
+    case a golden-section search over the window runs, followed by an
+    explicit endpoint check, which can still win where the energy is flat to
+    rounding near an edge.  Raises InfeasibleDeadlineError /
+    InfeasiblePowerError when the window is empty or the link cannot be
+    closed even at p_max in the widest slot.
     """
     cycles = effective_cycles(workload)
     window = upload_time_bounds(cycles, deadline_s, bounds)
@@ -339,50 +330,27 @@ def minimize_round_energy(
             e_up_j=t_up * p,
         )
 
-    tol = max(window.width * 1e-9, 1e-15)
-
-    def certified_edge(t_edge: float, side: int) -> ResourcePlan | None:
-        """The plan at t_edge if the slope into the window proves it optimal."""
-        if required_power(workload.model_bits, t_edge, bandwidth_hz, beta) > bounds.p_max_w:
-            return None  # the objective is +inf at t_edge
-        inward = side * round_energy_slope(
-            t_edge, side, workload, deadline_s, bandwidth_hz, beta, bounds
-        )
-        if inward < 0.0:
-            return None
-        plan = plan_at(t_edge)
-        # The search's final probes other than t_edge lie at least `reach`
-        # inside the window: golden section keeps them about 0.24 tol from its
-        # bracket ends, and a distinct float is half an ulp away or more.  By
-        # convexity such a probe costs at least inward * reach more than the
-        # edge; that must beat the rounding of both objective values, each
-        # within (4 + x) eps relative (expm1 magnifies the rounding of x by up
-        # to 1 + x), for the search to have picked the edge too.  The slope's
-        # own rounding is smaller by a factor reach / t_cmp.
-        reach = max(0.1 * tol, 0.5 * math.ulp(t_edge))
-        x = workload.model_bits * _LN2 / (t_edge * bandwidth_hz)
-        if inward * reach < _ROUNDING * (1.0 + x) * plan.total_energy_j:
-            return None
-        return plan
-
-    for t_edge, side in ((window.lo, +1), (window.hi, -1)):
-        edge_plan = certified_edge(t_edge, side)
-        if edge_plan is not None:
-            return edge_plan
+    def slope(t_up: float, side: int) -> float:
+        return round_energy_slope(t_up, side, workload, deadline_s, bandwidth_hz, beta, bounds)
 
     # the first slot in which p_max closes the link (module docstring)
-    t_p = workload.model_bits * _LN2 / (
-        bandwidth_hz * math.log1p(bounds.p_max_w * beta / bandwidth_hz)
-    )
-    if window.lo < t_p < window.hi:
-        while required_power(workload.model_bits, t_p, bandwidth_hz, beta) > bounds.p_max_w:
-            t_p = math.nextafter(t_p, math.inf)  # a few ulps of rounding at most
-        if round_energy_slope(t_p, +1, workload, deadline_s, bandwidth_hz, beta, bounds) >= 0.0:
-            return plan_at(t_p)
+    t_first = window.lo
+    if required_power(workload.model_bits, t_first, bandwidth_hz, beta) > bounds.p_max_w:
+        t_p = workload.model_bits * _LN2 / (
+            bandwidth_hz * math.log1p(bounds.p_max_w * beta / bandwidth_hz)
+        )
+        t_first = min(max(t_p, window.lo), window.hi)
+        while required_power(workload.model_bits, t_first, bandwidth_hz, beta) > bounds.p_max_w:
+            t_first = math.nextafter(t_first, math.inf)  # a few ulps of rounding at most
+    if slope(t_first, +1) >= 0.0:
+        return plan_at(t_first)
+    if slope(window.hi, -1) <= 0.0:
+        return plan_at(window.hi)
 
     def objective(t: float) -> float:
         return round_energy_objective(t, workload, deadline_s, bandwidth_hz, beta, bounds)
 
+    tol = max(window.width * 1e-9, 1e-15)
     t_up, e_best = golden_section_min(objective, window, tol=tol, max_iter=1000)
     for t_edge in (window.lo, window.hi):
         e_edge = objective(t_edge)

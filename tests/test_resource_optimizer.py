@@ -570,11 +570,12 @@ class TestEdgeCertificate:
         monkeypatch.setattr(resource_optimizer, "golden_section_min", no_search)
 
     def test_matches_search_then_endpoint_check(self):
-        # every plan equals the search's byte for byte, except where the
-        # right slope at the first slot p_max can use proves that slot optimal
+        # every plan equals the search's byte for byte, except where a slope
+        # proves the first slot p_max can use optimal, or where a window
+        # edge's slope into the window does not descend: there the search may
+        # pick a point of equal energy to rounding, the planner the edge
         rng = np.random.default_rng(79)
         classes = {}
-        sign_only_wrong = 0
         cases = [(draw_wide_case(rng), None) for _ in range(1500)]
         cases += [c for c in (draw_flat_edge_case(rng) for _ in range(600)) if c is not None]
         cases += [(draw_power_limited_case(rng), None) for _ in range(200)]
@@ -587,31 +588,32 @@ class TestEdgeCertificate:
                 kind = type(exc).__name__
             else:
                 plan = minimize_round_energy(*case)
-                w, deadline, _, _, bounds = case
+                w, deadline, bw, beta, bounds = case
                 win = upload_time_bounds(effective_cycles(w), deadline, bounds)
                 t_p = power_limit_slot(*case)
                 if t_p is not None and round_energy_slope(t_p, +1, *case) >= 0.0:
                     assert_power_limit_plan(plan, case, ref)
                     kind = "p_max"
                 else:
-                    assert plan_bytes(plan) == plan_bytes(ref)
+                    if plan_bytes(plan) != plan_bytes(ref):
+                        assert any(
+                            plan.t_up_s == t_edge
+                            and required_power(w.model_bits, t_edge, bw, beta) <= bounds.p_max_w
+                            and side * round_energy_slope(t_edge, side, *case) >= 0.0
+                            for t_edge, side in ((win.lo, +1), (win.hi, -1))
+                        ), (plan, ref)
+                        assert plan.total_energy_j <= ref.total_energy_j * (
+                            1.0 + 8.0 * math.ulp(1.0))
                     if ref.t_up_s == win.lo:
                         kind = "lo clamped" if ref.p_w == bounds.p_min_w else "lo"
                     else:
                         kind = "hi" if ref.t_up_s == win.hi else "interior"
                 if moved is not None:
                     kind = f"flat {kind}"
-                    # the slope's sign alone would return the moved edge, but the
-                    # search picks a point of equal energy to rounding
-                    t_edge = win.lo if moved > 0 else win.hi
-                    if (moved * round_energy_slope(t_edge, moved, *case) >= 0.0
-                            and ref.t_up_s != t_edge):
-                        sign_only_wrong += 1
             classes[kind] = classes.get(kind, 0) + 1
         for kind in ("lo", "lo clamped", "hi", "interior", "p_max", "InfeasibleDeadlineError",
                      "InfeasiblePowerError", "flat lo", "flat hi", "flat interior"):
             assert classes.get(kind, 0) >= 10, classes
-        assert sign_only_wrong >= 10
 
     @pytest.mark.parametrize("case, edge", [
         ((Workload(600, 520, 5, 20.0, 13568), 0.05, 1e6, 1e8, BOUNDS), "lo"),
@@ -630,6 +632,46 @@ class TestEdgeCertificate:
         else:
             assert plan.f_hz == pytest.approx(bounds.f_min_hz, rel=1e-12)
             assert (plan.p_w == bounds.p_min_w) == (edge == "lo clamped")
+
+    def test_flat_edge_returned_on_the_slope_sign(self, monkeypatch):
+        # an edge within rounding of the unconstrained minimizer is returned
+        # whenever its slope into the window does not descend, however small
+        # that slope is
+        self.forbid_search(monkeypatch)
+        rng = np.random.default_rng(83)
+        returned = {+1: 0, -1: 0}
+        for _ in range(600):
+            drawn = draw_flat_edge_case(rng)
+            if drawn is None:
+                continue
+            case, side = drawn
+            w, deadline, bw, beta, bounds = case
+            win = upload_time_bounds(effective_cycles(w), deadline, bounds)
+            t_edge = win.lo if side > 0 else win.hi
+            if (required_power(w.model_bits, t_edge, bw, beta) > bounds.p_max_w
+                    or side * round_energy_slope(t_edge, side, *case) < 0.0):
+                continue
+            assert minimize_round_energy(*case).t_up_s == t_edge
+            returned[side] += 1
+        assert min(returned.values()) >= 10, returned
+
+    @pytest.mark.parametrize("bw, past", [(1e6, False), (5e5, True)],
+                             ids=["closed-form-at-edge", "closed-form-past-edge"])
+    def test_link_closed_only_at_f_max(self, monkeypatch, bw, past):
+        # p_max closes the link in the widest slot and in no shorter one: the
+        # first usable slot is the upper edge itself, also where t_p's closed
+        # form rounds past it
+        w, beta = Workload(600, 0, 1, 2000.0, 13568), 1e8
+        hi = upload_time_bounds(effective_cycles(w), 0.05, BOUNDS).hi
+        p_max = required_power(w.model_bits, hi, bw, beta)
+        assert required_power(w.model_bits, math.nextafter(hi, 0.0), bw, beta) > p_max
+        assert (w.model_bits * LN2 / (bw * math.log1p(p_max * beta / bw)) > hi) == past
+        case = (w, 0.05, bw, beta, dataclasses.replace(BOUNDS, p_max_w=p_max))
+        ref = search_then_endpoint_check(*case)
+        self.forbid_search(monkeypatch)
+        plan = minimize_round_energy(*case)
+        assert plan.t_up_s == hi and plan.p_w <= p_max
+        assert plan_bytes(plan) == plan_bytes(ref)
 
     def test_edge_the_link_cannot_use_is_not_certified(self, monkeypatch):
         # at f_min the slot is too short for p_max, yet the energy's slope
