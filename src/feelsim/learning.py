@@ -123,10 +123,9 @@ def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, l
     return a, acts
 
 
-def loss_and_gradient(
-    model: ModelParameters, x: np.ndarray, y: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean cross entropy over a batch and its gradient wrt every parameter.
+def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
+             out: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Gradient of the mean cross entropy over a batch wrt every parameter, written into out.
 
     Args:
         model: current parameters, 2-D or stacked over k workers.
@@ -134,10 +133,8 @@ def loss_and_gradient(
             n rows one after another, shape (k*n, d), worker i's first.
         y: target rows, shape (rows, classes) for the rows of x: one-hot
             for a labelled batch (np.eye(classes)[labels]).
-
-    Returns:
-        (loss, grads) with grads shaped exactly like model.layers; the loss is
-        the mean over all rows.
+        out: one (gw, gb) pair per layer, shaped like model.layers; every
+            element is overwritten, and views of a larger block will do.
     """
     rows, classes = x.shape[0], model.architecture[-1]
     if rows == 0:
@@ -148,21 +145,44 @@ def loss_and_gradient(
     if weights.ndim == 3:
         x = x.reshape(weights.shape[0], -1, x.shape[-1])
     n = x.shape[-2]
-    probs, acts = _forward_batch(model, x)
-    delta = probs  # d loss / d logits = probs - targets, built in place
-    flat = delta.reshape(rows, classes)  # a view: softmax output is C-contiguous
-    loss = -np.vdot(y, np.log(np.maximum(flat, LOG_GUARD))) / rows
-    flat -= y
+    delta, acts = _forward_batch(model, x)  # d loss / d logits = (probs - targets) / n, in place
+    delta -= y.reshape(delta.shape)
     delta /= n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
     for i in range(len(model.layers) - 1, -1, -1):
-        grads[i] = (delta.swapaxes(-1, -2) @ acts[i], np.add.reduce(delta, axis=-2))
+        gw, gb = out[i]
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
             delta = delta @ model.layers[i][0]
             # ReLU mask, subgradient 0 at the kink: activations are +0.0 or
             # positive, so their sign is exactly 0.0 or 1.0
             delta *= np.sign(acts[i])
-    return loss, grads
+
+
+def loss_and_gradient(
+    model: ModelParameters, x: np.ndarray, y: np.ndarray
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Mean cross entropy over a batch and its gradient wrt every parameter.
+
+    Arguments as for gradient; returns (loss, grads) with grads fresh arrays
+    shaped exactly like model.layers and the loss the mean over all rows.
+    Training steps through gradient alone and never computes the loss.
+    """
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in model.layers]
+    gradient(model, x, y, grads)
+    probs, _ = _forward_batch(model, x.reshape(*model.layers[0][0].shape[:-2], -1, x.shape[-1]))
+    return -np.vdot(y, np.log(np.maximum(probs, LOG_GUARD))) / x.shape[0], grads
+
+
+def _layout(block: np.ndarray, arch: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per layer, (weights, biases) as views of the rows of a (k, P) parameter block."""
+    layers, at = [], 0
+    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
+        end = at + fan_out * fan_in
+        layers.append((block[:, at:end].reshape(len(block), fan_out, fan_in),
+                       block[:, end:end + fan_out]))
+        at = end + fan_out
+    return tuple(layers)
 
 
 def sgd_epoch(
@@ -182,14 +202,17 @@ def sgd_epoch(
     short); returns new parameters, the input model is untouched.
 
     The stack trains as a copy ordered longest shard first (ties in worker
-    order), so at each step the workers whose batches have the same length
-    are neighbours: they train in place on views of the copy, in one
-    loss_and_gradient call.  Every pass is one row of indices into the
-    joined shards, in step order: one take gathers a pass's features, so
-    each call reads one contiguous slice, and one take gives the labels of
-    all passes, checked and turned into one-hot targets once.  Batches are
-    never padded, so every worker gets the bytes it would get in a stack of
-    its own, returned in input order.
+    order): one (k, P) parameter block, row i a worker's W0, b0, W1, b1, ...
+    flattened, beside a gradient block of the same shape.  At each step the
+    workers whose batches have the same length are neighbours, a row slice
+    of both blocks: one gradient call writes into views of the slice, and
+    the update is g *= lr then p -= g, each element's operations in a
+    layer-by-layer update.  Every pass is one row of indices into the joined
+    shards, in step order: one take gathers a pass's features, so each call
+    reads one contiguous slice, and one take gives the labels of all passes,
+    checked and turned into one-hot targets once.  Batches are never padded,
+    so every worker gets the bytes it would get in a stack of its own,
+    returned in input order as views of one (k, P) block.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -207,12 +230,17 @@ def sgd_epoch(
     order = sorted(range(len(perms)), key=lambda i: -perms[i].shape[1])  # longest first, stable
     perms = [perms[i] for i in order]
     sizes = [p.shape[1] for p in perms]
-    layers = [(w.take(order, axis=0), b.take(order, axis=0)) for w, b in model.layers]
+    arch = model.architecture
+    params = np.empty((len(data), param_bits(arch) // 64))  # P from arch: k may be 0
+    for views, layer in zip(_layout(params, arch), model.layers):
+        for view, array in zip(views, layer):
+            array.take(order, axis=0, out=view)
+    grads = np.empty_like(params)
     # one pass's schedule: workers of one batch length are a contiguous run of
     # the ordered stack (a full batch is a prefix, equal short tails mean equal
-    # sizes) and train in place on views of it
-    plan = []  # (row count, model of views), in training order
-    views: dict[tuple[int, int], ModelParameters] = {}  # worker range -> model of views
+    # sizes) and train in place on a row slice of the blocks
+    plan = []  # (row count, model of views, gradient views, parameter rows, gradient rows)
+    slices: dict[tuple[int, int], tuple] = {}  # worker range -> its views and rows
     rows = [np.empty((epochs, 0), dtype=np.intp)]  # every pass's rows, in step order
     for start in range(0, max(sizes, default=0), batch_size):
         groups: dict[int, list[int]] = {}  # batch length -> workers
@@ -221,13 +249,11 @@ def sgd_epoch(
                 groups.setdefault(min(batch_size, size - start), []).append(i)
         for length, group in groups.items():
             key = (group[0], group[-1] + 1)
-            if key not in views:
-                part = slice(*key)
-                views[key] = ModelParameters(
-                    layers=tuple((w[part], b[part]) for w, b in layers),
-                    architecture=model.architecture,
-                )
-            plan.append((length * len(group), views[key]))
+            if key not in slices:
+                p, g = params[slice(*key)], grads[slice(*key)]
+                slices[key] = (ModelParameters(layers=_layout(p, arch), architecture=arch),
+                               _layout(g, arch), p, g)
+            plan.append((length * len(group), *slices[key]))
             rows.extend(perms[i][:, start:start + length] for i in group)
     rows = np.concatenate(rows, axis=1)  # (epochs, rows of one pass)
     # the joined shards: empty heads fix the dtypes and let a stack hold no workers
@@ -244,20 +270,17 @@ def sgd_epoch(
         # the default mode="raise" would gather into a buffer and copy it over
         features.take(rows[epoch], axis=0, out=x_all, mode="clip")
         offset = 0
-        for n, sub in plan:
+        for n, sub, out, p, g in plan:
             stop = offset + n
-            _, grads = loss_and_gradient(sub, x_all[offset:stop], targets[epoch, offset:stop])
+            gradient(sub, x_all[offset:stop], targets[epoch, offset:stop], out)
             offset = stop
-            for (w, b), (gw, gb) in zip(sub.layers, grads):
-                gw *= lr  # the products lr * gw, without a stack-sized temporary
-                gb *= lr
-                w -= gw
-                b -= gb
+            g *= lr
+            p -= g
     inverse = sorted(range(len(order)), key=order.__getitem__)  # back to input order
-    for w, b in layers:  # in place: each temporary is one layer, freed at once
-        w[...] = w.take(inverse, axis=0)
-        b[...] = b.take(inverse, axis=0)
-    return ModelParameters(layers=tuple(layers), architecture=model.architecture)
+    # into the gradient block, which training no longer needs: no third stack-sized
+    # array; every index is a row, so clipping changes nothing and nothing is buffered
+    params.take(inverse, axis=0, out=grads, mode="clip")
+    return ModelParameters(layers=_layout(grads, arch), architecture=arch)
 
 
 def filter_samples(

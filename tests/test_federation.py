@@ -20,6 +20,7 @@ from feelsim.io_cli import (
     build_workers,
     load_config,
     load_dataset,
+    run_from_config,
     split_train_test,
 )
 from feelsim.learning import LabeledDataset, init_model, param_bits
@@ -508,18 +509,18 @@ class TestTrainingCallSites:
         from feelsim import learning
 
         rows, filtered = [], []
-        grad, keep = learning.loss_and_gradient, learning.filter_samples
+        grad, keep = learning.gradient, learning.filter_samples
 
-        def counting_grad(model, x, y):
+        def counting_grad(model, x, y, out):
             rows.append(x.shape[0])
-            return grad(model, x, y)
+            grad(model, x, y, out)
 
         def counting_filter(model, data, threshold):
             decision = keep(model, data, threshold)
             filtered.append((len(data), decision.included_indices.size))
             return decision
 
-        monkeypatch.setattr(learning, "loss_and_gradient", counting_grad)
+        monkeypatch.setattr(learning, "gradient", counting_grad)
         monkeypatch.setattr(learning, "filter_samples", counting_filter)
         fleet = make_fleet()
         cfg = fast_config(epochs=3, threshold=0.4)
@@ -535,4 +536,24 @@ class TestTrainingCallSites:
         # one call per step for all six 100-row shards, not one per worker
         batches = sum(math.ceil(n / cfg.batch_size) + (cfg.epochs - 1)
                       * math.ceil(kept / cfg.batch_size) for n, kept in filtered)
-        assert len(rows) < batches
+        assert 0 < len(rows) < batches
+
+    @pytest.mark.parametrize("preset, calls, rows", [
+        ("synthetic_unfiltered", 4000, 160000),
+        ("synthetic_filtered", 1764, 48820),
+    ])
+    def test_preset_step_counts(self, preset, calls, rows, monkeypatch, tmp_path):
+        # the SGD steps and rows a seed-1 preset run trains, pinned per preset
+        from feelsim import learning
+
+        seen = []
+        grad = learning.gradient
+
+        def counting_grad(model, x, y, out):
+            seen.append(x.shape[0])
+            grad(model, x, y, out)
+
+        monkeypatch.setattr(learning, "gradient", counting_grad)
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
+        run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
+        assert (len(seen), sum(seen)) == (calls, rows)

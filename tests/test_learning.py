@@ -290,6 +290,43 @@ class TestGradientAndSgd:
         assert acc >= 0.95
 
 
+class TestGradientInto:
+    """gradient writes the bytes of loss_and_gradient's gradients into views of
+    a flat (k, P) block, row i worker i's W0, b0, W1, b1, ... flattened."""
+
+    @staticmethod
+    def block_views(model):
+        k = model.layers[0][0].shape[0] if model.layers[0][0].ndim == 3 else None
+        block = np.full((1 if k is None else k, param_bits(model.architecture) // 64), np.nan)
+        views = learning._layout(block, model.architecture)
+        if k is None:  # a 2-D model writes into row 0
+            views = tuple((w[0], b[0]) for w, b in views)
+        return block, views
+
+    @pytest.mark.parametrize("arch, k, n", [
+        ([6, 5, 3], None, 17),  # 2-D model
+        ([6, 5, 4, 3], 3, 11),  # stacked: row stride P, not the layer size
+        ([6, 5, 3], 1, 9),  # a stack of one
+        ([784, 16, 10], 2, 20),  # 784 wide
+    ])
+    def test_views_of_a_flat_block_match_fresh_arrays(self, arch, k, n):
+        rng = np.random.default_rng(331)
+        members = [init_model(arch, rng) for _ in range(k or 1)]
+        model = members[0] if k is None else stacked(members)
+        rows = n * (k or 1)
+        x = rng.normal(size=(rows, arch[0]))
+        y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
+        _, want = loss_and_gradient(model, x, y)
+        block, views = self.block_views(model)
+        learning.gradient(model, x, y, views)
+        assert not np.isnan(block).any()  # every element written
+        for (gw, gb), (rw, rb) in zip(views, want, strict=True):
+            assert np.shares_memory(gw, block) and np.shares_memory(gb, block)
+            if k is not None and k > 1:
+                assert gw.strides[0] == gb.strides[0] == block.strides[0]
+            assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+
+
 class TestFiltering:
     def test_threshold_one_keeps_everything(self):
         model = init_model([6, 5, 3], np.random.default_rng(308))
@@ -464,11 +501,11 @@ class TestStackedRound:
 
     def test_one_gradient_call_per_batch_length(self, monkeypatch):
         rows, filtered, passes = [], [], []
-        grad, keep, epoch = learning.loss_and_gradient, learning.filter_samples, learning.sgd_epoch
+        grad, keep, epoch = learning.gradient, learning.filter_samples, learning.sgd_epoch
 
-        def counting(model, x, y):
+        def counting(model, x, y, out):
             rows.append(x.shape[0])
-            return grad(model, x, y)
+            grad(model, x, y, out)
 
         def recording(model, data, threshold):
             filtered.append((model, data))
@@ -478,7 +515,7 @@ class TestStackedRound:
             passes.append(epochs)
             return epoch(*args, epochs=epochs)
 
-        monkeypatch.setattr(learning, "loss_and_gradient", counting)
+        monkeypatch.setattr(learning, "gradient", counting)
         monkeypatch.setattr(learning, "filter_samples", recording)
         monkeypatch.setattr(learning, "sgd_epoch", sgd_passes)
         model = init_model([6, 5, 3], np.random.default_rng(322))
@@ -654,15 +691,16 @@ class TestEpochAgainstReference:
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_every_step_updates_views_of_one_stack(self, sizes, batch, monkeypatch):
         calls = []
-        grad = learning.loss_and_gradient
+        grad = learning.gradient
 
-        def recording(model, x, y):
+        def recording(model, x, y, out):
             calls.append(model.layers)
-            return grad(model, x, y)
+            grad(model, x, y, out)
 
-        monkeypatch.setattr(learning, "loss_and_gradient", recording)
+        monkeypatch.setattr(learning, "gradient", recording)
         stack, _, _, rows, streams = epoch_case(sizes, batch)
         sgd_epoch(stack, rows, batch, 0.1, streams())
+        assert bool(calls) == any(sizes)  # a stack with no rows takes no step
         for layers in calls:
             for (w, b), (w0, b0) in zip(layers, calls[0]):
                 assert w.base is not None and w.base is w0.base
