@@ -30,12 +30,6 @@ from .learning import (
     local_round,
     sgd_epoch,
 )
-from .numerics import (
-    GOLDEN_SHRINK,
-    Interval,
-    golden_section_min,
-    lambert_wm1,
-)
 from .resource_optimizer import (
     DeviceBounds,
     InfeasibleBandwidthError,

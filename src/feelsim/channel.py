@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from .numerics import ComplexVector
-
 _LN2 = float(np.log(2.0))
 
 
@@ -23,7 +21,7 @@ def sample_channel(
     rician_k_db: float,
     antennas: int,
     los_angle: float | None = None,
-) -> ComplexVector:
+) -> np.ndarray:
     """Draw one Rician-faded channel vector.
 
     The line-of-sight component is a unit-modulus steering vector at angle
@@ -46,7 +44,7 @@ def sample_channel(
     return np.sqrt(distance_m ** (-pathloss_exp)) * small
 
 
-def beam_and_gain(target: ComplexVector, noise_power_w: float) -> float:
+def beam_and_gain(target: np.ndarray, noise_power_w: float) -> float:
     """Per-watt SNR gain beta of matched filtering `target` on an interference-free sub-band.
 
     The matched combiner w = h / ||h|| maximizes |h^H w|^2 / (noise_power_w ||w||^2),

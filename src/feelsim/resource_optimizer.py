@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import Interval, golden_section_min, lambert_wm1
-
 _LN2 = math.log(2.0)
+
+# Interior probe ratio for golden-section search: (3 - sqrt(5)) / 2.
+GOLDEN_SHRINK = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class InfeasibleError(RuntimeError):
@@ -49,6 +50,24 @@ class InfeasiblePowerError(InfeasibleError):
 
 class InfeasibleBandwidthError(InfeasibleError):
     """No finite bandwidth meets the rate target at the given power."""
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Closed interval [lo, hi] with lo <= hi, both finite."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
+        if self.lo > self.hi:
+            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -176,16 +195,25 @@ def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: floa
     so the bits fit in the slot with finite bandwidth only if
     pi = model_bits ln2 / (t_up power beta) < 1; otherwise
     InfeasibleBandwidthError is raised.  With y = power beta / B the rate
-    equation reads ln(1 + y) = pi y, whose root y > 0 comes from the lower
-    Lambert-W branch: B = model_bits ln2 / (t_up (-W-1(-pi e^-pi) - pi)).
+    equation reads ln(1 + y) = pi y, whose one root y > 0 Newton finds.
 
-    Within about 1e-4 of pi = 1 the Lambert argument lies within rounding of
-    the branch point -1/e and the closed form keeps few digits of y, so Newton
-    steps on ln(1 + y) - pi y finish the job.  That function is concave, so
-    from the right of the root the steps fall monotonically onto it; a start
-    on the left is replaced by the bound y <= 1/pi^2 - 1, which follows from
-    ln(1 + y) <= y / sqrt(1 + y).  What is left is the problem's own
-    conditioning: y moves by pi / (1 - pi) times a relative change of pi.
+    f(y) = ln(1 + y) - pi y is concave with f(0) = 0 and f'(0) = 1 - pi > 0,
+    so it is positive left of the root and negative right of it, and Newton
+    steps started right of the root fall monotonically onto it.  The start is
+    the smaller of two points right of the root, that is, where f <= 0:
+      * y = -2 ln(pi) / pi.  There f <= 0 reads g(pi) = pi^2 + 2 pi ln(1/pi) <= 1,
+        which holds because g'(pi) = 2 (pi - 1 - ln pi) >= 0 and g(1) = 1.
+      * y = (1 - pi)(1 + pi) / pi^2 = 1/pi^2 - 1.  There f <= 0 follows from
+        ln(1 + y) <= y / sqrt(1 + y).
+    The same g <= 1 puts the first at or below the second, so the second
+    takes over only by rounding, near pi = 1.  Alone it would fail for small
+    pi: below about pi = 1e-18 its first step can round y to 0, and below
+    about 7e-155 it overflows to +inf.
+
+    What is left is the problem's own conditioning: y moves by pi / (1 - pi)
+    times a relative change of pi.  Below about pi = 8e-306 the first start
+    overflows too, and the root itself lies within a factor of 2 of the
+    largest float.
     """
     if t_up_s <= 0.0 or power_w <= 0.0 or beta <= 0.0:
         raise ValueError("t_up, power and beta must all be positive")
@@ -197,12 +225,11 @@ def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: floa
             f"rate target needs pi < 1 for a finite bandwidth, got pi = {pi:.6g}"
         )
     delta = 1.0 - pi
-    y = (-lambert_wm1(-pi * math.exp(-pi)) - pi) / pi
-    if math.log1p(y) > pi * y:
-        y = delta * (1.0 + pi) / (pi * pi)
+    y = min(-2.0 * math.log(pi) / pi, delta * (1.0 + pi) / pi / pi)
     for _ in range(100):
-        # (ln(1 + y) - pi y) over its derivative 1 / (1 + y) - pi, both < 0
-        step = (math.log1p(y) - pi * y) * (1.0 + y) / (delta - pi * y)
+        # (ln(1 + y) - pi y) over its derivative 1 / (1 + y) - pi, both < 0;
+        # the quotient comes first: the product overflows for pi below 5e-303
+        step = (math.log1p(y) - pi * y) * ((1.0 + y) / (delta - pi * y))
         if not step > 0.0 or y - step == y:
             break
         y -= step
@@ -283,6 +310,53 @@ def round_energy_slope(
         return -math.inf
     x = workload.model_bits * _LN2 / (t_up_s * bandwidth_hz)
     return slope_cmp - bandwidth_hz * _upload_slope_loss(x) / beta
+
+
+def golden_section_min(
+    f,
+    bounds: Interval,
+    tol: float = 1e-6,
+    max_iter: int = 1000,
+) -> tuple[float, float]:
+    """Minimize a scalar function over a closed interval by golden-section search.
+
+    Keeps one previous probe per iteration: with r = GOLDEN_SHRINK the probes
+    are x1 = lo + r (hi - lo) and x2 = lo + (1 - r)(hi - lo); f(x1) < f(x2)
+    shrinks the right side, otherwise the left.  Stops when the bracket is
+    narrower than tol or after max_iter shrinks, and returns the better of the
+    two final probes as (argmin, fmin).
+
+    The objective may return +inf to mark infeasible points; the bracket then
+    contracts away from the infeasible side as long as the feasible region is
+    an interval.  On an objective that is not unimodal on the bracket the
+    result may be only a local minimum.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    lo, hi = bounds.lo, bounds.hi
+    if hi - lo <= 0.0:
+        return lo, f(lo)
+
+    r = GOLDEN_SHRINK
+    x1 = lo + r * (hi - lo)
+    x2 = lo + (1.0 - r) * (hi - lo)
+    f1 = f(x1)
+    f2 = f(x2)
+    it = 0
+    while (hi - lo) > tol and it < max_iter:
+        it += 1
+        if f1 < f2:
+            # minimum cannot sit right of x2
+            hi = x2
+            x2, f2 = x1, f1
+            x1 = lo + r * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo = x1
+            x1, f1 = x2, f2
+            x2 = lo + (1.0 - r) * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def minimize_round_energy(

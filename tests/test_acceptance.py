@@ -31,13 +31,13 @@ from feelsim.learning import (
     loss_and_gradient,
     param_bits,
 )
-from feelsim.numerics import lambert_wm1
 from feelsim.resource_optimizer import (
     DeviceBounds,
     Workload,
     computation_energy,
     effective_cycles,
     minimize_round_energy,
+    optimal_bandwidth,
     required_power,
     upload_time_bounds,
 )
@@ -177,23 +177,23 @@ def test_criterion_02_plans_match_brute_force():
             f"max energy excess {worst_e:.3e} (tol 1e-6)")
 
 
-def test_criterion_03_lambert_residuals():
-    """w * exp(w) must reproduce x across the lower branch, the one
-    optimal_bandwidth uses: -1/e < x < 0, relative to |x|, with w <= -1."""
-    lo = -1.0 / math.e + 1e-9
-    xs = np.concatenate([
-        np.linspace(lo, -0.01, 4000),
-        -np.geomspace(0.01, 1e-300, 6000),
+def test_criterion_03_bandwidth_split_residuals():
+    """The bandwidth split must solve its rate equation ln(1 + y) = pi y,
+    with y = p beta / B from optimal_bandwidth and pi as it computes it,
+    relative to pi y, for pi from 1e-305 up to 1 - 1e-9."""
+    bits, t, p = 1, 1.0, 1.0  # keeps beta finite down to pi = 1e-305
+    targets = np.concatenate([
+        np.geomspace(1e-305, 0.01, 6000),
+        np.linspace(0.01, 1.0 - 1e-9, 4000),
     ])
     worst = 0.0
-    on_branch = True
-    for x in xs:
-        w = lambert_wm1(float(x))
-        worst = max(worst, abs(w * math.exp(w) - x) / abs(x))
-        on_branch = on_branch and w <= -1.0
-    verdict(3, "lambert residuals", worst <= 1e-10 and on_branch,
-            f"max relative residual {worst:.3e} over {xs.size} points (tol 1e-10), "
-            f"all on W-1: {on_branch}")
+    for target in targets:
+        beta = bits * LN2 / (t * p * float(target))
+        pi = bits * LN2 / (t * p * beta)
+        y = p * beta / optimal_bandwidth(bits, t, p, beta)
+        worst = max(worst, abs(math.log1p(y) - pi * y) / (pi * y))
+    verdict(3, "bandwidth-split residuals", worst <= 1e-10,
+            f"max relative residual {worst:.3e} over {targets.size} values of pi (tol 1e-10)")
 
 
 def test_criterion_04_beamformer_optimality():

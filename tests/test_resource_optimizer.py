@@ -10,17 +10,19 @@ from scipy.special import lambertw as scipy_lambertw
 from feelsim import federation, resource_optimizer
 from feelsim.channel import uplink_rate
 from feelsim.io_cli import load_config, run_from_config
-from feelsim.numerics import golden_section_min
 from feelsim.resource_optimizer import (
+    GOLDEN_SHRINK,
     DeviceBounds,
     InfeasibleBandwidthError,
     InfeasibleDeadlineError,
     InfeasibleError,
     InfeasiblePowerError,
+    Interval,
     ResourcePlan,
     Workload,
     computation_energy,
     effective_cycles,
+    golden_section_min,
     minimize_round_energy,
     optimal_bandwidth,
     required_power,
@@ -30,7 +32,8 @@ from feelsim.resource_optimizer import (
 )
 
 LN2 = math.log(2.0)
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
                       capacitance=2e-28)
 
@@ -325,19 +328,28 @@ class TestOptimalBandwidth:
             # and it is the smallest such bandwidth: the rate grows with it
             assert uplink_rate(bw * (1 - 1e-6), beta, p) * t < bits
 
-    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
-    def test_near_pi_one_matches_exact_root(self, gap):
-        # pi = 1 - gap puts the Lambert argument within gap^2 / 2 of the branch
-        # point; the bandwidth must still match the root y of ln(1 + y) = pi y
-        # taken to 60 digits, up to the conditioning pi / (1 - pi) of y in pi
+    @pytest.mark.parametrize("target", [
+        *(pytest.param(1.0 - gap, id=str(gap))
+          for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)),
+        # far from pi = 1, where a start from 1/pi^2 - 1 alone rounds to 0
+        # (1e-30) or overflows (1e-200)
+        pytest.param(1e-30, id="pi=1e-30"),
+        pytest.param(1e-200, id="pi=1e-200"),
+    ])
+    def test_near_pi_one_matches_exact_root(self, target):
+        # pi = 1 - gap puts the root y of ln(1 + y) = pi y within about 2 gap
+        # of 0; the bandwidth must still match that root taken to 60 digits,
+        # up to the conditioning pi / (1 - pi) of y in pi
         bits, t, p = 1_000_000, 1.0, 0.1
-        beta = self.beta_for(1.0 - gap, bits, t, p)
+        beta = self.beta_for(target, bits, t, p)
         pi_float = bits * LN2 / (t * p * beta)  # the pi the planner computes
         bw = optimal_bandwidth(bits, t, p, beta)
         with localcontext() as ctx:
             ctx.prec = 60
             pi = Decimal(pi_float)
-            y = 1 / (pi * pi) - 1  # right of the root: Newton falls onto it
+            # right of the root, so Newton falls onto it; 1/pi^2 - 1 would need
+            # some 200 more digits for its first step at pi = 1e-200
+            y = -2 * pi.ln() / pi
             for _ in range(200):
                 step = ((1 + y).ln() - pi * y) / (1 / (1 + y) - pi)
                 y -= step
@@ -728,3 +740,102 @@ class TestEdgeCertificate:
         run_from_config(cfg, seed=1, out_dir=tmp_path, quiet=True)
         assert len(plans) == 20
         assert len(searches) < len(plans) / 4, (len(searches), len(plans))
+
+
+def convex_quartic_argmin(a: float, b: float, c: float, d: float) -> float:
+    """Exact argmin on [0, 1] of (t - b)^2 (a (t - b)^2 + c) + d t, a > 0, c >= 0.
+
+    The derivative 4a s^3 + 2c s + d in s = t - b is strictly increasing, so
+    its one real root (Cardano, in the form free of cancellation) clipped to
+    [0, 1] is the minimizer.
+    """
+    p, q = c / (2.0 * a), d / (4.0 * a)  # s^3 + p s + q = 0
+    v = float(np.cbrt(-(q / 2.0 + math.copysign(math.sqrt(q * q / 4.0 + p**3 / 27.0), q))))
+    s = v - p / (3.0 * v) if v != 0.0 else 0.0
+    return min(1.0, max(0.0, b + s))
+
+
+def test_golden_shrink_constant():
+    assert GOLDEN_SHRINK == (3.0 - math.sqrt(5.0)) / 2.0
+    assert abs(GOLDEN_SHRINK - 0.3819660112501051) < 1e-15
+
+
+class TestGoldenSection:
+    def test_shifted_quadratic(self):
+        x, fx = golden_section_min(lambda t: (t - 2.0) ** 2, Interval(0.0, 5.0))
+        assert abs(x - 2.0) <= 1e-6
+        assert fx <= 1e-11
+
+    def test_random_convex_quartics_match_grid(self):
+        # 1,000 convex quartics against their exact argmin, which the first
+        # few check against a dense grid
+        rng = np.random.default_rng(123)
+        grid = np.linspace(0.0, 1.0, 1_000_001)
+        for case in range(1000):
+            a = rng.uniform(0.1, 5.0)
+            b = rng.uniform(-0.5, 1.5)
+            c = rng.uniform(0.0, 3.0)
+            d = rng.uniform(-2.0, 2.0)
+            exact = convex_quartic_argmin(a, b, c, d)
+            if case < 5:
+                s = grid - b
+                s2 = s * s
+                vals = s2 * (a * s2 + c) + d * grid
+                assert abs(grid[int(np.argmin(vals))] - exact) <= 1e-6
+
+            def f(t, a=a, b=b, c=c, d=d):
+                u = (t - b) ** 2
+                return u * (a * u + c) + d * t
+
+            x, _ = golden_section_min(f, Interval(0.0, 1.0), tol=1e-9)
+            assert abs(x - exact) <= 1e-6, f"argmin off by {abs(x - exact):.2e}"
+
+    def test_boundary_minimum(self):
+        x, _ = golden_section_min(lambda t: t, Interval(0.0, 1.0), tol=1e-10)
+        assert x <= 1e-9
+
+    def test_infeasible_left_wall(self):
+        # +inf plateau on the left must not trap the bracket
+        def f(t):
+            return math.inf if t < 0.3 else (t - 0.5) ** 2
+
+        x, fx = golden_section_min(f, Interval(0.0, 1.0), tol=1e-9)
+        assert abs(x - 0.5) <= 1e-6
+        assert fx <= 1e-12
+
+    def test_degenerate_interval(self):
+        x, fx = golden_section_min(lambda t: t * t, Interval(2.0, 2.0))
+        assert x == 2.0 and fx == 4.0
+
+    def test_interval_validation(self):
+        with pytest.raises(ValueError):
+            Interval(2.0, 1.0)
+        with pytest.raises(ValueError):
+            Interval(0.0, math.inf)
+
+    def test_bad_tol(self):
+        with pytest.raises(ValueError):
+            golden_section_min(lambda t: t, Interval(0.0, 1.0), tol=0.0)
+
+
+class TestTracerContract:
+    def test_probe_wraps_golden_section_and_restores_every_name(self, monkeypatch):
+        # bench/tracer.py rebinds module globals by name, golden_section_min
+        # among them, and reads its max_iter argument by name; moving or
+        # renaming any of them breaks the benchmark's trace
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import tracer
+        from feelsim import io_cli, learning
+
+        modules = (federation, io_cli, learning, resource_optimizer)
+        before = [dict(vars(m)) for m in modules]
+        with tracer.Probe(trace=True) as probe:
+            rebound = {name for m, names in zip(modules, before)
+                       for name, value in names.items() if vars(m)[name] is not value}
+            x, _ = resource_optimizer.golden_section_min(
+                lambda t: (t - 2.0) ** 2, Interval(0.0, 5.0))
+        assert {"golden_section_min", "round_energy_objective"} <= rebound
+        assert probe.spans["numerics.golden"][0] == 1
+        assert abs(x - 2.0) <= 1e-6
+        for m, names in zip(modules, before):
+            assert all(vars(m)[name] is value for name, value in names.items()), m.__name__
