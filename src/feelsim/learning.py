@@ -8,6 +8,7 @@ training schedule.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,15 +80,6 @@ def param_bits(architecture: Sequence[int]) -> int:
     return 64 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(arch[:-1], arch[1:]))
 
 
-def _stack(model: ModelParameters, k: int) -> ModelParameters:
-    """k copies of a 2-D model along a new leading worker axis."""
-    return ModelParameters(
-        layers=tuple((np.repeat(w[None], k, axis=0), np.repeat(b[None], k, axis=0))
-                     for w, b in model.layers),
-        architecture=model.architecture,
-    )
-
-
 def _member(model: ModelParameters, i: int) -> ModelParameters:
     """Worker i of a stacked model, as 2-D views."""
     return ModelParameters(
@@ -95,32 +87,52 @@ def _member(model: ModelParameters, i: int) -> ModelParameters:
     )
 
 
-def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Probabilities and the per-layer activations needed for backprop.
+class _Workspace(tuple):
+    """The (gw, gb) pairs gradient writes, plus each layer's output, the backward products,
+    the transposed-weight and broadcast-bias views and a class-major logits buffer for the
+    row max (numpy's max over a short last axis is slow, over axis 0 it is not)."""
 
-    A stacked model (weights (k, out, in), biases (k, out)) takes x of shape
-    (k, n, d) and runs x[i] through worker i; every product and reduction on
-    a slice is the one a 2-D call makes, so each slice's bytes are too.
-    """
-    if x.ndim != model.layers[0][0].ndim or x.shape[-1] != model.architecture[0]:
-        raise ValueError(
-            f"input shape {x.shape} does not match network input width "
-            f"{model.architecture[0]}"
-        )
-    acts = [x]
-    a = x
-    last = len(model.layers) - 1
-    for i, (w, b) in enumerate(model.layers):
-        z = a @ w.swapaxes(-1, -2)
-        z += b[..., None, :]
-        if i < last:
-            a = np.maximum(z, 0.0, out=z)
-            acts.append(a)
-        else:
-            z -= np.maximum.reduce(z, axis=-1, keepdims=True)  # shift-invariant softmax
-            a = np.exp(z, out=z)
-            a /= np.add.reduce(a, axis=-1, keepdims=True)
-    return a, acts
+    def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...]):
+        ws = super().__new__(cls, grads)  # shape: a batch's leading dims, (k, n) or (n,)
+        ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, model.architecture[0])
+        ws.weights_t = [w.swapaxes(-1, -2) for w, _ in model.layers]
+        ws.biases = [b[..., None, :] for _, b in model.layers]
+        ws.out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
+        ws.back = [np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]]
+        ws.delta_t = [d.swapaxes(-1, -2) for d in (*ws.back, ws.out[-1])]  # layer i's
+        ws.delta = ws.out[-1].reshape(ws.rows, model.architecture[-1])  # as (rows, classes)
+        ws.logits_t = ws.out[-1].transpose(-1, *range(len(shape)))  # class-major view
+        ws.classes, ws.row_max = np.empty(ws.logits_t.shape), np.empty(shape)
+        ws.shift, ws.row_sum = ws.row_max[..., None], np.empty((*shape, 1))
+        return ws
+
+
+def _forward(ws: _Workspace, x: np.ndarray) -> np.ndarray:
+    """Softmax probabilities of x into ws.out[-1], the hidden activations into ws.out[:-1].
+
+    A max is exact in any order; the sum stays on the last axis, where numpy adds 8 or
+    more classes in an order that a class-major sum would not keep."""
+    a, last = x, len(ws.out) - 1
+    for i, z in enumerate(ws.out):
+        np.matmul(a, ws.weights_t[i], out=z)
+        z += ws.biases[i]
+        a = np.maximum(z, 0.0, out=z) if i < last else z
+    np.copyto(ws.classes, ws.logits_t)
+    np.maximum.reduce(ws.classes, axis=0, out=ws.row_max)
+    a -= ws.shift  # shift-invariant softmax
+    np.exp(a, out=a)
+    a /= np.add.reduce(a, axis=-1, keepdims=True, out=ws.row_sum)
+    return a
+
+
+def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Probabilities and the per-layer activations needed for backprop.  A stacked model
+    (weights (k, out, in)) runs x[i] of x (k, n, d) through worker i as a 2-D call would."""
+    arch = model.architecture
+    if x.ndim != model.layers[0][0].ndim or x.shape[-1] != arch[0]:
+        raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
+    ws = _Workspace(model, (), x.shape[:-1])
+    return _forward(ws, x), [x, *ws.out[:-1]]
 
 
 def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
@@ -129,34 +141,37 @@ def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
 
     Args:
         model: current parameters, 2-D or stacked over k workers.
-        x: batch features, shape (n, d); for a stacked model, k batches of
-            n rows one after another, shape (k*n, d), worker i's first.
-        y: target rows, shape (rows, classes) for the rows of x: one-hot
-            for a labelled batch (np.eye(classes)[labels]).
-        out: one (gw, gb) pair per layer, shaped like model.layers; every
-            element is overwritten, and views of a larger block will do.
+        x: batch features, shape (n, d); for a stacked model, k batches of n rows one
+            after another, shape (k*n, d), worker i's first.
+        y: target rows, shape (rows, classes): one-hot for a labelled batch.
+        out: one (gw, gb) pair per layer, shaped like model.layers (views of a larger block
+            will do), every element overwritten.  A _Workspace for this model and row
+            count also holds every temporary; any other sequence is wrapped in one.
     """
-    rows, classes = x.shape[0], model.architecture[-1]
+    arch, rows = model.architecture, x.shape[0]
+    if x.ndim != 2 or x.shape[1] != arch[0]:
+        raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
     if rows == 0:
         raise ValueError("cannot take the gradient of an empty batch")
-    if y.shape != (rows, classes):
-        raise ValueError(f"targets must have shape {(rows, classes)}, got {y.shape}")
-    weights = model.layers[0][0]
-    if weights.ndim == 3:
-        x = x.reshape(weights.shape[0], -1, x.shape[-1])
-    n = x.shape[-2]
-    delta, acts = _forward_batch(model, x)  # d loss / d logits = (probs - targets) / n, in place
-    delta -= y.reshape(delta.shape)
-    delta /= n
-    for i in range(len(model.layers) - 1, -1, -1):
+    if y.shape != (rows, arch[-1]):
+        raise ValueError(f"targets must have shape {(rows, arch[-1])}, got {y.shape}")
+    if not (isinstance(out, _Workspace) and out.model is model and out.rows == rows):
+        lead = model.layers[0][0].shape[:-2]  # (k,) for a stack of k workers, else ()
+        out = _Workspace(model, out, (*lead, rows // math.prod(lead)))
+    x = x.reshape(out.x_shape)
+    delta = _forward(out, x)  # d loss / d logits = (probs - targets) / n, in place
+    out.delta -= y
+    delta /= float(x.shape[-2])  # same bytes; numpy divides by a Python int more slowly
+    for i in range(len(arch) - 2, -1, -1):
+        a = out.out[i - 1] if i else x
         gw, gb = out[i]
-        np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
+        np.matmul(out.delta_t[i], a, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
-            delta = delta @ model.layers[i][0]
-            # ReLU mask, subgradient 0 at the kink: activations are +0.0 or
-            # positive, so their sign is exactly 0.0 or 1.0
-            delta *= np.sign(acts[i])
+            delta = np.matmul(delta, model.layers[i][0], out=out.back[i - 1])
+            # ReLU mask, subgradient 0 at the kink: activations are +0.0 or positive, so
+            # their sign, written over them as nothing reads them again, is 0.0 or 1.0
+            delta *= np.sign(a, out=a)
 
 
 def loss_and_gradient(
@@ -164,9 +179,9 @@ def loss_and_gradient(
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean cross entropy over a batch and its gradient wrt every parameter.
 
-    Arguments as for gradient; returns (loss, grads) with grads fresh arrays
-    shaped exactly like model.layers and the loss the mean over all rows.
-    Training steps through gradient alone and never computes the loss.
+    Arguments as for gradient; returns (loss, grads), grads fresh arrays
+    shaped like model.layers, the loss the mean over all rows from a second
+    forward pass.  Training steps through gradient alone.
     """
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in model.layers]
     gradient(model, x, y, grads)
@@ -185,34 +200,84 @@ def _layout(block: np.ndarray, arch: tuple[int, ...]) -> tuple[tuple[np.ndarray,
     return tuple(layers)
 
 
+class _Stack:
+    """k workers' models trained as one: row j of a (k, P) parameter block is worker
+    order[j]'s W0, b0, W1, b1, ... flattened, beside a gradient block of the same shape.
+    Step workspaces (per row slice and batch length) and the last plan stay until reorder."""
+
+    def __init__(self, model: ModelParameters, k: int):
+        self.arch, self.order = model.architecture, list(range(k))
+        self.params = np.empty((k, param_bits(self.arch) // 64))  # P from arch: k may be 0
+        self.grads = np.empty_like(self.params)
+        self.reorder(self.order)
+        for views, layer in zip(self.model.layers, model.layers):
+            for view, array in zip(views, layer):
+                np.copyto(view, array)  # a 2-D model fills every row
+
+    def reorder(self, order: list[int]) -> None:
+        """Put worker order[j] in row j."""
+        if order != self.order:
+            # via the gradient block, free between steps; every index is a row, so "clip"
+            # changes nothing, and unlike "raise" it writes without an interim copy
+            self.params.take([self.position[i] for i in order], axis=0, out=self.grads, mode="clip")
+            self.params, self.grads = self.grads, self.params
+        self.order, self.steps, self.schedule = order, {}, None
+        self.position = sorted(range(len(order)), key=order.__getitem__)  # worker -> row
+        self.model = ModelParameters(_layout(self.params, self.arch), self.arch)
+
+    def plan(self, sizes: list[int], batch_size: int) -> tuple:
+        """A pass's plan for workers of these row counts, rows ordered longest first so that
+        workers whose batches have the same length at a step are a row slice of the blocks.
+
+        Returns (pos, x, y, steps): pos picks a pass's rows, in step order, from the workers'
+        shuffled rows laid end to end; x and y take their features and targets; a step is
+        (model, x rows, y rows, workspace, p rows, g rows)."""
+        if any(sizes[i] < sizes[j] for i, j in zip(self.order, self.order[1:])):
+            self.reorder(sorted(range(len(sizes)), key=lambda i: -sizes[i]))  # ties: worker order
+        if self.schedule is None or self.schedule[0] != (sizes, batch_size):
+            first = list(itertools.accumulate(sizes, initial=0))
+            x, y = np.empty((first[-1], self.arch[0])), np.empty((first[-1], self.arch[-1]))
+            pos, steps = [], []
+            for start in range(0, max(sizes, default=0), batch_size):
+                groups: dict[int, list[int]] = {}  # batch length -> rows of the stack
+                for j, i in enumerate(self.order):
+                    if sizes[i] > start:
+                        groups.setdefault(min(batch_size, sizes[i] - start), []).append(j)
+                for n, group in groups.items():
+                    lo, hi = group[0], group[-1] + 1
+                    key = (lo, hi, n)
+                    if key not in self.steps:
+                        p, g = self.params[lo:hi], self.grads[lo:hi]
+                        sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
+                        self.steps[key] = _Workspace(sub, _layout(g, self.arch), (hi - lo, n)), p, g
+                    ws, p, g = self.steps[key]
+                    at = slice(len(pos), len(pos) + ws.rows)
+                    steps.append((ws.model, x[at], y[at], ws, p, g))
+                    for i in self.order[lo:hi]:
+                        pos.extend(range(first[i] + start, first[i] + start + n))
+            self.schedule = ((sizes, batch_size), (np.array(pos, dtype=np.intp), x, y, steps))
+        return self.schedule[1]
+
+
 def sgd_epoch(
-    model: ModelParameters,
-    data: Sequence[LabeledDataset],
+    model: ModelParameters | _Stack,
+    data: LabeledDataset,
+    rows: Sequence[np.ndarray],
     batch_size: int,
     lr: float,
     rng: Sequence[np.random.Generator],
     epochs: int = 1,
-) -> ModelParameters:
+) -> ModelParameters | _Stack:
     """`epochs` passes of mini-batch SGD for a stack of k workers, each in a fresh shuffle.
 
-    The model is stacked (see local_round), and data and rng are k-long
-    sequences: worker i trains on every row of data[i], one pass in the order
-    rng[i].permutation(len(data[i])), drawn afresh for each pass.  A pass
-    runs ceil(len(data[i]) / batch_size) updates (the tail batch may be
-    short); returns new parameters, the input model is untouched.
-
-    The stack trains as a copy ordered longest shard first (ties in worker
-    order): one (k, P) parameter block, row i a worker's W0, b0, W1, b1, ...
-    flattened, beside a gradient block of the same shape.  At each step the
-    workers whose batches have the same length are neighbours, a row slice
-    of both blocks: one gradient call writes into views of the slice, and
-    the update is g *= lr then p -= g, each element's operations in a
-    layer-by-layer update.  Every pass is one row of indices into the joined
-    shards, in step order: one take gathers a pass's features, so each call
-    reads one contiguous slice, and one take gives the labels of all passes,
-    checked and turned into one-hot targets once.  Batches are never padded,
-    so every worker gets the bytes it would get in a stack of its own,
-    returned in input order as views of one (k, P) block.
+    Worker i trains on the rows rows[i] of data (indices as numpy's take reads them), a
+    pass in the order rows[i][rng[i].permutation(len(rows[i]))] drawn afresh each time, of
+    ceil(len(rows[i]) / batch_size) updates.  model is a stacked model (see local_round),
+    left untouched, and the result new parameters in worker order; or local_round's
+    _Stack, trained in place and returned.  A step is one gradient call per batch length
+    into a row slice's workspace (_Stack.plan), then g *= lr and p -= g.  One take gathers
+    a pass's features and one its targets, in step order, so each call reads contiguous
+    slices.  Batches are never padded: every worker gets the bytes of a stack of its own.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -220,67 +285,41 @@ def sgd_epoch(
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    weights = model.layers[0][0]
-    if weights.ndim != 3 or weights.shape[0] != len(data):
-        raise ValueError(f"{len(data)} datasets for a model of weight shape {weights.shape}")
-    perms, first = [], 0  # per worker, (epochs, size): its shuffles as rows of the joined shards
-    for d, r in zip(data, rng, strict=True):
-        perms.append(np.stack([r.permutation(len(d)) for _ in range(epochs)]) + first)
-        first += len(d)
-    order = sorted(range(len(perms)), key=lambda i: -perms[i].shape[1])  # longest first, stable
-    perms = [perms[i] for i in order]
-    sizes = [p.shape[1] for p in perms]
-    arch = model.architecture
-    params = np.empty((len(data), param_bits(arch) // 64))  # P from arch: k may be 0
-    for views, layer in zip(_layout(params, arch), model.layers):
-        for view, array in zip(views, layer):
-            array.take(order, axis=0, out=view)
-    grads = np.empty_like(params)
-    # one pass's schedule: workers of one batch length are a contiguous run of
-    # the ordered stack (a full batch is a prefix, equal short tails mean equal
-    # sizes) and train in place on a row slice of the blocks
-    plan = []  # (row count, model of views, gradient views, parameter rows, gradient rows)
-    slices: dict[tuple[int, int], tuple] = {}  # worker range -> its views and rows
-    rows = [np.empty((epochs, 0), dtype=np.intp)]  # every pass's rows, in step order
-    for start in range(0, max(sizes, default=0), batch_size):
-        groups: dict[int, list[int]] = {}  # batch length -> workers
-        for i, size in enumerate(sizes):
-            if size > start:
-                groups.setdefault(min(batch_size, size - start), []).append(i)
-        for length, group in groups.items():
-            key = (group[0], group[-1] + 1)
-            if key not in slices:
-                p, g = params[slice(*key)], grads[slice(*key)]
-                slices[key] = (ModelParameters(layers=_layout(p, arch), architecture=arch),
-                               _layout(g, arch), p, g)
-            plan.append((length * len(group), *slices[key]))
-            rows.extend(perms[i][:, start:start + length] for i in group)
-    rows = np.concatenate(rows, axis=1)  # (epochs, rows of one pass)
-    # the joined shards: empty heads fix the dtypes and let a stack hold no workers
-    labels = np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]).take(rows)
-    classes = model.architecture[-1]
+    rows = [np.asarray(r, dtype=np.intp) for r in rows]
+    stack = model
+    if not isinstance(model, _Stack):
+        weights = model.layers[0][0]
+        if weights.ndim != 3 or weights.shape[0] != len(rows):
+            raise ValueError(f"{len(rows)} row sets for a model of weight shape {weights.shape}")
+        stack = _Stack(model, len(rows))
+    if not len(stack.order) == len(rows) == len(rng):
+        raise ValueError(f"{len(rows)} row sets, {len(rng)} streams, {len(stack.order)} workers")
+    sizes = [len(r) for r in rows]
+    shuffled = np.empty((epochs, sum(sizes)), dtype=np.intp)  # each pass's rows, worker by worker
+    for r, g, at in zip(rows, rng, itertools.accumulate(sizes, initial=0)):
+        part = shuffled[:, at:at + len(r)]
+        part[...] = r
+        for row in part:
+            g.shuffle(row)  # the draws of g.permutation(len(r)), applied to r
+    pos, x, y, steps = stack.plan(sizes, batch_size)
+    cols = shuffled.take(pos, axis=1)  # (epochs, rows of one pass), in step order
+    labels = data.labels.take(cols)  # mode "raise": every index is a row of data
+    onehot = np.eye(stack.arch[-1])
     if labels.size and (np.minimum.reduce(labels, axis=None) < 0
-                        or np.maximum.reduce(labels, axis=None) >= classes):
-        raise ValueError(f"labels outside [0, {classes})")
-    targets = np.eye(classes).take(labels, axis=0)
-    features = np.concatenate([np.empty((0, model.architecture[0])), *(d.features for d in data)])
-    x_all = np.empty((rows.shape[1], model.architecture[0]))  # one pass's rows, refilled
+                        or np.maximum.reduce(labels, axis=None) >= len(onehot)):
+        raise ValueError(f"labels outside [0, {len(onehot)})")
     for epoch in range(epochs):
-        # every index is a row of the joined shards, so clipping changes nothing;
-        # the default mode="raise" would gather into a buffer and copy it over
-        features.take(rows[epoch], axis=0, out=x_all, mode="clip")
-        offset = 0
-        for n, sub, out, p, g in plan:
-            stop = offset + n
-            gradient(sub, x_all[offset:stop], targets[epoch, offset:stop], out)
-            offset = stop
+        # every index is checked, and unlike "raise" these write without an interim copy
+        data.features.take(cols[epoch], axis=0, out=x, mode="wrap")
+        onehot.take(labels[epoch], axis=0, out=y, mode="wrap")
+        for sub, xs, ys, ws, p, g in steps:
+            gradient(sub, xs, ys, ws)
             g *= lr
             p -= g
-    inverse = sorted(range(len(order)), key=order.__getitem__)  # back to input order
-    # into the gradient block, which training no longer needs: no third stack-sized
-    # array; every index is a row, so clipping changes nothing and nothing is buffered
-    params.take(inverse, axis=0, out=grads, mode="clip")
-    return ModelParameters(layers=_layout(grads, arch), architecture=arch)
+    if stack is model:
+        return stack
+    stack.reorder(list(range(len(rows))))  # back to worker order
+    return stack.model
 
 
 def filter_samples(
@@ -299,7 +338,7 @@ def filter_samples(
     included = []
     for start in range(0, len(data), _EVAL_CHUNK):
         probs, _ = _forward_batch(model, data.features[start : start + _EVAL_CHUNK])
-        keep = probs.max(axis=1) <= threshold
+        keep = np.maximum.reduce(probs.T.copy(), axis=0) <= threshold  # see _Workspace
         included.append(np.flatnonzero(keep) + start)
     idx = np.concatenate(included) if included else np.empty(0, dtype=np.intp)
     return FilterDecision(included_indices=idx, excluded_count=len(data) - idx.size)
@@ -316,28 +355,31 @@ def local_round(
 ) -> tuple[list[ModelParameters], list[FilterDecision]]:
     """The workers' round: full first epoch, filter, remaining epochs on the rest.
 
-    data and rng hold one dataset and one stream per worker.  Every worker
-    starts from global_model and they train as one stack: weights
-    (k, out, in) and biases (k, out), one SGD step for all of them at a time
-    (see sgd_epoch).  That is two sgd_epoch calls: one pass on every sample,
-    then, after each worker is filtered on its own model, epochs - 1 passes
-    on the rows its filter kept.  The filter always runs (its verdict prices
-    the round's workload) but with epochs == 1 training is exactly one plain
-    epoch, in one call.  Returns the lists of models and decisions, in worker
+    data and rng hold one dataset and one stream per worker.  The round is set up once:
+    the shards joined into one dataset (worker i's rows [a_i, b_i)), one _Stack filled from
+    global_model.  Two sgd_epoch calls train it in place, sharing its workspaces: a pass
+    on every row, then, after each worker is filtered on its own model (views of its row),
+    epochs - 1 passes on a_i + the rows it kept.  The filter always runs: its verdict
+    prices the round.  Returns models (views of the stack's block) and decisions in worker
     order; a worker's bytes do not depend on which others share its stack.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if any(len(d) == 0 for d in data):
         raise ValueError("cannot train on an empty dataset")
-    stack = sgd_epoch(_stack(global_model, len(data)), data, batch_size, lr, rng)
-    decisions = [filter_samples(_member(stack, i), d, threshold) for i, d in enumerate(data)]
+    # empty heads fix the dtypes and let a round hold no workers
+    joined = LabeledDataset(
+        np.concatenate([np.empty((0, global_model.architecture[0])), *(d.features for d in data)]),
+        np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]))
+    firsts = list(itertools.accumulate((len(d) for d in data), initial=0))
+    stack = sgd_epoch(_Stack(global_model, len(data)), joined,
+                      [np.arange(a, b) for a, b in zip(firsts, firsts[1:])], batch_size, lr, rng)
+    decisions = [filter_samples(_member(stack.model, stack.position[i]), d, threshold)
+                 for i, d in enumerate(data)]
     if epochs > 1:
-        # a worker that kept every row passes d itself: a copy of it would only add memory
-        kept = [d if decision.excluded_count == 0 else d.take(decision.included_indices)
-                for d, decision in zip(data, decisions)]
-        stack = sgd_epoch(stack, kept, batch_size, lr, rng, epochs=epochs - 1)
-    return [_member(stack, i) for i in range(len(data))], decisions
+        kept = [a + decision.included_indices for a, decision in zip(firsts, decisions)]
+        stack = sgd_epoch(stack, joined, kept, batch_size, lr, rng, epochs=epochs - 1)
+    return [_member(stack.model, j) for j in stack.position], decisions
 
 
 def aggregate(updates: Sequence[tuple[ModelParameters, int]]) -> ModelParameters:

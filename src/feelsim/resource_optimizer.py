@@ -213,7 +213,7 @@ def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: floa
     What is left is the problem's own conditioning: y moves by pi / (1 - pi)
     times a relative change of pi.  Below about pi = 8e-306 the first start
     overflows too, and the root itself lies within a factor of 2 of the
-    largest float.
+    largest float: then, or if 100 Newton steps do not settle, ValueError.
     """
     if t_up_s <= 0.0 or power_w <= 0.0 or beta <= 0.0:
         raise ValueError("t_up, power and beta must all be positive")
@@ -226,14 +226,16 @@ def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: floa
         )
     delta = 1.0 - pi
     y = min(-2.0 * math.log(pi) / pi, delta * (1.0 + pi) / pi / pi)
+    if not y < math.inf:
+        raise ValueError(f"pi = {pi:.6g} is too small: the Newton start overflows")
     for _ in range(100):
         # (ln(1 + y) - pi y) over its derivative 1 / (1 + y) - pi, both < 0;
         # the quotient comes first: the product overflows for pi below 5e-303
         step = (math.log1p(y) - pi * y) * ((1.0 + y) / (delta - pi * y))
         if not step > 0.0 or y - step == y:
-            break
+            return power_w * beta / y
         y -= step
-    return power_w * beta / y
+    raise ValueError(f"Newton did not settle on the bandwidth in 100 steps at pi = {pi:.6g}")
 
 
 def round_energy_objective(

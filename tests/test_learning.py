@@ -55,9 +55,20 @@ def stacked(members):
         architecture=members[0].architecture)
 
 
+def train_stack(model, data, batch_size, lr, rng, epochs=1):
+    """sgd_epoch on the datasets joined into one, worker i training every row of data[i]."""
+    width = model.architecture[0]
+    whole = data[0] if len(data) == 1 else LabeledDataset(  # one dataset: itself, unchecked again
+        np.concatenate([np.empty((0, width)), *(d.features for d in data)]),
+        np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]))
+    ends = np.cumsum([0, *(len(d) for d in data)])
+    rows = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    return sgd_epoch(model, whole, rows, batch_size, lr, rng, epochs=epochs)
+
+
 def train_one(model, data, batch_size, lr, rng, epochs=1):
     """sgd_epoch on a stack of one worker, returned as that worker's 2-D model."""
-    trained = sgd_epoch(stacked([model]), [data], batch_size, lr, [rng], epochs=epochs)
+    trained = train_stack(stacked([model]), [data], batch_size, lr, [rng], epochs=epochs)
     return learning._member(trained, 0)
 
 
@@ -247,7 +258,7 @@ class TestGradientAndSgd:
         model = stacked([init_model([6, 5, 3], np.random.default_rng(307))])
         snap = [(w.copy(), b.copy()) for w, b in model.layers]
         data = tiny_dataset(n=20)
-        sgd_epoch(model, [data], batch_size=8, lr=0.1, rng=[np.random.default_rng(1)])
+        train_stack(model, [data], batch_size=8, lr=0.1, rng=[np.random.default_rng(1)])
         for (w0, b0), (w1, b1) in zip(snap, model.layers):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
@@ -267,8 +278,10 @@ class TestGradientAndSgd:
 
     def test_stack_of_no_workers(self):
         model = init_model([6, 3], np.random.default_rng(0))
-        empty = learning._stack(model, 0)
-        trained = sgd_epoch(empty, [], batch_size=4, lr=0.1, rng=[], epochs=2)
+        empty = ModelParameters(layers=tuple((np.empty((0, *w.shape)), np.empty((0, *b.shape)))
+                                             for w, b in model.layers),
+                                architecture=model.architecture)
+        trained = train_stack(empty, [], batch_size=4, lr=0.1, rng=[], epochs=2)
         assert [w.shape for w, _ in trained.layers] == [(0, 3, 6)]
         models, decisions = local_round(model, [], 2, 4, 0.1, 0.8, [])
         assert models == [] and decisions == []
@@ -303,19 +316,26 @@ class TestGradientInto:
             views = tuple((w[0], b[0]) for w, b in views)
         return block, views
 
-    @pytest.mark.parametrize("arch, k, n", [
+    CASES = [
         ([6, 5, 3], None, 17),  # 2-D model
         ([6, 5, 4, 3], 3, 11),  # stacked: row stride P, not the layer size
         ([6, 5, 3], 1, 9),  # a stack of one
         ([784, 16, 10], 2, 20),  # 784 wide
-    ])
-    def test_views_of_a_flat_block_match_fresh_arrays(self, arch, k, n):
-        rng = np.random.default_rng(331)
+    ]
+
+    @staticmethod
+    def case(arch, k, n, seed=331):
+        rng = np.random.default_rng(seed)
         members = [init_model(arch, rng) for _ in range(k or 1)]
         model = members[0] if k is None else stacked(members)
         rows = n * (k or 1)
         x = rng.normal(size=(rows, arch[0]))
         y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
+        return model, x, y, rng
+
+    @pytest.mark.parametrize("arch, k, n", CASES)
+    def test_views_of_a_flat_block_match_fresh_arrays(self, arch, k, n):
+        model, x, y, _ = self.case(arch, k, n)
         _, want = loss_and_gradient(model, x, y)
         block, views = self.block_views(model)
         learning.gradient(model, x, y, views)
@@ -325,6 +345,79 @@ class TestGradientInto:
             if k is not None and k > 1:
                 assert gw.strides[0] == gb.strides[0] == block.strides[0]
             assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+
+    @staticmethod
+    def workspace(model, k, n):
+        _, views = TestGradientInto.block_views(model)
+        return learning._Workspace(model, views, (n,) if k is None else (k, n))
+
+    @pytest.mark.parametrize("arch, k, n", [*CASES, ([6, 7, 10], 3, 13)])  # and 10 classes
+    def test_workspace_matches_plain_views(self, arch, k, n):
+        model, x, y, _ = self.case(arch, k, n)
+        _, plain = self.block_views(model)
+        learning.gradient(model, x, y, plain)
+        ws = self.workspace(model, k, n)
+        learning.gradient(model, x, y, ws)
+        for (gw, gb), (pw, pb) in zip(ws, plain, strict=True):
+            assert gw.tobytes() == pw.tobytes() and gb.tobytes() == pb.tobytes()
+
+    @pytest.mark.parametrize("arch, k, n", [([6, 5, 4, 3], 3, 11), ([6, 7, 10], None, 13)])
+    def test_reused_workspace_keeps_no_stale_values(self, arch, k, n):
+        # three steps through one workspace, each with fresh x and y, match fresh calls
+        model, _, _, rng = self.case(arch, k, n)
+        ws = self.workspace(model, k, n)
+        for _ in range(3):
+            rows = n * (k or 1)
+            x = rng.normal(size=(rows, arch[0])) * 4.0
+            y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
+            learning.gradient(model, x, y, ws)
+            _, want = loss_and_gradient(model, x, y)
+            for (gw, gb), (rw, rb) in zip(ws, want, strict=True):
+                assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
+    def test_workspace_of_another_model_or_shape_gives_only_its_pairs(self):
+        # a workspace built for another model or row count is wrapped like a plain sequence
+        model, x, y, _ = self.case([6, 5, 3], 2, 8)
+        other, _, _, _ = self.case([6, 5, 3], 2, 8, seed=332)
+        for ws in (self.workspace(other, 2, 8), self.workspace(model, 2, 5)):
+            learning.gradient(model, x, y, ws)
+            _, want = loss_and_gradient(model, x, y)
+            for (gw, gb), (rw, rb) in zip(ws, want, strict=True):
+                assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
+    @pytest.mark.parametrize("classes", [4, 10])
+    def test_class_major_max_keeps_softmax_bytes(self, classes):
+        # logits holding signed zeros, infinities, NaN and ties: the class-major
+        # max equals numpy's max over the last axis, and the softmax rows have
+        # the bytes they get with that max
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 2.5, 2.5, -7.0, 1e308, -1e308, 5e-324]
+        rng = np.random.default_rng(334)
+        z = rng.choice(special, size=(300, classes))
+        z[:4] = [[0.0, -0.0] * (classes // 2), [-0.0, 0.0] * (classes // 2),
+                 [-0.0] * classes, [2.5] * classes]
+        want_max = np.maximum.reduce(z, axis=-1)
+        assert np.array_equal(np.maximum.reduce(z.T.copy(), axis=0), want_max, equal_nan=True)
+
+        def softmax(logits, row_max):
+            p = logits - row_max[..., None]
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=-1, keepdims=True)
+            return p
+
+        # through the forward pass: one worker per row, zero weights, the
+        # logits carried by the biases
+        k = len(z)
+        model = ModelParameters(layers=((np.zeros((k, classes, 1)), z.copy()),),
+                                architecture=(1, classes))
+        x = np.full((k, 1, 1), -1.0)
+        with np.errstate(all="ignore"):
+            logits = x @ model.layers[0][0].swapaxes(-1, -2)
+            logits += model.layers[0][1][:, None, :]
+            probs, _ = learning._forward_batch(model, x)
+            want = softmax(logits, np.maximum.reduce(logits, axis=-1))
+            assert probs.tobytes() == want.tobytes()
+            assert softmax(z, want_max).tobytes() == softmax(z, np.maximum.reduce(
+                z.T.copy(), axis=0)).tobytes()
 
 
 class TestFiltering:
@@ -546,9 +639,9 @@ class TestStackedRound:
         calls = []
         epoch = learning.sgd_epoch
 
-        def recording(model, data, *args, **kwargs):
-            calls.append(list(data))
-            return epoch(model, data, *args, **kwargs)
+        def recording(model, data, rows, *args, **kwargs):
+            calls.append((data, [np.asarray(r) for r in rows]))
+            return epoch(model, data, rows, *args, **kwargs)
 
         monkeypatch.setattr(learning, "sgd_epoch", recording)
         model = init_model([6, 5, 3], np.random.default_rng(322))
@@ -557,23 +650,159 @@ class TestStackedRound:
         def streams():
             return [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
 
-        # threshold 1.0 keeps every row: both calls train on the workers' own datasets
+        def assert_rows(data, rows, parts):
+            assert len(rows) == len(parts)
+            for r, part in zip(rows, parts, strict=True):
+                assert np.array_equal(data.features[r], part.features)
+                assert np.array_equal(data.labels[r], part.labels)
+
+        # threshold 1.0 keeps every row: both calls train every row of each
+        # worker's shard, from the one dataset the round joined
         local_round(model, shards, 3, 16, 0.1, 1.0, streams())
-        assert all(d is s for d, s in zip(calls[0] + calls[1], shards * 2, strict=True))
+        (first, rows1), (second, rows2) = calls
+        assert first is second
+        assert_rows(first, rows1, shards)
+        assert all(np.array_equal(a, b) for a, b in zip(rows1, rows2, strict=True))
         calls.clear()
         _, decisions = local_round(model, shards, 3, 16, 0.1, 0.7, streams())
-        first, second = calls
-        assert all(d is s for d, s in zip(first, shards, strict=True))
+        (first, rows1), (second, rows2) = calls
+        assert first is second
+        assert_rows(first, rows1, shards)
         kept = [dec.included_indices for dec in decisions]
-        assert [len(d) for d in second] == [k.size for k in kept] != [len(s) for s in shards]
-        for d, s, k in zip(second, shards, kept, strict=True):
-            assert np.array_equal(d.features, s.features[k])
-            assert np.array_equal(d.labels, s.labels[k])
+        assert [len(r) for r in rows2] == [k.size for k in kept] != [len(s) for s in shards]
+        assert_rows(second, rows2, [s.take(k) for s, k in zip(shards, kept, strict=True)])
 
     def test_rejects_mismatched_streams(self):
         model = init_model([6, 3], np.random.default_rng(0))
         with pytest.raises(ValueError):
             local_round(model, skewed_shards(), 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
+
+
+def reference_local_round(global_model, data, epochs, batch_size, lr, threshold, rng):
+    """local_round as it was before a round was set up once: two reference_round_epoch
+    calls, the first on k repeated copies of the global model, the second on copies
+    of the rows each worker's filter kept."""
+    copies = ModelParameters(
+        layers=tuple((np.repeat(w[None], len(data), axis=0), np.repeat(b[None], len(data), axis=0))
+                     for w, b in global_model.layers),
+        architecture=global_model.architecture)
+    stack = reference_round_epoch(copies, data, batch_size, lr, rng)
+    decisions = [filter_samples(learning._member(stack, i), d, threshold)
+                 for i, d in enumerate(data)]
+    if epochs > 1:
+        kept = [d if decision.excluded_count == 0 else d.take(decision.included_indices)
+                for d, decision in zip(data, decisions)]
+        stack = reference_round_epoch(stack, kept, batch_size, lr, rng, epochs=epochs - 1)
+    return [learning._member(stack, i) for i in range(len(data))], decisions
+
+
+def reference_round_epoch(model, data, batch_size, lr, rng, epochs=1):
+    """sgd_epoch as it was then: every call joins its datasets, fills its own stack
+    longest first, plans its steps and builds its targets; a step passes plain
+    views of the gradient block to gradient."""
+    perms, first = [], 0
+    for d, r in zip(data, rng, strict=True):
+        perms.append(np.stack([r.permutation(len(d)) for _ in range(epochs)]) + first)
+        first += len(d)
+    order = sorted(range(len(perms)), key=lambda i: -perms[i].shape[1])
+    perms = [perms[i] for i in order]
+    sizes = [p.shape[1] for p in perms]
+    arch = model.architecture
+    params = np.empty((len(data), param_bits(arch) // 64))
+    for views, layer in zip(learning._layout(params, arch), model.layers):
+        for view, array in zip(views, layer):
+            array.take(order, axis=0, out=view)
+    grads = np.empty_like(params)
+    plan, rows = [], [np.empty((epochs, 0), dtype=np.intp)]
+    for start in range(0, max(sizes, default=0), batch_size):
+        groups = {}
+        for i, size in enumerate(sizes):
+            if size > start:
+                groups.setdefault(min(batch_size, size - start), []).append(i)
+        for length, group in groups.items():
+            p, g = params[group[0]:group[-1] + 1], grads[group[0]:group[-1] + 1]
+            plan.append((length * len(group),
+                         ModelParameters(layers=learning._layout(p, arch), architecture=arch),
+                         learning._layout(g, arch), p, g))
+            rows.extend(perms[i][:, start:start + length] for i in group)
+    rows = np.concatenate(rows, axis=1)
+    labels = np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]).take(rows)
+    targets = np.eye(arch[-1]).take(labels, axis=0)
+    features = np.concatenate([np.empty((0, arch[0])), *(d.features for d in data)])
+    for epoch in range(epochs):
+        x_all = features[rows[epoch]]
+        offset = 0
+        for n, sub, out, p, g in plan:
+            learning.gradient(sub, x_all[offset:offset + n], targets[epoch, offset:offset + n], out)
+            offset += n
+            g *= lr
+            p -= g
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return ModelParameters(layers=learning._layout(params.take(inverse, axis=0), arch),
+                           architecture=arch)
+
+
+def round_case(sizes, scales, classes, seed):
+    """Shards of the given sizes, worker i's features scaled by scales[i].  Scale
+    1e3 also makes them positive and the labels 0, so every softmax saturates
+    (the filter keeps nothing); scale 0 gives every row one prediction."""
+    data = tiny_dataset(n=sum(sizes), classes=classes, seed=seed)
+    ends = np.cumsum([0, *sizes])
+    shards = []
+    for a, b, scale in zip(ends[:-1], ends[1:], scales):
+        x, y = data.features[a:b], data.labels[a:b]
+        if scale == 1e3:
+            x, y = np.abs(x) + 1.0, np.zeros_like(y)
+        shards.append(LabeledDataset(x * scale, y))
+    return shards
+
+
+ROUND_CASES = [
+    # sizes, feature scales, classes, architecture, batch, epochs, threshold
+    ([40, 40, 40], [1, 1, 1], 4, [6, 5, 4], 8, 5, 0.7),  # equal shards, batch divides
+    ([40, 37, 23], [1, 1, 1e3], 4, [6, 5, 4], 7, 2, 0.7),  # unequal; one keeps nothing
+    ([12, 23, 40], [0, 1, 1], 10, [6, 7, 5, 10], 5, 5, 0.5),  # ascending: the order flips
+    ([30, 30], [1, 1], 10, [6, 8, 10], 10, 1, 0.9),  # one epoch
+    ([25, 40, 40, 9], [1e3, 1, 0, 1], 4, [6, 7, 5, 4], 16, 2, 0.6),
+    ([40, 40], [1, 1], 4, [6, 5, 4], 20, 5, 1.0),  # the presets' shape: all rows kept
+    ([33, 33, 33], [1, 1, 1], 4, [6, 5, 4], 11, 5, 0.6),  # kept sets reorder the stack
+]
+
+
+class TestRoundAgainstReference:
+    """A round set up once gives the bytes and decisions of the two-call round."""
+
+    @staticmethod
+    def rounds(sizes, scales, classes, arch, batch, epochs, threshold):
+        shards = round_case(sizes, scales, classes, seed=340 + sum(sizes))
+        model = init_model(arch, np.random.default_rng(sum(sizes) + batch))
+
+        def streams():
+            return [substream(19, TRAIN, 0, w, epochs) for w in range(len(shards))]
+
+        return (local_round(model, shards, epochs, batch, 0.1, threshold, streams()),
+                reference_local_round(model, shards, epochs, batch, 0.1, threshold, streams()))
+
+    @pytest.mark.parametrize("case", ROUND_CASES)
+    def test_matches_two_call_round(self, case):
+        (got, decisions), (want, expect) = self.rounds(*case)
+        for g, w in zip(got, want, strict=True):
+            for (gw, gb), (ww, wb) in zip(g.layers, w.layers, strict=True):
+                assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+        for d, e in zip(decisions, expect, strict=True):
+            assert d.excluded_count == e.excluded_count
+            assert np.array_equal(d.included_indices, e.included_indices)
+
+    def test_cases_reach_every_filter_outcome(self):
+        # a worker keeping nothing, one keeping everything beside one that does
+        # not, and kept counts that reorder the stack for the later epochs
+        kept = [[d.included_indices.size for d in self.rounds(*case)[0][1]]
+                for case in ROUND_CASES]
+        assert any(0 in k for k in kept)
+        assert any(n == size and k != case[0]
+                   for k, case in zip(kept, ROUND_CASES) for n, size in zip(k, case[0]))
+        assert any(sorted(k, reverse=True) != k and case[0] == sorted(case[0], reverse=True)
+                   for k, case in zip(kept, ROUND_CASES))
 
 
 def reference_loss_and_gradient(model, x, y):
@@ -683,7 +912,7 @@ class TestEpochAgainstReference:
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_matches_reference_loop(self, sizes, batch):
         stack, data, kept, rows, streams = epoch_case(sizes, batch)
-        got = sgd_epoch(stack, rows, batch, 0.1, streams())
+        got = train_stack(stack, rows, batch, 0.1, streams())
         assert_models_equal(got, reference_sgd_epoch(stack, data, kept, batch, 0.1, streams()))
         if not any(sizes):
             assert_models_equal(got, stack)
@@ -699,7 +928,7 @@ class TestEpochAgainstReference:
 
         monkeypatch.setattr(learning, "gradient", recording)
         stack, _, _, rows, streams = epoch_case(sizes, batch)
-        sgd_epoch(stack, rows, batch, 0.1, streams())
+        train_stack(stack, rows, batch, 0.1, streams())
         assert bool(calls) == any(sizes)  # a stack with no rows takes no step
         for layers in calls:
             for (w, b), (w0, b0) in zip(layers, calls[0]):
@@ -711,7 +940,7 @@ class TestEpochAgainstReference:
     def test_passes_match_reference_loop(self, sizes, batch, epochs):
         # one call of `epochs` passes against the reference run once per pass
         stack, data, kept, rows, streams = epoch_case(sizes, batch)
-        got = sgd_epoch(stack, rows, batch, 0.1, streams(), epochs=epochs)
+        got = train_stack(stack, rows, batch, 0.1, streams(), epochs=epochs)
         want, rngs = stack, streams()
         for _ in range(epochs):
             want = reference_sgd_epoch(want, data, kept, batch, 0.1, rngs)
@@ -721,10 +950,10 @@ class TestEpochAgainstReference:
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_passes_equal_chained_calls(self, sizes, batch, epochs):
         stack, _, _, rows, streams = epoch_case(sizes, batch)
-        got = sgd_epoch(stack, rows, batch, 0.1, streams(), epochs=epochs)
+        got = train_stack(stack, rows, batch, 0.1, streams(), epochs=epochs)
         want, rngs = stack, streams()
         for _ in range(epochs):
-            want = sgd_epoch(want, rows, batch, 0.1, rngs)
+            want = train_stack(want, rows, batch, 0.1, rngs)
         assert_models_equal(got, want)
 
 

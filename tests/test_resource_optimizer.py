@@ -386,6 +386,12 @@ class TestOptimalBandwidth:
         with pytest.raises(InfeasibleBandwidthError):
             optimal_bandwidth(bits, 1.0, 0.1, self.beta_for(800.0, bits, 1.0, 0.1))
 
+    @pytest.mark.parametrize("beta", [float(b) for b in np.geomspace(1e305, 1e308, 7)])
+    def test_tiny_pi_raises_instead_of_zero_bandwidth(self, beta):
+        # pi = ln2 / beta below about 7.9e-306: the Newton start overflows
+        with pytest.raises(ValueError, match="pi = "):
+            optimal_bandwidth(1, 1.0, 1.0, beta)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             optimal_bandwidth(1000, 0.0, 0.1, 1e6)

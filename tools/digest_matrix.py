@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every run's metrics files over a fixed matrix of configs.
+
+Run from the root of a feelsim checkout (the program is imported from its
+src/, nothing is installed):
+
+    python3 tools/digest_matrix.py > digests.txt
+
+Each line is `case seed sha256(global.csv) sha256(workers.csv)`. A change
+meant to keep the output bytes is checked by running this in a checkout of
+the parent commit and in the change, then diffing the two outputs. Every run
+is in this one process, into a temporary directory that is removed at the
+end; nothing is timed.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILTERED, UNFILTERED = "configs/synthetic_filtered.json", "configs/synthetic_unfiltered.json"
+FLEET = {"synthetic_dim": 784, "synthetic_classes": 10, "workers": 200, "rounds": 10}
+
+# name -> (shipped config, overrides), each run at SEEDS. The presets and the
+# 784-wide fleet, then variants that move what training and planning see:
+# shard shapes, batch and epoch counts, filter verdicts, budgets, forced
+# deadlines and the adaptive bandwidth split.
+CASES = {
+    "preset-filtered": (FILTERED, {}),
+    "preset-unfiltered": (UNFILTERED, {}),
+    "fleet-784": (FILTERED, FLEET),
+    "adaptive": (FILTERED, {"bandwidth_mode": "adaptive"}),
+    "noniid-select-0.35": (FILTERED, {"partition": "noniid", "select_fraction": 0.35}),
+    "hidden-7-batch-13": (FILTERED, {"hidden_width": 7, "batch_size": 13}),
+    "unfiltered-epochs-1": (UNFILTERED, {"epochs": 1}),
+    "filtered-epochs-2": (FILTERED, {"epochs": 2}),
+    "unfiltered-budget-select-adaptive": (
+        UNFILTERED, {"energy_budget_j": 0.05, "select_fraction": 0.5,
+                     "bandwidth_mode": "adaptive"}),
+    "static-channel": (FILTERED, {"channel_mode": "static"}),
+    "threshold-0": (FILTERED, {"threshold": 0.0}),
+    "filtered-deadline-0.08": (FILTERED, {"deadline_s": 0.08, "rounds": 30}),
+    "filtered-deadline-0.12": (FILTERED, {"deadline_s": 0.12, "rounds": 30}),
+    "unfiltered-deadline-0.05": (UNFILTERED, {"deadline_s": 0.05, "rounds": 30}),
+    "filtered-adaptive-deadline-0.5": (FILTERED, {"bandwidth_mode": "adaptive", "deadline_s": 0.5}),
+    "unfiltered-adaptive-deadline-0.5": (
+        UNFILTERED, {"bandwidth_mode": "adaptive", "deadline_s": 0.5}),
+    "fleet-784-adaptive-deadline-0.5": (
+        FILTERED, {**FLEET, "bandwidth_mode": "adaptive", "deadline_s": 0.5}),
+    "fleet-784-adaptive": (FILTERED, {**FLEET, "bandwidth_mode": "adaptive"}),
+    "noniid-spread-1.0-threshold-0.6": (
+        FILTERED, {"partition": "noniid", "synthetic_spread": 1.0, "threshold": 0.6,
+                   "rounds": 30}),
+}
+SEEDS = (1, 2, 3)
+EXTRA = [("fleet-784", 5)]  # the seed the benchmark's fleet figures use
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from feelsim import io_cli
+
+    runs = [(name, seed) for name in CASES for seed in SEEDS] + EXTRA
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seed in runs:
+            path, overrides = CASES[name]
+            config = dataclasses.replace(io_cli.load_config(ROOT / path), **overrides)
+            _, paths = io_cli.run_from_config(config, seed=seed, out_dir=Path(tmp) / name,
+                                              quiet=True)
+            print(name, seed, sha256(paths["global"]), sha256(paths["workers"]), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
