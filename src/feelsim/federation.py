@@ -8,14 +8,13 @@ each worker's compute/upload operating point, charge energy budgets, and
 aggregate the updates that made it back in time.
 
 Every random draw comes from a stream keyed by (seed, domain, trial, worker,
-round), so per-worker work is order-independent: the scheduled workers train
-as stacked models, in contiguous chunks that can run on a thread pool, without
-changing a single bit of the output.
+round), so per-worker work is order-independent: a round trains its scheduled
+workers as one stacked model, and no worker's bytes depend on which others
+share its stack.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -253,24 +252,11 @@ def run_round(
     betas = [_link_gain(p, config, substream(seed, DOMAIN_CHANNEL, trial, p.worker_id, *block))
              for p in selected]
 
-    def train_chunk(chunk: list[WorkerProfile]):
-        return local_round(
-            state.model, [p.dataset for p in chunk], config.epochs, config.batch_size,
-            config.learning_rate, config.threshold,
-            [substream(seed, DOMAIN_TRAIN, trial, p.worker_id, round_index) for p in chunk],
-        )
-
-    # up to parallel_workers contiguous chunks, each trained as one stack
-    n_chunks = min(config.parallel_workers, len(selected))
-    cuts = [len(selected) * c // n_chunks for c in range(n_chunks + 1)]
-    chunks = [selected[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    if n_chunks > 1:
-        with ThreadPoolExecutor(n_chunks) as pool:
-            trained = list(pool.map(train_chunk, chunks))
-    else:
-        trained = [train_chunk(selected)]
-    local_models = [m for models, _ in trained for m in models]
-    decisions = [d for _, chunk_decisions in trained for d in chunk_decisions]
+    local_models, decisions = local_round(
+        state.model, [p.dataset for p in selected], config.epochs, config.batch_size,
+        config.learning_rate, config.threshold,
+        [substream(seed, DOMAIN_TRAIN, trial, p.worker_id, round_index) for p in selected],
+    )
 
     workloads = [
         Workload(

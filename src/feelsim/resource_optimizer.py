@@ -199,20 +199,14 @@ def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: floa
 
     f(y) = ln(1 + y) - pi y is concave with f(0) = 0 and f'(0) = 1 - pi > 0,
     so it is positive left of the root and negative right of it, and Newton
-    steps started right of the root fall monotonically onto it.  The start is
-    the smaller of two points right of the root, that is, where f <= 0:
-      * y = -2 ln(pi) / pi.  There f <= 0 reads g(pi) = pi^2 + 2 pi ln(1/pi) <= 1,
-        which holds because g'(pi) = 2 (pi - 1 - ln pi) >= 0 and g(1) = 1.
-      * y = (1 - pi)(1 + pi) / pi^2 = 1/pi^2 - 1.  There f <= 0 follows from
-        ln(1 + y) <= y / sqrt(1 + y).
-    The same g <= 1 puts the first at or below the second, so the second
-    takes over only by rounding, near pi = 1.  Alone it would fail for small
-    pi: below about pi = 1e-18 its first step can round y to 0, and below
-    about 7e-155 it overflows to +inf.
+    steps started right of the root fall monotonically onto it.  The start
+    y = -2 ln(pi) / pi lies right of the root, that is, where f <= 0: there
+    f <= 0 reads g(pi) = pi^2 + 2 pi ln(1/pi) <= 1, which holds because
+    g'(pi) = 2 (pi - 1 - ln pi) >= 0 and g(1) = 1.
 
     What is left is the problem's own conditioning: y moves by pi / (1 - pi)
-    times a relative change of pi.  Below about pi = 8e-306 the first start
-    overflows too, and the root itself lies within a factor of 2 of the
+    times a relative change of pi.  Below about pi = 8e-306 the start
+    overflows, and the root itself lies within a factor of 2 of the
     largest float: then, or if 100 Newton steps do not settle, ValueError.
     """
     if t_up_s <= 0.0 or power_w <= 0.0 or beta <= 0.0:
@@ -225,7 +219,7 @@ def optimal_bandwidth(model_bits: int, t_up_s: float, power_w: float, beta: floa
             f"rate target needs pi < 1 for a finite bandwidth, got pi = {pi:.6g}"
         )
     delta = 1.0 - pi
-    y = min(-2.0 * math.log(pi) / pi, delta * (1.0 + pi) / pi / pi)
+    y = -2.0 * math.log(pi) / pi
     if not y < math.inf:
         raise ValueError(f"pi = {pi:.6g} is too small: the Newton start overflows")
     for _ in range(100):

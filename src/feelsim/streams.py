@@ -2,8 +2,8 @@
 
 Every stochastic draw in the simulator comes from a generator keyed by
 (root seed, domain, *tags).  Streams are independent of the order in which
-they are opened, so per-worker work can run in any schedule (or in
-parallel) without changing results.
+they are opened, so per-worker work can run in any order or grouping
+without changing results.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from feelsim.channel import beam_and_gain, uplink_rate
-from feelsim.federation import default_deadline, run_experiment
+from feelsim.federation import default_deadline, run_experiment, select_workers
 from feelsim.io_cli import (
     ExperimentConfig,
     build_workers,
@@ -428,14 +428,39 @@ def test_criterion_09_threshold_nesting():
             f"excluded counts over thresholds 0.5..1.0: {counts} (monotone, 0 at 1.0)")
 
 
-def test_criterion_10_parallel_byte_identity(tmp_path):
-    """Per-worker threading must not change a single output byte."""
-    blobs = {}
-    for par in (1, 2, 4):
-        cfg = reference_base(rounds=10, seed=11, select_fraction=0.2, epochs=3,
-                             synthetic_samples=2000, parallel_workers=par)
-        _, paths = run_from_config(cfg, out_dir=tmp_path / f"par{par}", quiet=True)
-        blobs[par] = (paths["global"].read_bytes(), paths["workers"].read_bytes())
-    ok = blobs[1] == blobs[2] == blobs[4]
-    verdict(10, "parallel byte identity", ok,
-            f"global.csv and workers.csv identical across 1/2/4 threads: {ok}")
+def test_criterion_10_parallel_byte_identity():
+    """A worker's bytes must not depend on which others share its stack.
+
+    Round 10's scheduled workers, after 9 rounds in which the filter starts to
+    drop samples, trained by local_round as 1, 2 and 4 contiguous groups (group
+    c of g is workers [n c // g, n (c + 1) // g)): every model and filter
+    decision must match the single call's byte for byte.
+    """
+    cfg = reference_base(rounds=9, seed=11, select_fraction=0.4, epochs=3,
+                         synthetic_samples=2000)
+    train, test = split_train_test(load_dataset(cfg, cfg.seed), cfg.train_fraction, cfg.seed)
+    fleet = build_workers(cfg, train, cfg.seed, trial=0)
+    _, model = run_experiment(fleet, test, [8, 16, 4], cfg, cfg.seed)
+    selected = select_workers(fleet, cfg.select_fraction,
+                              substream(cfg.seed, DOMAIN_SELECT, 0, 10))
+    n = len(selected)
+
+    def train_in(groups: int) -> list[tuple[bytes, bytes, int]]:
+        out = []
+        for c in range(groups):
+            group = selected[n * c // groups : n * (c + 1) // groups]
+            models, decisions = local_round(
+                model, [p.dataset for p in group], cfg.epochs, cfg.batch_size,
+                cfg.learning_rate, cfg.threshold,
+                [substream(cfg.seed, DOMAIN_TRAIN, 0, p.worker_id, 10) for p in group])
+            out += [(b"".join(a.tobytes() for layer in m.layers for a in layer),
+                     d.included_indices.tobytes(), d.excluded_count)
+                    for m, d in zip(models, decisions)]
+        return out
+
+    single = train_in(1)
+    dropped = sum(kappa for *_, kappa in single)
+    ok = n == 8 and dropped > 0 and train_in(2) == single and train_in(4) == single
+    verdict(10, "stack-split byte identity", ok,
+            f"models and filter decisions of {n} workers ({dropped} samples dropped) "
+            f"identical as 1, 2 and 4 stacks: {ok}")

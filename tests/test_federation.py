@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from feelsim import federation
 from feelsim.federation import (
     ExperimentState,
     WorkerProfile,
@@ -23,7 +24,7 @@ from feelsim.io_cli import (
     run_from_config,
     split_train_test,
 )
-from feelsim.learning import LabeledDataset, init_model, param_bits
+from feelsim.learning import LabeledDataset, init_model, local_round, param_bits
 from feelsim.resource_optimizer import DeviceBounds
 from feelsim.streams import DOMAIN_INIT, substream
 
@@ -67,6 +68,27 @@ def make_fleet(k=6, n=600, seed=900, budgets=None, dist=(10.0, 60.0)):
 
 
 TEST_DATA = make_dataset(n=200, seed=901)
+
+
+def contiguous_groups(k):
+    """Split n workers into k contiguous groups: group c is [n c // k, n (c + 1) // k)."""
+    def groups(n):
+        cuts = [n * c // k for c in range(k + 1)]
+        return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return groups
+
+
+def split_training(groups):
+    """A local_round that trains each of groups(n) of the n workers in its own call."""
+    def train(model, data, epochs, batch_size, lr, threshold, rng):
+        models, decisions = [None] * len(data), [None] * len(data)
+        for group in groups(len(data)):
+            trained = local_round(model, [data[i] for i in group], epochs, batch_size, lr,
+                                  threshold, [rng[i] for i in group])
+            for i, m, d in zip(group, *trained):
+                models[i], decisions[i] = m, d
+        return models, decisions
+    return train
 
 
 def assert_models_equal(a, b):
@@ -399,28 +421,27 @@ class TestDeterminism:
             assert a.inst_energy_j == b.inst_energy_j
             assert a.worker_stats == b.worker_stats
 
-    def test_thread_pool_does_not_change_results(self):
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH,
-                                fast_config(rounds=3, parallel_workers=1), seed=47)
-        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH,
-                                fast_config(rounds=3, parallel_workers=4), seed=47)
+    def test_contiguous_stacks_do_not_change_results(self, monkeypatch):
+        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
+        monkeypatch.setattr(federation, "local_round", split_training(contiguous_groups(4)))
+        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
         assert_models_equal(ma, mb)
-        for a, b in zip(ra, rb):
-            assert a.worker_stats == b.worker_stats
-            assert a.test_loss == b.test_loss
+        assert ra == rb
 
-    def test_chunking_does_not_change_results(self):
-        # label-skewed shards of unequal size, all 7 scheduled: 1, 2 or 3 stacks
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        # label-skewed shards of unequal size, all 7 scheduled, trained as
+        # 1, 2 or 3 contiguous stacks or as even and odd workers
         data = make_dataset(n=602, seed=905)
         shards = partition_noniid(data, 7, np.random.default_rng(906))
         assert len({len(shard) for shard in shards}) > 1
         runs = []
-        for chunks in (1, 2, 3):
+        for groups in (*map(contiguous_groups, (1, 2, 3)),
+                       lambda n: [range(0, n, 2), range(1, n, 2)]):
             fleet = make_fleet(k=7)
             for profile, shard in zip(fleet, shards):
                 profile.dataset = shard
-            runs.append(run_experiment(fleet, TEST_DATA, ARCH,
-                                       fast_config(rounds=3, parallel_workers=chunks), seed=49))
+            monkeypatch.setattr(federation, "local_round", split_training(groups))
+            runs.append(run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=3), seed=49))
         (ra, ma), *others = runs
         assert any(s.kappa for r in ra for s in r.worker_stats)  # ragged later epochs
         for rb, mb in others:

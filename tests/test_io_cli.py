@@ -89,6 +89,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rownds"):
             load_config(path)
 
+    def test_parallel_workers_key_rejected(self, tmp_path, capsys):
+        # a round trains all its scheduled workers in one stack: there is no such knob
+        path = tmp_path / "cfg.json"
+        path.write_text('{"rounds": 3, "parallel_workers": 1}\n')
+        with pytest.raises(ConfigError, match="parallel_workers"):
+            load_config(path)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "error: unknown config field(s)" in capsys.readouterr().err
+
+    def test_written_config_has_no_parallel_workers(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        write_config(small_config(), path)
+        assert "parallel_workers" not in json.loads(path.read_text())
+
     def test_bad_json_reports_position(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{\n  "rounds": 3,\n}\n')
@@ -191,6 +205,24 @@ class TestSyntheticData:
         m2 = data.features[data.labels == 2].mean(axis=0)
         assert m0[0] == pytest.approx(1.0, abs=0.02)
         assert m2[0] == pytest.approx(2.0, abs=0.02)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim, classes, samples",
+                             [(8, 4, 403), (16, 2, 64), (784, 10, 300), (1, 3, 50),
+                              (2, 5, 101), (3, 10, 257)])
+    def test_features_are_class_means_plus_scaled_noise(self, dim, classes, samples, seed):
+        # the features are built in place; bytes must equal means[labels] + spread * noise
+        data = generate_synthetic(dim, classes, samples, 0.7, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        means = np.zeros((classes, dim))
+        for c in range(classes):
+            means[c, c % dim] = 1.0 + c // dim
+        base, extra = divmod(samples, classes)
+        labels = np.concatenate([np.repeat(np.arange(classes), base), np.arange(extra)])
+        labels = labels[rng.permutation(samples)]
+        want = means[labels] + 0.7 * rng.standard_normal((samples, dim))
+        assert np.array_equal(data.labels, labels)
+        assert data.features.tobytes() == want.tobytes()
 
     def test_errors(self):
         rng = np.random.default_rng(0)

@@ -27,7 +27,7 @@ FLEET = {"synthetic_dim": 784, "synthetic_classes": 10, "workers": 200, "rounds"
 # name -> (shipped config, overrides), each run at SEEDS. The presets and the
 # 784-wide fleet, then variants that move what training and planning see:
 # shard shapes, batch and epoch counts, filter verdicts, budgets, forced
-# deadlines and the adaptive bandwidth split.
+# deadlines, the adaptive bandwidth split and the cross-trial mean.
 CASES = {
     "preset-filtered": (FILTERED, {}),
     "preset-unfiltered": (UNFILTERED, {}),
@@ -54,6 +54,7 @@ CASES = {
     "noniid-spread-1.0-threshold-0.6": (
         FILTERED, {"partition": "noniid", "synthetic_spread": 1.0, "threshold": 0.6,
                    "rounds": 30}),
+    "filtered-trials-2": (FILTERED, {"trials": 2}),
 }
 SEEDS = (1, 2, 3)
 EXTRA = [("fleet-784", 5)]  # the seed the benchmark's fleet figures use
