@@ -28,7 +28,6 @@ from .learning import (
     filter_samples,
     init_model,
     local_round,
-    sgd_epoch,
 )
 from .resource_optimizer import (
     DeviceBounds,

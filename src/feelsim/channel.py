@@ -20,23 +20,20 @@ def sample_channel(
     pathloss_exp: float,
     rician_k_db: float,
     antennas: int,
-    los_angle: float | None = None,
+    los_angle: float,
 ) -> np.ndarray:
     """Draw one Rician-faded channel vector.
 
     The line-of-sight component is a unit-modulus steering vector at angle
-    los_angle (drawn uniformly from the stream when not given); the scattered
-    component is i.i.d. complex Gaussian with unit power per antenna.  The
-    whole vector is scaled by sqrt(distance^-pathloss_exp), so the expected
-    per-antenna power equals the large-scale pathloss exactly.
+    los_angle; the scattered component is i.i.d. complex Gaussian with unit
+    power per antenna.  The whole vector is scaled by sqrt(distance^-pathloss_exp),
+    so the expected per-antenna power equals the large-scale pathloss exactly.
     """
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     if antennas < 1:
         raise ValueError(f"need at least one antenna, got {antennas}")
     k_lin = 10.0 ** (rician_k_db / 10.0)
-    if los_angle is None:
-        los_angle = float(rng.uniform(0.0, 2.0 * np.pi))
     m = np.arange(antennas)
     v_los = np.exp(1j * np.pi * m * np.sin(los_angle))
     g = (rng.standard_normal(antennas) + 1j * rng.standard_normal(antennas)) / np.sqrt(2.0)

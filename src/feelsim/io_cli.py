@@ -130,6 +130,7 @@ class ExperimentConfig:
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         need(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
         need(self.trials >= 1, f"trials must be >= 1, got {self.trials}")
+        need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         need(0.0 < self.select_fraction <= 1.0,
              f"select_fraction must be in (0, 1], got {self.select_fraction}")
         need(0.0 <= self.threshold <= 1.0,
@@ -438,6 +439,8 @@ def run_from_config(
 ) -> tuple[list[list[RoundRecord]], dict[str, Path]]:
     """Run all trials, write metrics, and return (per-trial records, paths)."""
     seed = config.seed if seed is None else int(seed)
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     data = load_dataset(config, seed)
     train, test = split_train_test(data, config.train_fraction, seed)
     # what the partition needs of the data, checked for both data sources

@@ -17,8 +17,6 @@ import numpy as np
 
 LOG_GUARD = 1e-30  # floor inside log() so a confident wrong answer stays finite
 
-_EVAL_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class ModelParameters:
@@ -125,14 +123,13 @@ def _forward(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _forward_batch(model: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Probabilities and the per-layer activations needed for backprop.  A stacked model
-    (weights (k, out, in)) runs x[i] of x (k, n, d) through worker i as a 2-D call would."""
+def _probabilities(model: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """Softmax probabilities of every row of x.  A stacked model (weights (k, out, in))
+    runs x[i] of x (k, n, d) through worker i as a 2-D call would."""
     arch = model.architecture
     if x.ndim != model.layers[0][0].ndim or x.shape[-1] != arch[0]:
         raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
-    ws = _Workspace(model, (), x.shape[:-1])
-    return _forward(ws, x), [x, *ws.out[:-1]]
+    return _forward(_Workspace(model, (), x.shape[:-1]), x)
 
 
 def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
@@ -185,7 +182,7 @@ def loss_and_gradient(
     """
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in model.layers]
     gradient(model, x, y, grads)
-    probs, _ = _forward_batch(model, x.reshape(*model.layers[0][0].shape[:-2], -1, x.shape[-1]))
+    probs = _probabilities(model, x.reshape(*model.layers[0][0].shape[:-2], -1, x.shape[-1]))
     return -np.vdot(y, np.log(np.maximum(probs, LOG_GUARD))) / x.shape[0], grads
 
 
@@ -260,21 +257,20 @@ class _Stack:
 
 
 def sgd_epoch(
-    model: ModelParameters | _Stack,
+    stack: _Stack,
     data: LabeledDataset,
     rows: Sequence[np.ndarray],
     batch_size: int,
     lr: float,
     rng: Sequence[np.random.Generator],
     epochs: int = 1,
-) -> ModelParameters | _Stack:
-    """`epochs` passes of mini-batch SGD for a stack of k workers, each in a fresh shuffle.
+) -> _Stack:
+    """`epochs` passes of mini-batch SGD for local_round's stack of k workers, trained in
+    place and returned, each pass in a fresh shuffle.
 
     Worker i trains on the rows rows[i] of data (indices as numpy's take reads them), a
     pass in the order rows[i][rng[i].permutation(len(rows[i]))] drawn afresh each time, of
-    ceil(len(rows[i]) / batch_size) updates.  model is a stacked model (see local_round),
-    left untouched, and the result new parameters in worker order; or local_round's
-    _Stack, trained in place and returned.  A step is one gradient call per batch length
+    ceil(len(rows[i]) / batch_size) updates.  A step is one gradient call per batch length
     into a row slice's workspace (_Stack.plan), then g *= lr and p -= g.  One take gathers
     a pass's features and one its targets, in step order, so each call reads contiguous
     slices.  Batches are never padded: every worker gets the bytes of a stack of its own.
@@ -286,12 +282,6 @@ def sgd_epoch(
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     rows = [np.asarray(r, dtype=np.intp) for r in rows]
-    stack = model
-    if not isinstance(model, _Stack):
-        weights = model.layers[0][0]
-        if weights.ndim != 3 or weights.shape[0] != len(rows):
-            raise ValueError(f"{len(rows)} row sets for a model of weight shape {weights.shape}")
-        stack = _Stack(model, len(rows))
     if not len(stack.order) == len(rows) == len(rng):
         raise ValueError(f"{len(rows)} row sets, {len(rng)} streams, {len(stack.order)} workers")
     sizes = [len(r) for r in rows]
@@ -316,10 +306,7 @@ def sgd_epoch(
             gradient(sub, xs, ys, ws)
             g *= lr
             p -= g
-    if stack is model:
-        return stack
-    stack.reorder(list(range(len(rows))))  # back to worker order
-    return stack.model
+    return stack
 
 
 def filter_samples(
@@ -335,12 +322,8 @@ def filter_samples(
     if threshold == 1.0:
         # no softmax probability exceeds 1: skip the forward pass
         return FilterDecision(included_indices=np.arange(len(data)), excluded_count=0)
-    included = []
-    for start in range(0, len(data), _EVAL_CHUNK):
-        probs, _ = _forward_batch(model, data.features[start : start + _EVAL_CHUNK])
-        keep = np.maximum.reduce(probs.T.copy(), axis=0) <= threshold  # see _Workspace
-        included.append(np.flatnonzero(keep) + start)
-    idx = np.concatenate(included) if included else np.empty(0, dtype=np.intp)
+    probs = _probabilities(model, data.features)
+    idx = np.flatnonzero(np.maximum.reduce(probs.T.copy(), axis=0) <= threshold)  # see _Workspace
     return FilterDecision(included_indices=idx, excluded_count=len(data) - idx.size)
 
 
@@ -408,13 +391,8 @@ def evaluate(model: ModelParameters, data: LabeledDataset) -> tuple[float, float
     """Mean cross entropy and top-1 accuracy (argmax ties -> lowest index)."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    loss_sum = 0.0
-    correct = 0
-    for start in range(0, len(data), _EVAL_CHUNK):
-        feats = data.features[start : start + _EVAL_CHUNK]
-        labels = data.labels[start : start + _EVAL_CHUNK]
-        probs, _ = _forward_batch(model, feats)
-        p_true = probs[np.arange(labels.size), labels]
-        loss_sum += float(-np.log(np.maximum(p_true, LOG_GUARD)).sum())
-        correct += int((probs.argmax(axis=1) == labels).sum())
-    return loss_sum / len(data), correct / len(data)
+    probs = _probabilities(model, data.features)
+    p_true = probs[np.arange(len(data)), data.labels]
+    loss = float(-np.log(np.maximum(p_true, LOG_GUARD)).sum())
+    correct = int((probs.argmax(axis=1) == data.labels).sum())
+    return loss / len(data), correct / len(data)

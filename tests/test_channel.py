@@ -8,17 +8,18 @@ from feelsim.channel import beam_and_gain, sample_channel, uplink_rate
 
 class TestSampleChannel:
     def test_deterministic_given_stream(self):
-        a = sample_channel(np.random.default_rng(3), 40.0, 3.2, 8.0, 4)
-        b = sample_channel(np.random.default_rng(3), 40.0, 3.2, 8.0, 4)
+        a = sample_channel(np.random.default_rng(3), 40.0, 3.2, 8.0, 4, los_angle=2.3)
+        b = sample_channel(np.random.default_rng(3), 40.0, 3.2, 8.0, 4, los_angle=2.3)
         assert np.array_equal(a, b)
 
     def test_mean_power_matches_pathloss(self):
-        # Monte Carlo over 100,000 draws: mean per-antenna power = d^-pl within 2%
+        # Monte Carlo over 100,000 draws, each at a uniform line-of-sight angle:
+        # mean per-antenna power = d^-pl within 2%
         rng = np.random.default_rng(17)
         d, m, n = 40.0, 4, 100_000
         total = 0.0
         for _ in range(n):
-            h = sample_channel(rng, d, 3.2, 8.0, m)
+            h = sample_channel(rng, d, 3.2, 8.0, m, float(rng.uniform(0.0, 2.0 * np.pi)))
             total += float(np.vdot(h, h).real)
         mean_power = total / (n * m)
         expect = d ** (-3.2)
@@ -54,9 +55,9 @@ class TestSampleChannel:
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_channel(rng, 0.0, 3.2, 8.0, 4)
+            sample_channel(rng, 0.0, 3.2, 8.0, 4, los_angle=0.5)
         with pytest.raises(ValueError):
-            sample_channel(rng, 10.0, 3.2, 8.0, 0)
+            sample_channel(rng, 10.0, 3.2, 8.0, 0, los_angle=0.5)
 
 
 class TestBeamAndGain:
@@ -66,7 +67,7 @@ class TestBeamAndGain:
 
     def test_matched_combining_without_interferers(self):
         rng = np.random.default_rng(3)
-        h = sample_channel(rng, 40.0, 3.2, 8.0, 4)
+        h = sample_channel(rng, 40.0, 3.2, 8.0, 4, los_angle=1.7)
         beta = beam_and_gain(h, 1e-8)
         expect = float(np.vdot(h, h).real) / 1e-8
         assert beta == pytest.approx(expect, rel=1e-10)
@@ -76,7 +77,7 @@ class TestBeamAndGain:
     def test_unit_norm_combiner(self):
         # beta is the gain of a unit-norm combiner: scaling w changes nothing
         rng = np.random.default_rng(5)
-        h = sample_channel(rng, 40.0, 3.2, 8.0, 4)
+        h = sample_channel(rng, 40.0, 3.2, 8.0, 4, los_angle=1.7)
         w = h / np.linalg.norm(h)
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         for scale in (1e-3, 1.0, 7.5):

@@ -555,6 +555,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": -1}\n')
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(small_config(), cfg_path)
+        code = cli_main(["run", "--config", str(cfg_path), "--seed", "-1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--bogus"]) == 2
         capsys.readouterr()

@@ -56,14 +56,18 @@ def stacked(members):
 
 
 def train_stack(model, data, batch_size, lr, rng, epochs=1):
-    """sgd_epoch on the datasets joined into one, worker i training every row of data[i]."""
+    """sgd_epoch on a _Stack filled from model, over the datasets joined into one, worker i
+    training every row of data[i]; returns the stack's model in worker order."""
     width = model.architecture[0]
     whole = data[0] if len(data) == 1 else LabeledDataset(  # one dataset: itself, unchecked again
         np.concatenate([np.empty((0, width)), *(d.features for d in data)]),
         np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]))
     ends = np.cumsum([0, *(len(d) for d in data)])
     rows = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    return sgd_epoch(model, whole, rows, batch_size, lr, rng, epochs=epochs)
+    stack = learning._Stack(model, len(rows))
+    sgd_epoch(stack, whole, rows, batch_size, lr, rng, epochs=epochs)
+    stack.reorder(list(range(len(rows))))  # back to worker order
+    return stack.model
 
 
 def train_one(model, data, batch_size, lr, rng, epochs=1):
@@ -413,7 +417,7 @@ class TestGradientInto:
         with np.errstate(all="ignore"):
             logits = x @ model.layers[0][0].swapaxes(-1, -2)
             logits += model.layers[0][1][:, None, :]
-            probs, _ = learning._forward_batch(model, x)
+            probs = learning._probabilities(model, x)
             want = softmax(logits, np.maximum.reduce(logits, axis=-1))
             assert probs.tobytes() == want.tobytes()
             assert softmax(z, want_max).tobytes() == softmax(z, np.maximum.reduce(
@@ -432,9 +436,9 @@ class TestFiltering:
         def no_forward(*args, **kwargs):
             raise AssertionError("forward pass run at threshold 1.0")
 
-        monkeypatch.setattr(learning, "_forward_batch", no_forward)
+        monkeypatch.setattr(learning, "_probabilities", no_forward)
         model = init_model([6, 5, 3], np.random.default_rng(308))
-        data = tiny_dataset(n=5000)  # spans two evaluation chunks
+        data = tiny_dataset(n=5000)
         dec = filter_samples(model, data, 1.0)
         assert dec.excluded_count == 0
         assert np.array_equal(dec.included_indices, np.arange(len(data)))
@@ -474,9 +478,9 @@ class TestFiltering:
         dec = filter_samples(model, data, 0.75)
         assert np.array_equal(dec.included_indices, keep)
 
-    def test_chunk_boundary_indices_are_global(self):
+    def test_whole_input_forward_matches_direct_rule(self):
         model = init_model([6, 8, 3], np.random.default_rng(312))
-        data = tiny_dataset(n=5000)  # spans two evaluation chunks
+        data = tiny_dataset(n=5000)
         dec = filter_samples(model, data, 0.75)
         probs = manual_forward(model, data.features)
         keep = np.flatnonzero(probs.max(axis=1) <= 0.75)
@@ -814,7 +818,8 @@ def reference_loss_and_gradient(model, x, y):
     if weights.ndim == 3:
         x = x.reshape(weights.shape[0], -1, x.shape[-1])
     n = x.shape[-2]
-    probs, acts = learning._forward_batch(model, x)
+    ws = learning._Workspace(model, (), x.shape[:-1])
+    probs, acts = learning._forward(ws, x), [x, *ws.out[:-1]]
     classes = probs.shape[-1]
     if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
         raise ValueError(f"labels outside [0, {classes})")
@@ -993,9 +998,9 @@ class TestAggregateAndEvaluate:
         # argmax of a uniform row is class 0
         assert acc == pytest.approx(float(np.mean(data.labels == 0)), abs=1e-15)
 
-    def test_evaluate_chunking_consistent(self):
+    def test_evaluate_whole_input_forward_consistent(self):
         model = init_model([6, 8, 3], np.random.default_rng(320))
-        big = tiny_dataset(n=5000)  # spans two evaluation chunks
+        big = tiny_dataset(n=5000)
         loss_big, acc_big = evaluate(model, big)
         probs = manual_forward(model, big.features)
         p_true = probs[np.arange(5000), big.labels]

@@ -55,6 +55,8 @@ CASES = {
         FILTERED, {"partition": "noniid", "synthetic_spread": 1.0, "threshold": 0.6,
                    "rounds": 30}),
     "filtered-trials-2": (FILTERED, {"trials": 2}),
+    # one 4800-row shard filtered per round: the largest filter input in the matrix
+    "filtered-shards-4800": (FILTERED, {"workers": 2, "synthetic_samples": 12000, "rounds": 5}),
 }
 SEEDS = (1, 2, 3)
 EXTRA = [("fleet-784", 5)]  # the seed the benchmark's fleet figures use
