@@ -24,6 +24,7 @@ from .channel import beam_and_gain, sample_channel, uplink_rate
 from .learning import (
     LabeledDataset,
     ModelParameters,
+    _Stack,
     aggregate,
     evaluate,
     init_model,
@@ -105,7 +106,13 @@ class RoundRecord:
 
 @dataclass
 class ExperimentState:
-    """Mutable state threaded through the rounds of one trial."""
+    """Mutable state threaded through the rounds of one trial.
+
+    stack is the trial's local-training stack: the first run_round builds it for the
+    scheduled count, which is fixed within a trial, and every round trains in it, reusing
+    its blocks, plans and step workspaces.  The local models a round trains are views of
+    it, valid until the next round trains; run_round aggregates them before it returns.
+    """
 
     model: ModelParameters
     workers: list[WorkerProfile]
@@ -113,6 +120,7 @@ class ExperimentState:
     seed: int
     trial: int = 0
     cumulative_energy_j: float = 0.0
+    stack: _Stack | None = None
 
 
 def partition_iid(
@@ -252,10 +260,13 @@ def run_round(
     betas = [_link_gain(p, config, substream(seed, DOMAIN_CHANNEL, trial, p.worker_id, *block))
              for p in selected]
 
+    if state.stack is None:
+        state.stack = _Stack(state.model.architecture, len(selected))
     local_models, decisions = local_round(
         state.model, [p.dataset for p in selected], config.epochs, config.batch_size,
         config.learning_rate, config.threshold,
         [substream(seed, DOMAIN_TRAIN, trial, p.worker_id, round_index) for p in selected],
+        stack=state.stack,
     )
 
     workloads = [

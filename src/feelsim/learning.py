@@ -88,7 +88,8 @@ def _member(model: ModelParameters, i: int) -> ModelParameters:
 class _Workspace(tuple):
     """The (gw, gb) pairs gradient writes, plus each layer's output, the backward products,
     the transposed-weight and broadcast-bias views and a class-major logits buffer for the
-    row max (numpy's max over a short last axis is slow, over axis 0 it is not)."""
+    row max (numpy's max over a short last axis is slow, over axis 0 it is not).  With no
+    pairs it holds only what the forward pass uses."""
 
     def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...]):
         ws = super().__new__(cls, grads)  # shape: a batch's leading dims, (k, n) or (n,)
@@ -96,12 +97,13 @@ class _Workspace(tuple):
         ws.weights_t = [w.swapaxes(-1, -2) for w, _ in model.layers]
         ws.biases = [b[..., None, :] for _, b in model.layers]
         ws.out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
-        ws.back = [np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]]
-        ws.delta_t = [d.swapaxes(-1, -2) for d in (*ws.back, ws.out[-1])]  # layer i's
-        ws.delta = ws.out[-1].reshape(ws.rows, model.architecture[-1])  # as (rows, classes)
         ws.logits_t = ws.out[-1].transpose(-1, *range(len(shape)))  # class-major view
         ws.classes, ws.row_max = np.empty(ws.logits_t.shape), np.empty(shape)
         ws.shift, ws.row_sum = ws.row_max[..., None], np.empty((*shape, 1))
+        if ws:
+            ws.back = [np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]]
+            ws.delta_t = [d.swapaxes(-1, -2) for d in (*ws.back, ws.out[-1])]  # layer i's
+            ws.delta = ws.out[-1].reshape(ws.rows, model.architecture[-1])  # (rows, classes)
         return ws
 
 
@@ -197,30 +199,66 @@ def _layout(block: np.ndarray, arch: tuple[int, ...]) -> tuple[tuple[np.ndarray,
     return tuple(layers)
 
 
+def _longest_first(sizes: Sequence[int]) -> list[int]:
+    """Workers longest first, ties in worker order: the stack order of a pass on these
+    row counts, in which workers whose batches have the same length are a row slice."""
+    return sorted(range(len(sizes)), key=lambda i: -sizes[i])
+
+
 class _Stack:
     """k workers' models trained as one: row j of a (k, P) parameter block is worker
     order[j]'s W0, b0, W1, b1, ... flattened, beside a gradient block of the same shape.
-    Step workspaces (per row slice and batch length) and the last plan stay until reorder."""
 
-    def __init__(self, model: ModelParameters, k: int):
-        self.arch, self.order = model.architecture, list(range(k))
-        self.params = np.empty((k, param_bits(self.arch) // 64))  # P from arch: k may be 0
+    A stack is built once for as many rounds as its owner trains k workers
+    (ExperimentState keeps one per trial).  Its blocks never move: load and reorder
+    write into them, so a step workspace, views of a row slice keyed by (lo, hi, batch
+    length), stays valid for the stack's life.  The two most recent plans are kept
+    (a round's full pass and kept pass), and only the workspaces they use.  Every plan's
+    batches are views of one pass block, and each round's shards are joined into another,
+    both grown to the most rows seen."""
+
+    def __init__(self, arch: tuple[int, ...], k: int):
+        self.arch, self.order, self.position = arch, list(range(k)), list(range(k))
+        self.params = np.empty((k, param_bits(arch) // 64))  # P from arch: k may be 0
         self.grads = np.empty_like(self.params)
-        self.reorder(self.order)
+        self.model = ModelParameters(_layout(self.params, arch), arch)
+        self.x, self.y = np.empty((0, arch[0])), np.empty((0, arch[-1]))
+        self.features, self.labels = np.empty((0, arch[0])), np.empty(0, dtype=np.intp)
+        self.plans: dict[tuple, tuple] = {}  # (order, sizes, batch_size) -> (plan, workspaces)
+        self.steps: dict[tuple[int, int, int], tuple] = {}  # (lo, hi, n) -> (ws, p, g)
+
+    def load(self, model: ModelParameters, order: list[int]) -> None:
+        """Fill the rows from model, row j read as worker order[j]: a 2-D model fills every
+        row, so any order holds without a copy; a stacked one fills row j from its j-th."""
+        if model.architecture != self.arch or sorted(order) != list(range(len(self.params))):
+            raise ValueError(f"cannot load {model.architecture} in worker order {order} "
+                             f"into a stack of {len(self.order)} x {self.arch}")
         for views, layer in zip(self.model.layers, model.layers):
             for view, array in zip(views, layer):
-                np.copyto(view, array)  # a 2-D model fills every row
+                np.copyto(view, array)
+        self.order, self.position = order, sorted(range(len(order)), key=order.__getitem__)
+
+    def join(self, data: Sequence[LabeledDataset]) -> LabeledDataset:
+        """The shards as one dataset, worker i's rows after worker i-1's, written into a
+        block the stack keeps, grown to the most rows seen: a fresh one each round would
+        leave a hole that smaller allocations split, and the heap would grow."""
+        rows = sum(len(d) for d in data)
+        if rows > len(self.labels):
+            self.features, self.labels = np.empty((rows, self.arch[0])), np.empty(rows, np.intp)
+        # empty heads let a round hold no workers
+        return LabeledDataset(
+            np.concatenate([self.features[:0], *(d.features for d in data)],
+                           out=self.features[:rows]),
+            np.concatenate([self.labels[:0], *(d.labels for d in data)], out=self.labels[:rows]))
 
     def reorder(self, order: list[int]) -> None:
-        """Put worker order[j] in row j."""
+        """Put worker order[j] in row j, in place."""
         if order != self.order:
             # via the gradient block, free between steps; every index is a row, so "clip"
             # changes nothing, and unlike "raise" it writes without an interim copy
             self.params.take([self.position[i] for i in order], axis=0, out=self.grads, mode="clip")
-            self.params, self.grads = self.grads, self.params
-        self.order, self.steps, self.schedule = order, {}, None
-        self.position = sorted(range(len(order)), key=order.__getitem__)  # worker -> row
-        self.model = ModelParameters(_layout(self.params, self.arch), self.arch)
+            np.copyto(self.params, self.grads)
+            self.order, self.position = order, sorted(range(len(order)), key=order.__getitem__)
 
     def plan(self, sizes: list[int], batch_size: int) -> tuple:
         """A pass's plan for workers of these row counts, rows ordered longest first so that
@@ -230,30 +268,40 @@ class _Stack:
         shuffled rows laid end to end; x and y take their features and targets; a step is
         (model, x rows, y rows, workspace, p rows, g rows)."""
         if any(sizes[i] < sizes[j] for i, j in zip(self.order, self.order[1:])):
-            self.reorder(sorted(range(len(sizes)), key=lambda i: -sizes[i]))  # ties: worker order
-        if self.schedule is None or self.schedule[0] != (sizes, batch_size):
-            first = list(itertools.accumulate(sizes, initial=0))
-            x, y = np.empty((first[-1], self.arch[0])), np.empty((first[-1], self.arch[-1]))
-            pos, steps = [], []
-            for start in range(0, max(sizes, default=0), batch_size):
-                groups: dict[int, list[int]] = {}  # batch length -> rows of the stack
-                for j, i in enumerate(self.order):
-                    if sizes[i] > start:
-                        groups.setdefault(min(batch_size, sizes[i] - start), []).append(j)
-                for n, group in groups.items():
-                    lo, hi = group[0], group[-1] + 1
-                    key = (lo, hi, n)
-                    if key not in self.steps:
-                        p, g = self.params[lo:hi], self.grads[lo:hi]
-                        sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
-                        self.steps[key] = _Workspace(sub, _layout(g, self.arch), (hi - lo, n)), p, g
-                    ws, p, g = self.steps[key]
-                    at = slice(len(pos), len(pos) + ws.rows)
-                    steps.append((ws.model, x[at], y[at], ws, p, g))
-                    for i in self.order[lo:hi]:
-                        pos.extend(range(first[i] + start, first[i] + start + n))
-            self.schedule = ((sizes, batch_size), (np.array(pos, dtype=np.intp), x, y, steps))
-        return self.schedule[1]
+            self.reorder(_longest_first(sizes))
+        key = (tuple(self.order), tuple(sizes), batch_size)
+        cached = self.plans.pop(key, None)
+        self.plans[key] = cached or self._plan(sizes, batch_size)  # most recent last
+        if len(self.plans) > 2:
+            del self.plans[next(iter(self.plans))]
+            self.steps = {k: v for _, used in self.plans.values() for k, v in used.items()}
+        return self.plans[key][0]
+
+    def _plan(self, sizes: list[int], batch_size: int) -> tuple:
+        first = list(itertools.accumulate(sizes, initial=0))
+        rows = first[-1]
+        if rows > len(self.x):  # cached plans keep the block they were built on
+            self.x, self.y = np.empty((rows, self.arch[0])), np.empty((rows, self.arch[-1]))
+        x, y = self.x[:rows], self.y[:rows]
+        pos, steps, used = [], [], {}
+        for start in range(0, max(sizes, default=0), batch_size):
+            groups: dict[int, list[int]] = {}  # batch length -> rows of the stack
+            for j, i in enumerate(self.order):
+                if sizes[i] > start:
+                    groups.setdefault(min(batch_size, sizes[i] - start), []).append(j)
+            for n, group in groups.items():
+                lo, hi = group[0], group[-1] + 1
+                key = (lo, hi, n)
+                if key not in self.steps:
+                    p, g = self.params[lo:hi], self.grads[lo:hi]
+                    sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
+                    self.steps[key] = _Workspace(sub, _layout(g, self.arch), (hi - lo, n)), p, g
+                ws, p, g = used[key] = self.steps[key]
+                at = slice(len(pos), len(pos) + ws.rows)
+                steps.append((ws.model, x[at], y[at], ws, p, g))
+                for i in self.order[lo:hi]:
+                    pos.extend(range(first[i] + start, first[i] + start + n))
+        return (np.array(pos, dtype=np.intp), x, y, steps), used
 
 
 def sgd_epoch(
@@ -264,9 +312,9 @@ def sgd_epoch(
     lr: float,
     rng: Sequence[np.random.Generator],
     epochs: int = 1,
-) -> _Stack:
+) -> None:
     """`epochs` passes of mini-batch SGD for local_round's stack of k workers, trained in
-    place and returned, each pass in a fresh shuffle.
+    place, each pass in a fresh shuffle.
 
     Worker i trains on the rows rows[i] of data (indices as numpy's take reads them), a
     pass in the order rows[i][rng[i].permutation(len(rows[i]))] drawn afresh each time, of
@@ -306,7 +354,6 @@ def sgd_epoch(
             gradient(sub, xs, ys, ws)
             g *= lr
             p -= g
-    return stack
 
 
 def filter_samples(
@@ -335,33 +382,38 @@ def local_round(
     lr: float,
     threshold: float,
     rng: Sequence[np.random.Generator],
+    stack: _Stack | None = None,
 ) -> tuple[list[ModelParameters], list[FilterDecision]]:
     """The workers' round: full first epoch, filter, remaining epochs on the rest.
 
-    data and rng hold one dataset and one stream per worker.  The round is set up once:
-    the shards joined into one dataset (worker i's rows [a_i, b_i)), one _Stack filled from
-    global_model.  Two sgd_epoch calls train it in place, sharing its workspaces: a pass
-    on every row, then, after each worker is filtered on its own model (views of its row),
+    data and rng hold one dataset and one stream per worker.  stack is a _Stack of
+    len(data) workers kept across rounds (run_round passes its trial's); None builds one
+    for this call.  The shards are joined into one dataset in a block of the stack (worker
+    i's rows [a_i, b_i)), and global_model is loaded into every row of the stack.  Two
+    sgd_epoch calls train it in place, sharing its plans and workspaces: a pass on every
+    row, then, after each worker is filtered on its own model (views of its row),
     epochs - 1 passes on a_i + the rows it kept.  The filter always runs: its verdict
-    prices the round.  Returns models (views of the stack's block) and decisions in worker
-    order; a worker's bytes do not depend on which others share its stack.
+    prices the round.  Returns models and decisions in worker order.  The models are
+    views of the stack's block, valid until that stack trains again.  A worker's bytes
+    depend neither on which others share its stack nor on what the stack trained before.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if any(len(d) == 0 for d in data):
         raise ValueError("cannot train on an empty dataset")
-    # empty heads fix the dtypes and let a round hold no workers
-    joined = LabeledDataset(
-        np.concatenate([np.empty((0, global_model.architecture[0])), *(d.features for d in data)]),
-        np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]))
-    firsts = list(itertools.accumulate((len(d) for d in data), initial=0))
-    stack = sgd_epoch(_Stack(global_model, len(data)), joined,
-                      [np.arange(a, b) for a, b in zip(firsts, firsts[1:])], batch_size, lr, rng)
+    sizes = [len(d) for d in data]
+    firsts = list(itertools.accumulate(sizes, initial=0))
+    if stack is None:
+        stack = _Stack(global_model.architecture, len(data))
+    joined = stack.join(data)
+    stack.load(global_model, _longest_first(sizes))  # rows all equal: this order is free
+    sgd_epoch(stack, joined, [np.arange(a, b) for a, b in zip(firsts, firsts[1:])],
+              batch_size, lr, rng)
     decisions = [filter_samples(_member(stack.model, stack.position[i]), d, threshold)
                  for i, d in enumerate(data)]
     if epochs > 1:
         kept = [a + decision.included_indices for a, decision in zip(firsts, decisions)]
-        stack = sgd_epoch(stack, joined, kept, batch_size, lr, rng, epochs=epochs - 1)
+        sgd_epoch(stack, joined, kept, batch_size, lr, rng, epochs=epochs - 1)
     return [_member(stack.model, j) for j in stack.position], decisions
 
 
@@ -394,5 +446,11 @@ def evaluate(model: ModelParameters, data: LabeledDataset) -> tuple[float, float
     probs = _probabilities(model, data.features)
     p_true = probs[np.arange(len(data)), data.labels]
     loss = float(-np.log(np.maximum(p_true, LOG_GUARD)).sum())
-    correct = int((probs.argmax(axis=1) == data.labels).sum())
+    classes = probs.T.copy()  # class-major, for the row max: see _Workspace
+    top = np.maximum.reduce(classes, axis=0)
+    if not math.isnan(loss) and np.count_nonzero(classes == top) == len(data):
+        # every row has one maximum (a row with a NaN has none, and makes the loss NaN)
+        correct = np.count_nonzero(p_true == top)
+    else:  # a tie or a NaN: numpy's argmax takes the first
+        correct = int((probs.argmax(axis=1) == data.labels).sum())
     return loss / len(data), correct / len(data)

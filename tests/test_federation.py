@@ -79,8 +79,9 @@ def contiguous_groups(k):
 
 
 def split_training(groups):
-    """A local_round that trains each of groups(n) of the n workers in its own call."""
-    def train(model, data, epochs, batch_size, lr, threshold, rng):
+    """A local_round that trains each of groups(n) of the n workers in its own call, on a
+    fresh stack of its own: the trial's stack run_round passes is not used."""
+    def train(model, data, epochs, batch_size, lr, threshold, rng, stack=None):
         models, decisions = [None] * len(data), [None] * len(data)
         for group in groups(len(data)):
             trained = local_round(model, [data[i] for i in group], epochs, batch_size, lr,
@@ -447,6 +448,35 @@ class TestDeterminism:
         for rb, mb in others:
             assert_models_equal(ma, mb)
             assert ra == rb
+
+    def test_trial_stack_does_not_change_results(self, monkeypatch):
+        # label-skewed shards of unequal size, 3 of 7 scheduled a round, the filter
+        # dropping samples: one stack for the trial against a fresh one per round
+        data = make_dataset(n=602, seed=905)
+        shards = partition_noniid(data, 7, np.random.default_rng(907))
+
+        def fleet():
+            workers = make_fleet(k=7)
+            for profile, shard in zip(workers, shards):
+                profile.dataset = shard
+            return workers
+
+        cfg = fast_config(rounds=8, select_fraction=0.35, epochs=3)
+        stacks = []
+
+        def recording(*args, stack):
+            stacks.append(stack)
+            return local_round(*args, stack=stack)
+
+        monkeypatch.setattr(federation, "local_round", recording)
+        ra, ma = run_experiment(fleet(), TEST_DATA, ARCH, cfg, seed=73)
+        monkeypatch.setattr(federation, "local_round", lambda *args, stack: local_round(*args))
+        rb, mb = run_experiment(fleet(), TEST_DATA, ARCH, cfg, seed=73)
+        assert len(stacks) == 8 and all(stack is stacks[0] for stack in stacks)
+        assert len({len(shards[s.worker_id]) for r in ra for s in r.worker_stats}) > 1
+        assert any(s.kappa for r in ra for s in r.worker_stats)
+        assert_models_equal(ma, mb)
+        assert ra == rb
 
     def test_explicit_deadline_equals_resolved_default(self):
         cfg = fast_config(rounds=2)

@@ -64,7 +64,8 @@ def train_stack(model, data, batch_size, lr, rng, epochs=1):
         np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]))
     ends = np.cumsum([0, *(len(d) for d in data)])
     rows = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    stack = learning._Stack(model, len(rows))
+    stack = learning._Stack(model.architecture, len(rows))
+    stack.load(model, list(range(len(rows))))
     sgd_epoch(stack, whole, rows, batch_size, lr, rng, epochs=epochs)
     stack.reorder(list(range(len(rows))))  # back to worker order
     return stack.model
@@ -809,6 +810,69 @@ class TestRoundAgainstReference:
                    for k, case in zip(kept, ROUND_CASES))
 
 
+class TestTrialStack:
+    """One _Stack trained round after round gives the bytes of a fresh stack per round, and
+    holds only the plans and step workspaces of its last two passes."""
+
+    @staticmethod
+    def round(model, sizes, r, stack, threshold=0.4):
+        shards = round_case(sizes, [1] * len(sizes), 4, seed=350 + sum(sizes))
+
+        def streams():
+            return [substream(29, TRAIN, 0, w, r) for w in range(len(sizes))]
+
+        got = local_round(model, shards, 3, 8, 0.1, threshold, streams(), stack=stack)
+        return got, local_round(model, shards, 3, 8, 0.1, threshold, streams())
+
+    def test_reused_stack_matches_fresh_stacks(self, monkeypatch):
+        # patterns A, A, B, A: B is ascending, so it is loaded in the reverse order, and
+        # kept counts reorder the stack in place between a round's two calls
+        moves, dropped = [], 0
+        reorder = learning._Stack.reorder
+
+        def recording(stack, order):
+            moves.append(order != stack.order)
+            reorder(stack, order)
+
+        monkeypatch.setattr(learning._Stack, "reorder", recording)
+        a, b = [40, 37, 40, 23], [12, 23, 30, 40]
+        model = init_model([6, 7, 4], np.random.default_rng(351))
+        stack = learning._Stack(model.architecture, 4)
+        for r, sizes in enumerate([a, a, b, a]):
+            (models, decisions), (want, expect) = self.round(model, sizes, r, stack)
+            for m in models:
+                assert all(np.shares_memory(w, stack.params) for w, _ in m.layers)
+            for got, ref in zip(models, want, strict=True):
+                assert_models_equal(got, ref)
+            for d, e in zip(decisions, expect, strict=True):
+                assert d.excluded_count == e.excluded_count
+                assert np.array_equal(d.included_indices, e.included_indices)
+                dropped += d.excluded_count
+            model = aggregate([(m, n) for m, n in zip(models, sizes)])  # before it trains again
+        assert any(moves) and dropped
+
+    def test_cached_workspaces_stay_bounded(self):
+        # 300 filtered rounds of three workers: the kept counts give new plans and new
+        # row slices round after round, but only those of the last two plans stay
+        k, batch = 3, 8
+        model = init_model([6, 7, 4], np.random.default_rng(352))
+        stack = learning._Stack(model.architecture, k)
+        data = tiny_dataset(n=3 * 40, classes=4, seed=353)
+        shards = [data.take(np.arange(40 * w, 40 * (w + 1))) for w in range(k)]
+        seen, most = set(), 0
+        for r in range(300):
+            streams = [substream(31, TRAIN, 0, w, r) for w in range(k)]
+            models, _ = local_round(model, shards, 2, batch, 0.5, 0.6, streams, stack=stack)
+            model = aggregate([(m, 40) for m in models])
+            seen.update(stack.steps)
+            most = max(most, len(stack.steps))
+            assert len(stack.plans) <= 2
+            used = {key for _, keys in stack.plans.values() for key in keys}
+            assert set(stack.steps) == used
+        # a plan has one full-batch slice per stack height and one tail per worker
+        assert most <= 2 * 2 * k < len(seen)
+
+
 def reference_loss_and_gradient(model, x, y):
     """loss_and_gradient as it was when it took integer labels y: every call
     range-checks them and builds the one-hot step with a fancy get and set."""
@@ -997,6 +1061,23 @@ class TestAggregateAndEvaluate:
         assert loss == pytest.approx(math.log(3.0), rel=1e-12)
         # argmax of a uniform row is class 0
         assert acc == pytest.approx(float(np.mean(data.labels == 0)), abs=1e-15)
+
+    @pytest.mark.parametrize("classes", [4, 10])
+    def test_evaluate_ties_go_to_the_first_class(self, classes):
+        # a zero model gives every class the same probability: only label-0 rows count
+        zero = zeroed(init_model([6, 5, classes], np.random.default_rng(0)))
+        data = tiny_dataset(n=800, dim=6, classes=classes, seed=354)
+        _, acc = evaluate(zero, data)
+        assert acc == np.count_nonzero(data.labels == 0) / 800
+
+    def test_evaluate_nan_row_takes_argmax(self):
+        # rows: NaN (argmax: class 0), a tie of classes 0 and 1, class 2 twice;
+        # one row with no maximum and one with two must not pass for a clean set
+        model = ModelParameters(layers=((np.array([[0.0], [0.0], [5.0]]),
+                                         np.array([1.0, 1.0, 0.0])),), architecture=(1, 3))
+        data = LabeledDataset(np.array([[np.nan], [0.0], [1.0], [1.0]]), np.array([0, 0, 2, 0]))
+        loss, acc = evaluate(model, data)
+        assert math.isnan(loss) and acc == 0.75
 
     def test_evaluate_whole_input_forward_consistent(self):
         model = init_model([6, 8, 3], np.random.default_rng(320))

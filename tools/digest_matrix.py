@@ -57,6 +57,11 @@ CASES = {
     "filtered-trials-2": (FILTERED, {"trials": 2}),
     # one 4800-row shard filtered per round: the largest filter input in the matrix
     "filtered-shards-4800": (FILTERED, {"workers": 2, "synthetic_samples": 12000, "rounds": 5}),
+    # every worker each round on 152- and 153-row shards: the trial's stack, left in the
+    # last round's kept order, is loaded longest first again at every round
+    "iid-uneven-all-scheduled": (FILTERED, {"workers": 21, "select_fraction": 1.0}),
+    # a long trial: plans and step workspaces are reused and dropped over 300 rounds
+    "filtered-rounds-300": (FILTERED, {"rounds": 300}),
 }
 SEEDS = (1, 2, 3)
 EXTRA = [("fleet-784", 5)]  # the seed the benchmark's fleet figures use
