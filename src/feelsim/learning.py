@@ -86,43 +86,59 @@ def _member(model: ModelParameters, i: int) -> ModelParameters:
 
 
 class _Workspace(tuple):
-    """The (gw, gb) pairs gradient writes, plus each layer's output, the backward products,
-    the transposed-weight and broadcast-bias views and a class-major logits buffer for the
-    row max (numpy's max over a short last axis is slow, over axis 0 it is not).  With no
-    pairs it holds only what the forward pass uses."""
+    """The (gw, gb) pairs gradient writes, with every other operand of a step bound once.
+
+    forward, read by _forward: each hidden layer's (transposed weights, output buffer,
+    broadcast bias), the logits layer's, then the softmax buffers: a class-major copy of
+    the logits for the row max (numpy's max over a short last axis is slow, over axis 0 it
+    is not), the row max, its broadcast shift and the row sum.  backward, read by gradient:
+    the probabilities as (rows, classes), the batch length as a float, per layer from the
+    last down to layer 1 (delta_t, delta, input activation, gw, gb, weights, back buffer),
+    back being the next layer's delta, and layer 0's (delta_t, delta, gw, gb), whose input
+    is the call's x.  The weights and biases are the model's own arrays (views of a stack's
+    parameter block), so the workspace sees every write into them.  With no pairs it holds
+    only the forward half."""
 
     def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...]):
         ws = super().__new__(cls, grads)  # shape: a batch's leading dims, (k, n) or (n,)
         ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, model.architecture[0])
-        ws.weights_t = [w.swapaxes(-1, -2) for w, _ in model.layers]
-        ws.biases = [b[..., None, :] for _, b in model.layers]
-        ws.out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
-        ws.logits_t = ws.out[-1].transpose(-1, *range(len(shape)))  # class-major view
-        ws.classes, ws.row_max = np.empty(ws.logits_t.shape), np.empty(shape)
-        ws.shift, ws.row_sum = ws.row_max[..., None], np.empty((*shape, 1))
+        out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
+        layers = tuple((w.swapaxes(-1, -2), z, b[..., None, :])
+                       for (w, b), z in zip(model.layers, out))
+        logits_t = out[-1].transpose(-1, *range(len(shape)))  # class-major view
+        row_max = np.empty(shape)
+        ws.forward = (layers[:-1], layers[-1], np.empty(logits_t.shape), logits_t, row_max,
+                      row_max[..., None], np.empty((*shape, 1)))
         if ws:
-            ws.back = [np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]]
-            ws.delta_t = [d.swapaxes(-1, -2) for d in (*ws.back, ws.out[-1])]  # layer i's
-            ws.delta = ws.out[-1].reshape(ws.rows, model.architecture[-1])  # (rows, classes)
+            deltas = [*(np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]), out[-1]]
+            backward = tuple((deltas[i].swapaxes(-1, -2), deltas[i], out[i - 1], *ws[i],
+                              model.layers[i][0], deltas[i - 1])
+                             for i in range(len(out) - 1, 0, -1))
+            ws.backward = (out[-1].reshape(ws.rows, model.architecture[-1]), float(shape[-1]),
+                           backward, (deltas[0].swapaxes(-1, -2), deltas[0], *ws[0]))
         return ws
 
 
-def _forward(ws: _Workspace, x: np.ndarray) -> np.ndarray:
-    """Softmax probabilities of x into ws.out[-1], the hidden activations into ws.out[:-1].
+def _forward(bound: tuple, x: np.ndarray) -> np.ndarray:
+    """Softmax probabilities of x into the logits buffer of a workspace's forward half, the
+    hidden activations into its other output buffers.
 
     A max is exact in any order; the sum stays on the last axis, where numpy adds 8 or
     more classes in an order that a class-major sum would not keep."""
-    a, last = x, len(ws.out) - 1
-    for i, z in enumerate(ws.out):
-        np.matmul(a, ws.weights_t[i], out=z)
-        z += ws.biases[i]
-        a = np.maximum(z, 0.0, out=z) if i < last else z
-    np.copyto(ws.classes, ws.logits_t)
-    np.maximum.reduce(ws.classes, axis=0, out=ws.row_max)
-    a -= ws.shift  # shift-invariant softmax
-    np.exp(a, out=a)
-    a /= np.add.reduce(a, axis=-1, keepdims=True, out=ws.row_sum)
-    return a
+    hidden, (w_t, z, bias), classes, logits_t, row_max, shift, row_sum = bound
+    a = x
+    for h_w_t, h, h_bias in hidden:
+        np.matmul(a, h_w_t, out=h)
+        h += h_bias
+        a = np.maximum(h, 0.0, out=h)
+    np.matmul(a, w_t, out=z)
+    z += bias
+    np.copyto(classes, logits_t)
+    np.maximum.reduce(classes, axis=0, out=row_max)
+    z -= shift  # shift-invariant softmax
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True, out=row_sum)
+    return z
 
 
 def _probabilities(model: ModelParameters, x: np.ndarray) -> np.ndarray:
@@ -131,7 +147,7 @@ def _probabilities(model: ModelParameters, x: np.ndarray) -> np.ndarray:
     arch = model.architecture
     if x.ndim != model.layers[0][0].ndim or x.shape[-1] != arch[0]:
         raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
-    return _forward(_Workspace(model, (), x.shape[:-1]), x)
+    return _forward(_Workspace(model, (), x.shape[:-1]).forward, x)
 
 
 def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
@@ -145,7 +161,9 @@ def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
         y: target rows, shape (rows, classes): one-hot for a labelled batch.
         out: one (gw, gb) pair per layer, shaped like model.layers (views of a larger block
             will do), every element overwritten.  A _Workspace for this model and row
-            count also holds every temporary; any other sequence is wrapped in one.
+            count binds every other operand of the step, and the call runs its kernel
+            (_forward, then the bound backward pass) on them; any other sequence is wrapped
+            in a fresh one.  Training calls this once per step and batch length.
     """
     arch, rows = model.architecture, x.shape[0]
     if x.ndim != 2 or x.shape[1] != arch[0]:
@@ -158,19 +176,19 @@ def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
         lead = model.layers[0][0].shape[:-2]  # (k,) for a stack of k workers, else ()
         out = _Workspace(model, out, (*lead, rows // math.prod(lead)))
     x = x.reshape(out.x_shape)
-    delta = _forward(out, x)  # d loss / d logits = (probs - targets) / n, in place
-    out.delta -= y
-    delta /= float(x.shape[-2])  # same bytes; numpy divides by a Python int more slowly
-    for i in range(len(arch) - 2, -1, -1):
-        a = out.out[i - 1] if i else x
-        gw, gb = out[i]
-        np.matmul(out.delta_t[i], a, out=gw)
-        np.add.reduce(delta, axis=-2, out=gb)
-        if i > 0:
-            delta = np.matmul(delta, model.layers[i][0], out=out.back[i - 1])
-            # ReLU mask, subgradient 0 at the kink: activations are +0.0 or positive, so
-            # their sign, written over them as nothing reads them again, is 0.0 or 1.0
-            delta *= np.sign(a, out=a)
+    _forward(out.forward, x)
+    probs, n, layers, (delta_t, delta, gw, gb) = out.backward
+    probs -= y  # d loss / d logits = (probs - targets) / n, in place
+    probs /= n  # a float: same bytes; numpy divides by a Python int more slowly
+    for delta_t_i, delta_i, a, gw_i, gb_i, w, back in layers:
+        np.matmul(delta_t_i, a, out=gw_i)
+        np.add.reduce(delta_i, axis=-2, out=gb_i)
+        np.matmul(delta_i, w, out=back)
+        # ReLU mask, subgradient 0 at the kink: activations are +0.0 or positive, so
+        # their sign, written over them as nothing reads them again, is 0.0 or 1.0
+        back *= np.sign(a, out=a)
+    np.matmul(delta_t, x, out=gw)
+    np.add.reduce(delta, axis=-2, out=gb)
 
 
 def loss_and_gradient(

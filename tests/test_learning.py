@@ -381,14 +381,85 @@ class TestGradientInto:
                 assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
 
     def test_workspace_of_another_model_or_shape_gives_only_its_pairs(self):
-        # a workspace built for another model or row count is wrapped like a plain sequence
+        # a workspace built for another model or row count is wrapped like a plain sequence:
+        # its bound kernel, stale for this call, must not run
         model, x, y, _ = self.case([6, 5, 3], 2, 8)
         other, _, _, _ = self.case([6, 5, 3], 2, 8, seed=332)
         for ws in (self.workspace(other, 2, 8), self.workspace(model, 2, 5)):
             learning.gradient(model, x, y, ws)
-            _, want = loss_and_gradient(model, x, y)
-            for (gw, gb), (rw, rb) in zip(ws, want, strict=True):
-                assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+            self.assert_reference_bytes(ws, model, x, y)
+
+    @staticmethod
+    def assert_reference_bytes(pairs, model, x, y):
+        """pairs hold the bytes reference_gradient writes for this batch."""
+        want = [(np.empty_like(w), np.empty_like(b)) for w, b in model.layers]
+        reference_gradient(model, x, y, want)
+        for (gw, gb), (rw, rb) in zip(pairs, want, strict=True):
+            assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
+    @pytest.mark.parametrize("arch, k, n", [
+        *CASES,
+        ([6, 5, 4, 3], None, 11),  # two hidden layers, 2-D
+        ([6, 5, 4, 3], 2, 1),  # one-row batches, stacked
+        ([6, 7, 10], None, 1),  # a one-row batch, 2-D
+    ])
+    def test_kernel_matches_reference_bytes(self, arch, k, n):
+        # against the list-indexed pass it replaced, through a fresh workspace (plain
+        # views, wrapped) and through one workspace reused for three batches
+        model, _, _, rng = self.case(arch, k, n)
+        ws = self.workspace(model, k, n)
+        for _ in range(3):
+            rows = n * (k or 1)
+            x = rng.normal(size=(rows, arch[0])) * 3.0
+            y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
+            _, plain = self.block_views(model)
+            learning.gradient(model, x, y, plain)
+            self.assert_reference_bytes(plain, model, x, y)
+            learning.gradient(model, x, y, ws)
+            self.assert_reference_bytes(ws, model, x, y)
+
+    @pytest.mark.parametrize("arch, k", [([6, 5, 3], None), ([6, 5, 4, 3], 2)])
+    def test_kernel_matches_reference_bytes_at_relu_kinks(self, arch, k):
+        # small integers everywhere: many hidden pre-activations are exactly zero
+        rng = np.random.default_rng(333)
+        lead = () if k is None else (k,)
+        model = ModelParameters(
+            layers=tuple((rng.integers(-2, 3, size=(*lead, fan_out, fan_in)).astype(float),
+                          rng.integers(-1, 2, size=(*lead, fan_out)).astype(float))
+                         for fan_in, fan_out in zip(arch[:-1], arch[1:])),
+            architecture=tuple(arch))
+        n = 20
+        rows = n * (k or 1)
+        x = rng.integers(-2, 3, size=(rows, arch[0])).astype(float)
+        y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
+        w0, b0 = model.layers[0]
+        z0 = x.reshape(*lead, n, arch[0]) @ w0.swapaxes(-1, -2) + b0[..., None, :]
+        assert np.count_nonzero(z0 == 0.0) > 5  # kinks reached
+        ws = self.workspace(model, k, n)
+        for _ in range(2):
+            learning.gradient(model, x, y, ws)
+            self.assert_reference_bytes(ws, model, x, y)
+        _, plain = self.block_views(model)
+        learning.gradient(model, x, y, plain)
+        self.assert_reference_bytes(plain, model, x, y)
+
+    @pytest.mark.parametrize("rows, width, target", [
+        (8, 5, (8, 3)),  # input width
+        (0, 6, (0, 3)),  # empty batch
+        (8, 6, (8, 4)),  # target shape
+        (7, 6, (7, 3)),  # rows not a multiple of the stack
+    ])
+    def test_checks_raise_as_the_reference(self, rows, width, target):
+        # the checks run before the kernel, with a workspace built for a valid batch
+        model, _, _, _ = self.case([6, 5, 3], 2, 4)
+        x, y = np.zeros((rows, width)), np.zeros(target)
+        errors = []
+        for grad, out in ((learning.gradient, self.workspace(model, 2, 4)),
+                          (reference_gradient, self.block_views(model)[1])):
+            with pytest.raises(ValueError) as caught:
+                grad(model, x, y, out)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("classes", [4, 10])
     def test_class_major_max_keeps_softmax_bytes(self, classes):
@@ -851,6 +922,36 @@ class TestTrialStack:
             model = aggregate([(m, n) for m, n in zip(models, sizes)])  # before it trains again
         assert any(moves) and dropped
 
+    def test_step_workspaces_follow_load_and_reorder(self):
+        # workspaces bind views of the parameter block: after a new model is loaded and the
+        # rows are permuted in place, a pass through them updates the new rows, with the
+        # bytes of a fresh stack holding the same rows
+        arch, sizes, batch = (6, 7, 4), [12, 12, 12], 5
+        rng = np.random.default_rng(354)
+        data = tiny_dataset(n=36, classes=4, seed=355)
+        rows = [np.arange(12 * w, 12 * (w + 1)) for w in range(3)]
+
+        def streams():
+            return [substream(37, TRAIN, 0, w, 0) for w in range(3)]
+
+        stack = learning._Stack(arch, 3)
+        stack.load(init_model(arch, rng), [0, 1, 2])
+        stack.plan(sizes, batch)
+        built = dict(stack.steps)
+        members = [init_model(arch, rng) for _ in range(3)]
+        stack.load(stacked(members), [2, 0, 1])  # workers 2, 0, 1 get members 0, 1, 2
+        stack.reorder([1, 2, 0])  # rows: worker 1 (members[2]), 2 (members[0]), 0 (members[1])
+        sgd_epoch(stack, data, rows, batch, 0.3, streams(), epochs=2)
+        assert stack.steps and all(stack.steps[key][0] is ws for key, (ws, _, _) in built.items())
+        fresh = learning._Stack(arch, 3)
+        moved = stacked([members[2], members[0], members[1]])
+        fresh.load(moved, [1, 2, 0])
+        sgd_epoch(fresh, data, rows, batch, 0.3, streams(), epochs=2)
+        assert stack.order == fresh.order == [1, 2, 0]
+        assert stack.params.tobytes() == fresh.params.tobytes()
+        assert not any(np.array_equal(w, v) for (w, _), (v, _) in zip(stack.model.layers,
+                                                                     moved.layers))
+
     def test_cached_workspaces_stay_bounded(self):
         # 300 filtered rounds of three workers: the kept counts give new plans and new
         # row slices round after round, but only those of the last two plans stay
@@ -873,6 +974,68 @@ class TestTrialStack:
         assert most <= 2 * 2 * k < len(seen)
 
 
+class ReferenceWorkspace(tuple):
+    """learning._Workspace as it was before a workspace bound its step's operands into
+    flat tuples: per-layer lists that the reference forward and gradient index."""
+
+    def __new__(cls, model, grads, shape):
+        ws = super().__new__(cls, grads)
+        ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, model.architecture[0])
+        ws.weights_t = [w.swapaxes(-1, -2) for w, _ in model.layers]
+        ws.biases = [b[..., None, :] for _, b in model.layers]
+        ws.out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
+        ws.logits_t = ws.out[-1].transpose(-1, *range(len(shape)))
+        ws.classes, ws.row_max = np.empty(ws.logits_t.shape), np.empty(shape)
+        ws.shift, ws.row_sum = ws.row_max[..., None], np.empty((*shape, 1))
+        if ws:
+            ws.back = [np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]]
+            ws.delta_t = [d.swapaxes(-1, -2) for d in (*ws.back, ws.out[-1])]
+            ws.delta = ws.out[-1].reshape(ws.rows, model.architecture[-1])
+        return ws
+
+
+def reference_forward(ws, x):
+    """The list-indexed forward pass over a ReferenceWorkspace."""
+    a, last = x, len(ws.out) - 1
+    for i, z in enumerate(ws.out):
+        np.matmul(a, ws.weights_t[i], out=z)
+        z += ws.biases[i]
+        a = np.maximum(z, 0.0, out=z) if i < last else z
+    np.copyto(ws.classes, ws.logits_t)
+    np.maximum.reduce(ws.classes, axis=0, out=ws.row_max)
+    a -= ws.shift
+    np.exp(a, out=a)
+    a /= np.add.reduce(a, axis=-1, keepdims=True, out=ws.row_sum)
+    return a
+
+
+def reference_gradient(model, x, y, out):
+    """learning.gradient as it was before its kernel was bound into the workspace: the
+    same checks, then a list-indexed forward and backward pass in a ReferenceWorkspace."""
+    arch, rows = model.architecture, x.shape[0]
+    if x.ndim != 2 or x.shape[1] != arch[0]:
+        raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
+    if rows == 0:
+        raise ValueError("cannot take the gradient of an empty batch")
+    if y.shape != (rows, arch[-1]):
+        raise ValueError(f"targets must have shape {(rows, arch[-1])}, got {y.shape}")
+    if not (isinstance(out, ReferenceWorkspace) and out.model is model and out.rows == rows):
+        lead = model.layers[0][0].shape[:-2]
+        out = ReferenceWorkspace(model, out, (*lead, rows // math.prod(lead)))
+    x = x.reshape(out.x_shape)
+    delta = reference_forward(out, x)
+    out.delta -= y
+    delta /= float(x.shape[-2])
+    for i in range(len(arch) - 2, -1, -1):
+        a = out.out[i - 1] if i else x
+        gw, gb = out[i]
+        np.matmul(out.delta_t[i], a, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
+        if i > 0:
+            delta = np.matmul(delta, model.layers[i][0], out=out.back[i - 1])
+            delta *= np.sign(a, out=a)
+
+
 def reference_loss_and_gradient(model, x, y):
     """loss_and_gradient as it was when it took integer labels y: every call
     range-checks them and builds the one-hot step with a fancy get and set."""
@@ -882,8 +1045,8 @@ def reference_loss_and_gradient(model, x, y):
     if weights.ndim == 3:
         x = x.reshape(weights.shape[0], -1, x.shape[-1])
     n = x.shape[-2]
-    ws = learning._Workspace(model, (), x.shape[:-1])
-    probs, acts = learning._forward(ws, x), [x, *ws.out[:-1]]
+    ws = ReferenceWorkspace(model, (), x.shape[:-1])
+    probs, acts = reference_forward(ws, x), [x, *ws.out[:-1]]
     classes = probs.shape[-1]
     if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
         raise ValueError(f"labels outside [0, {classes})")

@@ -62,6 +62,8 @@ CASES = {
     "iid-uneven-all-scheduled": (FILTERED, {"workers": 21, "select_fraction": 1.0}),
     # a long trial: plans and step workspaces are reused and dropped over 300 rounds
     "filtered-rounds-300": (FILTERED, {"rounds": 300}),
+    # the only hidden layer at 784 inputs, where BLAS runs other kernels than at 8
+    "fleet-784-hidden-32": (FILTERED, {**FLEET, "hidden_width": 32, "rounds": 3}),
 }
 SEEDS = (1, 2, 3)
 EXTRA = [("fleet-784", 5)]  # the seed the benchmark's fleet figures use
