@@ -63,10 +63,10 @@ _IDLE = ResourcePlan(
 
 @dataclass
 class WorkerProfile:
-    """One edge device: its data shard, hardware envelope, and placement."""
+    """One edge device: its shard (a row range), hardware envelope, and placement."""
 
     worker_id: int
-    dataset: LabeledDataset
+    rows: range
     bounds: DeviceBounds
     distance_m: float
     los_angle: float
@@ -108,6 +108,7 @@ class RoundRecord:
 class ExperimentState:
     """Mutable state threaded through the rounds of one trial.
 
+    train_data is the trial's training matrix, in which each worker's shard is its rows.
     stack is the trial's local-training stack: the first run_round builds it for the
     scheduled count, which is fixed within a trial, and every round trains in it, reusing
     its blocks, plans and step workspaces.  The local models a round trains are views of
@@ -116,6 +117,7 @@ class ExperimentState:
 
     model: ModelParameters
     workers: list[WorkerProfile]
+    train_data: LabeledDataset
     test_data: LabeledDataset
     seed: int
     trial: int = 0
@@ -125,8 +127,8 @@ class ExperimentState:
 
 def partition_iid(
     data: LabeledDataset, k: int, rng: np.random.Generator
-) -> list[LabeledDataset]:
-    """Disjoint random split into k shards whose sizes differ by at most one."""
+) -> list[np.ndarray]:
+    """Disjoint random split of data's row positions into k shards, sizes within one."""
     n = len(data)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} shards, got {k}")
@@ -136,7 +138,7 @@ def partition_iid(
     pos = 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        shards.append(data.take(perm[pos : pos + size]))
+        shards.append(perm[pos : pos + size])
         pos += size
     return shards
 
@@ -146,12 +148,13 @@ def partition_noniid(
     k: int,
     rng: np.random.Generator,
     classes_per_worker: int = 2,
-) -> list[LabeledDataset]:
+) -> list[np.ndarray]:
     """Label-skewed split: each worker sees exactly classes_per_worker classes.
 
     Class identities are dealt around a shuffled cycle so every class is used
     and no worker sees the same class twice; each class's samples are split
-    evenly among the workers that hold it.
+    evenly among the workers that hold it.  Returns each shard's row positions
+    in data.
     """
     n = len(data)
     if not 1 <= k <= n:
@@ -181,7 +184,7 @@ def partition_noniid(
     shards = []
     for w in range(k):
         chunks = [shard_pools[cls].pop(0) for cls in seq[w * classes_per_worker : (w + 1) * classes_per_worker]]
-        shards.append(data.take(np.concatenate(chunks)))
+        shards.append(np.concatenate(chunks))
     return shards
 
 
@@ -235,7 +238,7 @@ def default_deadline(
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
     t_cmp = max(
-        config.cycles_per_sample * config.epochs * len(p.dataset) / p.bounds.f_max_hz
+        config.cycles_per_sample * config.epochs * len(p.rows) / p.bounds.f_max_hz
         for p in workers
     )
     return 1.5 * (t_cmp + t_up)
@@ -263,15 +266,15 @@ def run_round(
     if state.stack is None:
         state.stack = _Stack(state.model.architecture, len(selected))
     local_models, decisions = local_round(
-        state.model, [p.dataset for p in selected], config.epochs, config.batch_size,
-        config.learning_rate, config.threshold,
+        state.model, state.train_data, [p.rows for p in selected], config.epochs,
+        config.batch_size, config.learning_rate, config.threshold,
         [substream(seed, DOMAIN_TRAIN, trial, p.worker_id, round_index) for p in selected],
         stack=state.stack,
     )
 
     workloads = [
         Workload(
-            dataset_size=len(p.dataset),
+            dataset_size=len(p.rows),
             excluded_count=decision.excluded_count,
             epochs=config.epochs,
             cycles_per_sample=config.cycles_per_sample,
@@ -317,7 +320,7 @@ def run_round(
         selected, local_models, decisions, plans, shares
     ):
         total_kappa += decision.excluded_count
-        total_data += len(profile.dataset)
+        total_data += len(profile.rows)
         if plan is None:
             charged, delivered = _IDLE, False
         elif plan.total_energy_j <= profile.remaining_energy_j:
@@ -332,7 +335,7 @@ def run_round(
         profile.remaining_energy_j -= charged.total_energy_j
         inst_energy += charged.total_energy_j
         if delivered:
-            updates.append((local_model, len(profile.dataset)))
+            updates.append((local_model, len(profile.rows)))
         stats.append(WorkerRoundStats(
             worker_id=profile.worker_id, kappa=decision.excluded_count,
             e_cmp_j=charged.e_cmp_j, e_up_j=charged.e_up_j, t_cmp_s=charged.t_cmp_s,
@@ -359,6 +362,7 @@ def run_round(
 
 def run_experiment(
     workers: list[WorkerProfile],
+    train_data: LabeledDataset,
     test_data: LabeledDataset,
     architecture: list[int],
     config: ExperimentConfig,
@@ -375,8 +379,7 @@ def run_experiment(
     if config.deadline_s is None:
         bits = param_bits(model.architecture)
         config = replace(config, deadline_s=default_deadline(workers, config, bits, seed, trial))
-    state = ExperimentState(
-        model=model, workers=workers, test_data=test_data, seed=seed, trial=trial
-    )
+    state = ExperimentState(model=model, workers=workers, train_data=train_data,
+                            test_data=test_data, seed=seed, trial=trial)
     records = [run_round(state, config, r) for r in range(1, config.rounds + 1)]
     return records, state.model

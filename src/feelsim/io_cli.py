@@ -372,8 +372,10 @@ def write_metrics(
 
 def build_workers(
     config: ExperimentConfig, train: LabeledDataset, seed: int, trial: int
-) -> list[WorkerProfile]:
-    """Partition the training data and attach hardware/placement profiles."""
+) -> tuple[list[WorkerProfile], LabeledDataset]:
+    """Partition the training data and attach hardware/placement profiles.  Returns them
+    and the trial's training matrix: train's rows taken once, worker by worker, so that
+    a profile's rows are its shard's rows in that matrix."""
     part_rng = substream(seed, DOMAIN_PARTITION, trial)
     if config.partition == "iid":
         shards = partition_iid(train, config.workers, part_rng)
@@ -395,15 +397,16 @@ def build_workers(
         capacitance=config.capacitance,
     )
     prof_rng = substream(seed, DOMAIN_PROFILE, trial)
-    profiles = []
+    profiles, end = [], 0
     for wid, shard in enumerate(shards):
         distance = float(prof_rng.uniform(config.distance_min_m, config.distance_max_m))
         los_angle = float(prof_rng.uniform(0.0, 2.0 * np.pi))
         profiles.append(WorkerProfile(
-            worker_id=wid, dataset=shard, bounds=bounds, distance_m=distance,
-            los_angle=los_angle, remaining_energy_j=config.energy_budget_j,
+            worker_id=wid, rows=range(end, end + len(shard)), bounds=bounds,
+            distance_m=distance, los_angle=los_angle, remaining_energy_j=config.energy_budget_j,
         ))
-    return profiles
+        end += len(shard)
+    return profiles, train.take(np.concatenate(shards))
 
 
 def load_dataset(config: ExperimentConfig, seed: int) -> LabeledDataset:
@@ -442,7 +445,10 @@ def run_from_config(
     if seed < 0:  # numpy's SeedSequence takes no negative entropy
         raise ConfigError(f"seed must be >= 0, got {seed}")
     data = load_dataset(config, seed)
+    # data is read for its width and class count only: each trial takes its matrix from train
+    width, n_classes = data.features.shape[1], int(data.labels.max()) + 1
     train, test = split_train_test(data, config.train_fraction, seed)
+    del data
     # what the partition needs of the data, checked for both data sources
     if config.workers > len(train):
         raise ConfigError(f"workers must be <= the {len(train)} training samples, "
@@ -456,12 +462,12 @@ def run_from_config(
         hidden = config.hidden_width
     else:
         hidden = 32 if config.data_source == "mnist" else 16
-    n_classes = int(data.labels.max()) + 1
-    architecture = [data.features.shape[1], hidden, n_classes]
+    architecture = [width, hidden, n_classes]
     per_trial = []
     for t in range(config.trials):
-        workers = build_workers(config, train, seed, t)
-        records, _ = run_experiment(workers, test, architecture, config, seed, trial=t)
+        # no name holds a trial's matrix, so it is freed before the next one is built
+        records, _ = run_experiment(*build_workers(config, train, seed, t), test,
+                                    architecture, config, seed, trial=t)
         per_trial.append(records)
         if not quiet:
             last = records[-1]

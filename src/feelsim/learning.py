@@ -48,7 +48,7 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def take(self, rows: np.ndarray) -> "LabeledDataset":
+    def take(self, rows: np.ndarray | slice) -> "LabeledDataset":
         return LabeledDataset(self.features[rows], self.labels[rows])
 
 
@@ -232,8 +232,7 @@ class _Stack:
     write into them, so a step workspace, views of a row slice keyed by (lo, hi, batch
     length), stays valid for the stack's life.  The two most recent plans are kept
     (a round's full pass and kept pass), and only the workspaces they use.  Every plan's
-    batches are views of one pass block, and each round's shards are joined into another,
-    both grown to the most rows seen."""
+    batches are views of one pass block, grown to the most rows seen."""
 
     def __init__(self, arch: tuple[int, ...], k: int):
         self.arch, self.order, self.position = arch, list(range(k)), list(range(k))
@@ -241,7 +240,6 @@ class _Stack:
         self.grads = np.empty_like(self.params)
         self.model = ModelParameters(_layout(self.params, arch), arch)
         self.x, self.y = np.empty((0, arch[0])), np.empty((0, arch[-1]))
-        self.features, self.labels = np.empty((0, arch[0])), np.empty(0, dtype=np.intp)
         self.plans: dict[tuple, tuple] = {}  # (order, sizes, batch_size) -> (plan, workspaces)
         self.steps: dict[tuple[int, int, int], tuple] = {}  # (lo, hi, n) -> (ws, p, g)
 
@@ -255,19 +253,6 @@ class _Stack:
             for view, array in zip(views, layer):
                 np.copyto(view, array)
         self.order, self.position = order, sorted(range(len(order)), key=order.__getitem__)
-
-    def join(self, data: Sequence[LabeledDataset]) -> LabeledDataset:
-        """The shards as one dataset, worker i's rows after worker i-1's, written into a
-        block the stack keeps, grown to the most rows seen: a fresh one each round would
-        leave a hole that smaller allocations split, and the heap would grow."""
-        rows = sum(len(d) for d in data)
-        if rows > len(self.labels):
-            self.features, self.labels = np.empty((rows, self.arch[0])), np.empty(rows, np.intp)
-        # empty heads let a round hold no workers
-        return LabeledDataset(
-            np.concatenate([self.features[:0], *(d.features for d in data)],
-                           out=self.features[:rows]),
-            np.concatenate([self.labels[:0], *(d.labels for d in data)], out=self.labels[:rows]))
 
     def reorder(self, order: list[int]) -> None:
         """Put worker order[j] in row j, in place."""
@@ -394,7 +379,8 @@ def filter_samples(
 
 def local_round(
     global_model: ModelParameters,
-    data: Sequence[LabeledDataset],
+    data: LabeledDataset,
+    shards: Sequence[range],
     epochs: int,
     batch_size: int,
     lr: float,
@@ -404,34 +390,32 @@ def local_round(
 ) -> tuple[list[ModelParameters], list[FilterDecision]]:
     """The workers' round: full first epoch, filter, remaining epochs on the rest.
 
-    data and rng hold one dataset and one stream per worker.  stack is a _Stack of
-    len(data) workers kept across rounds (run_round passes its trial's); None builds one
-    for this call.  The shards are joined into one dataset in a block of the stack (worker
-    i's rows [a_i, b_i)), and global_model is loaded into every row of the stack.  Two
-    sgd_epoch calls train it in place, sharing its plans and workspaces: a pass on every
-    row, then, after each worker is filtered on its own model (views of its row),
-    epochs - 1 passes on a_i + the rows it kept.  The filter always runs: its verdict
-    prices the round.  Returns models and decisions in worker order.  The models are
-    views of the stack's block, valid until that stack trains again.  A worker's bytes
-    depend neither on which others share its stack nor on what the stack trained before.
+    Worker i trains on the rows shards[i] = range(a_i, b_i) of data, with the stream
+    rng[i].  stack is a _Stack of len(shards) workers kept across rounds (run_round
+    passes its trial's); None builds one for this call.  global_model is loaded into
+    every row of the stack, and two sgd_epoch calls train it in place, sharing its plans
+    and workspaces: a pass on every row, then, after each worker is filtered on its own
+    model (views of its row) and its rows (views of data), epochs - 1 passes on a_i + the
+    rows it kept.  The filter always runs: its verdict prices the round.  Returns models
+    and decisions in worker order.  The models are views of the stack's block, valid
+    until that stack trains again.  A worker's bytes depend neither on which others
+    share its stack nor on what the stack trained before.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if any(len(d) == 0 for d in data):
-        raise ValueError("cannot train on an empty dataset")
-    sizes = [len(d) for d in data]
-    firsts = list(itertools.accumulate(sizes, initial=0))
+    for r in shards:  # a slice past the end would silently give the filter fewer rows
+        if r.step != 1 or not 0 <= r.start < r.stop <= len(data):
+            raise ValueError(f"shard {r} is not a non-empty row range of the {len(data)} rows")
     if stack is None:
-        stack = _Stack(global_model.architecture, len(data))
-    joined = stack.join(data)
-    stack.load(global_model, _longest_first(sizes))  # rows all equal: this order is free
-    sgd_epoch(stack, joined, [np.arange(a, b) for a, b in zip(firsts, firsts[1:])],
-              batch_size, lr, rng)
-    decisions = [filter_samples(_member(stack.model, stack.position[i]), d, threshold)
-                 for i, d in enumerate(data)]
+        stack = _Stack(global_model.architecture, len(shards))
+    stack.load(global_model, _longest_first([len(r) for r in shards]))  # rows all equal: free
+    sgd_epoch(stack, data, [np.arange(r.start, r.stop) for r in shards], batch_size, lr, rng)
+    decisions = [filter_samples(_member(stack.model, stack.position[i]),
+                                data.take(slice(r.start, r.stop)), threshold)
+                 for i, r in enumerate(shards)]
     if epochs > 1:
-        kept = [a + decision.included_indices for a, decision in zip(firsts, decisions)]
-        sgd_epoch(stack, joined, kept, batch_size, lr, rng, epochs=epochs - 1)
+        kept = [r.start + decision.included_indices for r, decision in zip(shards, decisions)]
+        sgd_epoch(stack, data, kept, batch_size, lr, rng, epochs=epochs - 1)
     return [_member(stack.model, j) for j in stack.position], decisions
 
 

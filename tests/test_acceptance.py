@@ -253,8 +253,8 @@ def test_criterion_06_budgeted_protocol_invariants(tmp_path):
     cfg0 = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2)
     data = load_dataset(cfg0, cfg0.seed)
     train, _ = split_train_test(data, cfg0.train_fraction, cfg0.seed)
-    fleet = build_workers(cfg0, train, cfg0.seed, 0)
-    shard_sizes = {p.worker_id: len(p.dataset) for p in fleet}
+    fleet, _ = build_workers(cfg0, train, cfg0.seed, 0)
+    shard_sizes = {p.worker_id: len(p.rows) for p in fleet}
     deadline = default_deadline(fleet, cfg0, param_bits([8, 16, 4]), cfg0.seed, 0)
     budget = 0.3
     cfg = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2,
@@ -315,8 +315,9 @@ def test_criterion_07_reduces_to_plain_fedavg():
     cfg = reference_base(rounds=20, seed=3, threshold=1.0)
     data = load_dataset(cfg, cfg.seed)
     train, test = split_train_test(data, cfg.train_fraction, cfg.seed)
-    fleet = build_workers(cfg, train, cfg.seed, 0)
-    records, final_model = run_experiment(fleet, test, [8, 16, 4], cfg, cfg.seed, trial=0)
+    fleet, matrix = build_workers(cfg, train, cfg.seed, 0)
+    records, final_model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg, cfg.seed,
+                                          trial=0)
     assert all(r.n_updates == len(r.worker_stats) for r in records), \
         "a worker missed the deadline; equivalence run must be drop-free"
 
@@ -345,7 +346,7 @@ def test_criterion_07_reduces_to_plain_fedavg():
                 delta *= acts[i] > 0.0
         return grads
 
-    shards = [p.dataset for p in fleet]
+    shards = [matrix.take(np.asarray(p.rows)) for p in fleet]
     model0 = init_model([8, 16, 4], substream(cfg.seed, DOMAIN_INIT, 0))
     glob = [(w.copy(), b.copy()) for w, b in model0.layers]
     k = len(shards)
@@ -410,8 +411,8 @@ def test_criterion_09_threshold_nesting():
     model = init_model([8, 16, 4], np.random.default_rng(902))
     train_rng = np.random.default_rng(903)
     for _ in range(15):
-        (model,), _ = local_round(model, [data], epochs=1, batch_size=32, lr=0.05,
-                                  threshold=1.0, rng=[train_rng])
+        (model,), _ = local_round(model, data, [range(len(data))], epochs=1, batch_size=32,
+                                  lr=0.05, threshold=1.0, rng=[train_rng])
 
     prev: set | None = None
     counts = []
@@ -439,8 +440,8 @@ def test_criterion_10_parallel_byte_identity():
     cfg = reference_base(rounds=9, seed=11, select_fraction=0.4, epochs=3,
                          synthetic_samples=2000)
     train, test = split_train_test(load_dataset(cfg, cfg.seed), cfg.train_fraction, cfg.seed)
-    fleet = build_workers(cfg, train, cfg.seed, trial=0)
-    _, model = run_experiment(fleet, test, [8, 16, 4], cfg, cfg.seed)
+    fleet, matrix = build_workers(cfg, train, cfg.seed, trial=0)
+    _, model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg, cfg.seed)
     selected = select_workers(fleet, cfg.select_fraction,
                               substream(cfg.seed, DOMAIN_SELECT, 0, 10))
     n = len(selected)
@@ -450,7 +451,7 @@ def test_criterion_10_parallel_byte_identity():
         for c in range(groups):
             group = selected[n * c // groups : n * (c + 1) // groups]
             models, decisions = local_round(
-                model, [p.dataset for p in group], cfg.epochs, cfg.batch_size,
+                model, matrix, [p.rows for p in group], cfg.epochs, cfg.batch_size,
                 cfg.learning_rate, cfg.threshold,
                 [substream(cfg.seed, DOMAIN_TRAIN, 0, p.worker_id, 10) for p in group])
             out += [(b"".join(a.tobytes() for layer in m.layers for a in layer),

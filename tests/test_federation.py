@@ -27,6 +27,7 @@ from feelsim.io_cli import (
 from feelsim.learning import LabeledDataset, init_model, local_round, param_bits
 from feelsim.resource_optimizer import DeviceBounds
 from feelsim.streams import DOMAIN_INIT, substream
+from helpers import joined
 
 BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
                       capacitance=2e-28)
@@ -54,17 +55,18 @@ def fast_config(**over):
 
 def make_fleet(k=6, n=600, seed=900, budgets=None, dist=(10.0, 60.0)):
     data = make_dataset(n=n, seed=seed)
-    shards = partition_iid(data, k, np.random.default_rng(seed + 1))
+    train, shards = joined([data.take(p) for p in
+                            partition_iid(data, k, np.random.default_rng(seed + 1))])
     rng = np.random.default_rng(seed + 2)
     fleet = []
     for i, shard in enumerate(shards):
         fleet.append(WorkerProfile(
-            worker_id=i, dataset=shard, bounds=BOUNDS,
+            worker_id=i, rows=shard, bounds=BOUNDS,
             distance_m=float(rng.uniform(*dist)),
             los_angle=float(rng.uniform(-math.pi / 2, math.pi / 2)),
             remaining_energy_j=math.inf if budgets is None else budgets[i],
         ))
-    return fleet
+    return fleet, train
 
 
 TEST_DATA = make_dataset(n=200, seed=901)
@@ -81,11 +83,11 @@ def contiguous_groups(k):
 def split_training(groups):
     """A local_round that trains each of groups(n) of the n workers in its own call, on a
     fresh stack of its own: the trial's stack run_round passes is not used."""
-    def train(model, data, epochs, batch_size, lr, threshold, rng, stack=None):
-        models, decisions = [None] * len(data), [None] * len(data)
-        for group in groups(len(data)):
-            trained = local_round(model, [data[i] for i in group], epochs, batch_size, lr,
-                                  threshold, [rng[i] for i in group])
+    def train(model, data, shards, epochs, batch_size, lr, threshold, rng, stack=None):
+        models, decisions = [None] * len(shards), [None] * len(shards)
+        for group in groups(len(shards)):
+            trained = local_round(model, data, [shards[i] for i in group], epochs, batch_size,
+                                  lr, threshold, [rng[i] for i in group])
             for i, m, d in zip(group, *trained):
                 models[i], decisions[i] = m, d
         return models, decisions
@@ -102,7 +104,7 @@ def assert_models_equal(a, b):
 class TestPartitionIid:
     def test_sizes_cover_disjoint(self):
         data = make_dataset(n=803, tag_ids=True)
-        shards = partition_iid(data, 7, np.random.default_rng(10))
+        shards = [data.take(p) for p in partition_iid(data, 7, np.random.default_rng(10))]
         sizes = [len(s) for s in shards]
         assert sum(sizes) == 803
         assert max(sizes) - min(sizes) <= 1
@@ -111,7 +113,7 @@ class TestPartitionIid:
 
     def test_label_mix_near_hypergeometric(self):
         data = make_dataset(n=800, classes=4)
-        shards = partition_iid(data, 4, np.random.default_rng(11))
+        shards = [data.take(p) for p in partition_iid(data, 4, np.random.default_rng(11))]
         for shard in shards:
             s = len(shard)
             for cls in range(4):
@@ -132,7 +134,8 @@ class TestPartitionIid:
 class TestPartitionNoniid:
     def test_each_worker_sees_exact_class_count(self):
         data = make_dataset(n=1000, classes=10)
-        shards = partition_noniid(data, 20, np.random.default_rng(12), classes_per_worker=2)
+        shards = [data.take(p) for p in
+                  partition_noniid(data, 20, np.random.default_rng(12), classes_per_worker=2)]
         assert len(shards) == 20
         for shard in shards:
             assert np.unique(shard.labels).size == 2
@@ -149,14 +152,16 @@ class TestPartitionNoniid:
         ids = np.arange(1000.0)
         feats = np.concatenate([feats, ids[:, None]], axis=1)
         data = LabeledDataset(feats, data.labels)
-        shards = partition_noniid(data, 20, np.random.default_rng(13), classes_per_worker=2)
+        shards = [data.take(p) for p in
+                  partition_noniid(data, 20, np.random.default_rng(13), classes_per_worker=2)]
         got = np.concatenate([s.features[:, -1] for s in shards])
         assert np.array_equal(np.sort(got), ids)
 
     def test_single_ownership_when_slots_equal_classes(self):
         # 5 workers x 2 classes over 10 classes: each class lives on one worker
         data = make_dataset(n=1000, classes=10, seed=903)
-        shards = partition_noniid(data, 5, np.random.default_rng(14), classes_per_worker=2)
+        shards = [data.take(p) for p in
+                  partition_noniid(data, 5, np.random.default_rng(14), classes_per_worker=2)]
         owners: dict[int, int] = {}
         for w, shard in enumerate(shards):
             for cls in np.unique(shard.labels).tolist():
@@ -182,19 +187,19 @@ class TestPartitionNoniid:
 
 class TestSelectWorkers:
     def test_count_and_order(self):
-        fleet = make_fleet(k=10)
+        fleet, _ = make_fleet(k=10)
         got = select_workers(fleet, 0.25, np.random.default_rng(15))
         assert len(got) == 3  # ceil(2.5)
         ids = [p.worker_id for p in got]
         assert ids == sorted(set(ids))
 
     def test_full_fraction_selects_everyone(self):
-        fleet = make_fleet(k=6)
+        fleet, _ = make_fleet(k=6)
         got = select_workers(fleet, 1.0, np.random.default_rng(16))
         assert [p.worker_id for p in got] == list(range(6))
 
     def test_near_uniform_over_many_draws(self):
-        fleet = make_fleet(k=10)
+        fleet, _ = make_fleet(k=10)
         rng = np.random.default_rng(17)
         counts = np.zeros(10)
         for _ in range(2000):
@@ -204,7 +209,7 @@ class TestSelectWorkers:
         assert np.all(np.abs(counts - 400) <= 4 * math.sqrt(2000 * 0.2 * 0.8))
 
     def test_errors(self):
-        fleet = make_fleet(k=4)
+        fleet, _ = make_fleet(k=4)
         with pytest.raises(ValueError):
             select_workers(fleet, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -213,7 +218,7 @@ class TestSelectWorkers:
 
 class TestDefaultDeadline:
     def test_positive_finite_deterministic(self):
-        fleet = make_fleet()
+        fleet, _ = make_fleet()
         cfg = fast_config()
         bits = param_bits(ARCH)
         a = default_deadline(fleet, cfg, bits, seed=21, trial=0)
@@ -222,7 +227,7 @@ class TestDefaultDeadline:
         assert 0.0 < a < math.inf
 
     def test_sensitive_to_seed(self):
-        fleet = make_fleet()
+        fleet, _ = make_fleet()
         cfg = fast_config()
         bits = param_bits(ARCH)
         a = default_deadline(fleet, cfg, bits, seed=21, trial=0)
@@ -243,35 +248,37 @@ class TestDefaultDeadline:
         deadlines = []
         for k in (20, 30, 40, 50, 100, 200, 400):
             cfg = replace(preset, workers=k)
-            deadlines.append(default_deadline(build_workers(cfg, train, 1, 0), cfg, bits, 1, 0))
+            deadlines.append(default_deadline(build_workers(cfg, train, 1, 0)[0], cfg, bits, 1, 0))
         assert all(d < 1.0 for d in deadlines), deadlines
         assert all(max(a, b) < 2.0 * min(a, b) for a, b in zip(deadlines, deadlines[1:])), deadlines
 
 
 class TestRunRound:
     def test_needs_resolved_deadline(self):
-        fleet = make_fleet()
-        state = ExperimentState(model=None, workers=fleet, test_data=TEST_DATA, seed=1)
+        fleet, train = make_fleet()
+        state = ExperimentState(model=None, workers=fleet, train_data=train, test_data=TEST_DATA,
+                                seed=1)
         with pytest.raises(ValueError):
             run_round(state, fast_config(), 1)
 
     def test_protocol_invariants(self):
-        fleet = make_fleet()
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=3), seed=23)
+        fleet, train = make_fleet()
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=3),
+                                    seed=23)
         cfg = fast_config()
         prev_cum = 0.0
         for rec in records:
             assert rec.n_updates == sum(1 for s in rec.worker_stats if s.feasible)
             assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
             total_kappa = sum(s.kappa for s in rec.worker_stats)
-            total_data = sum(len(fleet[s.worker_id].dataset) for s in rec.worker_stats)
+            total_data = sum(len(fleet[s.worker_id].rows) for s in rec.worker_stats)
             assert rec.excluded_fraction == pytest.approx(total_kappa / total_data, abs=1e-15)
             assert rec.inst_energy_j == pytest.approx(
                 sum(s.e_cmp_j + s.e_up_j for s in rec.worker_stats), rel=1e-12)
             assert rec.cum_energy_j == pytest.approx(prev_cum + rec.inst_energy_j, rel=1e-12)
             prev_cum = rec.cum_energy_j
             for s in rec.worker_stats:
-                assert 0 <= s.kappa <= len(fleet[s.worker_id].dataset)
+                assert 0 <= s.kappa <= len(fleet[s.worker_id].rows)
                 if s.feasible:
                     assert s.e_cmp_j > 0.0 and s.e_up_j > 0.0
                     assert BOUNDS.f_min_hz * (1 - 1e-9) <= s.f_cmp_hz <= BOUNDS.f_max_hz * (1 + 1e-9)
@@ -279,12 +286,12 @@ class TestRunRound:
         assert any(rec.n_updates > 0 for rec in records)
 
     def test_feasible_rows_fill_deadline_exactly(self):
-        fleet = make_fleet()
+        fleet, train = make_fleet()
         cfg = fast_config()
         bits = param_bits(ARCH)
         deadline = default_deadline(fleet, cfg, bits, seed=23, trial=0)
         cfg = fast_config(deadline_s=deadline, rounds=3)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, cfg, seed=23)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg, seed=23)
         checked = 0
         for rec in records:
             for s in rec.worker_stats:
@@ -294,9 +301,9 @@ class TestRunRound:
         assert checked > 0
 
     def test_adaptive_bandwidth_caps_total_share(self):
-        fleet = make_fleet()
+        fleet, train = make_fleet()
         cfg = fast_config(bandwidth_mode="adaptive", rounds=2)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, cfg, seed=29)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg, seed=29)
         for rec in records:
             assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
             assert rec.n_updates > 0
@@ -309,7 +316,7 @@ class TestRunRound:
         records = {}
         for mode in ("equal", "adaptive"):
             cfg = fast_config(bandwidth_mode=mode, rounds=2, deadline_s=0.5)
-            records[mode], _ = run_experiment(make_fleet(), TEST_DATA, ARCH, cfg, seed=29)
+            records[mode], _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg, seed=29)
         padded = 0
         for eq, ad in zip(records["equal"], records["adaptive"]):
             assert sum(s.bandwidth_share for s in ad.worker_stats) == pytest.approx(1.0, rel=1e-12)
@@ -325,16 +332,18 @@ class TestRunRound:
         assert padded > 0
 
     def test_learning_actually_progresses(self):
-        fleet = make_fleet()
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=6), seed=31)
+        fleet, train = make_fleet()
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=6),
+                                    seed=31)
         assert records[-1].test_accuracy > records[0].test_accuracy
         assert records[-1].test_loss < records[0].test_loss
 
 
 class TestEnergyLedger:
     def probe_round_one(self, seed=37):
-        fleet = make_fleet()
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=seed)
+        fleet, train = make_fleet()
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
+                                    seed=seed)
         return records[0]
 
     def test_partial_compute_charge_then_dead(self):
@@ -343,8 +352,9 @@ class TestEnergyLedger:
         budget = 0.5 * target.e_cmp_j
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
-        fleet = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=37)
+        fleet, train = make_fleet(budgets=budgets)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
+                                    seed=37)
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
         assert s.e_cmp_j == pytest.approx(budget, rel=1e-12)
@@ -358,8 +368,9 @@ class TestEnergyLedger:
         budget = target.e_cmp_j + 0.5 * target.e_up_j
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
-        fleet = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=37)
+        fleet, train = make_fleet(budgets=budgets)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
+                                    seed=37)
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
         assert s.e_cmp_j == pytest.approx(target.e_cmp_j, rel=1e-12)
@@ -372,16 +383,18 @@ class TestEnergyLedger:
         budget = target.e_cmp_j + target.e_up_j
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
-        fleet = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=1), seed=37)
+        fleet, train = make_fleet(budgets=budgets)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
+                                    seed=37)
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert s.feasible
         assert s.remaining_energy_j == pytest.approx(0.0, abs=1e-15)
         assert records[0].n_updates == ref.n_updates
 
     def test_remaining_never_negative_under_starvation(self):
-        fleet = make_fleet(budgets=[1e-6] * 6)
-        records, _ = run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=4), seed=41)
+        fleet, train = make_fleet(budgets=[1e-6] * 6)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=4),
+                                    seed=41)
         for rec in records:
             for s in rec.worker_stats:
                 assert s.remaining_energy_j >= 0.0
@@ -394,9 +407,9 @@ class TestEnergyLedger:
         # 1 ms is below every worker's compute floor at f_max (>= 5.5 ms), so
         # each plan raises InfeasibleDeadlineError
         budgets = [0.5 + 0.1 * i for i in range(6)]
-        fleet = make_fleet(budgets=budgets)
+        fleet, train = make_fleet(budgets=budgets)
         cfg = fast_config(deadline_s=1e-3, rounds=2, bandwidth_mode=bandwidth_mode)
-        records, model = run_experiment(fleet, TEST_DATA, ARCH, cfg, seed=67)
+        records, model = run_experiment(fleet, train, TEST_DATA, ARCH, cfg, seed=67)
         for rec in records:
             assert rec.n_updates == 0
             assert rec.inst_energy_j == 0.0
@@ -413,8 +426,8 @@ class TestEnergyLedger:
 
 class TestDeterminism:
     def test_identical_runs_match_bit_for_bit(self):
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
-        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
+        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
+        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
         assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.test_loss == b.test_loss
@@ -423,9 +436,9 @@ class TestDeterminism:
             assert a.worker_stats == b.worker_stats
 
     def test_contiguous_stacks_do_not_change_results(self, monkeypatch):
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
+        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
         monkeypatch.setattr(federation, "local_round", split_training(contiguous_groups(4)))
-        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
+        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
         assert_models_equal(ma, mb)
         assert ra == rb
 
@@ -433,16 +446,18 @@ class TestDeterminism:
         # label-skewed shards of unequal size, all 7 scheduled, trained as
         # 1, 2 or 3 contiguous stacks or as even and odd workers
         data = make_dataset(n=602, seed=905)
-        shards = partition_noniid(data, 7, np.random.default_rng(906))
+        shards = [data.take(p) for p in partition_noniid(data, 7, np.random.default_rng(906))]
         assert len({len(shard) for shard in shards}) > 1
         runs = []
         for groups in (*map(contiguous_groups, (1, 2, 3)),
                        lambda n: [range(0, n, 2), range(1, n, 2)]):
-            fleet = make_fleet(k=7)
-            for profile, shard in zip(fleet, shards):
-                profile.dataset = shard
+            fleet, _ = make_fleet(k=7)
+            train, rows = joined(shards)
+            for profile, shard in zip(fleet, rows):
+                profile.rows = shard
             monkeypatch.setattr(federation, "local_round", split_training(groups))
-            runs.append(run_experiment(fleet, TEST_DATA, ARCH, fast_config(rounds=3), seed=49))
+            runs.append(run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=3),
+                                       seed=49))
         (ra, ma), *others = runs
         assert any(s.kappa for r in ra for s in r.worker_stats)  # ragged later epochs
         for rb, mb in others:
@@ -453,13 +468,14 @@ class TestDeterminism:
         # label-skewed shards of unequal size, 3 of 7 scheduled a round, the filter
         # dropping samples: one stack for the trial against a fresh one per round
         data = make_dataset(n=602, seed=905)
-        shards = partition_noniid(data, 7, np.random.default_rng(907))
+        shards = [data.take(p) for p in partition_noniid(data, 7, np.random.default_rng(907))]
 
         def fleet():
-            workers = make_fleet(k=7)
-            for profile, shard in zip(workers, shards):
-                profile.dataset = shard
-            return workers
+            workers, _ = make_fleet(k=7)
+            train, rows = joined(shards)
+            for profile, shard in zip(workers, rows):
+                profile.rows = shard
+            return workers, train
 
         cfg = fast_config(rounds=8, select_fraction=0.35, epochs=3)
         stacks = []
@@ -469,9 +485,9 @@ class TestDeterminism:
             return local_round(*args, stack=stack)
 
         monkeypatch.setattr(federation, "local_round", recording)
-        ra, ma = run_experiment(fleet(), TEST_DATA, ARCH, cfg, seed=73)
+        ra, ma = run_experiment(*fleet(), TEST_DATA, ARCH, cfg, seed=73)
         monkeypatch.setattr(federation, "local_round", lambda *args, stack: local_round(*args))
-        rb, mb = run_experiment(fleet(), TEST_DATA, ARCH, cfg, seed=73)
+        rb, mb = run_experiment(*fleet(), TEST_DATA, ARCH, cfg, seed=73)
         assert len(stacks) == 8 and all(stack is stacks[0] for stack in stacks)
         assert len({len(shards[s.worker_id]) for r in ra for s in r.worker_stats}) > 1
         assert any(s.kappa for r in ra for s in r.worker_stats)
@@ -481,17 +497,17 @@ class TestDeterminism:
     def test_explicit_deadline_equals_resolved_default(self):
         cfg = fast_config(rounds=2)
         bits = param_bits(ARCH)
-        deadline = default_deadline(make_fleet(), cfg, bits, seed=53, trial=0)
-        ra, ma = run_experiment(make_fleet(), TEST_DATA, ARCH, cfg, seed=53)
-        rb, mb = run_experiment(make_fleet(), TEST_DATA, ARCH,
+        deadline = default_deadline(make_fleet()[0], cfg, bits, seed=53, trial=0)
+        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg, seed=53)
+        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH,
                                 fast_config(deadline_s=deadline, rounds=2), seed=53)
         assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.worker_stats == b.worker_stats
 
     def test_seed_changes_results(self):
-        ra, _ = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=59)
-        rb, _ = run_experiment(make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=60)
+        ra, _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=59)
+        rb, _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=60)
         assert ra[-1].test_loss != rb[-1].test_loss
 
 
@@ -509,7 +525,7 @@ class TestChannelModes:
 
     def test_static_repeats_the_same_link_each_round(self):
         cfg = self.mode_config("static", rounds=3)
-        records, _ = run_experiment(self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
+        records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
         first = records[0].worker_stats
         for rec in records[1:]:
             for a, b in zip(first, rec.worker_stats):
@@ -520,10 +536,10 @@ class TestChannelModes:
 
     def test_block_fading_redraws_each_round(self):
         cfg = self.mode_config("block", rounds=2)
-        records, _ = run_experiment(self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
+        records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
         a = [s.p_up_w for s in records[0].worker_stats]
         b = [s.p_up_w for s in records[1].worker_stats]
-        bounds = self.mode_fleet()[0].bounds
+        bounds = self.mode_fleet()[0][0].bounds
         assert all(bounds.p_min_w < p < bounds.p_max_w for p in a + b)
         assert a != b
 
@@ -573,11 +589,11 @@ class TestTrainingCallSites:
 
         monkeypatch.setattr(learning, "gradient", counting_grad)
         monkeypatch.setattr(learning, "filter_samples", counting_filter)
-        fleet = make_fleet()
+        fleet, train = make_fleet()
         cfg = fast_config(epochs=3, threshold=0.4)
         cfg = replace(cfg, deadline_s=default_deadline(fleet, cfg, param_bits(ARCH), 59, 0))
         state = ExperimentState(model=init_model(ARCH, np.random.default_rng(59)),
-                                workers=fleet, test_data=TEST_DATA, seed=59)
+                                workers=fleet, train_data=train, test_data=TEST_DATA, seed=59)
         record = run_round(state, cfg, 1)
 
         assert len(filtered) == len(record.worker_stats) == 6

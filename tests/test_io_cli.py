@@ -5,13 +5,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import feelsim
-from feelsim.federation import RoundRecord
+from feelsim.federation import RoundRecord, partition_iid, partition_noniid
 from feelsim.io_cli import (
     GLOBAL_HEADER,
     WORKERS_HEADER,
@@ -30,6 +31,7 @@ from feelsim.io_cli import (
     write_metrics,
 )
 from feelsim.learning import LabeledDataset
+from feelsim.streams import DOMAIN_PARTITION, substream
 
 
 # every float field except energy_budget_j, whose null/infinity is an unbounded budget
@@ -325,9 +327,9 @@ class TestSplitAndWorkers:
         cfg = small_config(energy_budget_j=7.5)
         data = load_dataset(cfg, seed=cfg.seed)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        fleet = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        fleet, _ = build_workers(cfg, train, seed=cfg.seed, trial=0)
         assert [p.worker_id for p in fleet] == list(range(4))
-        assert sum(len(p.dataset) for p in fleet) == len(train)
+        assert sum(len(p.rows) for p in fleet) == len(train)
         for p in fleet:
             assert cfg.distance_min_m <= p.distance_m <= cfg.distance_max_m
             assert p.remaining_energy_j == 7.5
@@ -337,19 +339,67 @@ class TestSplitAndWorkers:
         cfg = small_config()
         data = load_dataset(cfg, seed=cfg.seed)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        a = build_workers(cfg, train, seed=cfg.seed, trial=0)
-        b = build_workers(cfg, train, seed=cfg.seed, trial=1)
-        c = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        a, _ = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        b, _ = build_workers(cfg, train, seed=cfg.seed, trial=1)
+        c, _ = build_workers(cfg, train, seed=cfg.seed, trial=0)
         assert [p.distance_m for p in a] != [p.distance_m for p in b]
         assert [p.distance_m for p in a] == [p.distance_m for p in c]
+
+    @pytest.mark.parametrize("partition", ["iid", "noniid"])
+    def test_build_workers_orders_rows_by_worker(self, partition):
+        # each trial takes train's rows once into its own matrix, worker by worker: the
+        # profiles' ranges tile it in worker id order, and worker i's range holds the rows
+        # its trial's partition dealt it
+        cfg = small_config(partition=partition, classes_per_worker=2)
+        train, _ = split_train_test(load_dataset(cfg, seed=cfg.seed), cfg.train_fraction,
+                                    cfg.seed)
+        matrices = []
+        for trial in (0, 1):
+            fleet, matrix = build_workers(cfg, train, seed=cfg.seed, trial=trial)
+            assert [p.worker_id for p in fleet] == list(range(cfg.workers))
+            ends = [0]
+            for p in fleet:
+                assert p.rows == range(ends[-1], p.rows.stop) and len(p.rows) > 0
+                ends.append(p.rows.stop)
+            assert ends[-1] == len(matrix) == len(train)
+            rng = substream(cfg.seed, DOMAIN_PARTITION, trial)
+            parts = (partition_iid(train, cfg.workers, rng) if partition == "iid" else
+                     partition_noniid(train, cfg.workers, rng, classes_per_worker=2))
+            for p, part in zip(fleet, parts, strict=True):
+                shard = train.take(part)
+                assert np.array_equal(matrix.features[p.rows.start:p.rows.stop], shard.features)
+                assert np.array_equal(matrix.labels[p.rows.start:p.rows.stop], shard.labels)
+            matrices.append(matrix)
+        assert not np.array_equal(matrices[0].features, matrices[1].features)
 
     def test_noniid_partition_through_config(self):
         cfg = small_config(partition="noniid", classes_per_worker=2)
         data = load_dataset(cfg, seed=cfg.seed)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        fleet = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        fleet, matrix = build_workers(cfg, train, seed=cfg.seed, trial=0)
         for p in fleet:
-            assert np.unique(p.dataset.labels).size == 2
+            assert np.unique(matrix.labels[p.rows.start:p.rows.stop]).size == 2
+
+
+class TestMemory:
+    def test_run_peak_within_a_few_feature_copies(self, tmp_path):
+        # 784-wide features, every worker scheduled: the train/test split, the trial's
+        # worker-ordered matrix and the pass block are each about one copy of the
+        # features at most; the full dataset kept beside them, per-worker shard copies or
+        # a per-round join would each take the traced peak past 3.5 copies
+        cfg = dataclasses.replace(
+            load_config(Path(__file__).resolve().parent.parent / "configs"
+                        / "synthetic_filtered.json"),
+            synthetic_dim=784, synthetic_classes=10, synthetic_samples=2000, workers=10,
+            select_fraction=1.0, hidden_width=8, epochs=2, rounds=1)
+        tracemalloc.start()
+        try:
+            run_from_config(cfg, out_dir=tmp_path, quiet=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_bytes = 2000 * 784 * 8
+        assert peak < 3.5 * feature_bytes, peak / feature_bytes
 
 
 class TestMetricsFiles:

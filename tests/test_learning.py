@@ -20,6 +20,7 @@ from feelsim.learning import (
 )
 from feelsim.streams import DOMAIN_TRAIN as TRAIN
 from feelsim.streams import substream
+from helpers import joined
 
 
 def tiny_dataset(n=64, dim=6, classes=3, seed=300):
@@ -288,7 +289,7 @@ class TestGradientAndSgd:
                                 architecture=model.architecture)
         trained = train_stack(empty, [], batch_size=4, lr=0.1, rng=[], epochs=2)
         assert [w.shape for w, _ in trained.layers] == [(0, 3, 6)]
-        models, decisions = local_round(model, [], 2, 4, 0.1, 0.8, [])
+        models, decisions = local_round(model, tiny_dataset(), [], 2, 4, 0.1, 0.8, [])
         assert models == [] and decisions == []
 
     def test_empty_batch_rejected(self):
@@ -568,7 +569,7 @@ class TestLocalRound:
     def test_single_epoch_training_ignores_threshold(self):
         model = init_model([6, 5, 3], np.random.default_rng(313))
         data = tiny_dataset(n=40)
-        (got,), (dec,) = local_round(model, [data], epochs=1, batch_size=16, lr=0.1,
+        (got,), (dec,) = local_round(model, *joined([data]), epochs=1, batch_size=16, lr=0.1,
                                      threshold=0.1, rng=[substream(9, TRAIN, 0, 0, 1)])
         ref = train_one(model, data, batch_size=16, lr=0.1, rng=substream(9, TRAIN, 0, 0, 1))
         assert_models_equal(got, ref)
@@ -580,7 +581,7 @@ class TestLocalRound:
     def test_threshold_one_equals_plain_epochs(self):
         model = init_model([6, 5, 3], np.random.default_rng(314))
         data = tiny_dataset(n=40)
-        (got,), (dec,) = local_round(model, [data], epochs=3, batch_size=16, lr=0.1,
+        (got,), (dec,) = local_round(model, *joined([data]), epochs=3, batch_size=16, lr=0.1,
                                      threshold=1.0, rng=[substream(9, TRAIN, 2, 0, 5)])
         assert dec.excluded_count == 0
         ref_rng = substream(9, TRAIN, 2, 0, 5)
@@ -592,7 +593,7 @@ class TestLocalRound:
     def test_filter_applies_from_second_epoch(self):
         model = init_model([6, 5, 3], np.random.default_rng(315))
         data = tiny_dataset(n=60)
-        (got,), (dec,) = local_round(model, [data], epochs=2, batch_size=16, lr=0.1,
+        (got,), (dec,) = local_round(model, *joined([data]), epochs=2, batch_size=16, lr=0.1,
                                      threshold=0.6, rng=[substream(11, TRAIN, 0, 0, 1)])
         # replay: epoch 1 on everything, filter on that model, epoch 2 on the rest
         ref_rng = substream(11, TRAIN, 0, 0, 1)
@@ -606,8 +607,10 @@ class TestLocalRound:
     def test_deterministic_per_stream(self):
         model = init_model([6, 5, 3], np.random.default_rng(316))
         data = tiny_dataset(n=40)
-        (a,), (da,) = local_round(model, [data], 3, 16, 0.1, 0.7, [substream(3, TRAIN, 1, 0, 2)])
-        (b,), (db,) = local_round(model, [data], 3, 16, 0.1, 0.7, [substream(3, TRAIN, 1, 0, 2)])
+        (a,), (da,) = local_round(model, *joined([data]), 3, 16, 0.1, 0.7,
+                                  [substream(3, TRAIN, 1, 0, 2)])
+        (b,), (db,) = local_round(model, *joined([data]), 3, 16, 0.1, 0.7,
+                                  [substream(3, TRAIN, 1, 0, 2)])
         assert da.excluded_count == db.excluded_count
         assert_models_equal(a, b)
 
@@ -615,7 +618,27 @@ class TestLocalRound:
         model = init_model([6, 3], np.random.default_rng(0))
         empty = LabeledDataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            local_round(model, [empty], 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
+            local_round(model, *joined([empty]), 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
+
+    def test_rejects_empty_shard(self):
+        model = init_model([6, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="row range"):
+            local_round(model, tiny_dataset(n=40), [range(0, 20), range(20, 20)], 1, 16, 0.1,
+                        0.7, [np.random.default_rng(1), np.random.default_rng(2)])
+
+    @pytest.mark.parametrize("shard", [range(-1, 20), range(30, 41), range(40, 41)])
+    def test_rejects_shard_outside_data(self, shard):
+        # a slice past the end would give the filter fewer rows than the pass trains
+        model = init_model([6, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="row range"):
+            local_round(model, tiny_dataset(n=40), [shard], 2, 16, 0.1, 0.7,
+                        [np.random.default_rng(1)])
+
+    def test_rejects_strided_shard(self):
+        model = init_model([6, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="row range"):
+            local_round(model, tiny_dataset(n=40), [range(0, 40, 2)], 1, 16, 0.1, 0.7,
+                        [np.random.default_rng(1)])
 
 
 def skewed_shards():
@@ -643,11 +666,11 @@ class TestStackedRound:
 
         # batch 16 gives tails of 8, 5, 8 and 7 rows in epoch 1: one step trains
         # workers 0 and 2 together, neighbours once the stack is ordered longest first
-        models, decisions = local_round(model, shards, 3, 16, 0.1, 0.7, streams())
+        models, decisions = local_round(model, *joined(shards), 3, 16, 0.1, 0.7, streams())
         kept = [d.included_indices.size for d in decisions]
         assert kept[-1] == 0 and len(set(kept)) == len(kept)  # ragged later epochs
         for shard, rng, got, decision in zip(shards, streams(), models, decisions):
-            (ref,), (expect,) = local_round(model, [shard], 3, 16, 0.1, 0.7, [rng])
+            (ref,), (expect,) = local_round(model, *joined([shard]), 3, 16, 0.1, 0.7, [rng])
             assert_models_equal(got, ref)
             assert decision.excluded_count == expect.excluded_count
             assert np.array_equal(decision.included_indices, expect.included_indices)
@@ -690,7 +713,7 @@ class TestStackedRound:
         model = init_model([6, 5, 3], np.random.default_rng(322))
         shards = skewed_shards()
         streams = [substream(13, TRAIN, 0, w, 4) for w in range(len(shards))]
-        local_round(model, shards, 1, 16, 0.1, 0.7, streams)
+        local_round(model, *joined(shards), 1, 16, 0.1, 0.7, streams)
         # steps of 16 x 4 workers, then 16 x 3 + 7, then 8 x 2 + 5
         assert rows == [64, 48, 7, 16, 5]
         assert passes == [1]  # epochs 1: one call, then the filter
@@ -701,11 +724,12 @@ class TestStackedRound:
         passes.clear()
         data = tiny_dataset(n=320, seed=326)
         shards = [data.take(np.arange(160)), data.take(np.arange(160, 320))]
-        local_round(model, shards, 3, 20, 0.1, 1.0, streams[:2])
+        local_round(model, *joined(shards), 3, 20, 0.1, 1.0, streams[:2])
         assert rows == [40] * 8 * 3  # eight steps of 2 x 20 rows per epoch
         assert passes == [1, 2]  # pass 1 on all rows, then the other two on the kept
-        # once per worker, on its own dataset and its own 2-D view of the stack
-        assert [d for _, d in filtered] == shards
+        # once per worker, on its own rows and its own 2-D view of the stack
+        assert all(np.array_equal(d.features, s.features) and np.array_equal(d.labels, s.labels)
+                   for (_, d), s in zip(filtered, shards, strict=True))
         (first, _), (second, _) = filtered
         for (w, b), (v, c) in zip(first.layers, second.layers):
             assert w.ndim == 2 and b.ndim == 1
@@ -734,13 +758,13 @@ class TestStackedRound:
 
         # threshold 1.0 keeps every row: both calls train every row of each
         # worker's shard, from the one dataset the round joined
-        local_round(model, shards, 3, 16, 0.1, 1.0, streams())
+        local_round(model, *joined(shards), 3, 16, 0.1, 1.0, streams())
         (first, rows1), (second, rows2) = calls
         assert first is second
         assert_rows(first, rows1, shards)
         assert all(np.array_equal(a, b) for a, b in zip(rows1, rows2, strict=True))
         calls.clear()
-        _, decisions = local_round(model, shards, 3, 16, 0.1, 0.7, streams())
+        _, decisions = local_round(model, *joined(shards), 3, 16, 0.1, 0.7, streams())
         (first, rows1), (second, rows2) = calls
         assert first is second
         assert_rows(first, rows1, shards)
@@ -751,7 +775,8 @@ class TestStackedRound:
     def test_rejects_mismatched_streams(self):
         model = init_model([6, 3], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            local_round(model, skewed_shards(), 1, 16, 0.1, 0.7, [np.random.default_rng(1)])
+            local_round(model, *joined(skewed_shards()), 1, 16, 0.1, 0.7,
+                        [np.random.default_rng(1)])
 
 
 def reference_local_round(global_model, data, epochs, batch_size, lr, threshold, rng):
@@ -856,7 +881,7 @@ class TestRoundAgainstReference:
         def streams():
             return [substream(19, TRAIN, 0, w, epochs) for w in range(len(shards))]
 
-        return (local_round(model, shards, epochs, batch, 0.1, threshold, streams()),
+        return (local_round(model, *joined(shards), epochs, batch, 0.1, threshold, streams()),
                 reference_local_round(model, shards, epochs, batch, 0.1, threshold, streams()))
 
     @pytest.mark.parametrize("case", ROUND_CASES)
@@ -892,8 +917,8 @@ class TestTrialStack:
         def streams():
             return [substream(29, TRAIN, 0, w, r) for w in range(len(sizes))]
 
-        got = local_round(model, shards, 3, 8, 0.1, threshold, streams(), stack=stack)
-        return got, local_round(model, shards, 3, 8, 0.1, threshold, streams())
+        got = local_round(model, *joined(shards), 3, 8, 0.1, threshold, streams(), stack=stack)
+        return got, local_round(model, *joined(shards), 3, 8, 0.1, threshold, streams())
 
     def test_reused_stack_matches_fresh_stacks(self, monkeypatch):
         # patterns A, A, B, A: B is ascending, so it is loaded in the reverse order, and
@@ -963,7 +988,8 @@ class TestTrialStack:
         seen, most = set(), 0
         for r in range(300):
             streams = [substream(31, TRAIN, 0, w, r) for w in range(k)]
-            models, _ = local_round(model, shards, 2, batch, 0.5, 0.6, streams, stack=stack)
+            models, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams,
+                                    stack=stack)
             model = aggregate([(m, 40) for m in models])
             seen.update(stack.steps)
             most = max(most, len(stack.steps))

@@ -64,9 +64,20 @@ CASES = {
     "filtered-rounds-300": (FILTERED, {"rounds": 300}),
     # the only hidden layer at 784 inputs, where BLAS runs other kernels than at 8
     "fleet-784-hidden-32": (FILTERED, {**FLEET, "hidden_width": 32, "rounds": 3}),
+    # 13-wide rows: a worker's rows of the trial's matrix start off 64-byte alignment,
+    # and each of the two trials orders its own matrix by worker
+    "dim-13-noniid-trials-2": (
+        FILTERED, {"synthetic_dim": 13, "synthetic_classes": 5, "partition": "noniid",
+                   "trials": 2, "rounds": 30}),
 }
 SEEDS = (1, 2, 3)
-EXTRA = [("fleet-784", 5)]  # the seed the benchmark's fleet figures use
+# run at one seed only: the benchmark's fleet seed, and the 784-64-10 wide shape with
+# 100 workers all scheduled, whose set-up is most of its 3.5 s
+EXTRA_CASES = {
+    "wide-784": (FILTERED, {**FLEET, "synthetic_samples": 20000, "workers": 100,
+                            "select_fraction": 1.0, "hidden_width": 64, "rounds": 1}),
+}
+EXTRA = [("fleet-784", 5), ("wide-784", 1)]
 
 
 def sha256(path: Path) -> str:
@@ -78,9 +89,10 @@ def main() -> int:
     from feelsim import io_cli
 
     runs = [(name, seed) for name in CASES for seed in SEEDS] + EXTRA
+    cases = {**CASES, **EXTRA_CASES}
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in runs:
-            path, overrides = CASES[name]
+            path, overrides = cases[name]
             config = dataclasses.replace(io_cli.load_config(ROOT / path), **overrides)
             _, paths = io_cli.run_from_config(config, seed=seed, out_dir=Path(tmp) / name,
                                               quiet=True)
