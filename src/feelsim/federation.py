@@ -119,7 +119,6 @@ class ExperimentState:
     workers: list[WorkerProfile]
     train_data: LabeledDataset
     test_data: LabeledDataset
-    seed: int
     trial: int = 0
     cumulative_energy_j: float = 0.0
     stack: _Stack | None = None
@@ -219,7 +218,7 @@ def _link_gain(
 
 
 def default_deadline(
-    workers: list[WorkerProfile], config: ExperimentConfig, model_bits: int, seed: int, trial: int
+    workers: list[WorkerProfile], config: ExperimentConfig, model_bits: int, trial: int
 ) -> float:
     """Round deadline giving 1.5x slack over a pessimistic straight-through pass.
 
@@ -232,7 +231,7 @@ def default_deadline(
     if not workers:
         raise ValueError("no workers to derive a deadline from")
     share = config.bandwidth_hz / schedule_size(len(workers), config.select_fraction)
-    betas = [_link_gain(p, config, substream(seed, DOMAIN_DEADLINE, trial, p.worker_id))
+    betas = [_link_gain(p, config, substream(config.seed, DOMAIN_DEADLINE, trial, p.worker_id))
              for p in workers]
     beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
@@ -252,7 +251,7 @@ def run_round(
     """Advance the experiment by one deadline-bound communication round."""
     if config.deadline_s is None:
         raise ValueError("run_round needs a resolved deadline; see run_experiment")
-    seed, trial = state.seed, state.trial
+    seed, trial = config.seed, state.trial
     deadline = config.deadline_s
     model_bits = param_bits(state.model.architecture)
     selected = select_workers(
@@ -366,20 +365,18 @@ def run_experiment(
     test_data: LabeledDataset,
     architecture: list[int],
     config: ExperimentConfig,
-    seed: int,
     trial: int = 0,
 ) -> tuple[list[RoundRecord], ModelParameters]:
     """Run one trial of config.rounds sequential rounds from a fresh global model.
 
-    `seed` is passed separately because a run may override the config's seed.
     A None deadline in the config is resolved once, up front, from the fleet.
     Returns the per-round records plus the final global model.
     """
-    model = init_model(architecture, substream(seed, DOMAIN_INIT, trial))
+    model = init_model(architecture, substream(config.seed, DOMAIN_INIT, trial))
     if config.deadline_s is None:
         bits = param_bits(model.architecture)
-        config = replace(config, deadline_s=default_deadline(workers, config, bits, seed, trial))
+        config = replace(config, deadline_s=default_deadline(workers, config, bits, trial))
     state = ExperimentState(model=model, workers=workers, train_data=train_data,
-                            test_data=test_data, seed=seed, trial=trial)
+                            test_data=test_data, trial=trial)
     records = [run_round(state, config, r) for r in range(1, config.rounds + 1)]
     return records, state.model

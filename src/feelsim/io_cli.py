@@ -1,7 +1,7 @@
 """Config loading, dataset construction, metrics files, and the command line.
 
 Config files are flat JSON with units spelled out in the key names.  Every
-file this module writes is byte-deterministic for a given (config, seed).
+file this module writes is byte-deterministic for a given config.
 """
 from __future__ import annotations
 
@@ -130,6 +130,7 @@ class ExperimentConfig:
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         need(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
         need(self.trials >= 1, f"trials must be >= 1, got {self.trials}")
+        # numpy's SeedSequence takes no negative entropy
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         need(0.0 < self.select_fraction <= 1.0,
              f"select_fraction must be in (0, 1], got {self.select_fraction}")
@@ -154,6 +155,10 @@ class ExperimentConfig:
              "need 0 < distance_min_m <= distance_max_m")
         need(0.0 < self.f_min_hz <= self.f_max_hz, "need 0 < f_min_hz <= f_max_hz")
         need(self.p_min_dbm <= self.p_max_dbm, "need p_min_dbm <= p_max_dbm")
+        try:  # p_min_dbm <= p_max_dbm, so p_min_w converts too
+            self.p_max_w
+        except OverflowError:
+            raise ConfigError(f"p_max_dbm {self.p_max_dbm} overflows a power in watts") from None
         need(self.capacitance > 0.0, f"capacitance must be positive, got {self.capacitance}")
         need(self.cycles_per_sample > 0.0,
              f"cycles_per_sample must be positive, got {self.cycles_per_sample}")
@@ -321,7 +326,6 @@ def write_metrics(
     per_trial: list[list[RoundRecord]],
     out_dir: str | Path,
     config: ExperimentConfig,
-    seed: int,
 ) -> dict[str, Path]:
     """Write global.csv, workers.csv, and the run manifest; returns the paths."""
     out = Path(out_dir)
@@ -365,30 +369,30 @@ def write_metrics(
                         int(s.feasible),
                     ])
 
-    manifest = {"version": __version__, "seed": seed, "config": config.as_dict()}
+    manifest = {"version": __version__, "seed": config.seed, "config": config.as_dict()}
     paths["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return paths
 
 
 def build_workers(
-    config: ExperimentConfig, train: LabeledDataset, seed: int, trial: int
+    config: ExperimentConfig, train: LabeledDataset, trial: int
 ) -> tuple[list[WorkerProfile], LabeledDataset]:
     """Partition the training data and attach hardware/placement profiles.  Returns them
     and the trial's training matrix: train's rows taken once, worker by worker, so that
-    a profile's rows are its shard's rows in that matrix."""
-    part_rng = substream(seed, DOMAIN_PARTITION, trial)
-    if config.partition == "iid":
-        shards = partition_iid(train, config.workers, part_rng)
-    else:
-        # which classes get the extra shard slot depends on the partition
-        # stream, so whether a class has a sample for each slot is known only here
-        try:
+    a profile's rows are its shard's rows in that matrix.  A split the partition cannot
+    make, the one check of the fleet against the data, is a ConfigError."""
+    part_rng = substream(config.seed, DOMAIN_PARTITION, trial)
+    try:
+        if config.partition == "iid":
+            shards = partition_iid(train, config.workers, part_rng)
+        else:
             shards = partition_noniid(
                 train, config.workers, part_rng, classes_per_worker=config.classes_per_worker
             )
-        except ValueError as exc:
-            raise ConfigError(f"workers {config.workers} with classes_per_worker "
-                              f"{config.classes_per_worker} split the data too finely: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"workers {config.workers} with partition {config.partition!r} and "
+                          f"classes_per_worker {config.classes_per_worker} do not fit the "
+                          f"{len(train)} training samples: {exc}") from exc
     bounds = DeviceBounds(
         f_min_hz=config.f_min_hz,
         f_max_hz=config.f_max_hz,
@@ -396,7 +400,7 @@ def build_workers(
         p_max_w=config.p_max_w,
         capacitance=config.capacitance,
     )
-    prof_rng = substream(seed, DOMAIN_PROFILE, trial)
+    prof_rng = substream(config.seed, DOMAIN_PROFILE, trial)
     profiles, end = [], 0
     for wid, shard in enumerate(shards):
         distance = float(prof_rng.uniform(config.distance_min_m, config.distance_max_m))
@@ -409,9 +413,9 @@ def build_workers(
     return profiles, train.take(np.concatenate(shards))
 
 
-def load_dataset(config: ExperimentConfig, seed: int) -> LabeledDataset:
+def load_dataset(config: ExperimentConfig) -> LabeledDataset:
     """Build the full dataset the config describes (shared by all trials)."""
-    rng = substream(seed, DOMAIN_DATA)
+    rng = substream(config.seed, DOMAIN_DATA)
     if config.data_source == "synthetic":
         return generate_synthetic(
             config.synthetic_dim, config.synthetic_classes,
@@ -440,34 +444,29 @@ def run_from_config(
     out_dir: str | Path | None = None,
     quiet: bool = False,
 ) -> tuple[list[list[RoundRecord]], dict[str, Path]]:
-    """Run all trials, write metrics, and return (per-trial records, paths)."""
-    seed = config.seed if seed is None else int(seed)
-    if seed < 0:  # numpy's SeedSequence takes no negative entropy
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    data = load_dataset(config, seed)
+    """Run all trials, write metrics, and return (per-trial records, paths).  A `seed`
+    replaces config.seed, in the run and in its manifest."""
+    if seed is not None:
+        config = dataclasses.replace(config, seed=int(seed))
+    out = Path(out_dir or config.output_dir)
+    try:  # before any training: a run must not fail on its output after all its rounds
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    data = load_dataset(config)
     # data is read for its width and class count only: each trial takes its matrix from train
     width, n_classes = data.features.shape[1], int(data.labels.max()) + 1
-    train, test = split_train_test(data, config.train_fraction, seed)
+    train, test = split_train_test(data, config.train_fraction, config.seed)
     del data
-    # what the partition needs of the data, checked for both data sources
-    if config.workers > len(train):
-        raise ConfigError(f"workers must be <= the {len(train)} training samples, "
-                          f"got {config.workers}")
-    if config.partition == "noniid":  # only here: np.unique adds ~1 MB to an iid run's peak RSS
-        classes = np.unique(train.labels).size
-        if config.classes_per_worker > classes:
-            raise ConfigError(f"classes_per_worker must be <= the {classes} training classes, "
-                              f"got {config.classes_per_worker}")
-    if config.hidden_width is not None:
-        hidden = config.hidden_width
-    else:
-        hidden = 32 if config.data_source == "mnist" else 16
+    hidden = config.hidden_width or (32 if config.data_source == "mnist" else 16)
     architecture = [width, hidden, n_classes]
     per_trial = []
     for t in range(config.trials):
-        # no name holds a trial's matrix, so it is freed before the next one is built
-        records, _ = run_experiment(*build_workers(config, train, seed, t), test,
-                                    architecture, config, seed, trial=t)
+        fleet = build_workers(config, train, t)
+        if t == config.trials - 1:
+            del train  # the last trial's matrix is built: train is read no more
+        records, _ = run_experiment(*fleet, test, architecture, config, trial=t)
+        del fleet  # so that the trial's matrix is freed before the next one is built
         per_trial.append(records)
         if not quiet:
             last = records[-1]
@@ -475,7 +474,7 @@ def run_from_config(
                 f"trial {t}: loss {last.test_loss:.4f} acc {last.test_accuracy:.4f} "
                 f"energy {last.cum_energy_j:.6g} J"
             )
-    paths = write_metrics(per_trial, out_dir or config.output_dir, config, seed)
+    paths = write_metrics(per_trial, out, config)
     return per_trial, paths
 
 

@@ -251,11 +251,11 @@ def test_criterion_05_link_inversion_and_energy_form():
 def test_criterion_06_budgeted_protocol_invariants(tmp_path):
     """Non-iid budgeted run: deadline filling, bounds, shares, ledger replay."""
     cfg0 = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2)
-    data = load_dataset(cfg0, cfg0.seed)
+    data = load_dataset(cfg0)
     train, _ = split_train_test(data, cfg0.train_fraction, cfg0.seed)
-    fleet, _ = build_workers(cfg0, train, cfg0.seed, 0)
+    fleet, _ = build_workers(cfg0, train, 0)
     shard_sizes = {p.worker_id: len(p.rows) for p in fleet}
-    deadline = default_deadline(fleet, cfg0, param_bits([8, 16, 4]), cfg0.seed, 0)
+    deadline = default_deadline(fleet, cfg0, param_bits([8, 16, 4]), 0)
     budget = 0.3
     cfg = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2,
                          deadline_s=deadline, energy_budget_j=budget)
@@ -313,11 +313,10 @@ def test_criterion_06_budgeted_protocol_invariants(tmp_path):
 def test_criterion_07_reduces_to_plain_fedavg():
     """Threshold 1.0 must reproduce an independently coded FedAvg bit for bit."""
     cfg = reference_base(rounds=20, seed=3, threshold=1.0)
-    data = load_dataset(cfg, cfg.seed)
+    data = load_dataset(cfg)
     train, test = split_train_test(data, cfg.train_fraction, cfg.seed)
-    fleet, matrix = build_workers(cfg, train, cfg.seed, 0)
-    records, final_model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg, cfg.seed,
-                                          trial=0)
+    fleet, matrix = build_workers(cfg, train, 0)
+    records, final_model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg, trial=0)
     assert all(r.n_updates == len(r.worker_stats) for r in records), \
         "a worker missed the deadline; equivalence run must be drop-free"
 
@@ -439,9 +438,9 @@ def test_criterion_10_parallel_byte_identity():
     """
     cfg = reference_base(rounds=9, seed=11, select_fraction=0.4, epochs=3,
                          synthetic_samples=2000)
-    train, test = split_train_test(load_dataset(cfg, cfg.seed), cfg.train_fraction, cfg.seed)
-    fleet, matrix = build_workers(cfg, train, cfg.seed, trial=0)
-    _, model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg, cfg.seed)
+    train, test = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
+    fleet, matrix = build_workers(cfg, train, trial=0)
+    _, model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg)
     selected = select_workers(fleet, cfg.select_fraction,
                               substream(cfg.seed, DOMAIN_SELECT, 0, 10))
     n = len(selected)

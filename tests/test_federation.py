@@ -221,8 +221,8 @@ class TestDefaultDeadline:
         fleet, _ = make_fleet()
         cfg = fast_config()
         bits = param_bits(ARCH)
-        a = default_deadline(fleet, cfg, bits, seed=21, trial=0)
-        b = default_deadline(fleet, cfg, bits, seed=21, trial=0)
+        a = default_deadline(fleet, replace(cfg, seed=21), bits, trial=0)
+        b = default_deadline(fleet, replace(cfg, seed=21), bits, trial=0)
         assert a == b
         assert 0.0 < a < math.inf
 
@@ -230,25 +230,26 @@ class TestDefaultDeadline:
         fleet, _ = make_fleet()
         cfg = fast_config()
         bits = param_bits(ARCH)
-        a = default_deadline(fleet, cfg, bits, seed=21, trial=0)
-        b = default_deadline(fleet, cfg, bits, seed=22, trial=0)
+        a = default_deadline(fleet, replace(cfg, seed=21), bits, trial=0)
+        b = default_deadline(fleet, replace(cfg, seed=22), bits, trial=0)
         assert a != b
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
-            default_deadline([], fast_config(), 1000, seed=0, trial=0)
+            default_deadline([], fast_config(), 1000, trial=0)
 
     def test_bounded_and_smooth_in_fleet_size(self):
         # each worker uploads on its own share of the band, so scheduling more
         # of them must not stretch the round by orders of magnitude
         preset = load_config(Path(__file__).resolve().parent.parent / "configs"
                              / "synthetic_filtered.json")
-        train, _ = split_train_test(load_dataset(preset, 1), preset.train_fraction, 1)
+        preset = replace(preset, seed=1)
+        train, _ = split_train_test(load_dataset(preset), preset.train_fraction, 1)
         bits = param_bits([preset.synthetic_dim, 16, preset.synthetic_classes])
         deadlines = []
         for k in (20, 30, 40, 50, 100, 200, 400):
             cfg = replace(preset, workers=k)
-            deadlines.append(default_deadline(build_workers(cfg, train, 1, 0)[0], cfg, bits, 1, 0))
+            deadlines.append(default_deadline(build_workers(cfg, train, 0)[0], cfg, bits, 0))
         assert all(d < 1.0 for d in deadlines), deadlines
         assert all(max(a, b) < 2.0 * min(a, b) for a, b in zip(deadlines, deadlines[1:])), deadlines
 
@@ -256,15 +257,13 @@ class TestDefaultDeadline:
 class TestRunRound:
     def test_needs_resolved_deadline(self):
         fleet, train = make_fleet()
-        state = ExperimentState(model=None, workers=fleet, train_data=train, test_data=TEST_DATA,
-                                seed=1)
+        state = ExperimentState(model=None, workers=fleet, train_data=train, test_data=TEST_DATA)
         with pytest.raises(ValueError):
             run_round(state, fast_config(), 1)
 
     def test_protocol_invariants(self):
         fleet, train = make_fleet()
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=3),
-                                    seed=23)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=3, seed=23))
         cfg = fast_config()
         prev_cum = 0.0
         for rec in records:
@@ -287,11 +286,11 @@ class TestRunRound:
 
     def test_feasible_rows_fill_deadline_exactly(self):
         fleet, train = make_fleet()
-        cfg = fast_config()
+        cfg = fast_config(seed=23)
         bits = param_bits(ARCH)
-        deadline = default_deadline(fleet, cfg, bits, seed=23, trial=0)
-        cfg = fast_config(deadline_s=deadline, rounds=3)
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg, seed=23)
+        deadline = default_deadline(fleet, cfg, bits, trial=0)
+        cfg = fast_config(deadline_s=deadline, rounds=3, seed=23)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg)
         checked = 0
         for rec in records:
             for s in rec.worker_stats:
@@ -302,8 +301,8 @@ class TestRunRound:
 
     def test_adaptive_bandwidth_caps_total_share(self):
         fleet, train = make_fleet()
-        cfg = fast_config(bandwidth_mode="adaptive", rounds=2)
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg, seed=29)
+        cfg = fast_config(bandwidth_mode="adaptive", rounds=2, seed=29)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg)
         for rec in records:
             assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
             assert rec.n_updates > 0
@@ -315,8 +314,8 @@ class TestRunRound:
         # pads some of this fleet's links
         records = {}
         for mode in ("equal", "adaptive"):
-            cfg = fast_config(bandwidth_mode=mode, rounds=2, deadline_s=0.5)
-            records[mode], _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg, seed=29)
+            cfg = fast_config(bandwidth_mode=mode, rounds=2, deadline_s=0.5, seed=29)
+            records[mode], _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg)
         padded = 0
         for eq, ad in zip(records["equal"], records["adaptive"]):
             assert sum(s.bandwidth_share for s in ad.worker_stats) == pytest.approx(1.0, rel=1e-12)
@@ -333,8 +332,7 @@ class TestRunRound:
 
     def test_learning_actually_progresses(self):
         fleet, train = make_fleet()
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=6),
-                                    seed=31)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=6, seed=31))
         assert records[-1].test_accuracy > records[0].test_accuracy
         assert records[-1].test_loss < records[0].test_loss
 
@@ -342,8 +340,8 @@ class TestRunRound:
 class TestEnergyLedger:
     def probe_round_one(self, seed=37):
         fleet, train = make_fleet()
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
-                                    seed=seed)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH,
+                                    fast_config(rounds=1, seed=seed))
         return records[0]
 
     def test_partial_compute_charge_then_dead(self):
@@ -353,8 +351,7 @@ class TestEnergyLedger:
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet, train = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
-                                    seed=37)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1, seed=37))
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
         assert s.e_cmp_j == pytest.approx(budget, rel=1e-12)
@@ -369,8 +366,7 @@ class TestEnergyLedger:
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet, train = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
-                                    seed=37)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1, seed=37))
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
         assert s.e_cmp_j == pytest.approx(target.e_cmp_j, rel=1e-12)
@@ -384,8 +380,7 @@ class TestEnergyLedger:
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet, train = make_fleet(budgets=budgets)
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1),
-                                    seed=37)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1, seed=37))
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert s.feasible
         assert s.remaining_energy_j == pytest.approx(0.0, abs=1e-15)
@@ -393,8 +388,7 @@ class TestEnergyLedger:
 
     def test_remaining_never_negative_under_starvation(self):
         fleet, train = make_fleet(budgets=[1e-6] * 6)
-        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=4),
-                                    seed=41)
+        records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=4, seed=41))
         for rec in records:
             for s in rec.worker_stats:
                 assert s.remaining_energy_j >= 0.0
@@ -408,8 +402,8 @@ class TestEnergyLedger:
         # each plan raises InfeasibleDeadlineError
         budgets = [0.5 + 0.1 * i for i in range(6)]
         fleet, train = make_fleet(budgets=budgets)
-        cfg = fast_config(deadline_s=1e-3, rounds=2, bandwidth_mode=bandwidth_mode)
-        records, model = run_experiment(fleet, train, TEST_DATA, ARCH, cfg, seed=67)
+        cfg = fast_config(deadline_s=1e-3, rounds=2, bandwidth_mode=bandwidth_mode, seed=67)
+        records, model = run_experiment(fleet, train, TEST_DATA, ARCH, cfg)
         for rec in records:
             assert rec.n_updates == 0
             assert rec.inst_energy_j == 0.0
@@ -426,8 +420,8 @@ class TestEnergyLedger:
 
 class TestDeterminism:
     def test_identical_runs_match_bit_for_bit(self):
-        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
-        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=43)
+        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3, seed=43))
+        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3, seed=43))
         assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.test_loss == b.test_loss
@@ -436,9 +430,9 @@ class TestDeterminism:
             assert a.worker_stats == b.worker_stats
 
     def test_contiguous_stacks_do_not_change_results(self, monkeypatch):
-        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
+        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3, seed=47))
         monkeypatch.setattr(federation, "local_round", split_training(contiguous_groups(4)))
-        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3), seed=47)
+        rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=3, seed=47))
         assert_models_equal(ma, mb)
         assert ra == rb
 
@@ -456,8 +450,8 @@ class TestDeterminism:
             for profile, shard in zip(fleet, rows):
                 profile.rows = shard
             monkeypatch.setattr(federation, "local_round", split_training(groups))
-            runs.append(run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=3),
-                                       seed=49))
+            runs.append(run_experiment(fleet, train, TEST_DATA, ARCH,
+                                       fast_config(rounds=3, seed=49)))
         (ra, ma), *others = runs
         assert any(s.kappa for r in ra for s in r.worker_stats)  # ragged later epochs
         for rb, mb in others:
@@ -477,7 +471,7 @@ class TestDeterminism:
                 profile.rows = shard
             return workers, train
 
-        cfg = fast_config(rounds=8, select_fraction=0.35, epochs=3)
+        cfg = fast_config(rounds=8, select_fraction=0.35, epochs=3, seed=73)
         stacks = []
 
         def recording(*args, stack):
@@ -485,9 +479,9 @@ class TestDeterminism:
             return local_round(*args, stack=stack)
 
         monkeypatch.setattr(federation, "local_round", recording)
-        ra, ma = run_experiment(*fleet(), TEST_DATA, ARCH, cfg, seed=73)
+        ra, ma = run_experiment(*fleet(), TEST_DATA, ARCH, cfg)
         monkeypatch.setattr(federation, "local_round", lambda *args, stack: local_round(*args))
-        rb, mb = run_experiment(*fleet(), TEST_DATA, ARCH, cfg, seed=73)
+        rb, mb = run_experiment(*fleet(), TEST_DATA, ARCH, cfg)
         assert len(stacks) == 8 and all(stack is stacks[0] for stack in stacks)
         assert len({len(shards[s.worker_id]) for r in ra for s in r.worker_stats}) > 1
         assert any(s.kappa for r in ra for s in r.worker_stats)
@@ -495,19 +489,19 @@ class TestDeterminism:
         assert ra == rb
 
     def test_explicit_deadline_equals_resolved_default(self):
-        cfg = fast_config(rounds=2)
+        cfg = fast_config(rounds=2, seed=53)
         bits = param_bits(ARCH)
-        deadline = default_deadline(make_fleet()[0], cfg, bits, seed=53, trial=0)
-        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg, seed=53)
+        deadline = default_deadline(make_fleet()[0], cfg, bits, trial=0)
+        ra, ma = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg)
         rb, mb = run_experiment(*make_fleet(), TEST_DATA, ARCH,
-                                fast_config(deadline_s=deadline, rounds=2), seed=53)
+                                fast_config(deadline_s=deadline, rounds=2, seed=53))
         assert_models_equal(ma, mb)
         for a, b in zip(ra, rb):
             assert a.worker_stats == b.worker_stats
 
     def test_seed_changes_results(self):
-        ra, _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=59)
-        rb, _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2), seed=60)
+        ra, _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2, seed=59))
+        rb, _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, fast_config(rounds=2, seed=60))
         assert ra[-1].test_loss != rb[-1].test_loss
 
 
@@ -518,14 +512,14 @@ class TestChannelModes:
     # the per-round link gain
     def mode_config(self, mode, rounds):
         return fast_config(epochs=1, threshold=1.0, channel_mode=mode,
-                           antennas=8, noise_power_w=1e-10, rounds=rounds)
+                           antennas=8, noise_power_w=1e-10, rounds=rounds, seed=61)
 
     def mode_fleet(self):
         return make_fleet(dist=(28.0, 32.0))
 
     def test_static_repeats_the_same_link_each_round(self):
         cfg = self.mode_config("static", rounds=3)
-        records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
+        records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg)
         first = records[0].worker_stats
         for rec in records[1:]:
             for a, b in zip(first, rec.worker_stats):
@@ -536,7 +530,7 @@ class TestChannelModes:
 
     def test_block_fading_redraws_each_round(self):
         cfg = self.mode_config("block", rounds=2)
-        records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg, seed=61)
+        records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg)
         a = [s.p_up_w for s in records[0].worker_stats]
         b = [s.p_up_w for s in records[1].worker_stats]
         bounds = self.mode_fleet()[0][0].bounds
@@ -590,10 +584,10 @@ class TestTrainingCallSites:
         monkeypatch.setattr(learning, "gradient", counting_grad)
         monkeypatch.setattr(learning, "filter_samples", counting_filter)
         fleet, train = make_fleet()
-        cfg = fast_config(epochs=3, threshold=0.4)
-        cfg = replace(cfg, deadline_s=default_deadline(fleet, cfg, param_bits(ARCH), 59, 0))
+        cfg = fast_config(epochs=3, threshold=0.4, seed=59)
+        cfg = replace(cfg, deadline_s=default_deadline(fleet, cfg, param_bits(ARCH), 0))
         state = ExperimentState(model=init_model(ARCH, np.random.default_rng(59)),
-                                workers=fleet, train_data=train, test_data=TEST_DATA, seed=59)
+                                workers=fleet, train_data=train, test_data=TEST_DATA)
         record = run_round(state, cfg, 1)
 
         assert len(filtered) == len(record.worker_stats) == 6

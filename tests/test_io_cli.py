@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import feelsim
+from feelsim import federation
 from feelsim.federation import RoundRecord, partition_iid, partition_noniid
 from feelsim.io_cli import (
     GLOBAL_HEADER,
@@ -84,6 +85,17 @@ class TestConfig:
         cfg = small_config(p_min_dbm=-10.0, p_max_dbm=20.0)
         assert cfg.p_min_w == pytest.approx(1e-4, rel=1e-15)
         assert cfg.p_max_w == pytest.approx(0.1, rel=1e-15)
+
+    @pytest.mark.parametrize("over", [dict(p_max_dbm=3113.0),
+                                      dict(p_min_dbm=3113.0, p_max_dbm=3113.0)])
+    def test_dbm_beyond_float_range_rejected(self, tmp_path, capsys, over):
+        # 10 ** ((dBm - 30) / 10) overflows a float from about 3112.5 dBm
+        with pytest.raises(ConfigError, match="p_max_dbm 3113.0 overflows"):
+            small_config(**over)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(over) + "\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: p_max_dbm 3113.0 overflows")
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -325,9 +337,9 @@ class TestSplitAndWorkers:
 
     def test_build_workers_profiles(self):
         cfg = small_config(energy_budget_j=7.5)
-        data = load_dataset(cfg, seed=cfg.seed)
+        data = load_dataset(cfg)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        fleet, _ = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        fleet, _ = build_workers(cfg, train, trial=0)
         assert [p.worker_id for p in fleet] == list(range(4))
         assert sum(len(p.rows) for p in fleet) == len(train)
         for p in fleet:
@@ -337,11 +349,11 @@ class TestSplitAndWorkers:
 
     def test_build_workers_trial_streams_differ(self):
         cfg = small_config()
-        data = load_dataset(cfg, seed=cfg.seed)
+        data = load_dataset(cfg)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        a, _ = build_workers(cfg, train, seed=cfg.seed, trial=0)
-        b, _ = build_workers(cfg, train, seed=cfg.seed, trial=1)
-        c, _ = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        a, _ = build_workers(cfg, train, trial=0)
+        b, _ = build_workers(cfg, train, trial=1)
+        c, _ = build_workers(cfg, train, trial=0)
         assert [p.distance_m for p in a] != [p.distance_m for p in b]
         assert [p.distance_m for p in a] == [p.distance_m for p in c]
 
@@ -351,11 +363,10 @@ class TestSplitAndWorkers:
         # profiles' ranges tile it in worker id order, and worker i's range holds the rows
         # its trial's partition dealt it
         cfg = small_config(partition=partition, classes_per_worker=2)
-        train, _ = split_train_test(load_dataset(cfg, seed=cfg.seed), cfg.train_fraction,
-                                    cfg.seed)
+        train, _ = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
         matrices = []
         for trial in (0, 1):
-            fleet, matrix = build_workers(cfg, train, seed=cfg.seed, trial=trial)
+            fleet, matrix = build_workers(cfg, train, trial=trial)
             assert [p.worker_id for p in fleet] == list(range(cfg.workers))
             ends = [0]
             for p in fleet:
@@ -374,32 +385,43 @@ class TestSplitAndWorkers:
 
     def test_noniid_partition_through_config(self):
         cfg = small_config(partition="noniid", classes_per_worker=2)
-        data = load_dataset(cfg, seed=cfg.seed)
+        data = load_dataset(cfg)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        fleet, matrix = build_workers(cfg, train, seed=cfg.seed, trial=0)
+        fleet, matrix = build_workers(cfg, train, trial=0)
         for p in fleet:
             assert np.unique(matrix.labels[p.rows.start:p.rows.stop]).size == 2
 
 
 class TestMemory:
-    def test_run_peak_within_a_few_feature_copies(self, tmp_path):
-        # 784-wide features, every worker scheduled: the train/test split, the trial's
-        # worker-ordered matrix and the pass block are each about one copy of the
-        # features at most; the full dataset kept beside them, per-worker shard copies or
-        # a per-round join would each take the traced peak past 3.5 copies
+    @staticmethod
+    def peak_feature_copies(tmp_path, **over):
+        """tracemalloc peak of a 784-wide run, every worker scheduled, in feature bytes."""
         cfg = dataclasses.replace(
             load_config(Path(__file__).resolve().parent.parent / "configs"
                         / "synthetic_filtered.json"),
             synthetic_dim=784, synthetic_classes=10, synthetic_samples=2000, workers=10,
-            select_fraction=1.0, hidden_width=8, epochs=2, rounds=1)
+            select_fraction=1.0, hidden_width=8, epochs=2, rounds=1, **over)
         tracemalloc.start()
         try:
             run_from_config(cfg, out_dir=tmp_path, quiet=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        feature_bytes = 2000 * 784 * 8
-        assert peak < 3.5 * feature_bytes, peak / feature_bytes
+        return peak / (2000 * 784 * 8)
+
+    def test_run_peak_within_a_few_feature_copies(self, tmp_path):
+        # the train/test split, the trial's worker-ordered matrix and the pass block are
+        # each about one copy of the features at most; the full dataset kept beside them,
+        # per-worker shard copies or a per-round join would each take the traced peak
+        # past 3.5 copies
+        copies = self.peak_feature_copies(tmp_path, trials=2)
+        assert copies < 3.5, copies
+
+    def test_one_trial_run_frees_train_once_its_matrix_is_built(self, tmp_path):
+        # the last trial trains from its matrix, test and the pass block alone: train
+        # kept beside them would take the traced peak past 2.5 copies
+        copies = self.peak_feature_copies(tmp_path)
+        assert copies < 2.5, copies
 
 
 class TestMetricsFiles:
@@ -477,7 +499,7 @@ class TestMetricsFiles:
                          n_updates=0, worker_stats=()) for i in range(5)]
             for _ in range(trials)
         ]
-        paths = write_metrics(per_trial, tmp_path, small_config(trials=trials), 5)
+        paths = write_metrics(per_trial, tmp_path, small_config(trials=trials))
         for i, line in enumerate(paths["global"].read_text().splitlines()[1:]):
             want = [str(i)] + [repr(float(np.mean([getattr(t[i], f) for t in per_trial])))
                                for f in fields]
@@ -486,7 +508,7 @@ class TestMetricsFiles:
     def test_trials_with_different_round_counts_rejected(self, tmp_path):
         cfg, (per_trial, _) = self.run_small(tmp_path, trials=2)
         with pytest.raises(ValueError):
-            write_metrics([per_trial[0], per_trial[1][:1]], tmp_path / "uneven", cfg, cfg.seed)
+            write_metrics([per_trial[0], per_trial[1][:1]], tmp_path / "uneven", cfg)
 
     def test_single_trial_omits_by_trial_file(self, tmp_path):
         cfg, (_, paths) = self.run_small(tmp_path)
@@ -498,6 +520,21 @@ class TestMetricsFiles:
         _, pa = run_from_config(cfg, out_dir=tmp_path / "a", quiet=True)
         _, pb = run_from_config(cfg, out_dir=tmp_path / "b", quiet=True)
         for name in ("global", "workers", "manifest"):
+            assert pa[name].read_bytes() == pb[name].read_bytes()
+
+    def test_manifest_config_reproduces_a_seed_override(self, tmp_path):
+        _, pa = run_from_config(small_config(seed=5), seed=7, out_dir=tmp_path / "a",
+                                quiet=True)
+        manifest = json.loads(pa["manifest"].read_text())
+        assert manifest["config"]["seed"] == 7
+        # the manifest's config is a config file of the run, with its effective seed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(manifest["config"]))
+        config = load_config(cfg_path)
+        write_config(config, cfg_path)
+        assert json.loads(cfg_path.read_text()) == manifest["config"]
+        _, pb = run_from_config(config, out_dir=tmp_path / "b", quiet=True)
+        for name in ("global", "workers"):
             assert pa[name].read_bytes() == pb[name].read_bytes()
 
     def test_seed_override_changes_results(self, tmp_path):
@@ -589,15 +626,22 @@ class TestCli:
         assert err.startswith("error:") and "mnist_subset 1000 exceeds the 40 examples" in err
 
     @pytest.mark.parametrize("over, message", [
-        (dict(workers=5000), "workers must be <= the 320 training samples"),
+        (dict(workers=5000),
+         "workers 5000 with partition 'iid' and classes_per_worker 2 do not fit the 320 "
+         "training samples: need 1 <= k <= 320 shards"),
         (dict(partition="noniid", classes_per_worker=5),
-         "classes_per_worker must be <= the 4 training classes"),
+         "classes_per_worker must be in [1, 4], got 5"),
         (dict(synthetic_samples=4, train_fraction=0.9, workers=1),
          "train_fraction 0.9 leaves an empty split"),
         (dict(partition="noniid", workers=200),
-         "workers 200 with classes_per_worker 2 split the data too finely: class"),
+         "workers 200 with partition 'noniid' and classes_per_worker 2 do not fit the 320 "
+         "training samples: class"),
     ], ids=["workers", "classes_per_worker", "train_fraction", "noniid_shard_slots"])
-    def test_run_config_beyond_data_exits_2(self, tmp_path, capsys, over, message):
+    def test_run_config_beyond_data_exits_2(self, tmp_path, capsys, monkeypatch, over, message):
+        def no_round(*args):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(federation, "run_round", no_round)
         cfg_path = tmp_path / "cfg.json"
         write_config(small_config(**over), cfg_path)
         code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -620,6 +664,20 @@ class TestCli:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_uncreatable_out_dir_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_dataset(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(feelsim.io_cli, "load_dataset", no_dataset)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(small_config(), cfg_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(blocker / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {blocker / 'out'}:")
+
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--bogus"]) == 2
         capsys.readouterr()
@@ -630,6 +688,16 @@ class TestCli:
 
 
 class TestPublicSurface:
+    def test_readme_configuration_table_names_every_field(self):
+        # first column of each table row; a row may name several fields,
+        # as in `f_min_hz` / `f_max_hz`
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        named = [name for cell in rows for name in cell.split("`")[1::2]]
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(named) == sorted(fields)
+
     def test_readme_planner_snippet(self, capsys):
         # the first code block of README's "Library use" imports from the package
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
