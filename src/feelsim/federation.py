@@ -55,11 +55,6 @@ if TYPE_CHECKING:  # annotations only: io_cli imports this module at run time
 BANDWIDTH_MODES = ("equal", "adaptive")
 CHANNEL_MODES = ("block", "static")
 
-# what a worker whose round could not be planned is charged and logs
-_IDLE = ResourcePlan(
-    t_cmp_s=0.0, t_up_s=0.0, f_hz=0.0, p_w=0.0, bandwidth_hz=0.0, e_cmp_j=0.0, e_up_j=0.0
-)
-
 
 @dataclass
 class WorkerProfile:
@@ -75,17 +70,15 @@ class WorkerProfile:
 
 @dataclass(frozen=True)
 class WorkerRoundStats:
-    """What one scheduled worker did in one round."""
+    """What one scheduled worker did in one round.
+
+    charged is the plan the ledger charged: the worker's plan when it delivered, that plan
+    cut to its compute when its battery died mid-round, and a zero plan on its share of the
+    band when its round could not be planned.  In each case bandwidth_hz is its share."""
 
     worker_id: int
     kappa: int  # samples the confidence filter dropped
-    e_cmp_j: float
-    e_up_j: float
-    t_cmp_s: float
-    t_up_s: float
-    f_cmp_hz: float
-    p_up_w: float
-    bandwidth_share: float  # fraction of the total bandwidth
+    charged: ResourcePlan
     feasible: bool  # True when the update was delivered and charged in full
     remaining_energy_j: float
 
@@ -313,34 +306,27 @@ def run_round(
     updates: list[tuple[ModelParameters, int]] = []
     stats: list[WorkerRoundStats] = []
     inst_energy = 0.0
-    total_kappa = 0
-    total_data = 0
     for profile, local_model, decision, plan, share in zip(
         selected, local_models, decisions, plans, shares
     ):
-        total_kappa += decision.excluded_count
-        total_data += len(profile.rows)
         if plan is None:
-            charged, delivered = _IDLE, False
+            charged = ResourcePlan(t_cmp_s=0.0, t_up_s=0.0, f_hz=0.0, p_w=0.0,
+                                   bandwidth_hz=share, e_cmp_j=0.0, e_up_j=0.0)
+            delivered = False
         elif plan.total_energy_j <= profile.remaining_energy_j:
             charged, delivered = plan, True
         else:
             # battery dies mid-round: the compute spend is real, the upload never runs
-            charged = replace(
-                plan, e_cmp_j=min(plan.e_cmp_j, profile.remaining_energy_j),
-                e_up_j=0.0, t_up_s=0.0, p_w=0.0,
-            )
+            charged = replace(plan, e_cmp_j=min(plan.e_cmp_j, profile.remaining_energy_j),
+                              e_up_j=0.0, t_up_s=0.0, p_w=0.0)
             delivered = False
         profile.remaining_energy_j -= charged.total_energy_j
         inst_energy += charged.total_energy_j
         if delivered:
             updates.append((local_model, len(profile.rows)))
         stats.append(WorkerRoundStats(
-            worker_id=profile.worker_id, kappa=decision.excluded_count,
-            e_cmp_j=charged.e_cmp_j, e_up_j=charged.e_up_j, t_cmp_s=charged.t_cmp_s,
-            t_up_s=charged.t_up_s, f_cmp_hz=charged.f_hz, p_up_w=charged.p_w,
-            bandwidth_share=share / config.bandwidth_hz, feasible=delivered,
-            remaining_energy_j=profile.remaining_energy_j,
+            worker_id=profile.worker_id, kappa=decision.excluded_count, charged=charged,
+            feasible=delivered, remaining_energy_j=profile.remaining_energy_j,
         ))
 
     if updates:
@@ -353,7 +339,8 @@ def run_round(
         test_accuracy=acc,
         inst_energy_j=inst_energy,
         cum_energy_j=state.cumulative_energy_j,
-        excluded_fraction=total_kappa / total_data if total_data else 0.0,
+        excluded_fraction=(sum(d.excluded_count for d in decisions)
+                           / sum(len(p.rows) for p in selected)),
         n_updates=len(updates),
         worker_stats=tuple(stats),
     )

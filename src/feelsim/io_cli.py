@@ -123,9 +123,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name} must be {self.__annotations__[name]}, got {value!r}"
                 )
-            # JSON's Infinity and NaN parse to floats; only the budget may be unbounded
-            if float in kinds and value is not None and name != "energy_budget_j":
-                need(math.isfinite(value), f"{name} must be finite, got {value!r}")
+            if float in kinds and value is not None:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int literal; too long to print in full
+                    raise ConfigError(f"{name} is an integer of {value.bit_length()} bits, "
+                                      "beyond a float's range") from None
+                # JSON's Infinity and NaN parse to floats; only the budget may be unbounded
+                need(finite or name == "energy_budget_j",
+                     f"{name} must be finite, got {value!r}")
 
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         need(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
@@ -223,6 +229,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than Python converts from text
+        raise ConfigError(f"config {path} holds a number that cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -274,6 +282,8 @@ def _read_idx(path: Path, expected_magic: int, kind: str) -> np.ndarray:
         if len(blob) < 16:
             raise IdxFormatError(f"{kind} file {path} is truncated before the dimensions")
         rows, cols = struct.unpack(">II", blob[8:16])
+        if rows == 0 or cols == 0:
+            raise IdxFormatError(f"{kind} file {path} declares {rows}x{cols} images")
         body = np.frombuffer(blob, dtype=np.uint8, offset=16)
         if body.size != count * rows * cols:
             raise IdxFormatError(
@@ -362,10 +372,11 @@ def write_metrics(
         for t, records in enumerate(per_trial):
             for rec in records:
                 for s in rec.worker_stats:
+                    c = s.charged
                     w.writerow([
                         t, rec.round_index, s.worker_id, s.kappa,
-                        _fmt(s.e_cmp_j), _fmt(s.e_up_j), _fmt(s.t_cmp_s), _fmt(s.t_up_s),
-                        _fmt(s.f_cmp_hz), _fmt(s.p_up_w), _fmt(s.bandwidth_share),
+                        _fmt(c.e_cmp_j), _fmt(c.e_up_j), _fmt(c.t_cmp_s), _fmt(c.t_up_s),
+                        _fmt(c.f_hz), _fmt(c.p_w), _fmt(c.bandwidth_hz / config.bandwidth_hz),
                         int(s.feasible),
                     ])
 

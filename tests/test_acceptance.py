@@ -428,7 +428,7 @@ def test_criterion_09_threshold_nesting():
             f"excluded counts over thresholds 0.5..1.0: {counts} (monotone, 0 at 1.0)")
 
 
-def test_criterion_10_parallel_byte_identity():
+def test_criterion_10_stack_split_byte_identity():
     """A worker's bytes must not depend on which others share its stack.
 
     Round 10's scheduled workers, after 9 rounds in which the filter starts to

@@ -268,20 +268,22 @@ class TestRunRound:
         prev_cum = 0.0
         for rec in records:
             assert rec.n_updates == sum(1 for s in rec.worker_stats if s.feasible)
-            assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
+            shares = [s.charged.bandwidth_hz / cfg.bandwidth_hz for s in rec.worker_stats]
+            assert sum(shares) <= 1.0 + 1e-12
             total_kappa = sum(s.kappa for s in rec.worker_stats)
             total_data = sum(len(fleet[s.worker_id].rows) for s in rec.worker_stats)
             assert rec.excluded_fraction == pytest.approx(total_kappa / total_data, abs=1e-15)
             assert rec.inst_energy_j == pytest.approx(
-                sum(s.e_cmp_j + s.e_up_j for s in rec.worker_stats), rel=1e-12)
+                sum(s.charged.e_cmp_j + s.charged.e_up_j for s in rec.worker_stats), rel=1e-12)
             assert rec.cum_energy_j == pytest.approx(prev_cum + rec.inst_energy_j, rel=1e-12)
             prev_cum = rec.cum_energy_j
             for s in rec.worker_stats:
                 assert 0 <= s.kappa <= len(fleet[s.worker_id].rows)
                 if s.feasible:
-                    assert s.e_cmp_j > 0.0 and s.e_up_j > 0.0
-                    assert BOUNDS.f_min_hz * (1 - 1e-9) <= s.f_cmp_hz <= BOUNDS.f_max_hz * (1 + 1e-9)
-                    assert BOUNDS.p_min_w <= s.p_up_w <= BOUNDS.p_max_w
+                    assert s.charged.e_cmp_j > 0.0 and s.charged.e_up_j > 0.0
+                    f_hz = s.charged.f_hz
+                    assert BOUNDS.f_min_hz * (1 - 1e-9) <= f_hz <= BOUNDS.f_max_hz * (1 + 1e-9)
+                    assert BOUNDS.p_min_w <= s.charged.p_w <= BOUNDS.p_max_w
         assert any(rec.n_updates > 0 for rec in records)
 
     def test_feasible_rows_fill_deadline_exactly(self):
@@ -295,7 +297,7 @@ class TestRunRound:
         for rec in records:
             for s in rec.worker_stats:
                 if s.feasible:
-                    assert abs(s.t_cmp_s + s.t_up_s - deadline) <= 1e-9 * deadline
+                    assert abs(s.charged.t_cmp_s + s.charged.t_up_s - deadline) <= 1e-9 * deadline
                     checked += 1
         assert checked > 0
 
@@ -304,7 +306,8 @@ class TestRunRound:
         cfg = fast_config(bandwidth_mode="adaptive", rounds=2, seed=29)
         records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, cfg)
         for rec in records:
-            assert sum(s.bandwidth_share for s in rec.worker_stats) <= 1.0 + 1e-12
+            shares = [s.charged.bandwidth_hz / cfg.bandwidth_hz for s in rec.worker_stats]
+            assert sum(shares) <= 1.0 + 1e-12
             assert rec.n_updates > 0
 
     def test_adaptive_bandwidth_shrinks_only_padded_links(self):
@@ -318,16 +321,17 @@ class TestRunRound:
             records[mode], _ = run_experiment(*make_fleet(), TEST_DATA, ARCH, cfg)
         padded = 0
         for eq, ad in zip(records["equal"], records["adaptive"]):
-            assert sum(s.bandwidth_share for s in ad.worker_stats) == pytest.approx(1.0, rel=1e-12)
+            shares = [s.charged.bandwidth_hz / cfg.bandwidth_hz for s in ad.worker_stats]
+            assert sum(shares) == pytest.approx(1.0, rel=1e-12)
             for s_eq, s_ad in zip(eq.worker_stats, ad.worker_stats):
                 assert s_eq.feasible and s_ad.feasible
-                e_eq, e_ad = s_eq.e_cmp_j + s_eq.e_up_j, s_ad.e_cmp_j + s_ad.e_up_j
+                e_eq, e_ad = s_eq.charged.total_energy_j, s_ad.charged.total_energy_j
                 assert e_ad <= e_eq * (1 + 1e-12)
-                if s_eq.p_up_w == BOUNDS.p_min_w:
-                    assert s_ad.bandwidth_share < (1 - 1e-6) * s_eq.bandwidth_share
+                if s_eq.charged.p_w == BOUNDS.p_min_w:
+                    assert s_ad.charged.bandwidth_hz < (1 - 1e-6) * s_eq.charged.bandwidth_hz
                     padded += 1
                 else:
-                    assert s_ad.bandwidth_share > (1 + 1e-6) * s_eq.bandwidth_share
+                    assert s_ad.charged.bandwidth_hz > (1 + 1e-6) * s_eq.charged.bandwidth_hz
         assert padded > 0
 
     def test_learning_actually_progresses(self):
@@ -347,36 +351,36 @@ class TestEnergyLedger:
     def test_partial_compute_charge_then_dead(self):
         ref = self.probe_round_one()
         target = next(s for s in ref.worker_stats if s.feasible)
-        budget = 0.5 * target.e_cmp_j
+        budget = 0.5 * target.charged.e_cmp_j
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet, train = make_fleet(budgets=budgets)
         records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1, seed=37))
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
-        assert s.e_cmp_j == pytest.approx(budget, rel=1e-12)
-        assert s.e_up_j == 0.0 and s.t_up_s == 0.0 and s.p_up_w == 0.0
+        assert s.charged.e_cmp_j == pytest.approx(budget, rel=1e-12)
+        assert s.charged.e_up_j == 0.0 and s.charged.t_up_s == 0.0 and s.charged.p_w == 0.0
         assert s.remaining_energy_j == pytest.approx(0.0, abs=1e-18)
         assert records[0].n_updates == ref.n_updates - 1
 
     def test_compute_affordable_upload_not(self):
         ref = self.probe_round_one()
         target = next(s for s in ref.worker_stats if s.feasible)
-        budget = target.e_cmp_j + 0.5 * target.e_up_j
+        budget = target.charged.e_cmp_j + 0.5 * target.charged.e_up_j
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet, train = make_fleet(budgets=budgets)
         records, _ = run_experiment(fleet, train, TEST_DATA, ARCH, fast_config(rounds=1, seed=37))
         s = next(x for x in records[0].worker_stats if x.worker_id == target.worker_id)
         assert not s.feasible
-        assert s.e_cmp_j == pytest.approx(target.e_cmp_j, rel=1e-12)
-        assert s.e_up_j == 0.0
-        assert s.remaining_energy_j == pytest.approx(0.5 * target.e_up_j, rel=1e-9)
+        assert s.charged.e_cmp_j == pytest.approx(target.charged.e_cmp_j, rel=1e-12)
+        assert s.charged.e_up_j == 0.0
+        assert s.remaining_energy_j == pytest.approx(0.5 * target.charged.e_up_j, rel=1e-9)
 
     def test_exact_budget_still_delivers(self):
         ref = self.probe_round_one()
         target = next(s for s in ref.worker_stats if s.feasible)
-        budget = target.e_cmp_j + target.e_up_j
+        budget = target.charged.e_cmp_j + target.charged.e_up_j
         budgets = [math.inf] * 6
         budgets[target.worker_id] = budget
         fleet, train = make_fleet(budgets=budgets)
@@ -410,8 +414,9 @@ class TestEnergyLedger:
             assert len(rec.worker_stats) == 6
             for s in rec.worker_stats:
                 assert not s.feasible
-                assert (s.e_cmp_j, s.e_up_j, s.t_cmp_s, s.t_up_s, s.f_cmp_hz, s.p_up_w) == (0.0,) * 6
-                assert s.bandwidth_share == pytest.approx(1.0 / 6, rel=1e-15)
+                c = s.charged
+                assert (c.e_cmp_j, c.e_up_j, c.t_cmp_s, c.t_up_s, c.f_hz, c.p_w) == (0.0,) * 6
+                assert c.bandwidth_hz / cfg.bandwidth_hz == pytest.approx(1.0 / 6, rel=1e-15)
                 assert s.remaining_energy_j == budgets[s.worker_id]
         assert [p.remaining_energy_j for p in fleet] == budgets
         assert records[-1].cum_energy_j == 0.0
@@ -524,15 +529,15 @@ class TestChannelModes:
         for rec in records[1:]:
             for a, b in zip(first, rec.worker_stats):
                 assert a.worker_id == b.worker_id
-                assert a.t_up_s == b.t_up_s
-                assert a.p_up_w == b.p_up_w
-                assert a.f_cmp_hz == b.f_cmp_hz
+                assert a.charged.t_up_s == b.charged.t_up_s
+                assert a.charged.p_w == b.charged.p_w
+                assert a.charged.f_hz == b.charged.f_hz
 
     def test_block_fading_redraws_each_round(self):
         cfg = self.mode_config("block", rounds=2)
         records, _ = run_experiment(*self.mode_fleet(), TEST_DATA, ARCH, cfg)
-        a = [s.p_up_w for s in records[0].worker_stats]
-        b = [s.p_up_w for s in records[1].worker_stats]
+        a = [s.charged.p_w for s in records[0].worker_stats]
+        b = [s.charged.p_w for s in records[1].worker_stats]
         bounds = self.mode_fleet()[0][0].bounds
         assert all(bounds.p_min_w < p < bounds.p_max_w for p in a + b)
         assert a != b

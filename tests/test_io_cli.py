@@ -13,7 +13,7 @@ import pytest
 
 import feelsim
 from feelsim import federation
-from feelsim.federation import RoundRecord, partition_iid, partition_noniid
+from feelsim.federation import RoundRecord, WorkerRoundStats, partition_iid, partition_noniid
 from feelsim.io_cli import (
     GLOBAL_HEADER,
     WORKERS_HEADER,
@@ -32,6 +32,7 @@ from feelsim.io_cli import (
     write_metrics,
 )
 from feelsim.learning import LabeledDataset
+from feelsim.resource_optimizer import ResourcePlan
 from feelsim.streams import DOMAIN_PARTITION, substream
 
 
@@ -180,6 +181,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+    @pytest.mark.parametrize("name", FINITE_FLOAT_FIELDS + ["energy_budget_j"])
+    def test_float_field_integer_beyond_float_range_rejected(self, name, sign):
+        # JSON reads 1 followed by 400 zeros as an int that no float holds; the message
+        # gives its size, not its 401 digits
+        with pytest.raises(ConfigError, match=f"^{name} is an integer of 1329 bits, beyond"):
+            small_config(**{name: sign * 10 ** 400})
+
     def test_int_for_float_and_null_for_optional_accepted(self):
         # JSON writes 1e6 as 1000000 just as well; optional fields take null
         cfg = small_config(bandwidth_hz=1000000, hidden_width=None, deadline_s=None)
@@ -309,6 +318,13 @@ class TestIdxLoading:
         with pytest.raises(IdxFormatError, match="cannot read"):
             load_mnist_idx(tmp_path / "a.idx", tmp_path / "b.idx", None,
                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(5, 0, 4), (5, 4, 0)], ids=["rows", "cols"])
+    def test_zero_rows_or_columns(self, tmp_path, shape):
+        img, lab = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8),
+                                  np.zeros(shape[0], dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match=f"declares {shape[1]}x{shape[2]} images"):
+            load_mnist_idx(img, lab, None, np.random.default_rng(0))
 
     def test_zero_examples(self, tmp_path):
         images = np.zeros((0, 2, 2), dtype=np.uint8)
@@ -450,6 +466,33 @@ class TestMetricsFiles:
             assert float(cols[3]) == rec.inst_energy_j
             assert float(cols[4]) == rec.cum_energy_j
             assert float(cols[5]) == rec.excluded_fraction
+
+    def test_worker_rows_write_the_charged_plan(self, tmp_path):
+        # a delivered plan, that plan cut to its compute (battery died), and a zero plan
+        # on a share (round not plannable): each row writes the charged fields in column
+        # order, and lambda is the share of config.bandwidth_hz
+        cfg = small_config(bandwidth_hz=3e6)
+        plan = ResourcePlan(t_cmp_s=0.031, t_up_s=0.019, f_hz=2.7e9, p_w=0.013,
+                            bandwidth_hz=1.1e6, e_cmp_j=0.0041, e_up_j=2.3e-4)
+        cut = dataclasses.replace(plan, e_cmp_j=0.002, e_up_j=0.0, t_up_s=0.0, p_w=0.0)
+        idle = ResourcePlan(t_cmp_s=0.0, t_up_s=0.0, f_hz=0.0, p_w=0.0, bandwidth_hz=0.7e6,
+                            e_cmp_j=0.0, e_up_j=0.0)
+        stats = (WorkerRoundStats(3, 7, plan, True, 1.5),
+                 WorkerRoundStats(0, 2, cut, False, 0.0),
+                 WorkerRoundStats(5, 0, idle, False, 2.0))
+        rec = RoundRecord(round_index=4, test_loss=0.5, test_accuracy=0.75,
+                          inst_energy_j=0.00633, cum_energy_j=0.01, excluded_fraction=0.1,
+                          n_updates=1, worker_stats=stats)
+        lines = write_metrics([[rec]], tmp_path, cfg)["workers"].read_text().splitlines()
+        assert lines[0] == WORKERS_HEADER
+        for s, line in zip(stats, lines[1:], strict=True):
+            c = s.charged
+            assert line.split(",") == [
+                "0", "4", str(s.worker_id), str(s.kappa),
+                repr(c.e_cmp_j), repr(c.e_up_j), repr(c.t_cmp_s), repr(c.t_up_s),
+                repr(c.f_hz), repr(c.p_w), repr(c.bandwidth_hz / cfg.bandwidth_hz),
+                str(int(s.feasible)),
+            ]
 
     def test_cumulative_energy_monotone(self, tmp_path):
         cfg, (_, paths) = self.run_small(tmp_path, rounds=4)
@@ -648,6 +691,35 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "energy_budget_j"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, field):
+        # an unbounded budget once passed the check and overflowed in round 1's ledger
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"{field}": 1{"0" * 400}}}\n')
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field} is an integer of 1329 bits, beyond a float's range\n")
+
+    def test_integer_literal_beyond_int_parsing_limit_exits_2(self, tmp_path, capsys):
+        # json.loads refuses to convert an integer literal of more than 4300 digits
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"bandwidth_hz": 1{"0" * 4400}}}\n')
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg_path} holds a number that cannot be read")
+        assert "0" * 50 not in err
+
+    def test_run_idx_without_pixels_exits_2(self, tmp_path, capsys):
+        images = np.zeros((40, 0, 4), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, np.arange(40, dtype=np.uint8) % 4)
+        cfg = small_config(data_source="mnist", mnist_images_path=str(img),
+                           mnist_labels_path=str(lab))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg, cfg_path)
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: images file {img} declares 0x4 images\n"
 
     def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

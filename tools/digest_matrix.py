@@ -84,16 +84,22 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_configs():
+    """Yield each run's (case, seed, config), in the order main runs them."""
+    from feelsim import io_cli
+
+    cases = {**CASES, **EXTRA_CASES}
+    for name, seed in [(name, seed) for name in CASES for seed in SEEDS] + EXTRA:
+        path, overrides = cases[name]
+        yield name, seed, dataclasses.replace(io_cli.load_config(ROOT / path), **overrides)
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from feelsim import io_cli
 
-    runs = [(name, seed) for name in CASES for seed in SEEDS] + EXTRA
-    cases = {**CASES, **EXTRA_CASES}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, seed in runs:
-            path, overrides = cases[name]
-            config = dataclasses.replace(io_cli.load_config(ROOT / path), **overrides)
+        for name, seed, config in run_configs():
             _, paths = io_cli.run_from_config(config, seed=seed, out_dir=Path(tmp) / name,
                                               quiet=True)
             print(name, seed, sha256(paths["global"]), sha256(paths["workers"]), flush=True)
