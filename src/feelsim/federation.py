@@ -10,11 +10,13 @@ aggregate the updates that made it back in time.
 Every random draw comes from a stream keyed by (seed, domain, trial, worker,
 round), so per-worker work is order-independent: a round trains its scheduled
 workers as one stacked model, and no worker's bytes depend on which others
-share its stack.
+share its stack.  A trial's round streams are derived a window of rounds at a
+time (_Schedule) and replayed in a few reused generators.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -46,6 +48,8 @@ from .streams import (
     DOMAIN_INIT,
     DOMAIN_SELECT,
     DOMAIN_TRAIN,
+    reseed,
+    stream_seeds,
     substream,
 )
 
@@ -106,6 +110,7 @@ class ExperimentState:
     scheduled count, which is fixed within a trial, and every round trains in it, reusing
     its blocks, plans and step workspaces.  The local models a round trains are views of
     it, valid until the next round trains; run_round aggregates them before it returns.
+    schedule holds the trial's round streams; run_round draws it when it is first needed.
     """
 
     model: ModelParameters
@@ -115,6 +120,7 @@ class ExperimentState:
     trial: int = 0
     cumulative_energy_j: float = 0.0
     stack: _Stack | None = None
+    schedule: _Schedule | None = None
 
 
 def partition_iid(
@@ -224,8 +230,10 @@ def default_deadline(
     if not workers:
         raise ValueError("no workers to derive a deadline from")
     share = config.bandwidth_hz / schedule_size(len(workers), config.select_fraction)
-    betas = [_link_gain(p, config, substream(config.seed, DOMAIN_DEADLINE, trial, p.worker_id))
-             for p in workers]
+    rng = np.random.Generator(np.random.PCG64(0))
+    seeds = stream_seeds(config.seed, [(DOMAIN_DEADLINE, trial, p.worker_id)
+                                       for p in workers])
+    betas = [_link_gain(p, config, reseed(rng, s)) for p, s in zip(workers, seeds)]
     beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
@@ -236,6 +244,57 @@ def default_deadline(
     return 1.5 * (t_cmp + t_up)
 
 
+# streams a schedule window holds at most: a long trial or a large fleet is drawn in parts
+_WINDOW_STREAMS = 4096
+
+
+class _Schedule:
+    """A trial's round streams: each round's selection, and the (state, inc) seeds of its
+    selected workers' channel and training streams, the streams substream would open.
+
+    draw(config, first) replaces the held rounds by a window from round `first` up to
+    config.rounds, or further when `first` is past it, of at most _WINDOW_STREAMS streams.
+    Each kind of stream in the window is hashed in one stream_seeds call.  take(r) drops
+    round r and returns its selection and its streams, replayed in reused generators that
+    stay valid until the next take.  A schedule serves only the seed, trial, fraction,
+    channel mode and fleet it was made for; fits tells whether it still does.
+    """
+
+    def __init__(self, key: tuple, workers: list[WorkerProfile]):
+        self.key = key  # (seed, trial, select_fraction, channel_mode)
+        self.workers = list(workers)
+        self.rounds: dict[int, tuple[list[WorkerProfile], list, list]] = {}
+        n = schedule_size(len(workers), key[2])
+        self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(2 * n + 1)]
+
+    def fits(self, key: tuple, workers: list[WorkerProfile]) -> bool:
+        return (key == self.key and len(workers) == len(self.workers)
+                and all(map(operator.is_, workers, self.workers)))
+
+    def draw(self, config: ExperimentConfig, first: int) -> None:
+        seed, trial, fraction, mode = self.key
+        per_round = len(self.generators)  # one selection, then a channel and a training stream
+        last = min(config.rounds, first + _WINDOW_STREAMS // per_round - 1)
+        window = range(first, max(first, last) + 1)
+        picks = [select_workers(self.workers, fraction, reseed(self.generators[0], s))
+                 for s in stream_seeds(seed, [(DOMAIN_SELECT, trial, r) for r in window])]
+        slots = [(p.worker_id, r) for r, picked in zip(window, picks) for p in picked]
+        static = mode == "static"  # a static channel is drawn once a trial: its key has no round
+        channel = stream_seeds(seed, [(DOMAIN_CHANNEL, trial, w) if static
+                                      else (DOMAIN_CHANNEL, trial, w, r) for w, r in slots])
+        train = stream_seeds(seed, [(DOMAIN_TRAIN, trial, w, r) for w, r in slots])
+        self.rounds, end = {}, 0
+        for r, picked in zip(window, picks):
+            start, end = end, end + len(picked)
+            self.rounds[r] = (picked, channel[start:end], train[start:end])
+
+    def take(self, round_index: int) -> tuple[list[WorkerProfile], list, list]:
+        selected, channel, train = self.rounds.pop(round_index)
+        n = len(selected)
+        rngs = [reseed(g, s) for g, s in zip(self.generators[1:], channel + train)]
+        return selected, rngs[:n], rngs[n:]
+
+
 def run_round(
     state: ExperimentState,
     config: ExperimentConfig,
@@ -244,24 +303,24 @@ def run_round(
     """Advance the experiment by one deadline-bound communication round."""
     if config.deadline_s is None:
         raise ValueError("run_round needs a resolved deadline; see run_experiment")
-    seed, trial = config.seed, state.trial
     deadline = config.deadline_s
     model_bits = param_bits(state.model.architecture)
-    selected = select_workers(
-        state.workers, config.select_fraction, substream(seed, DOMAIN_SELECT, trial, round_index)
-    )
+    key = (config.seed, state.trial, config.select_fraction, config.channel_mode)
+    schedule = state.schedule
+    if schedule is None or not schedule.fits(key, state.workers):
+        schedule = state.schedule = _Schedule(key, state.workers)
+    if round_index not in schedule.rounds:
+        schedule.draw(config, round_index)
+    selected, channel_rngs, train_rngs = schedule.take(round_index)
 
-    block = () if config.channel_mode == "static" else (round_index,)  # static: one draw a trial
-    betas = [_link_gain(p, config, substream(seed, DOMAIN_CHANNEL, trial, p.worker_id, *block))
-             for p in selected]
+    betas = [_link_gain(p, config, rng) for p, rng in zip(selected, channel_rngs)]
 
     if state.stack is None:
         state.stack = _Stack(state.model.architecture, len(selected))
     local_models, decisions = local_round(
         state.model, state.train_data, [p.rows for p in selected], config.epochs,
         config.batch_size, config.learning_rate, config.threshold,
-        [substream(seed, DOMAIN_TRAIN, trial, p.worker_id, round_index) for p in selected],
-        stack=state.stack,
+        train_rngs, stack=state.stack,
     )
 
     workloads = [

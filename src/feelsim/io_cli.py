@@ -52,6 +52,17 @@ class IdxFormatError(ValueError):
     """Malformed IDX dataset file."""
 
 
+_INT_MAX = 2**31 - 1  # the largest value of an integer field other than the seed
+
+
+def _shown(value) -> str:
+    """repr(value), but an integer of more than 100 bits (about 30 digits) as its sign and
+    size, so that no message prints hundreds of digits."""
+    if isinstance(value, int) and abs(value).bit_length() > 100:
+        return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
+    return repr(value)
+
+
 def _dbm_to_w(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -117,12 +128,19 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        def check(name: str, cond: bool, requirement: str) -> None:
+            if not cond:
+                raise ConfigError(
+                    f"{name} must be {requirement}, got {_shown(getattr(self, name))}")
+
         for name, kinds in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(
-                    f"{name} must be {self.__annotations__[name]}, got {value!r}"
-                )
+            check(name, not isinstance(value, bool) and isinstance(value, kinds),
+                  self.__annotations__[name])
+            # integer fields size arrays and tag random streams in 32-bit words; the seed,
+            # entropy of any size, is exempt
+            check(name, not isinstance(value, int) or float in kinds or name == "seed"
+                  or value <= _INT_MAX, f"<= {_INT_MAX}")
             if float in kinds and value is not None:
                 try:
                     finite = math.isfinite(value)
@@ -130,33 +148,26 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} is an integer of {value.bit_length()} bits, "
                                       "beyond a float's range") from None
                 # JSON's Infinity and NaN parse to floats; only the budget may be unbounded
-                need(finite or name == "energy_budget_j",
-                     f"{name} must be finite, got {value!r}")
+                check(name, finite or name == "energy_budget_j", "finite")
 
-        need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
-        need(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
-        need(self.trials >= 1, f"trials must be >= 1, got {self.trials}")
+        check("rounds", self.rounds >= 1, ">= 1")
+        check("workers", self.workers >= 1, ">= 1")
+        check("trials", self.trials >= 1, ">= 1")
         # numpy's SeedSequence takes no negative entropy
-        need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        need(0.0 < self.select_fraction <= 1.0,
-             f"select_fraction must be in (0, 1], got {self.select_fraction}")
-        need(0.0 <= self.threshold <= 1.0,
-             f"threshold must be in [0, 1], got {self.threshold}")
-        need(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
-        need(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
-        need(self.learning_rate > 0.0,
-             f"learning_rate must be positive, got {self.learning_rate}")
-        need(self.deadline_s is None or self.deadline_s > 0.0,
-             f"deadline_s must be positive when given, got {self.deadline_s}")
-        need(self.bandwidth_hz > 0.0, f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        need(self.noise_power_w > 0.0,
-             f"noise_power_w must be positive, got {self.noise_power_w}")
-        need(self.bandwidth_mode in BANDWIDTH_MODES,
-             f"bandwidth_mode must be one of {BANDWIDTH_MODES}, got {self.bandwidth_mode!r}")
-        need(self.channel_mode in CHANNEL_MODES,
-             f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}")
-        need(self.antennas >= 1, f"antennas must be >= 1, got {self.antennas}")
-        need(self.pathloss_exp > 0.0, f"pathloss_exp must be positive, got {self.pathloss_exp}")
+        check("seed", self.seed >= 0, ">= 0")
+        check("select_fraction", 0.0 < self.select_fraction <= 1.0, "in (0, 1]")
+        check("threshold", 0.0 <= self.threshold <= 1.0, "in [0, 1]")
+        check("epochs", self.epochs >= 1, ">= 1")
+        check("batch_size", self.batch_size >= 1, ">= 1")
+        check("learning_rate", self.learning_rate > 0.0, "positive")
+        check("deadline_s", self.deadline_s is None or self.deadline_s > 0.0,
+              "positive when given")
+        check("bandwidth_hz", self.bandwidth_hz > 0.0, "positive")
+        check("noise_power_w", self.noise_power_w > 0.0, "positive")
+        check("bandwidth_mode", self.bandwidth_mode in BANDWIDTH_MODES, f"one of {BANDWIDTH_MODES}")
+        check("channel_mode", self.channel_mode in CHANNEL_MODES, f"one of {CHANNEL_MODES}")
+        check("antennas", self.antennas >= 1, ">= 1")
+        check("pathloss_exp", self.pathloss_exp > 0.0, "positive")
         need(0.0 < self.distance_min_m <= self.distance_max_m,
              "need 0 < distance_min_m <= distance_max_m")
         need(0.0 < self.f_min_hz <= self.f_max_hz, "need 0 < f_min_hz <= f_max_hz")
@@ -165,33 +176,25 @@ class ExperimentConfig:
             self.p_max_w
         except OverflowError:
             raise ConfigError(f"p_max_dbm {self.p_max_dbm} overflows a power in watts") from None
-        need(self.capacitance > 0.0, f"capacitance must be positive, got {self.capacitance}")
-        need(self.cycles_per_sample > 0.0,
-             f"cycles_per_sample must be positive, got {self.cycles_per_sample}")
-        need(self.energy_budget_j >= 0.0,
-             f"energy_budget_j must be non-negative, got {self.energy_budget_j}")
-        need(self.hidden_width is None or self.hidden_width >= 1,
-             f"hidden_width must be >= 1 when given, got {self.hidden_width}")
-        need(self.data_source in ("synthetic", "mnist"),
-             f"data_source must be 'synthetic' or 'mnist', got {self.data_source!r}")
-        need(self.synthetic_dim >= 1, f"synthetic_dim must be >= 1, got {self.synthetic_dim}")
-        need(self.synthetic_classes >= 2,
-             f"synthetic_classes must be >= 2, got {self.synthetic_classes}")
+        check("capacitance", self.capacitance > 0.0, "positive")
+        check("cycles_per_sample", self.cycles_per_sample > 0.0, "positive")
+        check("energy_budget_j", self.energy_budget_j >= 0.0, "non-negative")
+        check("hidden_width", self.hidden_width is None or self.hidden_width >= 1,
+              ">= 1 when given")
+        check("data_source", self.data_source in ("synthetic", "mnist"), "'synthetic' or 'mnist'")
+        check("synthetic_dim", self.synthetic_dim >= 1, ">= 1")
+        check("synthetic_classes", self.synthetic_classes >= 2, ">= 2")
         need(self.synthetic_samples >= self.synthetic_classes,
              "synthetic_samples must be >= synthetic_classes")
-        need(self.synthetic_spread > 0.0,
-             f"synthetic_spread must be positive, got {self.synthetic_spread}")
+        check("synthetic_spread", self.synthetic_spread > 0.0, "positive")
         if self.data_source == "mnist":
             need(self.mnist_images_path is not None and self.mnist_labels_path is not None,
                  "mnist data_source needs mnist_images_path and mnist_labels_path")
-        need(self.mnist_subset is None or self.mnist_subset >= 1,
-             f"mnist_subset must be >= 1 when given, got {self.mnist_subset}")
-        need(self.partition in ("iid", "noniid"),
-             f"partition must be 'iid' or 'noniid', got {self.partition!r}")
-        need(self.classes_per_worker >= 1,
-             f"classes_per_worker must be >= 1, got {self.classes_per_worker}")
-        need(0.0 < self.train_fraction < 1.0,
-             f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        check("mnist_subset", self.mnist_subset is None or self.mnist_subset >= 1,
+              ">= 1 when given")
+        check("partition", self.partition in ("iid", "noniid"), "'iid' or 'noniid'")
+        check("classes_per_worker", self.classes_per_worker >= 1, ">= 1")
+        check("train_fraction", 0.0 < self.train_fraction < 1.0, "in (0, 1)")
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -4,6 +4,13 @@ Every stochastic draw in the simulator comes from a generator keyed by
 (root seed, domain, *tags).  Streams are independent of the order in which
 they are opened, so per-worker work can run in any order or grouping
 without changing results.
+
+`substream` opens one stream.  `stream_states` and `stream_seeds` derive many
+at once, without opening any: they restate numpy's SeedSequence hash (see the
+SeedSequence documentation and NEP 19,
+https://numpy.org/neps/nep-0019-rng-policy.html) over columns of tags and seed
+PCG64 as numpy does, so `reseed` puts a reused Generator on exactly the stream
+`substream` opens for the same coordinate.
 """
 from __future__ import annotations
 
@@ -19,6 +26,15 @@ DOMAIN_TRAIN = 5
 DOMAIN_CHANNEL = 6
 DOMAIN_DEADLINE = 7
 
+# SeedSequence's hash constants and pool size, and PCG64's LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Return the generator for a (seed, *tags) coordinate.
@@ -28,3 +44,102 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
     """
     key = tuple(int(t) for t in tags)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+
+
+def _consts(init: int, mult: int, n: int) -> list[int]:
+    """The multipliers of n hashes in a row: hash i xors out[i] and multiplies by out[i + 1]."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after the seed's words, which every row of one seed shares, and
+    the number of words, which fixes the hash multipliers the tags take next."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = []
+    while True:  # little-endian 32-bit words, at least one, zero-padded to the pool
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL - len(words))
+    consts = _consts(_INIT_A, _MULT_A, _POOL * len(words))
+    hashes = zip(consts, consts[1:])
+
+    def hashmix(value: int) -> int:
+        xor, mul = next(hashes)
+        value = (value ^ xor) * mul & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    return pool, len(words)
+
+
+def stream_seeds(seed: int, rows) -> list[tuple[int, int]]:
+    """(state, inc) of the PCG64 that substream(seed, *row) seeds, for each row of tags.
+
+    rows is a sequence of equal-length rows of tags in [0, 2**32).  The seed's words are
+    mixed once; each tag column is mixed into every row's pool in one array pass.
+    """
+    rows = list(rows)
+    if not rows:
+        return []
+    try:
+        tags = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    except OverflowError:
+        raise ValueError("stream tags must be in [0, 2**32)") from None
+    if tags.size and (tags.min() < 0 or tags.max() > _MASK32):
+        raise ValueError("stream tags must be in [0, 2**32)")
+    pool, n_words = _seed_pool(seed)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    a = np.array(_consts(_INIT_A, _MULT_A, _POOL * (n_words + tags.shape[1])),
+                 dtype=np.uint32)[:, None]
+    for i, column in enumerate(tags.T.astype(np.uint32), start=n_words):
+        h = (column ^ a[_POOL * i : _POOL * (i + 1)]) * a[_POOL * i + 1 : _POOL * (i + 1) + 1]
+        h ^= h >> 16
+        pool = _mix(pool, h)
+    # generate_state(4, np.uint64): eight hashed words, cycling through the pool
+    b = np.array(_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:-1]) * b[1:]
+    words ^= words >> 16
+    words = np.broadcast_to(words, (8, len(rows))).astype(np.uint64)
+    # uint64 j is words 2j (low) and 2j + 1; PCG64 seeds from (u0 << 64 | u1, u2 << 64 | u3)
+    # as pcg64_srandom_r does: inc from the second, then two LCG steps around the first
+    halves = (words[1::2] << np.uint64(32) | words[0::2]).tolist()
+    out = []
+    for u0, u1, u2, u3 in zip(*halves):
+        inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+        out.append((((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _pcg64_state(seed_pair: tuple[int, int]) -> dict:
+    state, inc = seed_pair
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def stream_states(seed: int, rows) -> list[dict]:
+    """substream(seed, *row).bit_generator.state for each row, without opening a stream."""
+    return [_pcg64_state(pair) for pair in stream_seeds(seed, rows)]
+
+
+def reseed(generator: np.random.Generator, seed_pair: tuple[int, int]) -> np.random.Generator:
+    """Put a PCG64 Generator on the stream stream_seeds gave seed_pair for; return it."""
+    generator.bit_generator.state = _pcg64_state(seed_pair)
+    return generator

@@ -26,7 +26,7 @@ from feelsim.io_cli import (
 )
 from feelsim.learning import LabeledDataset, init_model, local_round, param_bits
 from feelsim.resource_optimizer import DeviceBounds
-from feelsim.streams import DOMAIN_INIT, substream
+from feelsim.streams import DOMAIN_INIT, DOMAIN_SELECT, substream
 from helpers import joined
 
 BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
@@ -421,6 +421,92 @@ class TestEnergyLedger:
         assert [p.remaining_energy_j for p in fleet] == budgets
         assert records[-1].cum_energy_j == 0.0
         assert_models_equal(model, init_model(ARCH, substream(67, DOMAIN_INIT, 0)))
+
+
+class TestRoundSchedule:
+    """run_round draws a trial's round streams a window of rounds at a time: which rounds
+    ran before on the state, and where a window ends, must not change what a round draws."""
+
+    MODEL = init_model(ARCH, substream(0, DOMAIN_INIT, 0))
+
+    @staticmethod
+    def config(**over):
+        cfg = fast_config(rounds=3, select_fraction=0.35, seed=83, **over)
+        return replace(cfg, deadline_s=default_deadline(make_fleet(k=7)[0], cfg,
+                                                        param_bits(ARCH), 0))
+
+    def each_from_one_model(self, state, cfg, order):
+        """Each round in order run on state from MODEL; its record without the running
+        energy total, which depends on the order."""
+        out = {}
+        for r in order:
+            state.model = self.MODEL
+            out[r] = replace(run_round(state, cfg, r), cum_energy_j=0.0)
+        return out
+
+    def state(self, **fleet):
+        return ExperimentState(None, *make_fleet(k=7, **fleet), TEST_DATA)
+
+    def test_round_order_does_not_change_a_round(self):
+        cfg = self.config()
+        in_order = self.each_from_one_model(self.state(), cfg, (1, 2, 3))
+        assert self.each_from_one_model(self.state(), cfg, (3, 1, 2)) == in_order
+        fleet = make_fleet(k=7)[0]
+        picked = [[s.worker_id for s in rec.worker_stats] for rec in in_order.values()]
+        assert len(set(map(tuple, picked))) > 1
+        for r, ids in zip(in_order, picked):  # the selection substream gives
+            chosen = select_workers(fleet, cfg.select_fraction,
+                                    substream(cfg.seed, DOMAIN_SELECT, 0, r))
+            assert ids == [p.worker_id for p in chosen]
+
+    def test_rounds_past_config_rounds_match_a_longer_run(self):
+        cfg = self.config()
+        longer, _ = run_experiment(*make_fleet(k=7), TEST_DATA, ARCH, replace(cfg, rounds=5))
+        state = ExperimentState(init_model(ARCH, substream(cfg.seed, DOMAIN_INIT, 0)),
+                                *make_fleet(k=7), TEST_DATA)
+        assert [run_round(state, cfg, r) for r in range(1, 6)] == longer
+
+    @pytest.mark.parametrize("channel_mode", ["block", "static"])
+    @pytest.mark.parametrize("window, firsts", [(7, [1, 2, 3, 4, 5]), (15, [1, 3, 5]),
+                                                (21, [1, 4])])
+    def test_window_boundaries_do_not_change_results(self, monkeypatch, channel_mode,
+                                                     window, firsts):
+        # 3 of 7 scheduled: 7 streams a round, so windows of 1, 2 and 3 rounds
+        cfg = self.config(channel_mode=channel_mode)
+        cfg = replace(cfg, rounds=5)
+        drawn = []
+        draw = federation._Schedule.draw
+
+        def recording(schedule, config, first):
+            drawn.append(first)
+            draw(schedule, config, first)
+
+        monkeypatch.setattr(federation._Schedule, "draw", recording)
+        ra, ma = run_experiment(*make_fleet(k=7), TEST_DATA, ARCH, cfg)
+        assert drawn == [1]
+        monkeypatch.setattr(federation, "_WINDOW_STREAMS", window)
+        rb, mb = run_experiment(*make_fleet(k=7), TEST_DATA, ARCH, cfg)
+        assert drawn == [1, *firsts]
+        assert_models_equal(ma, mb)
+        assert ra == rb
+
+    @pytest.mark.parametrize("change", [dict(seed=84), dict(channel_mode="static")])
+    def test_reused_state_is_redrawn_for_another_config(self, change):
+        cfg = self.config()
+        state = self.state()
+        self.each_from_one_model(state, cfg, (1,))
+        reused = self.each_from_one_model(state, replace(cfg, **change), (2,))
+        assert reused == self.each_from_one_model(self.state(), replace(cfg, **change), (2,))
+        assert reused != self.each_from_one_model(self.state(), cfg, (2,))
+
+    def test_reused_state_is_redrawn_for_another_fleet(self):
+        cfg = self.config()
+        state = self.state()
+        self.each_from_one_model(state, cfg, (1,))
+        state.workers = make_fleet(k=7, dist=(60.0, 90.0))[0]
+        reused = self.each_from_one_model(state, cfg, (2,))
+        assert reused == self.each_from_one_model(self.state(dist=(60.0, 90.0)), cfg, (2,))
+        assert reused != self.each_from_one_model(self.state(), cfg, (2,))
 
 
 class TestDeterminism:

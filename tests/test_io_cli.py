@@ -41,6 +41,11 @@ FINITE_FLOAT_FIELDS = [
     f.name for f in dataclasses.fields(ExperimentConfig)
     if "float" in str(f.type) and f.name != "energy_budget_j"
 ]
+# every integer field except the seed, whose entropy may take any number of words
+BOUNDED_INT_FIELDS = [
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if str(f.type).startswith("int") and f.name != "seed"
+]
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
@@ -188,6 +193,18 @@ class TestConfig:
         # gives its size, not its 401 digits
         with pytest.raises(ConfigError, match=f"^{name} is an integer of 1329 bits, beyond"):
             small_config(**{name: sign * 10 ** 400})
+
+    @pytest.mark.parametrize("value", [2**31, 10**30], ids=["2^31", "10^30"])
+    @pytest.mark.parametrize("name", BOUNDED_INT_FIELDS)
+    def test_integer_field_above_int32_rejected(self, name, value):
+        # such a count once reached numpy as an array size or a stream tag
+        with pytest.raises(ConfigError, match=f"^{name} must be <= 2147483647, got {value}$"):
+            small_config(**{name: value})
+
+    def test_integer_field_bound_is_inclusive_and_spares_the_seed(self):
+        assert len(BOUNDED_INT_FIELDS) == 12
+        cfg = small_config(**{name: 2**31 - 1 for name in BOUNDED_INT_FIELDS}, seed=10**400)
+        assert cfg.rounds == 2**31 - 1 and cfg.seed == 10**400
 
     def test_int_for_float_and_null_for_optional_accepted(self):
         # JSON writes 1e6 as 1000000 just as well; optional fields take null
@@ -709,6 +726,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {cfg_path} holds a number that cannot be read")
         assert "0" * 50 not in err
+
+    def test_array_size_beyond_numpy_exits_2(self, tmp_path, capsys):
+        # once died in channel.sample_channel with numpy's "Maximum allowed size exceeded",
+        # a traceback and exit 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"antennas": 1{"0" * 30}, "rounds": 1}}\n')
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: antennas must be <= 2147483647, got {10**30}\n"
+
+    @pytest.mark.parametrize("field, literal, message", [
+        ("seed", "-1" + "0" * 400, "must be >= 0, got a negative integer of 1329 bits"),
+        ("workers", "1" + "0" * 400, "must be <= 2147483647, got an integer of 1329 bits"),
+        ("rounds", "-1" + "0" * 40, "must be >= 1, got a negative integer of 133 bits"),
+        ("bandwidth_hz", "-1" + "0" * 300, "must be positive, got a negative integer of 997 bits"),
+        ("data_source", "1" + "0" * 400, "must be str, got an integer of 1329 bits"),
+    ], ids=["seed", "workers", "rounds", "bandwidth_hz", "data_source"])
+    def test_huge_integer_message_gives_its_size(self, tmp_path, capsys, field, literal,
+                                                 message):
+        # such values were printed in full, and workers twice, through the partition
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"{field}": {literal}}}\n')
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {field} {message}\n"
 
     def test_run_idx_without_pixels_exits_2(self, tmp_path, capsys):
         images = np.zeros((40, 0, 4), dtype=np.uint8)

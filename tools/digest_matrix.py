@@ -58,7 +58,9 @@ CASES = {
     # one 4800-row shard filtered per round: the largest filter input in the matrix
     "filtered-shards-4800": (FILTERED, {"workers": 2, "synthetic_samples": 12000, "rounds": 5}),
     # every worker each round on 152- and 153-row shards: the trial's stack, left in the
-    # last round's kept order, is loaded longest first again at every round
+    # last round's kept order, is loaded longest first again at every round; its 43
+    # streams a round fill a 4096-stream schedule window in 95 rounds, so round 96 starts
+    # another
     "iid-uneven-all-scheduled": (FILTERED, {"workers": 21, "select_fraction": 1.0}),
     # a long trial: plans and step workspaces are reused and dropped over 300 rounds
     "filtered-rounds-300": (FILTERED, {"rounds": 300}),
@@ -71,13 +73,15 @@ CASES = {
                    "trials": 2, "rounds": 30}),
 }
 SEEDS = (1, 2, 3)
-# run at one seed only: the benchmark's fleet seed, and the 784-64-10 wide shape with
-# 100 workers all scheduled, whose set-up is most of its 3.5 s
+# run at one seed only: the benchmark's fleet seed, the 784-64-10 wide shape with 100
+# workers all scheduled, whose set-up is most of its 3.5 s, and two seeds of more than one
+# 32-bit word (two and three), which every stream hashes ahead of its tags
 EXTRA_CASES = {
     "wide-784": (FILTERED, {**FLEET, "synthetic_samples": 20000, "workers": 100,
                             "select_fraction": 1.0, "hidden_width": 64, "rounds": 1}),
 }
-EXTRA = [("fleet-784", 5), ("wide-784", 1)]
+EXTRA = [("fleet-784", 5), ("wide-784", 1), ("preset-filtered", 2**32 + 5),
+         ("static-channel", 2**70)]
 
 
 def sha256(path: Path) -> str:
