@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 LOG_GUARD = 1e-30  # floor inside log() so a confident wrong answer stays finite
+_STEP_BYTES = 8 << 20  # step-workspace buffer bytes a _Stack holds before it drops unused ones
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,42 @@ def _member(model: ModelParameters, i: int) -> ModelParameters:
     )
 
 
+def _forward_buffers(arch: tuple[int, ...], shape: tuple[int, ...]) -> tuple:
+    """The arrays a forward half writes for a batch of leading dims shape: each layer's
+    output, then the softmax's class-major copy of the logits, row max and row sum."""
+    return ([np.empty((*shape, n)) for n in arch[1:]], np.empty((arch[-1], *shape)),
+            np.empty(shape), np.empty((*shape, 1)))
+
+
+def _bind_forward(model: ModelParameters, buffers: tuple) -> tuple:
+    """A forward half, as _forward reads it: model's operands bound to buffers."""
+    out, classes, row_max, row_sum = buffers
+    layers = tuple((w.swapaxes(-1, -2), z, b[..., None, :])
+                   for (w, b), z in zip(model.layers, out))
+    logits_t = out[-1].transpose(-1, *range(out[-1].ndim - 1))  # class-major view
+    return layers[:-1], layers[-1], classes, logits_t, row_max, row_max[..., None], row_sum
+
+
+@dataclass(frozen=True, eq=False)
+class _Member(ModelParameters):
+    """Row j of a _Stack as 2-D views, as _member gives it, which _probabilities runs in
+    a forward half kept per row count.  Every member of a stack binds its halves to one
+    set of buffers per row count, shared through buffers: a caller reads a call's
+    probabilities before the next call.  A member holds no reference to its stack, so
+    dropping the stack frees it without the cyclic collector."""
+
+    buffers: dict = field(default_factory=dict, repr=False)  # rows -> _forward_buffers
+    halves: dict = field(default_factory=dict, repr=False)  # rows -> bound forward half
+
+    def half(self, rows: int) -> tuple:
+        half = self.halves.get(rows)
+        if half is None:
+            if rows not in self.buffers:
+                self.buffers[rows] = _forward_buffers(self.architecture, (rows,))
+            half = self.halves[rows] = _bind_forward(self, self.buffers[rows])
+        return half
+
+
 class _Workspace(tuple):
     """The (gw, gb) pairs gradient writes, with every other operand of a step bound once.
 
@@ -97,25 +134,24 @@ class _Workspace(tuple):
     back being the next layer's delta, and layer 0's (delta_t, delta, gw, gb), whose input
     is the call's x.  The weights and biases are the model's own arrays (views of a stack's
     parameter block), so the workspace sees every write into them.  With no pairs it holds
-    only the forward half."""
+    only the forward half.  nbytes counts the buffers it allocates, not the views it binds."""
 
     def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...]):
         ws = super().__new__(cls, grads)  # shape: a batch's leading dims, (k, n) or (n,)
         ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, model.architecture[0])
-        out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
-        layers = tuple((w.swapaxes(-1, -2), z, b[..., None, :])
-                       for (w, b), z in zip(model.layers, out))
-        logits_t = out[-1].transpose(-1, *range(len(shape)))  # class-major view
-        row_max = np.empty(shape)
-        ws.forward = (layers[:-1], layers[-1], np.empty(logits_t.shape), logits_t, row_max,
-                      row_max[..., None], np.empty((*shape, 1)))
+        buffers = _forward_buffers(model.architecture, shape)
+        ws.forward = _bind_forward(model, buffers)
+        out, *own = buffers  # own: every array it allocates, counted in nbytes
+        own += out
         if ws:
             deltas = [*(np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]), out[-1]]
+            own += deltas[:-1]
             backward = tuple((deltas[i].swapaxes(-1, -2), deltas[i], out[i - 1], *ws[i],
                               model.layers[i][0], deltas[i - 1])
                              for i in range(len(out) - 1, 0, -1))
             ws.backward = (out[-1].reshape(ws.rows, model.architecture[-1]), float(shape[-1]),
                            backward, (deltas[0].swapaxes(-1, -2), deltas[0], *ws[0]))
+        ws.nbytes = sum(a.nbytes for a in own)
         return ws
 
 
@@ -143,10 +179,14 @@ def _forward(bound: tuple, x: np.ndarray) -> np.ndarray:
 
 def _probabilities(model: ModelParameters, x: np.ndarray) -> np.ndarray:
     """Softmax probabilities of every row of x.  A stacked model (weights (k, out, in))
-    runs x[i] of x (k, n, d) through worker i as a 2-D call would."""
+    runs x[i] of x (k, n, d) through worker i as a 2-D call would.  A _Member writes them
+    into its kept half's shared buffers, valid until its stack's next call on as many rows;
+    any other model gets a fresh workspace."""
     arch = model.architecture
     if x.ndim != model.layers[0][0].ndim or x.shape[-1] != arch[0]:
         raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
+    if isinstance(model, _Member):
+        return _forward(model.half(x.shape[0]), x)
     return _forward(_Workspace(model, (), x.shape[:-1]).forward, x)
 
 
@@ -228,20 +268,28 @@ class _Stack:
     order[j]'s W0, b0, W1, b1, ... flattened, beside a gradient block of the same shape.
 
     A stack is built once for as many rounds as its owner trains k workers
-    (ExperimentState keeps one per trial).  Its blocks never move: load and reorder
-    write into them, so a step workspace, views of a row slice keyed by (lo, hi, batch
-    length), stays valid for the stack's life.  The two most recent plans are kept
-    (a round's full pass and kept pass), and only the workspaces they use.  Every plan's
-    batches are views of one pass block, grown to the most rows seen."""
+    (ExperimentState keeps one per trial), and builds each workspace its rounds reuse
+    once.  Its blocks never move: load and reorder write into them, so a step workspace,
+    views of a row slice keyed by (lo, hi, batch length), stays valid for the stack's
+    life.  Every step workspace it builds is kept while their buffers (held counts their
+    bytes) stay within _STEP_BYTES; past that, only those of the kept plans stay.  The
+    two most recent plans are kept (a round's full pass and kept pass), and every plan's
+    batches are views of one pass block, grown to the most rows seen.  members holds row
+    j's model as a _Member, which the filter runs in its kept forward halves, and onehot
+    the targets' one-hot table."""
 
     def __init__(self, arch: tuple[int, ...], k: int):
         self.arch, self.order, self.position = arch, list(range(k)), list(range(k))
         self.params = np.empty((k, param_bits(arch) // 64))  # P from arch: k may be 0
         self.grads = np.empty_like(self.params)
         self.model = ModelParameters(_layout(self.params, arch), arch)
+        buffers: dict[int, tuple] = {}  # the members' forward buffers, one set per row count
+        self.members = [_Member(_member(self.model, j).layers, arch, buffers) for j in range(k)]
+        self.onehot = np.eye(arch[-1])
         self.x, self.y = np.empty((0, arch[0])), np.empty((0, arch[-1]))
         self.plans: dict[tuple, tuple] = {}  # (order, sizes, batch_size) -> (plan, workspaces)
         self.steps: dict[tuple[int, int, int], tuple] = {}  # (lo, hi, n) -> (ws, p, g)
+        self.held = 0  # buffer bytes of the workspaces in steps
 
     def load(self, model: ModelParameters, order: list[int]) -> None:
         """Fill the rows from model, row j read as worker order[j]: a 2-D model fills every
@@ -277,7 +325,9 @@ class _Stack:
         self.plans[key] = cached or self._plan(sizes, batch_size)  # most recent last
         if len(self.plans) > 2:
             del self.plans[next(iter(self.plans))]
+        if self.held > _STEP_BYTES:
             self.steps = {k: v for _, used in self.plans.values() for k, v in used.items()}
+            self.held = sum(ws.nbytes for ws, _, _ in self.steps.values())
         return self.plans[key][0]
 
     def _plan(self, sizes: list[int], batch_size: int) -> tuple:
@@ -299,6 +349,7 @@ class _Stack:
                     p, g = self.params[lo:hi], self.grads[lo:hi]
                     sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
                     self.steps[key] = _Workspace(sub, _layout(g, self.arch), (hi - lo, n)), p, g
+                    self.held += self.steps[key][0].nbytes
                 ws, p, g = used[key] = self.steps[key]
                 at = slice(len(pos), len(pos) + ws.rows)
                 steps.append((ws.model, x[at], y[at], ws, p, g))
@@ -345,7 +396,7 @@ def sgd_epoch(
     pos, x, y, steps = stack.plan(sizes, batch_size)
     cols = shuffled.take(pos, axis=1)  # (epochs, rows of one pass), in step order
     labels = data.labels.take(cols)  # mode "raise": every index is a row of data
-    onehot = np.eye(stack.arch[-1])
+    onehot = stack.onehot
     if labels.size and (np.minimum.reduce(labels, axis=None) < 0
                         or np.maximum.reduce(labels, axis=None) >= len(onehot)):
         raise ValueError(f"labels outside [0, {len(onehot)})")
@@ -395,11 +446,11 @@ def local_round(
     passes its trial's); None builds one for this call.  global_model is loaded into
     every row of the stack, and two sgd_epoch calls train it in place, sharing its plans
     and workspaces: a pass on every row, then, after each worker is filtered on its own
-    model (views of its row) and its rows (views of data), epochs - 1 passes on a_i + the
-    rows it kept.  The filter always runs: its verdict prices the round.  Returns models
-    and decisions in worker order.  The models are views of the stack's block, valid
-    until that stack trains again.  A worker's bytes depend neither on which others
-    share its stack nor on what the stack trained before.
+    model (the stack's member for its row) and its rows (views of data), epochs - 1
+    passes on a_i + the rows it kept.  The filter always runs: its verdict prices the
+    round.  Returns models and decisions in worker order.  The models are the stack's
+    members, views of its block, valid until that stack trains again.  A worker's bytes
+    depend neither on which others share its stack nor on what the stack trained before.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -410,13 +461,13 @@ def local_round(
         stack = _Stack(global_model.architecture, len(shards))
     stack.load(global_model, _longest_first([len(r) for r in shards]))  # rows all equal: free
     sgd_epoch(stack, data, [np.arange(r.start, r.stop) for r in shards], batch_size, lr, rng)
-    decisions = [filter_samples(_member(stack.model, stack.position[i]),
+    decisions = [filter_samples(stack.members[stack.position[i]],
                                 data.take(slice(r.start, r.stop)), threshold)
                  for i, r in enumerate(shards)]
     if epochs > 1:
         kept = [r.start + decision.included_indices for r, decision in zip(shards, decisions)]
         sgd_epoch(stack, data, kept, batch_size, lr, rng, epochs=epochs - 1)
-    return [_member(stack.model, j) for j in stack.position], decisions
+    return [stack.members[j] for j in stack.position], decisions
 
 
 def aggregate(updates: Sequence[tuple[ModelParameters, int]]) -> ModelParameters:

@@ -709,3 +709,74 @@ class TestTrainingCallSites:
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
         run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
         assert (len(seen), sum(seen)) == (calls, rows)
+
+
+class TestTrialWorkspaces:
+    """A trial's stack builds each workspace its rounds reuse once, and frees them with
+    itself: nothing it holds refers back to it."""
+
+    @pytest.mark.parametrize("preset, steps, filter_sets", [
+        ("synthetic_filtered", 47, 1),
+        ("synthetic_unfiltered", 1, 0),
+    ])
+    def test_preset_workspace_builds(self, preset, steps, filter_sets, monkeypatch, tmp_path):
+        # a seed-1 preset run: one step workspace per distinct (lo, hi, n), one set of
+        # filter buffers per shard length, and a forward workspace per evaluate call only
+        from feelsim import learning
+
+        built, buffers, evaluated = [], [], []
+        make, evaluate = learning._forward_buffers, federation.evaluate
+
+        class Counting(learning._Workspace):
+            def __new__(cls, model, grads, shape):
+                ws = super().__new__(cls, model, grads, shape)
+                built.append(ws)
+                return ws
+
+        def counting_buffers(arch, shape):
+            buffers.append(shape)
+            return make(arch, shape)
+
+        def counting_evaluate(model, data):
+            evaluated.append(len(data))
+            return evaluate(model, data)
+
+        monkeypatch.setattr(learning, "_Workspace", Counting)
+        monkeypatch.setattr(learning, "_forward_buffers", counting_buffers)
+        monkeypatch.setattr(federation, "evaluate", counting_evaluate)
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
+        run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
+        step = [ws for ws in built if ws]  # keyed by their first row's address and shape
+        keys = {(ws.model.layers[0][0].__array_interface__["data"][0], ws.x_shape) for ws in step}
+        assert len(step) == len(keys) == steps
+        forward = [ws for ws in built if not ws]
+        assert [ws.rows for ws in forward] == evaluated
+        assert not any(isinstance(ws.model, learning._Member) for ws in built)
+        assert len(buffers) - len(built) == filter_sets
+
+    def test_trial_stack_freed_without_the_cyclic_collector(self):
+        # with the collector off, the trial's stack and its parameter block die as soon as
+        # the state and the models a round returned are dropped
+        import gc
+        import weakref
+
+        fleet, train = make_fleet()
+        cfg = fast_config(epochs=3, threshold=0.4, seed=61)
+        cfg = replace(cfg, deadline_s=default_deadline(fleet, cfg, param_bits(ARCH), 0))
+        gc.collect()
+        gc.disable()
+        try:
+            state = ExperimentState(model=init_model(ARCH, np.random.default_rng(61)),
+                                    workers=fleet, train_data=train, test_data=TEST_DATA)
+            for r in range(1, 3):
+                run_round(state, cfg, r)
+            streams = [substream(61, DOMAIN_INIT, w) for w in range(len(fleet))]
+            models, decisions = local_round(state.model, train, [w.rows for w in fleet], 3, 32,
+                                            0.05, 0.4, streams, stack=state.stack)
+            assert 0 < sum(d.excluded_count for d in decisions) < len(train)
+            assert all(m.halves for m in models)  # the filter ran in kept halves
+            refs = [weakref.ref(state.stack), weakref.ref(state.stack.params)]
+            del state, models
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

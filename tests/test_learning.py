@@ -907,8 +907,9 @@ class TestRoundAgainstReference:
 
 
 class TestTrialStack:
-    """One _Stack trained round after round gives the bytes of a fresh stack per round, and
-    holds only the plans and step workspaces of its last two passes."""
+    """One _Stack trained round after round gives the bytes of a fresh stack per round. It
+    builds each step workspace once and keeps it while their buffers fit the byte budget,
+    and its members filter in kept forward halves."""
 
     @staticmethod
     def round(model, sizes, r, stack, threshold=0.4):
@@ -977,27 +978,108 @@ class TestTrialStack:
         assert not any(np.array_equal(w, v) for (w, _), (v, _) in zip(stack.model.layers,
                                                                      moved.layers))
 
-    def test_cached_workspaces_stay_bounded(self):
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_step_workspaces_kept_within_budget(self, budget, monkeypatch):
         # 300 filtered rounds of three workers: the kept counts give new plans and new
-        # row slices round after round, but only those of the last two plans stay
-        k, batch = 3, 8
-        model = init_model([6, 7, 4], np.random.default_rng(352))
-        stack = learning._Stack(model.architecture, k)
+        # row slices round after round.  Within the byte budget each (lo, hi, n) workspace
+        # is built once and kept; at a few KiB the stack holds at most the budget plus the
+        # kept plans' workspaces.  Either way every round gives a fresh stack's bytes.
+        if budget is not None:
+            monkeypatch.setattr(learning, "_STEP_BYTES", budget)
+        built = []
+
+        class Counting(learning._Workspace):
+            def __new__(cls, model, grads, shape):
+                ws = super().__new__(cls, model, grads, shape)
+                built.append(ws)
+                return ws
+
+        monkeypatch.setattr(learning, "_Workspace", Counting)
+        k, batch, arch = 3, 8, (6, 7, 4)
+        model = init_model(arch, np.random.default_rng(352))
+        stack = learning._Stack(arch, k)
         data = tiny_dataset(n=3 * 40, classes=4, seed=353)
         shards = [data.take(np.arange(40 * w, 40 * (w + 1))) for w in range(k)]
-        seen, most = set(), 0
+        trial, seen, most = [], set(), 0
+
+        def streams(r):
+            return [substream(31, TRAIN, 0, w, r) for w in range(k)]
+
         for r in range(300):
-            streams = [substream(31, TRAIN, 0, w, r) for w in range(k)]
-            models, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams,
+            built.clear()
+            models, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams(r),
                                     stack=stack)
+            trial += [ws for ws in built if ws]
+            want, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams(r))
+            for got, ref in zip(models, want, strict=True):
+                assert_models_equal(got, ref)
             model = aggregate([(m, 40) for m in models])
+            kept = [ws for ws, _, _ in stack.steps.values()]
+            held = sum(ws.nbytes for ws in kept)
+            assert stack.held == held and len(stack.plans) <= 2
+            if budget is not None:
+                used = {key: ws for _, keys in stack.plans.values()
+                        for key, (ws, _, _) in keys.items()}
+                assert held <= budget + sum(ws.nbytes for ws in used.values())
             seen.update(stack.steps)
             most = max(most, len(stack.steps))
-            assert len(stack.plans) <= 2
-            used = {key for _, keys in stack.plans.values() for key in keys}
-            assert set(stack.steps) == used
-        # a plan has one full-batch slice per stack height and one tail per worker
-        assert most <= 2 * 2 * k < len(seen)
+        # a workspace's bytes are its own buffers: per row, each layer's output, the
+        # class-major logits, row max and sum, and the delta of every layer but the last
+        for ws in trial:
+            assert ws.nbytes == 8 * ws.rows * (2 * sum(arch[1:]) + 2)
+        if budget is None:  # every key built once, and each kept since
+            assert [id(ws) for ws in trial] == [id(ws) for ws in kept]
+            assert len(seen) == len(kept) > 2 * 2 * k
+        else:  # past the budget keys are dropped and some are built again
+            assert most < len(seen) < len(trial)
+
+    def test_kept_filter_halves_match_plain_members(self):
+        # members keep one forward half per row count, bound to buffers the stack's
+        # members share: on shards of 40, 37, 40 and 23 rows, through rounds, a load and a
+        # row-permuting reorder, their decisions are those of fresh 2-D views of the rows,
+        # and workers 0 and 2, of 40 rows each, take turns in one set of buffers
+        shards = skewed_shards()
+        data, ranges = joined(shards)
+        parts = [data.take(slice(r.start, r.stop)) for r in ranges]
+        arch = (6, 5, 3)
+        rng = np.random.default_rng(356)
+        model = init_model(arch, rng)
+        stack = learning._Stack(arch, len(shards))
+
+        def assert_same(a, b):
+            assert a.excluded_count == b.excluded_count
+            assert a.included_indices.tobytes() == b.included_indices.tobytes()
+
+        def check(members, threshold):
+            decisions = [filter_samples(m, part, threshold) for m, part in zip(members, parts)]
+            for j, (decision, part) in enumerate(zip(decisions, parts)):
+                plain = learning._member(stack.model, stack.position[j])
+                assert_same(decision, filter_samples(plain, part, threshold))
+            before = decisions[0]
+            filter_samples(members[2], parts[2], threshold)  # B overwrites A's buffers
+            assert_same(filter_samples(members[0], parts[0], threshold), before)
+            return decisions
+
+        outcomes = set()
+        for r in range(4):
+            streams = [substream(41, TRAIN, 0, w, r) for w in range(len(shards))]
+            models, _ = local_round(model, data, ranges, 3, 16, 0.1, 0.7, streams, stack=stack)
+            assert all(m is stack.members[j] for m, j in zip(models, stack.position))
+            outcomes.update(d.excluded_count for d in check(models, 0.7))
+            model = aggregate([(m, len(p)) for m, p in zip(models, parts)])
+        assert len(outcomes) > 2
+        members = [init_model(arch, rng) for _ in shards]
+        stack.load(stacked(members), [3, 1, 0, 2])
+        stack.reorder([2, 0, 3, 1])
+        # rows hold workers 2, 0, 3, 1, loaded as members 3, 2, 0, 1
+        assert np.array_equal(stack.members[0].layers[0][0], members[3].layers[0][0])
+        workers = [stack.members[stack.position[i]] for i in range(len(shards))]
+        for threshold in (0.4, 0.6, 0.9):
+            check(workers, threshold)
+        buffers = stack.members[0].buffers
+        assert sorted(buffers) == [23, 37, 40]  # one set per row count, shared
+        assert all(m.buffers is buffers and set(m.halves) <= set(buffers)
+                   for m in stack.members)
 
 
 class ReferenceWorkspace(tuple):

@@ -62,7 +62,7 @@ CASES = {
     # streams a round fill a 4096-stream schedule window in 95 rounds, so round 96 starts
     # another
     "iid-uneven-all-scheduled": (FILTERED, {"workers": 21, "select_fraction": 1.0}),
-    # a long trial: plans and step workspaces are reused and dropped over 300 rounds
+    # a long trial: plans are reused and dropped, and step workspaces kept, over 300 rounds
     "filtered-rounds-300": (FILTERED, {"rounds": 300}),
     # the only hidden layer at 784 inputs, where BLAS runs other kernels than at 8
     "fleet-784-hidden-32": (FILTERED, {**FLEET, "hidden_width": 32, "rounds": 3}),
