@@ -5,10 +5,10 @@ Every stochastic draw in the simulator comes from a generator keyed by
 they are opened, so per-worker work can run in any order or grouping
 without changing results.
 
-`substream` opens one stream.  `stream_states` and `stream_seeds` derive many
-at once, without opening any: they restate numpy's SeedSequence hash (see the
+`substream` opens one stream.  `stream_seeds` derives the seeds of many at
+once, without opening any: it restates numpy's SeedSequence hash (see the
 SeedSequence documentation and NEP 19,
-https://numpy.org/neps/nep-0019-rng-policy.html) over columns of tags and seed
+https://numpy.org/neps/nep-0019-rng-policy.html) over columns of tags and seeds
 PCG64 as numpy does, so `reseed` puts a reused Generator on exactly the stream
 `substream` opens for the same coordinate.
 """
@@ -132,11 +132,6 @@ def _pcg64_state(seed_pair: tuple[int, int]) -> dict:
     state, inc = seed_pair
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
-
-
-def stream_states(seed: int, rows) -> list[dict]:
-    """substream(seed, *row).bit_generator.state for each row, without opening a stream."""
-    return [_pcg64_state(pair) for pair in stream_seeds(seed, rows)]
 
 
 def reseed(generator: np.random.Generator, seed_pair: tuple[int, int]) -> np.random.Generator:

@@ -42,6 +42,7 @@ from feelsim.resource_optimizer import (
     upload_time_bounds,
 )
 from feelsim.streams import DOMAIN_INIT, DOMAIN_SELECT, DOMAIN_TRAIN, substream
+import reference
 
 LN2 = math.log(2.0)
 
@@ -311,7 +312,8 @@ def test_criterion_06_budgeted_protocol_invariants(tmp_path):
 
 
 def test_criterion_07_reduces_to_plain_fedavg():
-    """Threshold 1.0 must reproduce an independently coded FedAvg bit for bit."""
+    """Threshold 1.0 must reproduce plain FedAvg bit for bit: each selected worker's SGD
+    epochs and the size-weighted average as tests/reference.py codes them apart."""
     cfg = reference_base(rounds=20, seed=3, threshold=1.0)
     data = load_dataset(cfg)
     train, test = split_train_test(data, cfg.train_fraction, cfg.seed)
@@ -320,67 +322,22 @@ def test_criterion_07_reduces_to_plain_fedavg():
     assert all(r.n_updates == len(r.worker_stats) for r in records), \
         "a worker missed the deadline; equivalence run must be drop-free"
 
-    def manual_grads(layers, x, y):
-        acts = [x]
-        a = x
-        last = len(layers) - 1
-        for i, (w, b) in enumerate(layers):
-            z = a @ w.T + b
-            if i < last:
-                a = np.maximum(z, 0.0)
-                acts.append(a)
-            else:
-                z -= z.max(axis=1, keepdims=True)
-                e = np.exp(z)
-                a = e / e.sum(axis=1, keepdims=True)
-        n = x.shape[0]
-        delta = a.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads = [None] * len(layers)
-        for i in range(len(layers) - 1, -1, -1):
-            grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-            if i > 0:
-                delta = delta @ layers[i][0]
-                delta *= acts[i] > 0.0
-        return grads
-
-    shards = [matrix.take(np.asarray(p.rows)) for p in fleet]
-    model0 = init_model([8, 16, 4], substream(cfg.seed, DOMAIN_INIT, 0))
-    glob = [(w.copy(), b.copy()) for w, b in model0.layers]
-    k = len(shards)
+    glob = init_model([8, 16, 4], substream(cfg.seed, DOMAIN_INIT, 0)).layers
+    k = len(fleet)
     n_sel = min(k, max(1, math.ceil(cfg.select_fraction * k)))
     for rnd in range(1, cfg.rounds + 1):
-        sel_rng = substream(cfg.seed, DOMAIN_SELECT, 0, rnd)
-        chosen = sorted(sel_rng.choice(k, size=n_sel, replace=False).tolist())
-        locals_ = []
-        for wid in chosen:
-            shard = shards[wid]
-            n = len(shard)
-            rng = substream(cfg.seed, DOMAIN_TRAIN, 0, wid, rnd)
-            layers = [(w.copy(), b.copy()) for w, b in glob]
-            for _ in range(cfg.epochs):
-                order = rng.permutation(np.asarray(np.arange(n), dtype=np.intp))
-                for start in range(0, n, cfg.batch_size):
-                    idx = order[start:start + cfg.batch_size]
-                    grads = manual_grads(layers, shard.features[idx], shard.labels[idx])
-                    for (w, b), (gw, gb) in zip(layers, grads):
-                        w -= cfg.learning_rate * gw
-                        b -= cfg.learning_rate * gb
-            locals_.append((layers, n))
-        total = sum(n for _, n in locals_)
-        glob = [
-            (sum((n / total) * L[i][0] for L, n in locals_),
-             sum((n / total) * L[i][1] for L, n in locals_))
-            for i in range(len(glob))
-        ]
+        chosen = substream(cfg.seed, DOMAIN_SELECT, 0, rnd).choice(k, n_sel, replace=False)
+        glob = reference.fedavg([
+            (reference.sgd(glob, matrix, np.asarray(fleet[wid].rows), cfg.epochs,
+                           cfg.batch_size, cfg.learning_rate,
+                           substream(cfg.seed, DOMAIN_TRAIN, 0, wid, rnd)),
+             len(fleet[wid].rows))
+            for wid in sorted(chosen.tolist())])
 
-    diff = max(
-        max(float(np.max(np.abs(gw - fw))), float(np.max(np.abs(gb - fb))))
-        for (gw, gb), (fw, fb) in zip(glob, final_model.layers)
-    )
-    verdict(7, "plain aggregation equivalence", diff <= 1e-12,
-            f"20 rounds, max parameter difference {diff:.3e} (tol 1e-12)")
+    pairs = [(a, b) for got, want in zip(glob, final_model.layers) for a, b in zip(got, want)]
+    diff = max(float(np.max(np.abs(a - b))) for a, b in pairs)
+    verdict(7, "plain aggregation equivalence", all(np.array_equal(a, b) for a, b in pairs),
+            f"20 rounds, max parameter difference {diff:.3e} (must be 0)")
 
 
 def test_criterion_08_filtering_saves_energy(tmp_path):

@@ -20,6 +20,7 @@ from feelsim.learning import (
 )
 from feelsim.streams import DOMAIN_TRAIN as TRAIN
 from feelsim.streams import substream
+import reference
 from helpers import joined
 
 
@@ -35,16 +36,6 @@ def zeroed(model):
         layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers),
         architecture=model.architecture,
     )
-
-
-def manual_forward(model, x):
-    a = x
-    for i, (w, b) in enumerate(model.layers):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if i < len(model.layers) - 1 else z
-    z = a - a.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def stacked(members):
@@ -83,6 +74,18 @@ def assert_models_equal(a, b):
     for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
         assert np.array_equal(w1, w2)
         assert np.array_equal(b1, b2)
+
+
+def assert_reference_bytes(pairs, model, x, y):
+    """pairs hold the bytes of the plain reference's gradient, worker by worker."""
+    k = len(model.layers[0][0]) if model.layers[0][0].ndim == 3 else None
+    n = len(x) // (k or 1)
+    for j in range(k or 1):
+        layers = model.layers if k is None else [(w[j], b[j]) for w, b in model.layers]
+        want = reference.gradient(layers, x[j * n:(j + 1) * n], y[j * n:(j + 1) * n])
+        for (gw, gb), (rw, rb) in zip(pairs, want, strict=True):
+            gw, gb = (gw, gb) if k is None else (gw[j], gb[j])
+            assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
 
 
 def confidently_wrong_model():
@@ -154,7 +157,7 @@ class TestForward:
             assert masked.tobytes() == (d * (a > 0.0)).tobytes()
 
     def test_matches_label_reference(self):
-        # one-hot target rows give the label-based gradient's bytes
+        # the plain reference's gradient bytes and mean loss, worker by worker
         rng = np.random.default_rng(328)
         for arch, k, n in [([6, 3], 1, 9), ([6, 5, 3], 1, 16), ([6, 7, 4, 3], 3, 5)]:
             members = [init_model(arch, rng) for _ in range(k)]
@@ -162,11 +165,10 @@ class TestForward:
             x = rng.normal(size=(k * n, 6)) * 3.0
             y = rng.integers(0, 3, size=k * n)
             loss, grads = loss_and_gradient(model, x, np.eye(3)[y])
-            ref_loss, ref = reference_loss_and_gradient(model, x, y)
-            assert loss == pytest.approx(ref_loss, rel=1e-12)
-            for (gw, gb), (rw, rb) in zip(grads, ref):
-                assert gw.tobytes() == rw.tobytes()
-                assert gb.tobytes() == rb.tobytes()
+            assert_reference_bytes(grads, model, x, np.eye(3)[y])
+            parts = [LabeledDataset(x[j * n:(j + 1) * n], y[j * n:(j + 1) * n]) for j in range(k)]
+            want = np.mean([reference.evaluate(m.layers, d)[0] for m, d in zip(members, parts)])
+            assert loss == pytest.approx(want, rel=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(301)
@@ -190,7 +192,7 @@ class TestForward:
         rng = np.random.default_rng(302)
         model = init_model([6, 8, 3], rng)
         data = tiny_dataset(n=24)
-        ref = manual_forward(model, data.features)
+        ref = reference.probabilities(model.layers, data.features)[0]
         for i, (row, label) in enumerate(zip(data.features, data.labels)):
             _, grads = loss_and_gradient(model, row[None, :], np.eye(3)[label[None]])
             probs = grads[-1][1].copy()
@@ -222,22 +224,12 @@ class TestGradientAndSgd:
         assert_models_equal(stepped, trained)
 
     def test_update_count_is_ceil(self):
-        # n=45, b=20 -> batches of 20, 20, 5: replay them by hand
+        # n=45, b=20 -> batches of 20, 20, 5, as the plain reference takes them
         model = init_model([6, 5, 3], np.random.default_rng(304))
         data = tiny_dataset(n=45)
-
-        order = substream(9, TRAIN, 1).permutation(np.arange(45, dtype=np.intp))
-        manual = model
-        for lo in range(0, 45, 20):
-            idx = order[lo:lo + 20]
-            _, grads = loss_and_gradient(manual, data.features[idx], np.eye(3)[data.labels[idx]])
-            manual = ModelParameters(layers=tuple(
-                (w - 0.05 * gw, b - 0.05 * gb)
-                for (w, b), (gw, gb) in zip(manual.layers, grads)),
-                architecture=model.architecture)
-
+        want = reference.sgd(model.layers, data, np.arange(45), 1, 20, 0.05, substream(9, TRAIN, 1))
         trained = train_one(model, data, batch_size=20, lr=0.05, rng=substream(9, TRAIN, 1))
-        assert_models_equal(manual, trained)
+        assert_models_equal(ModelParameters(tuple(want), model.architecture), trained)
 
     def test_gradient_mean_normalized(self):
         model = init_model([6, 5, 3], np.random.default_rng(305))
@@ -256,7 +248,7 @@ class TestGradientAndSgd:
         model = init_model([6, 5, 3], np.random.default_rng(306))
         data = tiny_dataset(n=10)
         loss, _ = loss_and_gradient(model, data.features, np.eye(3)[data.labels])
-        probs = manual_forward(model, data.features)
+        probs = reference.probabilities(model.layers, data.features)[0]
         per_sample = [-math.log(max(p[y], LOG_GUARD)) for p, y in zip(probs, data.labels)]
         assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
 
@@ -388,15 +380,7 @@ class TestGradientInto:
         other, _, _, _ = self.case([6, 5, 3], 2, 8, seed=332)
         for ws in (self.workspace(other, 2, 8), self.workspace(model, 2, 5)):
             learning.gradient(model, x, y, ws)
-            self.assert_reference_bytes(ws, model, x, y)
-
-    @staticmethod
-    def assert_reference_bytes(pairs, model, x, y):
-        """pairs hold the bytes reference_gradient writes for this batch."""
-        want = [(np.empty_like(w), np.empty_like(b)) for w, b in model.layers]
-        reference_gradient(model, x, y, want)
-        for (gw, gb), (rw, rb) in zip(pairs, want, strict=True):
-            assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+            assert_reference_bytes(ws, model, x, y)
 
     @pytest.mark.parametrize("arch, k, n", [
         *CASES,
@@ -405,8 +389,8 @@ class TestGradientInto:
         ([6, 7, 10], None, 1),  # a one-row batch, 2-D
     ])
     def test_kernel_matches_reference_bytes(self, arch, k, n):
-        # against the list-indexed pass it replaced, through a fresh workspace (plain
-        # views, wrapped) and through one workspace reused for three batches
+        # against the plain reference, through a fresh workspace (plain views, wrapped)
+        # and through one workspace reused for three batches
         model, _, _, rng = self.case(arch, k, n)
         ws = self.workspace(model, k, n)
         for _ in range(3):
@@ -415,9 +399,9 @@ class TestGradientInto:
             y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
             _, plain = self.block_views(model)
             learning.gradient(model, x, y, plain)
-            self.assert_reference_bytes(plain, model, x, y)
+            assert_reference_bytes(plain, model, x, y)
             learning.gradient(model, x, y, ws)
-            self.assert_reference_bytes(ws, model, x, y)
+            assert_reference_bytes(ws, model, x, y)
 
     @pytest.mark.parametrize("arch, k", [([6, 5, 3], None), ([6, 5, 4, 3], 2)])
     def test_kernel_matches_reference_bytes_at_relu_kinks(self, arch, k):
@@ -439,28 +423,32 @@ class TestGradientInto:
         ws = self.workspace(model, k, n)
         for _ in range(2):
             learning.gradient(model, x, y, ws)
-            self.assert_reference_bytes(ws, model, x, y)
+            assert_reference_bytes(ws, model, x, y)
         _, plain = self.block_views(model)
         learning.gradient(model, x, y, plain)
-        self.assert_reference_bytes(plain, model, x, y)
+        assert_reference_bytes(plain, model, x, y)
 
     @pytest.mark.parametrize("rows, width, target", [
         (8, 5, (8, 3)),  # input width
         (0, 6, (0, 3)),  # empty batch
         (8, 6, (8, 4)),  # target shape
-        (7, 6, (7, 3)),  # rows not a multiple of the stack
+        (7, 6, (7, 3)),  # rows not a multiple of the stack: numpy's reshape refuses them
     ])
     def test_checks_raise_as_the_reference(self, rows, width, target):
-        # the checks run before the kernel, with a workspace built for a valid batch
+        # the checks run before the kernel, with a workspace built for a valid batch:
+        # each raises its message and leaves the pairs all NaN, as block_views made them
+        message = {
+            (8, 5): "input shape (8, 5) does not match network input width 6",
+            (0, 6): "cannot take the gradient of an empty batch",
+            (8, 6): "targets must have shape (8, 3), got (8, 4)",
+            (7, 6): "cannot reshape array of size 42 into shape (2,3,6)",
+        }[rows, width]
         model, _, _, _ = self.case([6, 5, 3], 2, 4)
-        x, y = np.zeros((rows, width)), np.zeros(target)
-        errors = []
-        for grad, out in ((learning.gradient, self.workspace(model, 2, 4)),
-                          (reference_gradient, self.block_views(model)[1])):
-            with pytest.raises(ValueError) as caught:
-                grad(model, x, y, out)
-            errors.append(str(caught.value))
-        assert errors[0] == errors[1]
+        ws = self.workspace(model, 2, 4)
+        with pytest.raises(ValueError) as caught:
+            learning.gradient(model, np.zeros((rows, width)), np.zeros(target), ws)
+        assert str(caught.value) == message
+        assert all(np.isnan(g).all() for pair in ws for g in pair)
 
     @pytest.mark.parametrize("classes", [4, 10])
     def test_class_major_max_keeps_softmax_bytes(self, classes):
@@ -546,7 +534,7 @@ class TestFiltering:
     def test_matches_direct_probability_rule(self):
         model = init_model([6, 8, 3], np.random.default_rng(311))
         data = tiny_dataset(n=150)
-        probs = manual_forward(model, data.features)
+        probs = reference.probabilities(model.layers, data.features)[0]
         keep = np.flatnonzero(probs.max(axis=1) <= 0.75)
         dec = filter_samples(model, data, 0.75)
         assert np.array_equal(dec.included_indices, keep)
@@ -555,7 +543,7 @@ class TestFiltering:
         model = init_model([6, 8, 3], np.random.default_rng(312))
         data = tiny_dataset(n=5000)
         dec = filter_samples(model, data, 0.75)
-        probs = manual_forward(model, data.features)
+        probs = reference.probabilities(model.layers, data.features)[0]
         keep = np.flatnonzero(probs.max(axis=1) <= 0.75)
         assert np.array_equal(dec.included_indices, keep)
 
@@ -779,70 +767,6 @@ class TestStackedRound:
                         [np.random.default_rng(1)])
 
 
-def reference_local_round(global_model, data, epochs, batch_size, lr, threshold, rng):
-    """local_round as it was before a round was set up once: two reference_round_epoch
-    calls, the first on k repeated copies of the global model, the second on copies
-    of the rows each worker's filter kept."""
-    copies = ModelParameters(
-        layers=tuple((np.repeat(w[None], len(data), axis=0), np.repeat(b[None], len(data), axis=0))
-                     for w, b in global_model.layers),
-        architecture=global_model.architecture)
-    stack = reference_round_epoch(copies, data, batch_size, lr, rng)
-    decisions = [filter_samples(learning._member(stack, i), d, threshold)
-                 for i, d in enumerate(data)]
-    if epochs > 1:
-        kept = [d if decision.excluded_count == 0 else d.take(decision.included_indices)
-                for d, decision in zip(data, decisions)]
-        stack = reference_round_epoch(stack, kept, batch_size, lr, rng, epochs=epochs - 1)
-    return [learning._member(stack, i) for i in range(len(data))], decisions
-
-
-def reference_round_epoch(model, data, batch_size, lr, rng, epochs=1):
-    """sgd_epoch as it was then: every call joins its datasets, fills its own stack
-    longest first, plans its steps and builds its targets; a step passes plain
-    views of the gradient block to gradient."""
-    perms, first = [], 0
-    for d, r in zip(data, rng, strict=True):
-        perms.append(np.stack([r.permutation(len(d)) for _ in range(epochs)]) + first)
-        first += len(d)
-    order = sorted(range(len(perms)), key=lambda i: -perms[i].shape[1])
-    perms = [perms[i] for i in order]
-    sizes = [p.shape[1] for p in perms]
-    arch = model.architecture
-    params = np.empty((len(data), param_bits(arch) // 64))
-    for views, layer in zip(learning._layout(params, arch), model.layers):
-        for view, array in zip(views, layer):
-            array.take(order, axis=0, out=view)
-    grads = np.empty_like(params)
-    plan, rows = [], [np.empty((epochs, 0), dtype=np.intp)]
-    for start in range(0, max(sizes, default=0), batch_size):
-        groups = {}
-        for i, size in enumerate(sizes):
-            if size > start:
-                groups.setdefault(min(batch_size, size - start), []).append(i)
-        for length, group in groups.items():
-            p, g = params[group[0]:group[-1] + 1], grads[group[0]:group[-1] + 1]
-            plan.append((length * len(group),
-                         ModelParameters(layers=learning._layout(p, arch), architecture=arch),
-                         learning._layout(g, arch), p, g))
-            rows.extend(perms[i][:, start:start + length] for i in group)
-    rows = np.concatenate(rows, axis=1)
-    labels = np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]).take(rows)
-    targets = np.eye(arch[-1]).take(labels, axis=0)
-    features = np.concatenate([np.empty((0, arch[0])), *(d.features for d in data)])
-    for epoch in range(epochs):
-        x_all = features[rows[epoch]]
-        offset = 0
-        for n, sub, out, p, g in plan:
-            learning.gradient(sub, x_all[offset:offset + n], targets[epoch, offset:offset + n], out)
-            offset += n
-            g *= lr
-            p -= g
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    return ModelParameters(layers=learning._layout(params.take(inverse, axis=0), arch),
-                           architecture=arch)
-
-
 def round_case(sizes, scales, classes, seed):
     """Shards of the given sizes, worker i's features scaled by scales[i].  Scale
     1e3 also makes them positive and the labels 0, so every softmax saturates
@@ -871,28 +795,29 @@ ROUND_CASES = [
 
 
 class TestRoundAgainstReference:
-    """A round set up once gives the bytes and decisions of the two-call round."""
+    """A stacked round gives each worker the bytes and filter verdict of the plain
+    reference's round of that worker alone."""
 
     @staticmethod
     def rounds(sizes, scales, classes, arch, batch, epochs, threshold):
-        shards = round_case(sizes, scales, classes, seed=340 + sum(sizes))
+        data, shards = joined(round_case(sizes, scales, classes, seed=340 + sum(sizes)))
         model = init_model(arch, np.random.default_rng(sum(sizes) + batch))
 
         def streams():
             return [substream(19, TRAIN, 0, w, epochs) for w in range(len(shards))]
 
-        return (local_round(model, *joined(shards), epochs, batch, 0.1, threshold, streams()),
-                reference_local_round(model, shards, epochs, batch, 0.1, threshold, streams()))
+        return (local_round(model, data, shards, epochs, batch, 0.1, threshold, streams()),
+                [reference.local_round(model.layers, data, r, epochs, batch, 0.1, threshold, g)
+                 for r, g in zip(shards, streams())], shards)
 
     @pytest.mark.parametrize("case", ROUND_CASES)
     def test_matches_two_call_round(self, case):
-        (got, decisions), (want, expect) = self.rounds(*case)
-        for g, w in zip(got, want, strict=True):
-            for (gw, gb), (ww, wb) in zip(g.layers, w.layers, strict=True):
+        (got, decisions), want, shards = self.rounds(*case)
+        for g, (layers, kept), d, r in zip(got, want, decisions, shards, strict=True):
+            for (gw, gb), (ww, wb) in zip(g.layers, layers, strict=True):
                 assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
-        for d, e in zip(decisions, expect, strict=True):
-            assert d.excluded_count == e.excluded_count
-            assert np.array_equal(d.included_indices, e.included_indices)
+            assert d.excluded_count == len(r) - len(kept)
+            assert np.array_equal(d.included_indices, kept - r.start)
 
     def test_cases_reach_every_filter_outcome(self):
         # a worker keeping nothing, one keeping everything beside one that does
@@ -1082,138 +1007,6 @@ class TestTrialStack:
                    for m in stack.members)
 
 
-class ReferenceWorkspace(tuple):
-    """learning._Workspace as it was before a workspace bound its step's operands into
-    flat tuples: per-layer lists that the reference forward and gradient index."""
-
-    def __new__(cls, model, grads, shape):
-        ws = super().__new__(cls, grads)
-        ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, model.architecture[0])
-        ws.weights_t = [w.swapaxes(-1, -2) for w, _ in model.layers]
-        ws.biases = [b[..., None, :] for _, b in model.layers]
-        ws.out = [np.empty((*shape, w.shape[-2])) for w, _ in model.layers]
-        ws.logits_t = ws.out[-1].transpose(-1, *range(len(shape)))
-        ws.classes, ws.row_max = np.empty(ws.logits_t.shape), np.empty(shape)
-        ws.shift, ws.row_sum = ws.row_max[..., None], np.empty((*shape, 1))
-        if ws:
-            ws.back = [np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]]
-            ws.delta_t = [d.swapaxes(-1, -2) for d in (*ws.back, ws.out[-1])]
-            ws.delta = ws.out[-1].reshape(ws.rows, model.architecture[-1])
-        return ws
-
-
-def reference_forward(ws, x):
-    """The list-indexed forward pass over a ReferenceWorkspace."""
-    a, last = x, len(ws.out) - 1
-    for i, z in enumerate(ws.out):
-        np.matmul(a, ws.weights_t[i], out=z)
-        z += ws.biases[i]
-        a = np.maximum(z, 0.0, out=z) if i < last else z
-    np.copyto(ws.classes, ws.logits_t)
-    np.maximum.reduce(ws.classes, axis=0, out=ws.row_max)
-    a -= ws.shift
-    np.exp(a, out=a)
-    a /= np.add.reduce(a, axis=-1, keepdims=True, out=ws.row_sum)
-    return a
-
-
-def reference_gradient(model, x, y, out):
-    """learning.gradient as it was before its kernel was bound into the workspace: the
-    same checks, then a list-indexed forward and backward pass in a ReferenceWorkspace."""
-    arch, rows = model.architecture, x.shape[0]
-    if x.ndim != 2 or x.shape[1] != arch[0]:
-        raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
-    if rows == 0:
-        raise ValueError("cannot take the gradient of an empty batch")
-    if y.shape != (rows, arch[-1]):
-        raise ValueError(f"targets must have shape {(rows, arch[-1])}, got {y.shape}")
-    if not (isinstance(out, ReferenceWorkspace) and out.model is model and out.rows == rows):
-        lead = model.layers[0][0].shape[:-2]
-        out = ReferenceWorkspace(model, out, (*lead, rows // math.prod(lead)))
-    x = x.reshape(out.x_shape)
-    delta = reference_forward(out, x)
-    out.delta -= y
-    delta /= float(x.shape[-2])
-    for i in range(len(arch) - 2, -1, -1):
-        a = out.out[i - 1] if i else x
-        gw, gb = out[i]
-        np.matmul(out.delta_t[i], a, out=gw)
-        np.add.reduce(delta, axis=-2, out=gb)
-        if i > 0:
-            delta = np.matmul(delta, model.layers[i][0], out=out.back[i - 1])
-            delta *= np.sign(a, out=a)
-
-
-def reference_loss_and_gradient(model, x, y):
-    """loss_and_gradient as it was when it took integer labels y: every call
-    range-checks them and builds the one-hot step with a fancy get and set."""
-    if x.shape[0] == 0:
-        raise ValueError("cannot take the gradient of an empty batch")
-    weights = model.layers[0][0]
-    if weights.ndim == 3:
-        x = x.reshape(weights.shape[0], -1, x.shape[-1])
-    n = x.shape[-2]
-    ws = ReferenceWorkspace(model, (), x.shape[:-1])
-    probs, acts = reference_forward(ws, x), [x, *ws.out[:-1]]
-    classes = probs.shape[-1]
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
-        raise ValueError(f"labels outside [0, {classes})")
-    delta = probs
-    flat = delta.reshape(-1, classes)
-    rows = np.arange(flat.shape[0])
-    p_true = flat[rows, y]
-    loss = -float(np.add.reduce(np.log(np.maximum(p_true, LOG_GUARD)))) / rows.size
-    flat[rows, y] = p_true - 1.0
-    delta /= n
-    grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        grads[i] = (delta.swapaxes(-1, -2) @ acts[i], np.add.reduce(delta, axis=-2))
-        if i > 0:
-            delta = delta @ model.layers[i][0]
-            delta *= acts[i] > 0.0
-    return loss, grads
-
-
-def reference_sgd_epoch(model, data, indices, batch_size, lr, rng):
-    """One pass of sgd_epoch's stacked loop as it was before a call gathered its
-    batches once and ordered its stack longest first: every step concatenates
-    its own rows and labels, builds its own model of views, or a gathered copy
-    written back after the step when the group's workers are not neighbours in
-    input order, and takes the label-based gradient."""
-    feats, labels = [], []
-    for d, idx, r in zip(data, indices, rng, strict=True):
-        order = r.permutation(np.asarray(idx, dtype=np.intp))
-        feats.append(d.features[order])
-        labels.append(d.labels[order])
-    sizes = [f.shape[0] for f in feats]
-    layers = [(w.copy(), b.copy()) for w, b in model.layers]
-    for start in range(0, max(sizes, default=0), batch_size):
-        groups = {}
-        for i, size in enumerate(sizes):
-            if size > start:
-                groups.setdefault(min(batch_size, size - start), []).append(i)
-        for length, group in groups.items():
-            stop = start + length
-            x = np.concatenate([feats[i][start:stop] for i in group])
-            y = np.concatenate([labels[i][start:stop] for i in group])
-            run = group[-1] - group[0] + 1 == len(group)
-            part = slice(group[0], group[-1] + 1) if run else group
-            sub = [(w[part], b[part]) for w, b in layers]
-            _, grads = reference_loss_and_gradient(
-                ModelParameters(layers=tuple(sub), architecture=model.architecture), x, y
-            )
-            for (w, b), (gw, gb) in zip(sub, grads):
-                gw *= lr
-                gb *= lr
-                w -= gw
-                b -= gb
-            if not run:
-                for (w, b), (w_part, b_part) in zip(layers, sub):
-                    w[part] = w_part
-                    b[part] = b_part
-    return ModelParameters(layers=tuple(layers), architecture=model.architecture)
-
-
 def random_epoch_cases():
     rng = np.random.default_rng(327)
     for _ in range(8):
@@ -1246,14 +1039,23 @@ def epoch_case(sizes, batch):
     return stack, data, kept, [d.take(k) for d, k in zip(data, kept)], streams
 
 
+def reference_passes(stack, data, kept, batch, streams, epochs=1):
+    """Each worker of stack trained alone by the plain reference, stacked again."""
+    trained = []
+    for j, (d, k, g) in enumerate(zip(data, kept, streams, strict=True)):
+        layers = reference.sgd(learning._member(stack, j).layers, d, k, epochs, batch, 0.1, g)
+        trained.append(ModelParameters(tuple(layers), stack.architecture))
+    return stacked(trained)
+
+
 class TestEpochAgainstReference:
-    """sgd_epoch gives the reference loop's bytes on any mix of shard sizes."""
+    """sgd_epoch gives the plain reference's bytes on any mix of shard sizes."""
 
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_matches_reference_loop(self, sizes, batch):
         stack, data, kept, rows, streams = epoch_case(sizes, batch)
         got = train_stack(stack, rows, batch, 0.1, streams())
-        assert_models_equal(got, reference_sgd_epoch(stack, data, kept, batch, 0.1, streams()))
+        assert_models_equal(got, reference_passes(stack, data, kept, batch, streams()))
         if not any(sizes):
             assert_models_equal(got, stack)
 
@@ -1278,13 +1080,9 @@ class TestEpochAgainstReference:
     @pytest.mark.parametrize("epochs", [2, 4])  # epochs 1: test_matches_reference_loop
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_passes_match_reference_loop(self, sizes, batch, epochs):
-        # one call of `epochs` passes against the reference run once per pass
         stack, data, kept, rows, streams = epoch_case(sizes, batch)
         got = train_stack(stack, rows, batch, 0.1, streams(), epochs=epochs)
-        want, rngs = stack, streams()
-        for _ in range(epochs):
-            want = reference_sgd_epoch(want, data, kept, batch, 0.1, rngs)
-        assert_models_equal(got, want)
+        assert_models_equal(got, reference_passes(stack, data, kept, batch, streams(), epochs))
 
     @pytest.mark.parametrize("epochs", [2, 4])
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
@@ -1354,7 +1152,7 @@ class TestAggregateAndEvaluate:
         model = init_model([6, 8, 3], np.random.default_rng(320))
         big = tiny_dataset(n=5000)
         loss_big, acc_big = evaluate(model, big)
-        probs = manual_forward(model, big.features)
+        probs = reference.probabilities(model.layers, big.features)[0]
         p_true = probs[np.arange(5000), big.labels]
         want_loss = float(np.mean(-np.log(np.maximum(p_true, LOG_GUARD))))
         want_acc = float(np.mean(probs.argmax(axis=1) == big.labels))

@@ -11,6 +11,10 @@ meant to keep the output bytes is checked by running this in a checkout of
 the parent commit and in the change, then diffing the two outputs. Every run
 is in this one process, into a temporary directory that is removed at the
 end; nothing is timed.
+
+The tier-1 suite also runs every entry of CASES at seed 1, capped at 3 rounds,
+against the plain reference run in tests/reference.py (tests/test_reference.py),
+so a case added here is pinned there too.
 """
 from __future__ import annotations
 
