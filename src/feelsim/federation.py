@@ -149,7 +149,7 @@ def partition_noniid(
 ) -> list[np.ndarray]:
     """Label-skewed split: each worker sees exactly classes_per_worker classes.
 
-    Class identities are dealt around a shuffled cycle so every class is used
+    Class identities are dealt around a shuffled cycle so every class reaches a worker
     and no worker sees the same class twice; each class's samples are split
     evenly among the workers that hold it.  Returns each shard's row positions
     in data.
@@ -252,7 +252,7 @@ class _Schedule:
     """A trial's round streams: each round's selection, and the (state, inc) seeds of its
     selected workers' channel and training streams, the streams substream would open.
 
-    draw(config, first) replaces the held rounds by a window from round `first` up to
+    draw(config, first) replaces the rounds it holds by a window from round `first` up to
     config.rounds, or further when `first` is past it, of at most _WINDOW_STREAMS streams.
     Each kind of stream in the window is hashed in one stream_seeds call.  take(r) drops
     round r and returns its selection and its streams, replayed in reused generators that

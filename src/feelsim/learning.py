@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 LOG_GUARD = 1e-30  # floor inside log() so a confident wrong answer stays finite
-_STEP_BYTES = 8 << 20  # step-workspace buffer bytes a _Stack holds before it drops unused ones
 
 
 @dataclass(frozen=True)
@@ -86,40 +85,32 @@ def _member(model: ModelParameters, i: int) -> ModelParameters:
     )
 
 
-def _forward_buffers(arch: tuple[int, ...], shape: tuple[int, ...]) -> tuple:
-    """The arrays a forward half writes for a batch of leading dims shape: each layer's
-    output, then the softmax's class-major copy of the logits, row max and row sum."""
-    return ([np.empty((*shape, n)) for n in arch[1:]], np.empty((arch[-1], *shape)),
-            np.empty(shape), np.empty((*shape, 1)))
-
-
-def _bind_forward(model: ModelParameters, buffers: tuple) -> tuple:
-    """A forward half, as _forward reads it: model's operands bound to buffers."""
-    out, classes, row_max, row_sum = buffers
-    layers = tuple((w.swapaxes(-1, -2), z, b[..., None, :])
-                   for (w, b), z in zip(model.layers, out))
-    logits_t = out[-1].transpose(-1, *range(out[-1].ndim - 1))  # class-major view
-    return layers[:-1], layers[-1], classes, logits_t, row_max, row_max[..., None], row_sum
+def _buffer(pools: list, role: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of this shape at the start of pools[role], which first grows to the next
+    power of two of elements if it is too short; with no pools, a fresh array.  A view
+    keeps the pool it was bound to, so a growth leaves every earlier view valid."""
+    if not pools:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if len(pools[role]) < size:
+        pools[role] = np.empty(1 << (size - 1).bit_length())
+    return pools[role][:size].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
 class _Member(ModelParameters):
     """Row j of a _Stack as 2-D views, as _member gives it, which _probabilities runs in
-    a forward half kept per row count.  Every member of a stack binds its halves to one
-    set of buffers per row count, shared through buffers: a caller reads a call's
-    probabilities before the next call.  A member holds no reference to its stack, so
-    dropping the stack frees it without the cyclic collector."""
+    a forward half kept per row count, bound to views of its stack's pools: a caller reads
+    a call's probabilities before the stack's next call.  A member holds no reference to
+    its stack, so dropping the stack frees it without the cyclic collector."""
 
-    buffers: dict = field(default_factory=dict, repr=False)  # rows -> _forward_buffers
+    pools: list = field(default_factory=list, repr=False)  # its stack's, see _Workspace
     halves: dict = field(default_factory=dict, repr=False)  # rows -> bound forward half
 
     def half(self, rows: int) -> tuple:
-        half = self.halves.get(rows)
-        if half is None:
-            if rows not in self.buffers:
-                self.buffers[rows] = _forward_buffers(self.architecture, (rows,))
-            half = self.halves[rows] = _bind_forward(self, self.buffers[rows])
-        return half
+        if rows not in self.halves:
+            self.halves[rows] = _Workspace(self, (), (rows,), self.pools).forward
+        return self.halves[rows]
 
 
 class _Workspace(tuple):
@@ -134,24 +125,33 @@ class _Workspace(tuple):
     back being the next layer's delta, and layer 0's (delta_t, delta, gw, gb), whose input
     is the call's x.  The weights and biases are the model's own arrays (views of a stack's
     parameter block), so the workspace sees every write into them.  With no pairs it holds
-    only the forward half.  nbytes counts the buffers it allocates, not the views it binds."""
+    only the forward half.  Each buffer is a view of pools (see _buffer) in one role per
+    buffer: the layers' outputs, the class-major logits, the row max and sum, then the
+    hidden layers' deltas.  Steps run one at a time, each writing a buffer before it reads
+    it, so a stack's workspaces and its members' halves all share its pools."""
 
-    def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...]):
+    def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...], pools=()):
         ws = super().__new__(cls, grads)  # shape: a batch's leading dims, (k, n) or (n,)
-        ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, model.architecture[0])
-        buffers = _forward_buffers(model.architecture, shape)
-        ws.forward = _bind_forward(model, buffers)
-        out, *own = buffers  # own: every array it allocates, counted in nbytes
-        own += out
+        arch = model.architecture
+        ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, arch[0])
+        shapes = [*((*shape, n) for n in arch[1:]), (arch[-1], *shape), shape, (*shape, 1)]
+        if ws:  # and the hidden layers' deltas
+            shapes += [(*shape, n) for n in arch[1:-1]]
+        buffers = [_buffer(pools, role, s) for role, s in enumerate(shapes)]
+        out = buffers[:len(arch) - 1]
+        classes, row_max, row_sum, *deltas = buffers[len(arch) - 1:]
+        layers = tuple((w.swapaxes(-1, -2), z, b[..., None, :])
+                       for (w, b), z in zip(model.layers, out))
+        logits_t = out[-1].transpose(-1, *range(len(shape)))  # class-major view
+        ws.forward = (layers[:-1], layers[-1], classes, logits_t, row_max, row_max[..., None],
+                      row_sum)
         if ws:
-            deltas = [*(np.empty((*shape, w.shape[-1])) for w, _ in model.layers[1:]), out[-1]]
-            own += deltas[:-1]
+            deltas.append(out[-1])
             backward = tuple((deltas[i].swapaxes(-1, -2), deltas[i], out[i - 1], *ws[i],
                               model.layers[i][0], deltas[i - 1])
                              for i in range(len(out) - 1, 0, -1))
-            ws.backward = (out[-1].reshape(ws.rows, model.architecture[-1]), float(shape[-1]),
+            ws.backward = (out[-1].reshape(ws.rows, arch[-1]), float(shape[-1]),
                            backward, (deltas[0].swapaxes(-1, -2), deltas[0], *ws[0]))
-        ws.nbytes = sum(a.nbytes for a in own)
         return ws
 
 
@@ -180,7 +180,7 @@ def _forward(bound: tuple, x: np.ndarray) -> np.ndarray:
 def _probabilities(model: ModelParameters, x: np.ndarray) -> np.ndarray:
     """Softmax probabilities of every row of x.  A stacked model (weights (k, out, in))
     runs x[i] of x (k, n, d) through worker i as a 2-D call would.  A _Member writes them
-    into its kept half's shared buffers, valid until its stack's next call on as many rows;
+    into its kept half's views of its stack's pools, valid until the stack's next call;
     any other model gets a fresh workspace."""
     arch = model.architecture
     if x.ndim != model.layers[0][0].ndim or x.shape[-1] != arch[0]:
@@ -214,7 +214,10 @@ def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
         raise ValueError(f"targets must have shape {(rows, arch[-1])}, got {y.shape}")
     if not (isinstance(out, _Workspace) and out.model is model and out.rows == rows):
         lead = model.layers[0][0].shape[:-2]  # (k,) for a stack of k workers, else ()
-        out = _Workspace(model, out, (*lead, rows // math.prod(lead)))
+        k = math.prod(lead)
+        if rows % k:
+            raise ValueError(f"a stack of {k} workers needs a multiple of {k} rows, got {rows}")
+        out = _Workspace(model, out, (*lead, rows // k))
     x = x.reshape(out.x_shape)
     _forward(out.forward, x)
     probs, n, layers, (delta_t, delta, gw, gb) = out.backward
@@ -271,25 +274,24 @@ class _Stack:
     (ExperimentState keeps one per trial), and builds each workspace its rounds reuse
     once.  Its blocks never move: load and reorder write into them, so a step workspace,
     views of a row slice keyed by (lo, hi, batch length), stays valid for the stack's
-    life.  Every step workspace it builds is kept while their buffers (held counts their
-    bytes) stay within _STEP_BYTES; past that, only those of the kept plans stay.  The
-    two most recent plans are kept (a round's full pass and kept pass), and every plan's
-    batches are views of one pass block, grown to the most rows seen.  members holds row
-    j's model as a _Member, which the filter runs in its kept forward halves, and onehot
-    the targets' one-hot table."""
+    life, and every one it builds is kept.  Their buffers and its members' are views of
+    pools, one array per buffer role, so their bytes follow its largest step, not its
+    number of workspaces.  The two most recent plans are kept (a round's full pass and kept
+    pass), and every plan's batches are views of one pass block, grown to the most rows
+    seen.  members holds row j's model as a _Member, which the filter runs in its kept
+    forward halves, and onehot the targets' one-hot table."""
 
     def __init__(self, arch: tuple[int, ...], k: int):
         self.arch, self.order, self.position = arch, list(range(k)), list(range(k))
         self.params = np.empty((k, param_bits(arch) // 64))  # P from arch: k may be 0
         self.grads = np.empty_like(self.params)
         self.model = ModelParameters(_layout(self.params, arch), arch)
-        buffers: dict[int, tuple] = {}  # the members' forward buffers, one set per row count
-        self.members = [_Member(_member(self.model, j).layers, arch, buffers) for j in range(k)]
+        self.pools = [np.empty(0)] * (2 * len(arch))  # one per buffer role, see _Workspace
+        self.members = [_Member(_member(self.model, j).layers, arch, self.pools) for j in range(k)]
         self.onehot = np.eye(arch[-1])
         self.x, self.y = np.empty((0, arch[0])), np.empty((0, arch[-1]))
-        self.plans: dict[tuple, tuple] = {}  # (order, sizes, batch_size) -> (plan, workspaces)
+        self.plans: dict[tuple, tuple] = {}  # (order, sizes, batch_size) -> plan
         self.steps: dict[tuple[int, int, int], tuple] = {}  # (lo, hi, n) -> (ws, p, g)
-        self.held = 0  # buffer bytes of the workspaces in steps
 
     def load(self, model: ModelParameters, order: list[int]) -> None:
         """Fill the rows from model, row j read as worker order[j]: a 2-D model fills every
@@ -321,14 +323,10 @@ class _Stack:
         if any(sizes[i] < sizes[j] for i, j in zip(self.order, self.order[1:])):
             self.reorder(_longest_first(sizes))
         key = (tuple(self.order), tuple(sizes), batch_size)
-        cached = self.plans.pop(key, None)
-        self.plans[key] = cached or self._plan(sizes, batch_size)  # most recent last
-        if len(self.plans) > 2:
+        plan = self.plans[key] = self.plans.pop(key, None) or self._plan(sizes, batch_size)
+        if len(self.plans) > 2:  # most recent last
             del self.plans[next(iter(self.plans))]
-        if self.held > _STEP_BYTES:
-            self.steps = {k: v for _, used in self.plans.values() for k, v in used.items()}
-            self.held = sum(ws.nbytes for ws, _, _ in self.steps.values())
-        return self.plans[key][0]
+        return plan
 
     def _plan(self, sizes: list[int], batch_size: int) -> tuple:
         first = list(itertools.accumulate(sizes, initial=0))
@@ -336,7 +334,7 @@ class _Stack:
         if rows > len(self.x):  # cached plans keep the block they were built on
             self.x, self.y = np.empty((rows, self.arch[0])), np.empty((rows, self.arch[-1]))
         x, y = self.x[:rows], self.y[:rows]
-        pos, steps, used = [], [], {}
+        pos, steps = [], []
         for start in range(0, max(sizes, default=0), batch_size):
             groups: dict[int, list[int]] = {}  # batch length -> rows of the stack
             for j, i in enumerate(self.order):
@@ -348,14 +346,14 @@ class _Stack:
                 if key not in self.steps:
                     p, g = self.params[lo:hi], self.grads[lo:hi]
                     sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
-                    self.steps[key] = _Workspace(sub, _layout(g, self.arch), (hi - lo, n)), p, g
-                    self.held += self.steps[key][0].nbytes
-                ws, p, g = used[key] = self.steps[key]
+                    ws = _Workspace(sub, _layout(g, self.arch), (hi - lo, n), self.pools)
+                    self.steps[key] = ws, p, g
+                ws, p, g = self.steps[key]
                 at = slice(len(pos), len(pos) + ws.rows)
                 steps.append((ws.model, x[at], y[at], ws, p, g))
                 for i in self.order[lo:hi]:
                     pos.extend(range(first[i] + start, first[i] + start + n))
-        return (np.array(pos, dtype=np.intp), x, y, steps), used
+        return np.array(pos, dtype=np.intp), x, y, steps
 
 
 def sgd_epoch(

@@ -715,44 +715,38 @@ class TestTrialWorkspaces:
     """A trial's stack builds each workspace its rounds reuse once, and frees them with
     itself: nothing it holds refers back to it."""
 
-    @pytest.mark.parametrize("preset, steps, filter_sets", [
-        ("synthetic_filtered", 47, 1),
-        ("synthetic_unfiltered", 1, 0),
-    ])
-    def test_preset_workspace_builds(self, preset, steps, filter_sets, monkeypatch, tmp_path):
-        # a seed-1 preset run: one step workspace per distinct (lo, hi, n), one set of
-        # filter buffers per shard length, and a forward workspace per evaluate call only
+    @pytest.mark.parametrize("preset, steps", [("synthetic_filtered", 47),
+                                               ("synthetic_unfiltered", 1)])
+    def test_preset_workspace_builds(self, preset, steps, monkeypatch, tmp_path):
+        # a seed-1 preset run: one step workspace per distinct (lo, hi, n), one filter
+        # half per member and shard length, and a forward workspace per evaluate call only
         from feelsim import learning
 
-        built, buffers, evaluated = [], [], []
-        make, evaluate = learning._forward_buffers, federation.evaluate
+        built, evaluated = [], []
+        evaluate = federation.evaluate
 
         class Counting(learning._Workspace):
-            def __new__(cls, model, grads, shape):
-                ws = super().__new__(cls, model, grads, shape)
+            def __new__(cls, model, grads, shape, pools=()):
+                ws = super().__new__(cls, model, grads, shape, pools)
                 built.append(ws)
                 return ws
-
-        def counting_buffers(arch, shape):
-            buffers.append(shape)
-            return make(arch, shape)
 
         def counting_evaluate(model, data):
             evaluated.append(len(data))
             return evaluate(model, data)
 
         monkeypatch.setattr(learning, "_Workspace", Counting)
-        monkeypatch.setattr(learning, "_forward_buffers", counting_buffers)
         monkeypatch.setattr(federation, "evaluate", counting_evaluate)
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
         run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
         step = [ws for ws in built if ws]  # keyed by their first row's address and shape
         keys = {(ws.model.layers[0][0].__array_interface__["data"][0], ws.x_shape) for ws in step}
         assert len(step) == len(keys) == steps
-        forward = [ws for ws in built if not ws]
+        halves = [ws for ws in built if isinstance(ws.model, learning._Member)]
+        assert len({(id(ws.model), ws.rows) for ws in halves}) == len(halves)
+        assert bool(halves) == (config.threshold < 1.0)  # threshold 1 runs no forward pass
+        forward = [ws for ws in built if not (ws or isinstance(ws.model, learning._Member))]
         assert [ws.rows for ws in forward] == evaluated
-        assert not any(isinstance(ws.model, learning._Member) for ws in built)
-        assert len(buffers) - len(built) == filter_sets
 
     def test_trial_stack_freed_without_the_cyclic_collector(self):
         # with the collector off, the trial's stack and its parameter block die as soon as

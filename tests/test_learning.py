@@ -432,7 +432,7 @@ class TestGradientInto:
         (8, 5, (8, 3)),  # input width
         (0, 6, (0, 3)),  # empty batch
         (8, 6, (8, 4)),  # target shape
-        (7, 6, (7, 3)),  # rows not a multiple of the stack: numpy's reshape refuses them
+        (7, 6, (7, 3)),  # rows not a multiple of the stack
     ])
     def test_checks_raise_as_the_reference(self, rows, width, target):
         # the checks run before the kernel, with a workspace built for a valid batch:
@@ -441,7 +441,7 @@ class TestGradientInto:
             (8, 5): "input shape (8, 5) does not match network input width 6",
             (0, 6): "cannot take the gradient of an empty batch",
             (8, 6): "targets must have shape (8, 3), got (8, 4)",
-            (7, 6): "cannot reshape array of size 42 into shape (2,3,6)",
+            (7, 6): "a stack of 2 workers needs a multiple of 2 rows, got 7",
         }[rows, width]
         model, _, _, _ = self.case([6, 5, 3], 2, 4)
         ws = self.workspace(model, 2, 4)
@@ -833,8 +833,8 @@ class TestRoundAgainstReference:
 
 class TestTrialStack:
     """One _Stack trained round after round gives the bytes of a fresh stack per round. It
-    builds each step workspace once and keeps it while their buffers fit the byte budget,
-    and its members filter in kept forward halves."""
+    builds each step workspace once and keeps it, its members filter in kept forward
+    halves, and every buffer of both is a view of one of the stack's pools."""
 
     @staticmethod
     def round(model, sizes, r, stack, threshold=0.4):
@@ -903,19 +903,16 @@ class TestTrialStack:
         assert not any(np.array_equal(w, v) for (w, _), (v, _) in zip(stack.model.layers,
                                                                      moved.layers))
 
-    @pytest.mark.parametrize("budget", [None, 4096])
-    def test_step_workspaces_kept_within_budget(self, budget, monkeypatch):
+    def test_step_workspaces_built_once_on_pools(self, monkeypatch):
         # 300 filtered rounds of three workers: the kept counts give new plans and new
-        # row slices round after round.  Within the byte budget each (lo, hi, n) workspace
-        # is built once and kept; at a few KiB the stack holds at most the budget plus the
-        # kept plans' workspaces.  Either way every round gives a fresh stack's bytes.
-        if budget is not None:
-            monkeypatch.setattr(learning, "_STEP_BYTES", budget)
+        # row slices round after round.  Each (lo, hi, n) workspace is built once and kept,
+        # every buffer it binds is a view of one of the stack's pools, and every round
+        # gives a fresh stack's bytes.
         built = []
 
         class Counting(learning._Workspace):
-            def __new__(cls, model, grads, shape):
-                ws = super().__new__(cls, model, grads, shape)
+            def __new__(cls, model, grads, shape, pools=()):
+                ws = super().__new__(cls, model, grads, shape, pools)
                 built.append(ws)
                 return ws
 
@@ -925,7 +922,7 @@ class TestTrialStack:
         stack = learning._Stack(arch, k)
         data = tiny_dataset(n=3 * 40, classes=4, seed=353)
         shards = [data.take(np.arange(40 * w, 40 * (w + 1))) for w in range(k)]
-        trial, seen, most = [], set(), 0
+        trial = []
 
         def streams(r):
             return [substream(31, TRAIN, 0, w, r) for w in range(k)]
@@ -939,30 +936,57 @@ class TestTrialStack:
             for got, ref in zip(models, want, strict=True):
                 assert_models_equal(got, ref)
             model = aggregate([(m, 40) for m in models])
-            kept = [ws for ws, _, _ in stack.steps.values()]
-            held = sum(ws.nbytes for ws in kept)
-            assert stack.held == held and len(stack.plans) <= 2
-            if budget is not None:
-                used = {key: ws for _, keys in stack.plans.values()
-                        for key, (ws, _, _) in keys.items()}
-                assert held <= budget + sum(ws.nbytes for ws in used.values())
-            seen.update(stack.steps)
-            most = max(most, len(stack.steps))
-        # a workspace's bytes are its own buffers: per row, each layer's output, the
-        # class-major logits, row max and sum, and the delta of every layer but the last
-        for ws in trial:
-            assert ws.nbytes == 8 * ws.rows * (2 * sum(arch[1:]) + 2)
-        if budget is None:  # every key built once, and each kept since
-            assert [id(ws) for ws in trial] == [id(ws) for ws in kept]
-            assert len(seen) == len(kept) > 2 * 2 * k
-        else:  # past the budget keys are dropped and some are built again
-            assert most < len(seen) < len(trial)
+            assert len(stack.plans) <= 2
+        kept = [ws for ws, _, _ in stack.steps.values()]
+        assert [id(ws) for ws in trial] == [id(ws) for ws in kept]  # every key built once
+        assert len(kept) > 2 * 2 * k
+        views = stack_buffers(stack)
+        assert views and all(m.halves for m in stack.members)
+        for view in views:
+            assert_pool_view(view)
+
+    def test_pools_grow_under_bound_workspaces(self):
+        # shards that grow round by round, in batches as long as the longest: each round's
+        # steps and filter halves are longer than any before, so the pools grow under
+        # workspaces already bound.  The pool arrays they still hold stay within twice the
+        # stack's current pools, and rounds back on the first rounds' shard lengths, through
+        # workspaces bound to outgrown pools, still give a fresh stack's bytes.
+        k, arch = 3, (6, 7, 4)
+        data = tiny_dataset(n=3 * 64, classes=4, seed=357)
+        model = init_model(arch, np.random.default_rng(358))
+        stack = learning._Stack(arch, k)
+        rounds = [[n, n + 3, n + 1] for n in range(2, 61, 6)]
+
+        def run(model, sizes, r):
+            ranges = [range(64 * w, 64 * w + n) for w, n in enumerate(sizes)]
+
+            def streams():
+                return [substream(43, TRAIN, 0, w, r) for w in range(k)]
+
+            models, _ = local_round(model, data, ranges, 2, 64, 0.5, 0.6, streams(), stack=stack)
+            want, _ = local_round(model, data, ranges, 2, 64, 0.5, 0.6, streams())
+            for got, ref in zip(models, want, strict=True):
+                assert_models_equal(got, ref)
+            return aggregate([(m, n) for m, n in zip(models, sizes)])
+
+        outgrown = set()
+        for r, sizes in enumerate(rounds):
+            model = run(model, sizes, r)
+            pools = {id(view.base): view.base for view in stack_buffers(stack)}
+            assert sum(p.nbytes for p in pools.values()) <= 2 * sum(p.nbytes for p in stack.pools)
+            outgrown.update(i for i, p in pools.items() if not any(p is q for q in stack.pools))
+        assert outgrown
+        for r, sizes in enumerate(rounds[:3], len(rounds)):
+            model = run(model, sizes, r)
+            used = [ws for *_, steps in stack.plans.values() for *_, ws, _, _ in steps]
+            assert any(id(view.base) in outgrown
+                       for ws in used for view in buffers(stack, (ws.forward, ws.backward)))
 
     def test_kept_filter_halves_match_plain_members(self):
-        # members keep one forward half per row count, bound to buffers the stack's
-        # members share: on shards of 40, 37, 40 and 23 rows, through rounds, a load and a
+        # members keep one forward half per row count, bound to views of the stack's
+        # pools: on shards of 40, 37, 40 and 23 rows, through rounds, a load and a
         # row-permuting reorder, their decisions are those of fresh 2-D views of the rows,
-        # and workers 0 and 2, of 40 rows each, take turns in one set of buffers
+        # and workers 0 and 2, of 40 rows each, take turns in the same pools
         shards = skewed_shards()
         data, ranges = joined(shards)
         parts = [data.take(slice(r.start, r.stop)) for r in ranges]
@@ -981,7 +1005,7 @@ class TestTrialStack:
                 plain = learning._member(stack.model, stack.position[j])
                 assert_same(decision, filter_samples(plain, part, threshold))
             before = decisions[0]
-            filter_samples(members[2], parts[2], threshold)  # B overwrites A's buffers
+            filter_samples(members[2], parts[2], threshold)  # B writes over A's buffers
             assert_same(filter_samples(members[0], parts[0], threshold), before)
             return decisions
 
@@ -1001,10 +1025,36 @@ class TestTrialStack:
         workers = [stack.members[stack.position[i]] for i in range(len(shards))]
         for threshold in (0.4, 0.6, 0.9):
             check(workers, threshold)
-        buffers = stack.members[0].buffers
-        assert sorted(buffers) == [23, 37, 40]  # one set per row count, shared
-        assert all(m.buffers is buffers and set(m.halves) <= set(buffers)
-                   for m in stack.members)
+        assert sorted({rows for m in stack.members for rows in m.halves}) == [23, 37, 40]
+        assert all(m.pools is stack.pools for m in stack.members)
+        for view in stack_buffers(stack):
+            assert_pool_view(view)
+
+
+def buffers(stack, bound):
+    """The arrays in bound, nested operand tuples of a stack's workspaces, that are not
+    views of its parameter or gradient block: the buffers those workspaces bind."""
+    for item in bound:
+        if isinstance(item, tuple):
+            yield from buffers(stack, item)
+        elif isinstance(item, np.ndarray) and not (np.may_share_memory(item, stack.params)
+                                                   or np.may_share_memory(item, stack.grads)):
+            yield item
+
+
+def stack_buffers(stack):
+    """Every buffer that a stack's step workspaces and its members' forward halves bind."""
+    steps = [(ws.forward, ws.backward) for ws, _, _ in stack.steps.values()]
+    halves = [half for m in stack.members for half in m.halves.values()]
+    return list(buffers(stack, (*steps, *halves)))
+
+
+def assert_pool_view(view):
+    """view starts at the first element of a 1-D float64 array that owns its memory."""
+    pool = view.base
+    assert pool is not None and pool.base is None
+    assert pool.ndim == 1 and pool.dtype == np.float64
+    assert view.__array_interface__["data"][0] == pool.__array_interface__["data"][0]
 
 
 def random_epoch_cases():

@@ -1,7 +1,8 @@
 """The program against tests/reference.py, a plain FEEL run written from the paper's model:
 every case of tools/digest_matrix.py at seed 1, capped at 3 rounds, must give equal round
 records through run_from_config and the reference, each worker's charged plan included.
-wide-784, the tool's one extra case, stays out: its set-up alone takes about 4 s.
+wide-784, the tool's one extra case, stays out: its set-up alone takes about 4 s.  Each
+distinct dataset is built once for the file.
 """
 import dataclasses
 import functools
@@ -9,6 +10,7 @@ import tempfile
 
 import pytest
 
+from feelsim import io_cli
 from feelsim.io_cli import run_from_config
 import reference
 from helpers import load_tool
@@ -16,6 +18,26 @@ from helpers import load_tool
 TOOL = load_tool("digest_matrix")
 CASES = {name: dataclasses.replace(config, seed=1, rounds=min(config.rounds, 3))
          for name, seed, config in TOOL.run_configs() if seed == 1 and name in TOOL.CASES}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def shared_datasets():
+    """load_dataset, in the program and the reference, builds each distinct dataset once,
+    with its arrays read-only so that an in-place write by either raises."""
+    built, load = {}, io_cli.load_dataset
+
+    def shared(config):
+        key = tuple(getattr(config, f.name) for f in dataclasses.fields(config)
+                    if f.name == "seed" or f.name.startswith(("data_", "synthetic_", "mnist_")))
+        if key not in built:
+            data = built[key] = load(config)
+            data.features.flags.writeable = data.labels.flags.writeable = False
+        return built[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_cli, "load_dataset", shared)
+        patch.setattr(reference, "load_dataset", shared)
+        yield
 
 
 @functools.cache
