@@ -903,11 +903,13 @@ class TestTrialStack:
         assert not any(np.array_equal(w, v) for (w, _), (v, _) in zip(stack.model.layers,
                                                                      moved.layers))
 
-    def test_step_workspaces_built_once_on_pools(self, monkeypatch):
-        # 300 filtered rounds of three workers: the kept counts give new plans and new
-        # row slices round after round.  Each (lo, hi, n) workspace is built once and kept,
-        # every buffer it binds is a view of one of the stack's pools, and every round
-        # gives a fresh stack's bytes.
+    @pytest.mark.parametrize("batch", [8, 40])
+    def test_step_workspaces_built_once_on_pools(self, batch, monkeypatch):
+        # 300 filtered rounds of three workers of 40 rows, in short batches or in one
+        # batch per kept pass: the kept counts give new plans and new row slices round
+        # after round.  Each (lo, hi, n) workspace is built once and kept, every buffer it
+        # binds is a view of one of the stack's pools, and every round gives a fresh
+        # stack's bytes.
         built = []
 
         class Counting(learning._Workspace):
@@ -917,7 +919,7 @@ class TestTrialStack:
                 return ws
 
         monkeypatch.setattr(learning, "_Workspace", Counting)
-        k, batch, arch = 3, 8, (6, 7, 4)
+        k, arch = 3, (6, 7, 4)
         model = init_model(arch, np.random.default_rng(352))
         stack = learning._Stack(arch, k)
         data = tiny_dataset(n=3 * 40, classes=4, seed=353)
