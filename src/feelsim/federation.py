@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -130,15 +131,7 @@ def partition_iid(
     n = len(data)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} shards, got {k}")
-    perm = rng.permutation(n)
-    base, extra = divmod(n, k)
-    shards = []
-    pos = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        shards.append(perm[pos : pos + size])
-        pos += size
-    return shards
+    return np.array_split(rng.permutation(n), k)  # the first n % k shards take one more
 
 
 def partition_noniid(
@@ -165,9 +158,7 @@ def partition_noniid(
         )
     order = rng.permutation(c)
     seq = [int(classes[order[i % c]]) for i in range(k * classes_per_worker)]
-    per_class_slots: dict[int, int] = {}
-    for cls in seq:
-        per_class_slots[cls] = per_class_slots.get(cls, 0) + 1
+    per_class_slots = Counter(seq)
 
     shard_pools: dict[int, list[np.ndarray]] = {}
     for cls in sorted(per_class_slots):

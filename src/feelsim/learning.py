@@ -491,17 +491,12 @@ def aggregate(updates: Sequence[tuple[ModelParameters, int]]) -> ModelParameters
 
 
 def evaluate(model: ModelParameters, data: LabeledDataset) -> tuple[float, float]:
-    """Mean cross entropy and top-1 accuracy (argmax ties -> lowest index)."""
+    """Mean cross entropy and top-1 accuracy: a row is correct when its argmax is its label
+    (argmax picks the lowest index on a tie and the first NaN in a row with a NaN)."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     probs = _probabilities(model, data.features)
     p_true = probs[np.arange(len(data)), data.labels]
     loss = float(-np.log(np.maximum(p_true, LOG_GUARD)).sum())
-    classes = probs.T.copy()  # class-major, for the row max: see _Workspace
-    top = np.maximum.reduce(classes, axis=0)
-    if not math.isnan(loss) and np.count_nonzero(classes == top) == len(data):
-        # every row has one maximum (a row with a NaN has none, and makes the loss NaN)
-        correct = np.count_nonzero(p_true == top)
-    else:  # a tie or a NaN: numpy's argmax takes the first
-        correct = int((probs.argmax(axis=1) == data.labels).sum())
+    correct = np.count_nonzero(probs.argmax(axis=1) == data.labels)
     return loss / len(data), correct / len(data)

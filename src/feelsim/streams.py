@@ -6,11 +6,11 @@ they are opened, so per-worker work can run in any order or grouping
 without changing results.
 
 `substream` opens one stream.  `stream_seeds` derives the seeds of many at
-once, without opening any: it restates numpy's SeedSequence hash (see the
-SeedSequence documentation and NEP 19,
-https://numpy.org/neps/nep-0019-rng-policy.html) over columns of tags and seeds
-PCG64 as numpy does, so `reseed` puts a reused Generator on exactly the stream
-`substream` opens for the same coordinate.
+once, without opening any: it takes the seed's pool from numpy's SeedSequence
+and restates the rest of its hash (see the SeedSequence documentation and
+NEP 19, https://numpy.org/neps/nep-0019-rng-policy.html) over columns of tags,
+then generate_state and PCG64's seeding, so `reseed` puts a reused Generator
+on exactly the stream `substream` opens for the same coordinate.
 """
 from __future__ import annotations
 
@@ -59,42 +59,13 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence's pool after the seed's words, which every row of one seed shares, and
-    the number of words, which fixes the hash multipliers the tags take next."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = []
-    while True:  # little-endian 32-bit words, at least one, zero-padded to the pool
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL - len(words))
-    consts = _consts(_INIT_A, _MULT_A, _POOL * len(words))
-    hashes = zip(consts, consts[1:])
-
-    def hashmix(value: int) -> int:
-        xor, mul = next(hashes)
-        value = (value ^ xor) * mul & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    return pool, len(words)
-
-
 def stream_seeds(seed: int, rows) -> list[tuple[int, int]]:
     """(state, inc) of the PCG64 that substream(seed, *row) seeds, for each row of tags.
 
-    rows is a sequence of equal-length rows of tags in [0, 2**32).  The seed's words are
-    mixed once; each tag column is mixed into every row's pool in one array pass.
+    rows is a sequence of equal-length rows of tags in [0, 2**32).  The seed's pool comes
+    from SeedSequence(seed).pool, which every row shares; only the tag columns (each mixed
+    into every row's pool in one array pass), generate_state and PCG64's seeding are
+    restated.
     """
     rows = list(rows)
     if not rows:
@@ -105,8 +76,11 @@ def stream_seeds(seed: int, rows) -> list[tuple[int, int]]:
         raise ValueError("stream tags must be in [0, 2**32)") from None
     if tags.size and (tags.min() < 0 or tags.max() > _MASK32):
         raise ValueError("stream tags must be in [0, 2**32)")
-    pool, n_words = _seed_pool(seed)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the seed's words, zero-padded to the pool, took 4 hash multipliers each
+    n_words = max(_POOL, -(-seed.bit_length() // 32))
     a = np.array(_consts(_INIT_A, _MULT_A, _POOL * (n_words + tags.shape[1])),
                  dtype=np.uint32)[:, None]
     for i, column in enumerate(tags.T.astype(np.uint32), start=n_words):

@@ -111,6 +111,16 @@ class TestPartitionIid:
         ids = np.concatenate([s.features[:, -1] for s in shards])
         assert np.array_equal(np.sort(ids), np.arange(803))
 
+    @pytest.mark.parametrize("n, k", [(803, 7), (50, 50), (9, 4), (12, 3), (5, 1)])
+    def test_shards_are_slices_of_one_permutation(self, n, k):
+        # shard i is the next slice of rng.permutation(n), in order, and exactly the
+        # first n % k shards are one row longer
+        data = make_dataset(n=n)
+        shards = partition_iid(data, k, np.random.default_rng(20))
+        perm = np.random.default_rng(20).permutation(n)
+        assert np.array_equal(np.concatenate(shards), perm)
+        assert [len(s) for s in shards] == [n // k + (i < n % k) for i in range(k)]
+
     def test_label_mix_near_hypergeometric(self):
         data = make_dataset(n=800, classes=4)
         shards = [data.take(p) for p in partition_iid(data, 4, np.random.default_rng(11))]

@@ -5,8 +5,9 @@ from feelsim import streams
 from feelsim.streams import reseed, stream_seeds, substream
 
 # one-word seeds up to the largest, the first two-word seed, the top bit of the second
-# word, more words than SeedSequence's pool of four, and a seed of 42 words
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1, 10**400]
+# word, the first and the last four-word seeds (the largest that fill SeedSequence's pool
+# of four words exactly), a five-word seed and a seed of 42 words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**96, 2**128 - 1, 2**128 + 1, 10**400]
 DOMAINS = sorted(v for k, v in vars(streams).items() if k.startswith("DOMAIN_"))
 
 
@@ -35,8 +36,8 @@ class TestStreamStates:
     that changed either fails here rather than moving results silently."""
 
     @pytest.mark.parametrize("width", range(5))
-    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^32-1", "2^32", "2^63",
-                                                  "2^128+1", "10^400"])
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^32-1", "2^32", "2^63", "2^96",
+                                                  "2^128-1", "2^128+1", "10^400"])
     def test_equal_to_substream(self, seed, width):
         rows = tag_rows(width)
         reused = np.random.Generator(np.random.PCG64(0))

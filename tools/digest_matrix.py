@@ -6,9 +6,10 @@ src/, nothing is installed):
 
     python3 tools/digest_matrix.py > digests.txt
 
-Each line is `case seed sha256(global.csv) sha256(workers.csv)`. A change
-meant to keep the output bytes is checked by running this in a checkout of
-the parent commit and in the change, then diffing the two outputs. Every run
+The first line is `# ` and the environment the bytes depend on (see header);
+each line after it is `case seed sha256(global.csv) sha256(workers.csv)`. A
+change meant to keep the output bytes is checked by running this in a checkout
+of the parent commit and in the change, then diffing the two outputs. Every run
 is in this one process, into a temporary directory that is removed at the
 end; nothing is timed.
 
@@ -20,9 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 FILTERED, UNFILTERED = "configs/synthetic_filtered.json", "configs/synthetic_unfiltered.json"
@@ -88,6 +92,20 @@ EXTRA = [("fleet-784", 5), ("wide-784", 1), ("preset-filtered", 2**32 + 5),
          ("static-channel", 2**70)]
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def header() -> str:
+    """The environment a run's bytes depend on besides its config and seed: numpy's
+    version, the BLAS build numpy reports, the BLAS thread settings and the CPUs this
+    process may run on. OpenBLAS splits a 784-deep product by thread, so the thread
+    count sets the order its sums round in."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARS)
+    return (f"numpy={np.__version__} blas={blas['name']} {blas['version']} {threads} "
+            f"cpus={len(os.sched_getaffinity(0))}")
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -106,6 +124,7 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from feelsim import io_cli
 
+    print("#", header(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed, config in run_configs():
             _, paths = io_cli.run_from_config(config, seed=seed, out_dir=Path(tmp) / name,
