@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -142,10 +141,11 @@ def partition_noniid(
 ) -> list[np.ndarray]:
     """Label-skewed split: each worker sees exactly classes_per_worker classes.
 
-    Class identities are dealt around a shuffled cycle so every class reaches a worker
-    and no worker sees the same class twice; each class's samples are split
-    evenly among the workers that hold it.  Returns each shard's row positions
-    in data.
+    Class identities are dealt around a shuffled cycle, so no worker sees the same class
+    twice; each class's samples are split evenly among the workers that hold it.  Every
+    class reaches a worker only when k * classes_per_worker is at least the class count;
+    otherwise the classes past the end of the deal are left out.  Returns each shard's row
+    positions in data.
     """
     n = len(data)
     if not 1 <= k <= n:
@@ -153,28 +153,16 @@ def partition_noniid(
     classes = np.unique(data.labels)
     c = classes.size
     if not 1 <= classes_per_worker <= c:
-        raise ValueError(
-            f"classes_per_worker must be in [1, {c}], got {classes_per_worker}"
-        )
-    order = rng.permutation(c)
-    seq = [int(classes[order[i % c]]) for i in range(k * classes_per_worker)]
-    per_class_slots = Counter(seq)
-
-    shard_pools: dict[int, list[np.ndarray]] = {}
-    for cls in sorted(per_class_slots):
+        raise ValueError(f"classes_per_worker must be in [1, {c}], got {classes_per_worker}")
+    deal = classes[rng.permutation(c)][np.arange(k * classes_per_worker) % c]
+    chunks = {}
+    for cls, slots in zip(*np.unique(deal, return_counts=True)):
         idx = rng.permutation(np.flatnonzero(data.labels == cls))
-        slots = per_class_slots[cls]
         if idx.size < slots:
-            raise ValueError(
-                f"class {cls} has {idx.size} samples for {slots} shard slots"
-            )
-        shard_pools[cls] = list(np.array_split(idx, slots))
-
-    shards = []
-    for w in range(k):
-        chunks = [shard_pools[cls].pop(0) for cls in seq[w * classes_per_worker : (w + 1) * classes_per_worker]]
-        shards.append(np.concatenate(chunks))
-    return shards
+            raise ValueError(f"class {cls} has {idx.size} samples for {slots} shard slots")
+        chunks[cls] = iter(np.array_split(idx, slots))
+    return [np.concatenate([next(chunks[cls]) for cls in held])
+            for held in deal.reshape(k, classes_per_worker)]
 
 
 def schedule_size(k: int, fraction: float) -> int:

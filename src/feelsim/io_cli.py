@@ -67,6 +67,15 @@ def _dbm_to_w(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _positive_finite_power(base: float, exponent: float) -> bool:
+    """Whether the float base ** exponent, as channel.sample_channel computes its pathloss
+    and Rician factor, is positive and finite: it neither overflows nor underflows to 0."""
+    try:
+        return 0.0 < base ** exponent < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; defaults follow the reference hardware profile."""
@@ -170,6 +179,15 @@ class ExperimentConfig:
         check("pathloss_exp", self.pathloss_exp > 0.0, "positive")
         need(0.0 < self.distance_min_m <= self.distance_max_m,
              "need 0 < distance_min_m <= distance_max_m")
+        # distances are drawn between the bounds, where the pathloss is monotone
+        need(all(_positive_finite_power(d, -self.pathloss_exp)
+                 for d in (self.distance_min_m, self.distance_max_m)),
+             f"the pathloss distance ** -pathloss_exp must be a positive finite float at "
+             f"distance_min_m {self.distance_min_m!r} and distance_max_m "
+             f"{self.distance_max_m!r}, with pathloss_exp {self.pathloss_exp!r}")
+        need(_positive_finite_power(10.0, self.rician_k_db / 10.0),
+             f"rician_k_db {self.rician_k_db!r} must give a positive finite linear factor "
+             "10 ** (rician_k_db / 10)")
         need(0.0 < self.f_min_hz <= self.f_max_hz, "need 0 < f_min_hz <= f_max_hz")
         need(self.p_min_dbm <= self.p_max_dbm, "need p_min_dbm <= p_max_dbm")
         try:  # p_min_dbm <= p_max_dbm, so p_min_w converts too
@@ -415,10 +433,11 @@ def build_workers(
         capacitance=config.capacitance,
     )
     prof_rng = substream(config.seed, DOMAIN_PROFILE, trial)
+    # each worker's (distance, angle), drawn in the order of 2k scalar draws
+    placements = prof_rng.uniform((config.distance_min_m, 0.0),
+                                  (config.distance_max_m, 2.0 * np.pi), (len(shards), 2))
     profiles, end = [], 0
-    for wid, shard in enumerate(shards):
-        distance = float(prof_rng.uniform(config.distance_min_m, config.distance_max_m))
-        los_angle = float(prof_rng.uniform(0.0, 2.0 * np.pi))
+    for wid, (shard, (distance, los_angle)) in enumerate(zip(shards, placements.tolist())):
         profiles.append(WorkerProfile(
             worker_id=wid, rows=range(end, end + len(shard)), bounds=bounds,
             distance_m=distance, los_angle=los_angle, remaining_energy_j=config.energy_budget_j,

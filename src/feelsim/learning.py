@@ -108,6 +108,7 @@ class _Member(ModelParameters):
     halves: dict = field(default_factory=dict, repr=False)  # rows -> bound forward half
 
     def half(self, rows: int) -> tuple:
+        # kept, not rebound per call: preset-filtered run_s 5.0 % lower, 7 of 10 pairs
         if rows not in self.halves:
             self.halves[rows] = _Workspace(self, (), (rows,), self.pools).forward
         return self.halves[rows]
@@ -169,6 +170,8 @@ def _forward(bound: tuple, x: np.ndarray) -> np.ndarray:
         a = np.maximum(h, 0.0, out=h)
     np.matmul(a, w_t, out=z)
     z += bias
+    # class-major, not the last axis: run_s 2.7 % / 4.7 % lower on preset-filtered / -unfiltered,
+    # 8 of 10 pairs each
     np.copyto(classes, logits_t)
     np.maximum.reduce(classes, axis=0, out=row_max)
     z -= shift  # shift-invariant softmax
@@ -323,6 +326,7 @@ class _Stack:
         if any(sizes[i] < sizes[j] for i, j in zip(self.order, self.order[1:])):
             self.reorder(_longest_first(sizes))
         key = (tuple(self.order), tuple(sizes), batch_size)
+        # cached: run_s 6.6 % / 5.6 % lower on preset-filtered / -unfiltered, 7 of 10 pairs each
         plan = self.plans[key] = self.plans.pop(key, None) or self._plan(sizes, batch_size)
         if len(self.plans) > 2:  # most recent last
             del self.plans[next(iter(self.plans))]

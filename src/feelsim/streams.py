@@ -46,12 +46,10 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-def _consts(init: int, mult: int, n: int) -> list[int]:
-    """The multipliers of n hashes in a row: hash i xors out[i] and multiplies by out[i + 1]."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The multipliers of n hashes in a row, as a uint32 column: hash i xors out[i] and
+    multiplies by out[i + 1].  uint32 products wrap modulo 2**32, as the hash's do."""
+    return np.cumprod([init] + [mult] * n, dtype=np.uint32)[:, None]
 
 
 def _mix(x, y):
@@ -81,14 +79,13 @@ def stream_seeds(seed: int, rows) -> list[tuple[int, int]]:
     pool = np.random.SeedSequence(seed).pool[:, None]
     # the seed's words, zero-padded to the pool, took 4 hash multipliers each
     n_words = max(_POOL, -(-seed.bit_length() // 32))
-    a = np.array(_consts(_INIT_A, _MULT_A, _POOL * (n_words + tags.shape[1])),
-                 dtype=np.uint32)[:, None]
+    a = _consts(_INIT_A, _MULT_A, _POOL * (n_words + tags.shape[1]))
     for i, column in enumerate(tags.T.astype(np.uint32), start=n_words):
         h = (column ^ a[_POOL * i : _POOL * (i + 1)]) * a[_POOL * i + 1 : _POOL * (i + 1) + 1]
         h ^= h >> 16
         pool = _mix(pool, h)
     # generate_state(4, np.uint64): eight hashed words, cycling through the pool
-    b = np.array(_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    b = _consts(_INIT_B, _MULT_B, 8)
     words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:-1]) * b[1:]
     words ^= words >> 16
     words = np.broadcast_to(words, (8, len(rows))).astype(np.uint64)
@@ -102,13 +99,9 @@ def stream_seeds(seed: int, rows) -> list[tuple[int, int]]:
     return out
 
 
-def _pcg64_state(seed_pair: tuple[int, int]) -> dict:
-    state, inc = seed_pair
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
 def reseed(generator: np.random.Generator, seed_pair: tuple[int, int]) -> np.random.Generator:
     """Put a PCG64 Generator on the stream stream_seeds gave seed_pair for; return it."""
-    generator.bit_generator.state = _pcg64_state(seed_pair)
+    state, inc = seed_pair
+    generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                     "state": {"state": state, "inc": inc}}
     return generator

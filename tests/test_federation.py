@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -194,6 +195,37 @@ class TestPartitionNoniid:
         with pytest.raises(ValueError):
             partition_noniid(scarce, 50, np.random.default_rng(0), classes_per_worker=1)
 
+    @pytest.mark.parametrize("k", [0, 101])
+    def test_shard_count_outside_one_to_n(self, k):
+        with pytest.raises(ValueError, match=r"need 1 <= k <= 100 shards"):
+            partition_noniid(make_dataset(n=100), k, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, classes, k, per_worker", [
+        (1000, 10, 20, 2),  # every class on 4 workers
+        (997, 10, 7, 3),  # 21 slots: one class on 3 workers, the rest on 2, uneven counts
+        (600, 4, 3, 1),  # 3 slots for 4 classes: one class left out
+        (600, 10, 2, 3),  # 6 slots for 10 classes: four left out
+        (600, 4, 1, 4),  # one worker holds every class
+    ])
+    def test_matches_the_plain_deal(self, n, classes, k, per_worker):
+        # the deal restated as a loop: slot i holds the (i mod c)-th class of one shuffle,
+        # each class's shuffled rows split over its slots and handed out in slot order
+        data = make_dataset(n=n, classes=classes, seed=n)
+        rng, ref_rng = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        got = partition_noniid(data, k, rng, classes_per_worker=per_worker)
+        cycle = np.unique(data.labels)[ref_rng.permutation(classes)].tolist()
+        deal = [cycle[i % classes] for i in range(k * per_worker)]
+        chunks = {cls: list(np.array_split(ref_rng.permutation(np.flatnonzero(data.labels == cls)),
+                                           deal.count(cls)))
+                  for cls in sorted(set(deal))}
+        want = [np.concatenate([chunks[cls].pop(0) for cls in deal[w * per_worker:][:per_worker]])
+                for w in range(k)]
+        assert len(got) == k and all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # classes past the end of the deal reach no worker
+        held = np.unique(data.labels[np.concatenate(got)])
+        assert held.size == min(classes, k * per_worker)
+
 
 class TestSelectWorkers:
     def test_count_and_order(self):
@@ -262,6 +294,22 @@ class TestDefaultDeadline:
             deadlines.append(default_deadline(build_workers(cfg, train, 0)[0], cfg, bits, 0))
         assert all(d < 1.0 for d in deadlines), deadlines
         assert all(max(a, b) < 2.0 * min(a, b) for a, b in zip(deadlines, deadlines[1:])), deadlines
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the planner's t_cmp_s = deadline - t_up_s keeps only a few digits at a derived "
+        "deadline of 3.9e7 s, so a delivered f_cmp_hz falls about 1.1e-8 below f_min; "
+        "ROADMAP items 3 and 12"))
+    def test_long_derived_deadline_keeps_clocks_in_the_envelope(self, tmp_path):
+        # workers 15-30 km out: the weakest link stretches the derived deadline to 3.9e7 s
+        preset = load_config(Path(__file__).resolve().parent.parent / "configs"
+                             / "synthetic_filtered.json")
+        cfg = replace(preset, rounds=5, seed=1, distance_min_m=15_000.0, distance_max_m=30_000.0)
+        _, paths = run_from_config(cfg, out_dir=tmp_path, quiet=True)
+        with paths["workers"].open(newline="") as fh:
+            clocks = [float(r["f_cmp_hz"]) for r in csv.DictReader(fh) if r["feasible"] == "1"]
+        assert clocks
+        # bench/checks.py's relative tolerance
+        assert min(clocks) >= cfg.f_min_hz * (1.0 - 1e-9), min(clocks) / cfg.f_min_hz - 1.0
 
 
 class TestRunRound:

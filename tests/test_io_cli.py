@@ -33,7 +33,7 @@ from feelsim.io_cli import (
 )
 from feelsim.learning import LabeledDataset
 from feelsim.resource_optimizer import ResourcePlan
-from feelsim.streams import DOMAIN_PARTITION, substream
+from feelsim.streams import DOMAIN_PARTITION, DOMAIN_PROFILE, substream
 
 
 # every float field except energy_budget_j, whose null/infinity is an unbounded budget
@@ -102,6 +102,23 @@ class TestConfig:
         path.write_text(json.dumps(over) + "\n")
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: p_max_dbm 3113.0 overflows")
+
+    @pytest.mark.parametrize("over, named", [
+        # the pathloss overflows, underflows to 0 at both bounds, or underflows through
+        # the exponent; the Rician linear factor overflows
+        (dict(distance_min_m=1e-100, distance_max_m=1e-100), "pathloss"),
+        (dict(distance_min_m=1e200, distance_max_m=1e200), "pathloss"),
+        (dict(pathloss_exp=1e300), "pathloss"),
+        (dict(rician_k_db=1e5), "rician_k_db"),
+    ], ids=["distance-1e-100", "distance-1e200", "pathloss-exp-1e300", "rician-k-1e5"])
+    def test_channel_beyond_float_range_rejected(self, tmp_path, capsys, over, named):
+        preset = Path(__file__).resolve().parent.parent / "configs" / "synthetic_filtered.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads(preset.read_text()), **over}) + "\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -350,6 +367,20 @@ class TestIdxLoading:
         with pytest.raises(IdxFormatError, match="zero"):
             load_mnist_idx(img, lab, None, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("images, labels, match", [
+        pytest.param(struct.pack(">III", 0x803, 3, 2), struct.pack(">II", 0x801, 3) + bytes(3),
+                     "images file .* is truncated before the dimensions", id="images-12-bytes"),
+        pytest.param(struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(12),
+                     struct.pack(">II", 0x801, 3) + bytes(2),
+                     "labels file .* declares 3 labels but holds 2", id="labels-one-short"),
+    ])
+    def test_rarely_reached_checks(self, tmp_path, images, labels, match):
+        (tmp_path / "images.idx").write_bytes(images)
+        (tmp_path / "labels.idx").write_bytes(labels)
+        with pytest.raises(IdxFormatError, match=match):
+            load_mnist_idx(tmp_path / "images.idx", tmp_path / "labels.idx", None,
+                           np.random.default_rng(0))
+
 
 class TestSplitAndWorkers:
     def test_split_sizes_and_coverage(self):
@@ -379,6 +410,18 @@ class TestSplitAndWorkers:
             assert cfg.distance_min_m <= p.distance_m <= cfg.distance_max_m
             assert p.remaining_energy_j == 7.5
             assert p.bounds.p_max_w == pytest.approx(cfg.p_max_w, rel=1e-15)
+
+    def test_build_workers_placements_are_scalar_draws(self):
+        # each worker's distance, then its angle, as 2k scalar draws of the profile stream
+        cfg = small_config(workers=7)
+        train, _ = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
+        fleet, _ = build_workers(cfg, train, trial=2)
+        ref = substream(cfg.seed, DOMAIN_PROFILE, 2)
+        for p in fleet:
+            want = (float(ref.uniform(cfg.distance_min_m, cfg.distance_max_m)),
+                    float(ref.uniform(0.0, 2.0 * np.pi)))
+            assert (p.distance_m, p.los_angle) == want
+            assert type(p.distance_m) is type(p.los_angle) is float
 
     def test_build_workers_trial_streams_differ(self):
         cfg = small_config()

@@ -1245,3 +1245,28 @@ class TestDatasetValidation:
             init_model([5], np.random.default_rng(0))
         with pytest.raises(ValueError):
             init_model([5, 0, 3], np.random.default_rng(0))
+
+
+class TestRarelyReachedChecks:
+    """Checks that the rest of this file never reaches, one case each."""
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: LabeledDataset(np.zeros((4, 2)), np.zeros((4, 1), dtype=np.int64)),
+                     "labels must be 1-D", id="labels-2d"),
+        pytest.param(lambda: learning._Stack((6, 3), 2).load(
+            init_model([6, 4, 3], np.random.default_rng(0)), [0, 1]),
+                     "cannot load", id="stack-load-other-architecture"),
+        pytest.param(lambda: learning._Stack((6, 3), 2).load(
+            init_model([6, 3], np.random.default_rng(0)), [0, 0]),
+                     "cannot load", id="stack-load-repeated-worker"),
+        pytest.param(lambda: local_round(init_model([6, 3], np.random.default_rng(0)),
+                                         *joined([tiny_dataset(n=40)]), 0, 16, 0.1, 0.7,
+                                         [np.random.default_rng(1)]),
+                     "epochs must be >= 1", id="local-round-epochs-0"),
+        pytest.param(lambda: evaluate(init_model([6, 3], np.random.default_rng(0)),
+                                      LabeledDataset(np.zeros((0, 6)), np.zeros(0, dtype=int))),
+                     "empty dataset", id="evaluate-empty"),
+    ])
+    def test_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()

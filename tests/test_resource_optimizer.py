@@ -845,3 +845,35 @@ class TestTracerContract:
         assert abs(x - 2.0) <= 1e-6
         for m, names in zip(modules, before):
             assert all(vars(m)[name] is value for name, value in names.items()), m.__name__
+
+
+class TestRarelyReachedChecks:
+    """Checks and edge values that the rest of this file never reaches, one case each."""
+
+    W = Workload(600, 300, 5, 2e4, 13568)
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: required_power(1000, 1.0, 0.0, 1e6), "bandwidth must be positive",
+                     id="bandwidth-0"),
+        pytest.param(lambda: required_power(1000, 1.0, -1e6, 1e6), "bandwidth must be positive",
+                     id="bandwidth-negative"),
+        pytest.param(lambda: upload_time_bounds(6e4, 0.0, BOUNDS), "deadline must be positive",
+                     id="deadline-0"),
+        pytest.param(lambda: upload_time_bounds(6e4, -0.1, BOUNDS), "deadline must be positive",
+                     id="deadline-negative"),
+        pytest.param(lambda: upload_time_bounds(0.0, 0.1, BOUNDS), "cycles must be positive",
+                     id="cycles-0"),
+    ])
+    def test_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize("t_up", [0.0, -0.05, 0.2, 0.3])  # the window is (0, 0.2)
+    def test_objective_is_infinite_outside_the_window(self, t_up):
+        assert round_energy_objective(t_up, self.W, 0.2, 1e6, 2e6, BOUNDS) == math.inf
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_slope_is_minus_infinity_where_the_required_power_overflows(self, side):
+        # bits ln2 / (t_up B) is about 9.4e6 at t_up 1 ns: expm1 overflows
+        assert required_power(self.W.model_bits, 1e-9, 1e6, 2e6) == math.inf
+        assert round_energy_slope(1e-9, side, self.W, 0.2, 1e6, 2e6, BOUNDS) == -math.inf

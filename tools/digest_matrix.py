@@ -79,6 +79,10 @@ CASES = {
     "dim-13-noniid-trials-2": (
         FILTERED, {"synthetic_dim": 13, "synthetic_classes": 5, "partition": "noniid",
                    "trials": 2, "rounds": 30}),
+    # three slots dealt over four classes: one class reaches no worker
+    "noniid-classes-left-out": (
+        FILTERED, {"partition": "noniid", "workers": 3, "classes_per_worker": 1,
+                   "select_fraction": 1.0}),
 }
 SEEDS = (1, 2, 3)
 # run at one seed only: the benchmark's fleet seed, the 784-64-10 wide shape with 100
