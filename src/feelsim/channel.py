@@ -50,10 +50,10 @@ def beam_and_gain(target: np.ndarray, noise_power_w: float) -> float:
     if noise_power_w <= 0.0:
         raise ValueError(f"noise power must be positive, got {noise_power_w}")
     h = np.asarray(target, dtype=np.complex128)
-    power = float(np.vdot(h, h).real)
-    if not 0.0 < power < math.inf:  # NaN fails too
-        raise ValueError("channel vector must be nonzero and finite")
-    return power / noise_power_w
+    beta = float(np.vdot(h, h).real) / noise_power_w
+    if not 0.0 < beta < math.inf:  # NaN fails too; no upload slot is planned on an inf
+        raise ValueError(f"gain ||h||^2 / noise_power_w must be positive and finite, got {beta}")
+    return beta
 
 
 def uplink_rate(bandwidth_hz: float, beta: float, power_w: float) -> float:

@@ -60,12 +60,16 @@ BANDWIDTH_MODES = ("equal", "adaptive")
 CHANNEL_MODES = ("block", "static")
 
 
-@dataclass
+class ConfigError(ValueError):
+    """Bad configuration file: parse failure or constraint violation."""
+
+
+@dataclass(eq=False)  # an array field has no == that gives a bool
 class WorkerProfile:
-    """One edge device: its shard (a row range), hardware envelope, and placement."""
+    """One edge device: its shard (positions in train), hardware envelope, and placement."""
 
     worker_id: int
-    rows: range
+    rows: np.ndarray
     bounds: DeviceBounds
     distance_m: float
     los_angle: float
@@ -105,7 +109,7 @@ class RoundRecord:
 class ExperimentState:
     """Mutable state threaded through the rounds of one trial.
 
-    train_data is the trial's training matrix, in which each worker's shard is its rows.
+    train_data is the training split, which every trial shares: each worker's rows index it.
     stack is the trial's local-training stack: the first run_round builds it for the
     scheduled count, which is fixed within a trial, and every round trains in it, reusing
     its blocks, plans and step workspaces.  The local models a round trains are views of
@@ -394,13 +398,19 @@ def run_experiment(
 ) -> tuple[list[RoundRecord], ModelParameters]:
     """Run one trial of config.rounds sequential rounds from a fresh global model.
 
-    A None deadline in the config is resolved once, up front, from the fleet.
+    A None deadline in the config is resolved once, up front, from the fleet.  A deadline
+    too long for the shortest compute of a round (one epoch of the smallest shard at f_max)
+    to change it in floating point is a ConfigError: an upload slot would fill the round.
     Returns the per-round records plus the final global model.
     """
     model = init_model(architecture, substream(config.seed, DOMAIN_INIT, trial))
     if config.deadline_s is None:
         bits = param_bits(model.architecture)
         config = replace(config, deadline_s=default_deadline(workers, config, bits, trial))
+    t_cmp = min(config.cycles_per_sample * len(p.rows) / p.bounds.f_max_hz for p in workers)
+    if config.deadline_s - t_cmp == config.deadline_s:
+        raise ConfigError(f"deadline {float(config.deadline_s)!r} s leaves no compute slot: "
+                          f"{t_cmp!r} s at f_max does not change it in floating point")
     state = ExperimentState(model=model, workers=workers, train_data=train_data,
                             test_data=test_data, trial=trial)
     records = [run_round(state, config, r) for r in range(1, config.rounds + 1)]

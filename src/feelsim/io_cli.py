@@ -22,6 +22,7 @@ from . import __version__
 from .federation import (
     BANDWIDTH_MODES,
     CHANNEL_MODES,
+    ConfigError,
     RoundRecord,
     WorkerProfile,
     partition_iid,
@@ -42,10 +43,6 @@ WORKERS_HEADER = (
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
-
-
-class ConfigError(ValueError):
-    """Bad configuration file: parse failure or constraint violation."""
 
 
 class IdxFormatError(ValueError):
@@ -185,6 +182,9 @@ class ExperimentConfig:
              f"the pathloss distance ** -pathloss_exp must be a positive finite float at "
              f"distance_min_m {self.distance_min_m!r} and distance_max_m "
              f"{self.distance_max_m!r}, with pathloss_exp {self.pathloss_exp!r}")
+        gain = self.antennas * self.distance_min_m ** -self.pathloss_exp / self.noise_power_w
+        need(gain < math.inf, "the mean link gain antennas * distance_min_m ** -pathloss_exp / "
+             f"noise_power_w overflows a float at distance_min_m {self.distance_min_m!r}")
         need(_positive_finite_power(10.0, self.rician_k_db / 10.0),
              f"rician_k_db {self.rician_k_db!r} must give a positive finite linear factor "
              "10 ** (rician_k_db / 10)")
@@ -408,11 +408,10 @@ def write_metrics(
 
 def build_workers(
     config: ExperimentConfig, train: LabeledDataset, trial: int
-) -> tuple[list[WorkerProfile], LabeledDataset]:
-    """Partition the training data and attach hardware/placement profiles.  Returns them
-    and the trial's training matrix: train's rows taken once, worker by worker, so that
-    a profile's rows are its shard's rows in that matrix.  A split the partition cannot
-    make, the one check of the fleet against the data, is a ConfigError."""
+) -> list[WorkerProfile]:
+    """Partition the training data and attach hardware/placement profiles, each with its
+    rows: their positions in train, as the trial's partition dealt them.  A split the
+    partition cannot make, the one check of the fleet against the data, is a ConfigError."""
     part_rng = substream(config.seed, DOMAIN_PARTITION, trial)
     try:
         if config.partition == "iid":
@@ -436,14 +435,10 @@ def build_workers(
     # each worker's (distance, angle), drawn in the order of 2k scalar draws
     placements = prof_rng.uniform((config.distance_min_m, 0.0),
                                   (config.distance_max_m, 2.0 * np.pi), (len(shards), 2))
-    profiles, end = [], 0
-    for wid, (shard, (distance, los_angle)) in enumerate(zip(shards, placements.tolist())):
-        profiles.append(WorkerProfile(
-            worker_id=wid, rows=range(end, end + len(shard)), bounds=bounds,
-            distance_m=distance, los_angle=los_angle, remaining_energy_j=config.energy_budget_j,
-        ))
-        end += len(shard)
-    return profiles, train.take(np.concatenate(shards))
+    return [WorkerProfile(worker_id=wid, rows=shard, bounds=bounds, distance_m=distance,
+                          los_angle=los_angle, remaining_energy_j=config.energy_budget_j)
+            for wid, (shard, (distance, los_angle))
+            in enumerate(zip(shards, placements.tolist()))]
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -486,20 +481,14 @@ def run_from_config(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    data = load_dataset(config)
-    # data is read for its width and class count only: each trial takes its matrix from train
-    width, n_classes = data.features.shape[1], int(data.labels.max()) + 1
-    train, test = split_train_test(data, config.train_fraction, config.seed)
-    del data
+    train, test = split_train_test(load_dataset(config), config.train_fraction, config.seed)
+    n_classes = int(max(train.labels.max(), test.labels.max())) + 1
     hidden = config.hidden_width or (32 if config.data_source == "mnist" else 16)
-    architecture = [width, hidden, n_classes]
+    architecture = [train.features.shape[1], hidden, n_classes]
     per_trial = []
     for t in range(config.trials):
         fleet = build_workers(config, train, t)
-        if t == config.trials - 1:
-            del train  # the last trial's matrix is built: train is read no more
-        records, _ = run_experiment(*fleet, test, architecture, config, trial=t)
-        del fleet  # so that the trial's matrix is freed before the next one is built
+        records, _ = run_experiment(fleet, train, test, architecture, config, trial=t)
         per_trial.append(records)
         if not quiet:
             last = records[-1]

@@ -385,7 +385,6 @@ def sgd_epoch(
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    rows = [np.asarray(r, dtype=np.intp) for r in rows]
     if not len(stack.order) == len(rows) == len(rng):
         raise ValueError(f"{len(rows)} row sets, {len(rng)} streams, {len(stack.order)} workers")
     sizes = [len(r) for r in rows]
@@ -433,7 +432,7 @@ def filter_samples(
 def local_round(
     global_model: ModelParameters,
     data: LabeledDataset,
-    shards: Sequence[range],
+    shards: Sequence[np.ndarray],
     epochs: int,
     batch_size: int,
     lr: float,
@@ -443,31 +442,31 @@ def local_round(
 ) -> tuple[list[ModelParameters], list[FilterDecision]]:
     """The workers' round: full first epoch, filter, remaining epochs on the rest.
 
-    Worker i trains on the rows shards[i] = range(a_i, b_i) of data, with the stream
-    rng[i].  stack is a _Stack of len(shards) workers kept across rounds (run_round
-    passes its trial's); None builds one for this call.  global_model is loaded into
-    every row of the stack, and two sgd_epoch calls train it in place, sharing its plans
-    and workspaces: a pass on every row, then, after each worker is filtered on its own
-    model (the stack's member for its row) and its rows (views of data), epochs - 1
-    passes on a_i + the rows it kept.  The filter always runs: its verdict prices the
-    round.  Returns models and decisions in worker order.  The models are the stack's
-    members, views of its block, valid until that stack trains again.  A worker's bytes
-    depend neither on which others share its stack nor on what the stack trained before.
+    Worker i trains on data's rows at the positions shards[i] (a range will do), with the
+    stream rng[i].  stack is a _Stack of len(shards) workers kept across rounds (run_round
+    passes its trial's); None builds one for this call.  global_model is loaded into every
+    row of the stack, and two sgd_epoch calls train it in place, sharing its plans and
+    workspaces: a pass on every row, then, after each worker is filtered on its own model
+    (the stack's member for its row) and its rows, epochs - 1 passes on the rows it kept,
+    shards[i][included_indices].  The filter always runs: its verdict prices the round.
+    Returns models and decisions in worker order.  The models are the stack's members,
+    views of its block, valid until that stack trains again.  A worker's bytes depend
+    neither on which others share its stack nor on what the stack trained before.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    for r in shards:  # a slice past the end would silently give the filter fewer rows
-        if r.step != 1 or not 0 <= r.start < r.stop <= len(data):
-            raise ValueError(f"shard {r} is not a non-empty row range of the {len(data)} rows")
+    shards = [np.asarray(r) for r in shards]
+    for i, r in enumerate(shards):  # take would wrap a negative index
+        if not (r.size and 0 <= r.min() and r.max() < len(data)):
+            raise ValueError(f"shard {i} is empty or indexes outside the {len(data)} rows")
     if stack is None:
         stack = _Stack(global_model.architecture, len(shards))
     stack.load(global_model, _longest_first([len(r) for r in shards]))  # rows all equal: free
-    sgd_epoch(stack, data, [np.arange(r.start, r.stop) for r in shards], batch_size, lr, rng)
-    decisions = [filter_samples(stack.members[stack.position[i]],
-                                data.take(slice(r.start, r.stop)), threshold)
+    sgd_epoch(stack, data, shards, batch_size, lr, rng)
+    decisions = [filter_samples(stack.members[stack.position[i]], data.take(r), threshold)
                  for i, r in enumerate(shards)]
     if epochs > 1:
-        kept = [r.start + decision.included_indices for r, decision in zip(shards, decisions)]
+        kept = [r[decision.included_indices] for r, decision in zip(shards, decisions)]
         sgd_epoch(stack, data, kept, batch_size, lr, rng, epochs=epochs - 1)
     return [stack.members[j] for j in stack.position], decisions
 

@@ -62,12 +62,12 @@ def sgd(layers, data, rows, epochs, batch_size, lr, rng):
 
 
 def local_round(layers, data, shard, epochs, batch_size, lr, threshold, rng):
-    """One worker's round on data's rows `shard` (a range): its model and the rows its
-    filter kept, those whose top probability after the first epoch is <= threshold."""
-    rows = np.arange(shard.start, shard.stop)
+    """One worker's round on data's rows `shard` (their positions): its model and the rows
+    its filter kept, those whose top probability after the first epoch is <= threshold."""
+    rows = np.asarray(shard)
     layers = sgd(layers, data, rows, 1, batch_size, lr, rng)
     if threshold < 1.0:  # no probability exceeds 1: threshold 1 keeps every row
-        p, _ = probabilities(layers, data.features[shard.start:shard.stop])
+        p, _ = probabilities(layers, data.features[rows])
         rows = rows[p.max(axis=1) <= threshold]
     return sgd(layers, data, rows, epochs - 1, batch_size, lr, rng), rows
 
@@ -177,13 +177,13 @@ def run(config):
     arch = [data.features.shape[1], hidden, int(data.labels.max()) + 1]
     trials = []
     for trial in range(config.trials):
-        fleet, matrix = build_workers(config, train, trial)
+        fleet = build_workers(config, train, trial)
         layers = init_model(arch, substream(config.seed, DOMAIN_INIT, trial)).layers
         t = config.deadline_s
         t = deadline(config, fleet, trial, model_bits(layers)) if t is None else t
         records = []
         for r in range(1, config.rounds + 1):
-            record, layers = run_round(config, trial, r, layers, fleet, matrix, test, t,
+            record, layers = run_round(config, trial, r, layers, fleet, train, test, t,
                                        records[-1].cum_energy_j if records else 0.0)
             records.append(record)
         trials.append((records, fleet))

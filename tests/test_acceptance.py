@@ -254,7 +254,7 @@ def test_criterion_06_budgeted_protocol_invariants(tmp_path):
     cfg0 = reference_base(rounds=50, seed=7, partition="noniid", classes_per_worker=2)
     data = load_dataset(cfg0)
     train, _ = split_train_test(data, cfg0.train_fraction, cfg0.seed)
-    fleet, _ = build_workers(cfg0, train, 0)
+    fleet = build_workers(cfg0, train, 0)
     shard_sizes = {p.worker_id: len(p.rows) for p in fleet}
     deadline = default_deadline(fleet, cfg0, param_bits([8, 16, 4]), 0)
     budget = 0.3
@@ -317,8 +317,8 @@ def test_criterion_07_reduces_to_plain_fedavg():
     cfg = reference_base(rounds=20, seed=3, threshold=1.0)
     data = load_dataset(cfg)
     train, test = split_train_test(data, cfg.train_fraction, cfg.seed)
-    fleet, matrix = build_workers(cfg, train, 0)
-    records, final_model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg, trial=0)
+    fleet = build_workers(cfg, train, 0)
+    records, final_model = run_experiment(fleet, train, test, [8, 16, 4], cfg, trial=0)
     assert all(r.n_updates == len(r.worker_stats) for r in records), \
         "a worker missed the deadline; equivalence run must be drop-free"
 
@@ -328,7 +328,7 @@ def test_criterion_07_reduces_to_plain_fedavg():
     for rnd in range(1, cfg.rounds + 1):
         chosen = substream(cfg.seed, DOMAIN_SELECT, 0, rnd).choice(k, n_sel, replace=False)
         glob = reference.fedavg([
-            (reference.sgd(glob, matrix, np.asarray(fleet[wid].rows), cfg.epochs,
+            (reference.sgd(glob, train, fleet[wid].rows, cfg.epochs,
                            cfg.batch_size, cfg.learning_rate,
                            substream(cfg.seed, DOMAIN_TRAIN, 0, wid, rnd)),
              len(fleet[wid].rows))
@@ -396,8 +396,8 @@ def test_criterion_10_stack_split_byte_identity():
     cfg = reference_base(rounds=9, seed=11, select_fraction=0.4, epochs=3,
                          synthetic_samples=2000)
     train, test = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
-    fleet, matrix = build_workers(cfg, train, trial=0)
-    _, model = run_experiment(fleet, matrix, test, [8, 16, 4], cfg)
+    fleet = build_workers(cfg, train, trial=0)
+    _, model = run_experiment(fleet, train, test, [8, 16, 4], cfg)
     selected = select_workers(fleet, cfg.select_fraction,
                               substream(cfg.seed, DOMAIN_SELECT, 0, 10))
     n = len(selected)
@@ -407,7 +407,7 @@ def test_criterion_10_stack_split_byte_identity():
         for c in range(groups):
             group = selected[n * c // groups : n * (c + 1) // groups]
             models, decisions = local_round(
-                model, matrix, [p.rows for p in group], cfg.epochs, cfg.batch_size,
+                model, train, [p.rows for p in group], cfg.epochs, cfg.batch_size,
                 cfg.learning_rate, cfg.threshold,
                 [substream(cfg.seed, DOMAIN_TRAIN, 0, p.worker_id, 10) for p in group])
             out += [(b"".join(a.tobytes() for layer in m.layers for a in layer),

@@ -94,6 +94,13 @@ class TestBeamAndGain:
         with pytest.raises(ValueError):
             beam_and_gain(np.array([bad, 1e-200], dtype=complex), 1e-8)
 
+    def test_rejects_gain_beyond_float_range(self):
+        # a finite power over a small noise overflowed to beta = inf, on which the planner
+        # stepped an upload slot one ulp at a time without end
+        assert beam_and_gain(np.array([1e150]), 1e-7) == pytest.approx(1e307)
+        with pytest.raises(ValueError, match="must be positive and finite, got inf"):
+            beam_and_gain(np.array([1e150, 1e150]), 1e-12)
+
 
 class TestUplinkRate:
     def test_log_law(self):

@@ -291,7 +291,7 @@ class TestDefaultDeadline:
         deadlines = []
         for k in (20, 30, 40, 50, 100, 200, 400):
             cfg = replace(preset, workers=k)
-            deadlines.append(default_deadline(build_workers(cfg, train, 0)[0], cfg, bits, 0))
+            deadlines.append(default_deadline(build_workers(cfg, train, 0), cfg, bits, 0))
         assert all(d < 1.0 for d in deadlines), deadlines
         assert all(max(a, b) < 2.0 * min(a, b) for a, b in zip(deadlines, deadlines[1:])), deadlines
 

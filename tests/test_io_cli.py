@@ -403,7 +403,7 @@ class TestSplitAndWorkers:
         cfg = small_config(energy_budget_j=7.5)
         data = load_dataset(cfg)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        fleet, _ = build_workers(cfg, train, trial=0)
+        fleet = build_workers(cfg, train, trial=0)
         assert [p.worker_id for p in fleet] == list(range(4))
         assert sum(len(p.rows) for p in fleet) == len(train)
         for p in fleet:
@@ -415,7 +415,7 @@ class TestSplitAndWorkers:
         # each worker's distance, then its angle, as 2k scalar draws of the profile stream
         cfg = small_config(workers=7)
         train, _ = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
-        fleet, _ = build_workers(cfg, train, trial=2)
+        fleet = build_workers(cfg, train, trial=2)
         ref = substream(cfg.seed, DOMAIN_PROFILE, 2)
         for p in fleet:
             want = (float(ref.uniform(cfg.distance_min_m, cfg.distance_max_m)),
@@ -427,45 +427,39 @@ class TestSplitAndWorkers:
         cfg = small_config()
         data = load_dataset(cfg)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        a, _ = build_workers(cfg, train, trial=0)
-        b, _ = build_workers(cfg, train, trial=1)
-        c, _ = build_workers(cfg, train, trial=0)
+        a = build_workers(cfg, train, trial=0)
+        b = build_workers(cfg, train, trial=1)
+        c = build_workers(cfg, train, trial=0)
         assert [p.distance_m for p in a] != [p.distance_m for p in b]
         assert [p.distance_m for p in a] == [p.distance_m for p in c]
 
     @pytest.mark.parametrize("partition", ["iid", "noniid"])
     def test_build_workers_orders_rows_by_worker(self, partition):
-        # each trial takes train's rows once into its own matrix, worker by worker: the
-        # profiles' ranges tile it in worker id order, and worker i's range holds the rows
-        # its trial's partition dealt it
+        # the profiles come in worker id order, and worker i's rows are the positions in
+        # train that its trial's partition dealt it, in dealt order; the trials deal apart
         cfg = small_config(partition=partition, classes_per_worker=2)
         train, _ = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
-        matrices = []
+        dealt = []
         for trial in (0, 1):
-            fleet, matrix = build_workers(cfg, train, trial=trial)
+            fleet = build_workers(cfg, train, trial=trial)
             assert [p.worker_id for p in fleet] == list(range(cfg.workers))
-            ends = [0]
-            for p in fleet:
-                assert p.rows == range(ends[-1], p.rows.stop) and len(p.rows) > 0
-                ends.append(p.rows.stop)
-            assert ends[-1] == len(matrix) == len(train)
             rng = substream(cfg.seed, DOMAIN_PARTITION, trial)
             parts = (partition_iid(train, cfg.workers, rng) if partition == "iid" else
                      partition_noniid(train, cfg.workers, rng, classes_per_worker=2))
             for p, part in zip(fleet, parts, strict=True):
-                shard = train.take(part)
-                assert np.array_equal(matrix.features[p.rows.start:p.rows.stop], shard.features)
-                assert np.array_equal(matrix.labels[p.rows.start:p.rows.stop], shard.labels)
-            matrices.append(matrix)
-        assert not np.array_equal(matrices[0].features, matrices[1].features)
+                assert p.rows.dtype == np.intp and len(p.rows) > 0
+                assert np.array_equal(p.rows, part)
+            rows = np.concatenate([p.rows for p in fleet])
+            assert np.array_equal(np.sort(rows), np.arange(len(train)))
+            dealt.append(rows)
+        assert not np.array_equal(*dealt)
 
     def test_noniid_partition_through_config(self):
         cfg = small_config(partition="noniid", classes_per_worker=2)
         data = load_dataset(cfg)
         train, _ = split_train_test(data, cfg.train_fraction, cfg.seed)
-        fleet, matrix = build_workers(cfg, train, trial=0)
-        for p in fleet:
-            assert np.unique(matrix.labels[p.rows.start:p.rows.stop]).size == 2
+        for p in build_workers(cfg, train, trial=0):
+            assert np.unique(train.labels[p.rows]).size == 2
 
 
 class TestMemory:
@@ -486,17 +480,18 @@ class TestMemory:
         return peak / (2000 * 784 * 8)
 
     def test_run_peak_within_a_few_feature_copies(self, tmp_path):
-        # the train/test split, the trial's worker-ordered matrix and the pass block are
-        # each about one copy of the features at most; the full dataset kept beside them,
-        # per-worker shard copies or a per-round join would each take the traced peak
-        # past 3.5 copies
+        # the train/test split and the pass block are each about one copy of the features
+        # at most; the full dataset kept beside them, per-worker shard copies or a
+        # per-round join would each take the traced peak past 3.5 copies
         copies = self.peak_feature_copies(tmp_path, trials=2)
         assert copies < 3.5, copies
 
-    def test_one_trial_run_frees_train_once_its_matrix_is_built(self, tmp_path):
-        # the last trial trains from its matrix, test and the pass block alone: train
-        # kept beside them would take the traced peak past 2.5 copies
-        copies = self.peak_feature_copies(tmp_path)
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    def test_every_trial_trains_on_train_itself(self, tmp_path, trials):
+        # every trial trains from train, test and the pass block alone: a trial's own
+        # worker-ordered copy of train kept beside them would take the traced peak past
+        # 2.5 copies
+        copies = self.peak_feature_copies(tmp_path, trials=trials)
         assert copies < 2.5, copies
 
 
@@ -697,6 +692,45 @@ class TestCli:
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
         assert "error: rounds must be >= 1" in proc.stderr.splitlines()[-1]
+
+    def test_overflowing_link_gain_exits_2_instead_of_hanging(self, tmp_path):
+        # a mean gain of 4e316 / W: the planner once stepped round 1's upload slot one ulp
+        # at a time on beta = inf; in a child process, so that a hang fails the test
+        preset = Path(__file__).resolve().parent.parent / "configs" / "synthetic_filtered.json"
+        over = dict(distance_min_m=1e-95, distance_max_m=1e-95, rounds=1)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({**json.loads(preset.read_text()), **over}) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "feelsim", "run", "--config", str(tmp_path / "cfg.json"),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(feelsim.__file__).resolve().parent.parent)},
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: the mean link gain"), proc.stderr
+        with pytest.raises(ConfigError, match="mean link gain"):
+            small_config(antennas=4, distance_min_m=1e-90, noise_power_w=1e-30)
+        small_config(antennas=4, distance_min_m=1e-90)  # a mean gain of 4e300 / W
+
+    @pytest.mark.parametrize("over", [
+        dict(distance_min_m=1e7, distance_max_m=1e7),
+        dict(deadline_s=1e30),
+    ], ids=["derived-at-1e7-m", "given-1e30-s"])
+    def test_deadline_without_a_compute_slot_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     over):
+        # a derived deadline of 6e15 s once reached round 1, whose plan raised
+        # "upload slot 5953054609313455.0 is outside (0, 5953054609313455.0)": exit 1
+        def no_round(*args):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(federation, "run_round", no_round)
+        preset = Path(__file__).resolve().parent.parent / "configs" / "synthetic_filtered.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads(preset.read_text()), **over}) + "\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deadline ") and "leaves no compute slot" in err, err
 
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -610,23 +610,38 @@ class TestLocalRound:
 
     def test_rejects_empty_shard(self):
         model = init_model([6, 3], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="row range"):
+        with pytest.raises(ValueError, match="shard 1 is empty or indexes outside"):
             local_round(model, tiny_dataset(n=40), [range(0, 20), range(20, 20)], 1, 16, 0.1,
                         0.7, [np.random.default_rng(1), np.random.default_rng(2)])
 
     @pytest.mark.parametrize("shard", [range(-1, 20), range(30, 41), range(40, 41)])
     def test_rejects_shard_outside_data(self, shard):
-        # a slice past the end would give the filter fewer rows than the pass trains
+        # take would wrap a negative index onto a row of the data
         model = init_model([6, 3], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="row range"):
+        with pytest.raises(ValueError, match="indexes outside the 40 rows"):
             local_round(model, tiny_dataset(n=40), [shard], 2, 16, 0.1, 0.7,
                         [np.random.default_rng(1)])
 
-    def test_rejects_strided_shard(self):
+    def test_rejects_negative_index(self):
         model = init_model([6, 3], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="row range"):
-            local_round(model, tiny_dataset(n=40), [range(0, 40, 2)], 1, 16, 0.1, 0.7,
+        with pytest.raises(ValueError, match="indexes outside the 40 rows"):
+            local_round(model, tiny_dataset(n=40), [np.array([3, 0, -1])], 2, 16, 0.1, 0.7,
                         [np.random.default_rng(1)])
+
+    def test_strided_shard_trains_as_its_rows_listed(self):
+        # a shard is its rows' positions: a strided range, the same rows listed and those
+        # rows taken into a matrix of their own train the same bytes and keep the same rows
+        model = init_model([6, 5, 3], np.random.default_rng(317))
+        data = tiny_dataset(n=80)
+        rows = np.arange(1, 80, 2)
+        calls = [(data, range(1, 80, 2)), (data, rows), (data.take(rows), range(40))]
+        got = [local_round(model, d, [r], 3, 16, 0.1, 0.6, [substream(5, TRAIN, 0, 0, 1)])
+               for d, r in calls]
+        (want,), (kept,) = got[0]
+        assert 0 < kept.excluded_count < 40
+        for (model_i,), (decision,) in got[1:]:
+            assert_models_equal(model_i, want)
+            assert np.array_equal(decision.included_indices, kept.included_indices)
 
 
 def skewed_shards():

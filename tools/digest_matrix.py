@@ -74,8 +74,8 @@ CASES = {
     "filtered-rounds-300": (FILTERED, {"rounds": 300}),
     # the only hidden layer at 784 inputs, where BLAS runs other kernels than at 8
     "fleet-784-hidden-32": (FILTERED, {**FLEET, "hidden_width": 32, "rounds": 3}),
-    # 13-wide rows: a worker's rows of the trial's matrix start off 64-byte alignment,
-    # and each of the two trials orders its own matrix by worker
+    # 13-wide rows, which start off 64-byte alignment in the training split that both
+    # trials deal to their workers and train on
     "dim-13-noniid-trials-2": (
         FILTERED, {"synthetic_dim": 13, "synthetic_classes": 5, "partition": "noniid",
                    "trials": 2, "rounds": 30}),
