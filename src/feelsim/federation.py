@@ -39,6 +39,7 @@ from .resource_optimizer import (
     InfeasibleError,
     ResourcePlan,
     Workload,
+    effective_cycles,
     minimize_round_energy,
     optimal_bandwidth,
 )
@@ -110,11 +111,8 @@ class ExperimentState:
     """Mutable state threaded through the rounds of one trial.
 
     train_data is the training split, which every trial shares: each worker's rows index it.
-    stack is the trial's local-training stack: the first run_round builds it for the
-    scheduled count, which is fixed within a trial, and every round trains in it, reusing
-    its blocks, plans and step workspaces.  The local models a round trains are views of
-    it, valid until the next round trains; run_round aggregates them before it returns.
-    schedule holds the trial's round streams; run_round draws it when it is first needed.
+    schedule holds the trial's round streams and training stack; run_round builds it when it
+    is first needed, and again when it no longer fits the config or the fleet.
     """
 
     model: ModelParameters
@@ -123,7 +121,6 @@ class ExperimentState:
     test_data: LabeledDataset
     trial: int = 0
     cumulative_energy_j: float = 0.0
-    stack: _Stack | None = None
     schedule: _Schedule | None = None
 
 
@@ -199,6 +196,11 @@ def _link_gain(
     return beam_and_gain(h, config.noise_power_w)
 
 
+def _workload(p: WorkerProfile, config: ExperimentConfig, bits: int, excluded: int) -> Workload:
+    """Worker p's round job: its shard, less `excluded` rows after the first epoch."""
+    return Workload(len(p.rows), excluded, config.epochs, config.cycles_per_sample, bits)
+
+
 def default_deadline(
     workers: list[WorkerProfile], config: ExperimentConfig, model_bits: int, trial: int
 ) -> float:
@@ -220,10 +222,8 @@ def default_deadline(
     beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
-    t_cmp = max(
-        config.cycles_per_sample * config.epochs * len(p.rows) / p.bounds.f_max_hz
-        for p in workers
-    )
+    t_cmp = max(effective_cycles(_workload(p, config, model_bits, 0)) / p.bounds.f_max_hz
+                for p in workers)
     return 1.5 * (t_cmp + t_up)
 
 
@@ -233,21 +233,26 @@ _WINDOW_STREAMS = 4096
 
 class _Schedule:
     """A trial's round streams: each round's selection, and the (state, inc) seeds of its
-    selected workers' channel and training streams, the streams substream would open.
+    selected workers' channel and training streams, the streams substream would open; and
+    the trial's training stack for the scheduled count, whose blocks, plans and step
+    workspaces every round reuses.  A round's local models are views of the stack, valid
+    until the next round trains; run_round aggregates them before it returns.
 
     draw(config, first) replaces the rounds it holds by a window from round `first` up to
     config.rounds, or further when `first` is past it, of at most _WINDOW_STREAMS streams.
     Each kind of stream in the window is hashed in one stream_seeds call.  take(r) drops
     round r and returns its selection and its streams, replayed in reused generators that
     stay valid until the next take.  A schedule serves only the seed, trial, fraction,
-    channel mode and fleet it was made for; fits tells whether it still does.
+    channel mode, model architecture and fleet it was made for; fits tells whether it
+    still does.
     """
 
     def __init__(self, key: tuple, workers: list[WorkerProfile]):
-        self.key = key  # (seed, trial, select_fraction, channel_mode)
+        self.key = key  # (seed, trial, select_fraction, channel_mode, architecture)
         self.workers = list(workers)
         self.rounds: dict[int, tuple[list[WorkerProfile], list, list]] = {}
         n = schedule_size(len(workers), key[2])
+        self.stack = _Stack(key[4], n)
         self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(2 * n + 1)]
 
     def fits(self, key: tuple, workers: list[WorkerProfile]) -> bool:
@@ -255,7 +260,7 @@ class _Schedule:
                 and all(map(operator.is_, workers, self.workers)))
 
     def draw(self, config: ExperimentConfig, first: int) -> None:
-        seed, trial, fraction, mode = self.key
+        seed, trial, fraction, mode, _ = self.key
         per_round = len(self.generators)  # one selection, then a channel and a training stream
         last = min(config.rounds, first + _WINDOW_STREAMS // per_round - 1)
         window = range(first, max(first, last) + 1)
@@ -288,7 +293,8 @@ def run_round(
         raise ValueError("run_round needs a resolved deadline; see run_experiment")
     deadline = config.deadline_s
     model_bits = param_bits(state.model.architecture)
-    key = (config.seed, state.trial, config.select_fraction, config.channel_mode)
+    key = (config.seed, state.trial, config.select_fraction, config.channel_mode,
+           state.model.architecture)
     schedule = state.schedule
     if schedule is None or not schedule.fits(key, state.workers):
         schedule = state.schedule = _Schedule(key, state.workers)
@@ -298,24 +304,13 @@ def run_round(
 
     betas = [_link_gain(p, config, rng) for p, rng in zip(selected, channel_rngs)]
 
-    if state.stack is None:
-        state.stack = _Stack(state.model.architecture, len(selected))
     local_models, decisions = local_round(
         state.model, state.train_data, [p.rows for p in selected], config.epochs,
         config.batch_size, config.learning_rate, config.threshold,
-        train_rngs, stack=state.stack,
+        train_rngs, stack=schedule.stack,
     )
-
-    workloads = [
-        Workload(
-            dataset_size=len(p.rows),
-            excluded_count=decision.excluded_count,
-            epochs=config.epochs,
-            cycles_per_sample=config.cycles_per_sample,
-            model_bits=model_bits,
-        )
-        for p, decision in zip(selected, decisions)
-    ]
+    workloads = [_workload(p, config, model_bits, d.excluded_count)
+                 for p, d in zip(selected, decisions)]
 
     def plan_all(shares: list[float]) -> list[ResourcePlan | None]:
         plans: list[ResourcePlan | None] = []
@@ -404,10 +399,11 @@ def run_experiment(
     Returns the per-round records plus the final global model.
     """
     model = init_model(architecture, substream(config.seed, DOMAIN_INIT, trial))
+    bits = param_bits(model.architecture)
     if config.deadline_s is None:
-        bits = param_bits(model.architecture)
         config = replace(config, deadline_s=default_deadline(workers, config, bits, trial))
-    t_cmp = min(config.cycles_per_sample * len(p.rows) / p.bounds.f_max_hz for p in workers)
+    t_cmp = min(effective_cycles(_workload(p, config, bits, len(p.rows))) / p.bounds.f_max_hz
+                for p in workers)
     if config.deadline_s - t_cmp == config.deadline_s:
         raise ConfigError(f"deadline {float(config.deadline_s)!r} s leaves no compute slot: "
                           f"{t_cmp!r} s at f_max does not change it in floating point")

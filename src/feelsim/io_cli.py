@@ -194,6 +194,11 @@ class ExperimentConfig:
             self.p_max_w
         except OverflowError:
             raise ConfigError(f"p_max_dbm {self.p_max_dbm} overflows a power in watts") from None
+        # grouped as the planner's p_max * beta / share, on the narrowest share
+        need(self.p_max_w * gain / (self.bandwidth_hz / self.workers) < math.inf,
+             "the SNR at p_max on the narrowest share, p_max_w * antennas * distance_min_m ** "
+             "-pathloss_exp / noise_power_w / (bandwidth_hz / workers), overflows a float at "
+             f"p_max_dbm {self.p_max_dbm!r}")
         check("capacitance", self.capacitance > 0.0, "positive")
         check("cycles_per_sample", self.cycles_per_sample > 0.0, "positive")
         check("energy_budget_j", self.energy_budget_j >= 0.0, "non-negative")

@@ -274,7 +274,7 @@ class _Stack:
     order[j]'s W0, b0, W1, b1, ... flattened, beside a gradient block of the same shape.
 
     A stack is built once for as many rounds as its owner trains k workers
-    (ExperimentState keeps one per trial), and builds each workspace its rounds reuse
+    (a trial's round schedule keeps one), and builds each workspace its rounds reuse
     once.  Its blocks never move: load and reorder write into them, so a step workspace,
     views of a row slice keyed by (lo, hi, batch length), stays valid for the stack's
     life, and every one it builds is kept.  Their buffers and its members' are views of

@@ -21,9 +21,11 @@ Where p_max cannot close the link at the lower edge, the feasible part of
 the window starts at t_p = bits ln2 / (B log1p(p_max beta / B)), the slot in
 which p_max delivers the bits exactly.  E is convex on [t_p, hi] as well, so
 t_p takes the lower edge's place: the planner computes it in closed form,
-clamps it into the window, steps it up by ulps until p_max suffices, and
-returns it when the right slope there is >= 0.  Any other optimum inside the
-window is found by golden-section search.
+clamps it into the window, steps it up by ulps until p_max suffices (at
+most 64, then ValueError: where p_max beta / B overflows, t_p comes out 0
+and the walk would start far below the slot it seeks), and returns it when
+the right slope there is >= 0.  Any other optimum inside the window is
+found by golden-section search.
 """
 from __future__ import annotations
 
@@ -373,7 +375,8 @@ def minimize_round_energy(
     explicit endpoint check, which can still win where the energy is flat to
     rounding near an edge.  Raises InfeasibleDeadlineError /
     InfeasiblePowerError when the window is empty or the link cannot be
-    closed even at p_max in the widest slot.
+    closed even at p_max in the widest slot, and ValueError when 64 ulps
+    above t_p p_max still does not close it.
     """
     cycles = effective_cycles(workload)
     window = upload_time_bounds(cycles, deadline_s, bounds)
@@ -410,8 +413,13 @@ def minimize_round_energy(
             bandwidth_hz * math.log1p(bounds.p_max_w * beta / bandwidth_hz)
         )
         t_first = min(max(t_p, window.lo), window.hi)
-        while required_power(workload.model_bits, t_first, bandwidth_hz, beta) > bounds.p_max_w:
-            t_first = math.nextafter(t_first, math.inf)  # a few ulps of rounding at most
+        for _ in range(64):  # a few ulps of rounding at most
+            if required_power(workload.model_bits, t_first, bandwidth_hz, beta) <= bounds.p_max_w:
+                break
+            t_first = math.nextafter(t_first, math.inf)
+        else:
+            raise ValueError(f"p_max = {bounds.p_max_w:.6g} W does not close the link of gain "
+                             f"{beta:.6g} on {bandwidth_hz:.6g} Hz in 64 ulps of t_p = {t_p:.6g} s")
     if slope(t_first, +1) >= 0.0:
         return plan_at(t_first)
     if slope(window.hi, -1) <= 0.0:

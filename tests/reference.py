@@ -102,7 +102,7 @@ def deadline(config, fleet, trial, bits):
     beta = min(gain(config, p, substream(config.seed, DOMAIN_DEADLINE, trial, p.worker_id))
                for p in fleet) / 4.0
     t_up = bits / uplink_rate(share, beta, min(p.bounds.p_max_w for p in fleet))
-    t_cmp = max(config.cycles_per_sample * config.epochs * len(p.rows) / p.bounds.f_max_hz
+    t_cmp = max(config.cycles_per_sample * (config.epochs * len(p.rows)) / p.bounds.f_max_hz
                 for p in fleet)
     return 1.5 * (t_cmp + t_up)
 

@@ -503,7 +503,7 @@ class TestRoundSchedule:
         return out
 
     def state(self, **fleet):
-        return ExperimentState(None, *make_fleet(k=7, **fleet), TEST_DATA)
+        return ExperimentState(None, *make_fleet(**{"k": 7, **fleet}), TEST_DATA)
 
     def test_round_order_does_not_change_a_round(self):
         cfg = self.config()
@@ -548,7 +548,9 @@ class TestRoundSchedule:
         assert_models_equal(ma, mb)
         assert ra == rb
 
-    @pytest.mark.parametrize("change", [dict(seed=84), dict(channel_mode="static")])
+    # another fraction schedules 5 of 7 workers, not 3: the trial's stack is rebuilt too
+    @pytest.mark.parametrize("change", [dict(seed=84), dict(channel_mode="static"),
+                                        dict(select_fraction=0.6)])
     def test_reused_state_is_redrawn_for_another_config(self, change):
         cfg = self.config()
         state = self.state()
@@ -559,12 +561,14 @@ class TestRoundSchedule:
 
     def test_reused_state_is_redrawn_for_another_fleet(self):
         cfg = self.config()
-        state = self.state()
-        self.each_from_one_model(state, cfg, (1,))
-        state.workers = make_fleet(k=7, dist=(60.0, 90.0))[0]
-        reused = self.each_from_one_model(state, cfg, (2,))
-        assert reused == self.each_from_one_model(self.state(dist=(60.0, 90.0)), cfg, (2,))
-        assert reused != self.each_from_one_model(self.state(), cfg, (2,))
+        # 5 workers schedule 2 a round, not 3: the trial's stack is rebuilt too
+        for fleet in (dict(dist=(60.0, 90.0)), dict(k=5)):
+            state = self.state()
+            self.each_from_one_model(state, cfg, (1,))
+            state.workers, state.train_data = make_fleet(**{"k": 7, **fleet})
+            reused = self.each_from_one_model(state, cfg, (2,))
+            assert reused == self.each_from_one_model(self.state(**fleet), cfg, (2,))
+            assert reused != self.each_from_one_model(self.state(), cfg, (2,))
 
 
 class TestDeterminism:
@@ -824,10 +828,10 @@ class TestTrialWorkspaces:
                 run_round(state, cfg, r)
             streams = [substream(61, DOMAIN_INIT, w) for w in range(len(fleet))]
             models, decisions = local_round(state.model, train, [w.rows for w in fleet], 3, 32,
-                                            0.05, 0.4, streams, stack=state.stack)
+                                            0.05, 0.4, streams, stack=state.schedule.stack)
             assert 0 < sum(d.excluded_count for d in decisions) < len(train)
             assert all(m.halves for m in models)  # the filter ran in kept halves
-            refs = [weakref.ref(state.stack), weakref.ref(state.stack.params)]
+            refs = [weakref.ref(state.schedule.stack), weakref.ref(state.schedule.stack.params)]
             del state, models
             assert [ref() for ref in refs] == [None, None]
         finally:

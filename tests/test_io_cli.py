@@ -693,25 +693,43 @@ class TestCli:
         assert "RuntimeWarning" not in proc.stderr
         assert "error: rounds must be >= 1" in proc.stderr.splitlines()[-1]
 
-    def test_overflowing_link_gain_exits_2_instead_of_hanging(self, tmp_path):
-        # a mean gain of 4e316 / W: the planner once stepped round 1's upload slot one ulp
-        # at a time on beta = inf; in a child process, so that a hang fails the test
+    @staticmethod
+    def run_filtered_preset(tmp_path, **over):
+        """`python3 -m feelsim run` on the filtered preset with over, in a child process with
+        a 30 s timeout, so that a hang fails the calling test."""
         preset = Path(__file__).resolve().parent.parent / "configs" / "synthetic_filtered.json"
-        over = dict(distance_min_m=1e-95, distance_max_m=1e-95, rounds=1)
         (tmp_path / "cfg.json").write_text(
             json.dumps({**json.loads(preset.read_text()), **over}) + "\n")
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "feelsim", "run", "--config", str(tmp_path / "cfg.json"),
              "--out", str(tmp_path / "out")],
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(Path(feelsim.__file__).resolve().parent.parent)},
             capture_output=True, text=True, timeout=30,
         )
+
+    def test_overflowing_link_gain_exits_2_instead_of_hanging(self, tmp_path):
+        # a mean gain of 4e316 / W: the planner once stepped round 1's upload slot one ulp
+        # at a time on beta = inf
+        proc = self.run_filtered_preset(tmp_path, distance_min_m=1e-95, distance_max_m=1e-95,
+                                        rounds=1)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: the mean link gain"), proc.stderr
         with pytest.raises(ConfigError, match="mean link gain"):
             small_config(antennas=4, distance_min_m=1e-90, noise_power_w=1e-30)
         small_config(antennas=4, distance_min_m=1e-90)  # a mean gain of 4e300 / W
+
+    def test_overflowing_snr_at_p_max_exits_2_instead_of_hanging(self, tmp_path):
+        # a finite mean gain of 4e300 / W at 1e17 W: p_max beta / B overflowed in the
+        # planner, whose ulp walk to t_p then started at the window's lower edge, 6.7e-11 s,
+        # and never reached a slot in which p_max closes the link
+        proc = self.run_filtered_preset(tmp_path, distance_min_m=1e-90, distance_max_m=1e-90,
+                                        p_max_dbm=200, rounds=2)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: the SNR at p_max"), proc.stderr
+        with pytest.raises(ConfigError, match="SNR at p_max"):
+            small_config(distance_min_m=1e-90, p_max_dbm=200)
+        small_config(distance_min_m=1e-90, p_max_dbm=100)  # an SNR of 1.6e302
 
     @pytest.mark.parametrize("over", [
         dict(distance_min_m=1e7, distance_max_m=1e7),

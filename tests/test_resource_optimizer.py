@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -400,6 +403,23 @@ class TestOptimalBandwidth:
 
 
 class TestMinimizeRoundEnergy:
+    def test_walk_to_t_p_is_bounded_where_the_snr_overflows(self):
+        # p_max beta / B is inf, so t_p is 0 and the ulp walk starts at the window's lower
+        # edge, 6.7e-11 s, where required_power is inf up to 2.65e-5 s: the walk once never
+        # ended.  In a child process, so that a hang fails the test
+        code = ("from feelsim.resource_optimizer import *\n"
+                "bounds = DeviceBounds(1e9, 9e9, 1e-4, 1e17, 2e-28)\n"
+                "minimize_round_energy(Workload(160, 0, 5, 5e5, 13568), 0.0667, 5e5, 3.744e300,"
+                " bounds)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(resource_optimizer.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith(
+            "ValueError: p_max = 1e+17 W does not close the link of gain 3.744e+300"), proc.stderr
+
     def test_matches_grid_on_random_cases(self):
         rng = np.random.default_rng(53)
         done = 0

@@ -83,6 +83,9 @@ CASES = {
     "noniid-classes-left-out": (
         FILTERED, {"partition": "noniid", "workers": 3, "classes_per_worker": 1,
                    "select_fraction": 1.0}),
+    # cycles per sample whose products round: the derived deadline prices a shard's
+    # cycles as effective_cycles groups them, cycles_per_sample * (epochs * rows)
+    "fractional-cycles": (FILTERED, {"cycles_per_sample": 123456.789}),
 }
 SEEDS = (1, 2, 3)
 # run at one seed only: the benchmark's fleet seed, the 784-64-10 wide shape with 100
