@@ -242,6 +242,15 @@ _FIELD_TYPES = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ConfigError, not the last."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"repeats key(s) {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config; see ExperimentConfig for the fields."""
     path = Path(path)
@@ -250,7 +259,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path} {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -91,9 +91,9 @@ def stream_seeds(seed: int, rows) -> list[tuple[int, int]]:
     words = np.broadcast_to(words, (8, len(rows))).astype(np.uint64)
     # uint64 j is words 2j (low) and 2j + 1; PCG64 seeds from (u0 << 64 | u1, u2 << 64 | u3)
     # as pcg64_srandom_r does: inc from the second, then two LCG steps around the first
-    halves = (words[1::2] << np.uint64(32) | words[0::2]).tolist()
+    u64 = (words[1::2] << np.uint64(32) | words[0::2]).tolist()
     out = []
-    for u0, u1, u2, u3 in zip(*halves):
+    for u0, u1, u2, u3 in zip(*u64):
         inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
         out.append((((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128, inc))
     return out

@@ -780,12 +780,12 @@ class TestTrialWorkspaces:
     @pytest.mark.parametrize("preset, steps", [("synthetic_filtered", 47),
                                                ("synthetic_unfiltered", 1)])
     def test_preset_workspace_builds(self, preset, steps, monkeypatch, tmp_path):
-        # a seed-1 preset run: one step workspace per distinct (lo, hi, n), one filter
-        # half per member and shard length, and a forward workspace per evaluate call only
+        # a seed-1 preset run: one workspace per distinct (lo, hi, n), the steps' and the
+        # filter's of one row and a shard, and a forward workspace per evaluate call only
         from feelsim import learning
 
-        built, evaluated = [], []
-        evaluate = federation.evaluate
+        built, evaluated, filtering, forwards = [], [], [], []
+        evaluate, keep, forward = federation.evaluate, learning.filter_samples, learning._forward
 
         class Counting(learning._Workspace):
             def __new__(cls, model, grads, shape, pools=()):
@@ -797,18 +797,28 @@ class TestTrialWorkspaces:
             evaluated.append(len(data))
             return evaluate(model, data)
 
+        def recording_filter(model, data, threshold):
+            filtering.append(model)
+            return keep(model, data, threshold)
+
+        def recording_forward(bound, x):
+            forwards.append(bound)
+            return forward(bound, x)
+
         monkeypatch.setattr(learning, "_Workspace", Counting)
         monkeypatch.setattr(federation, "evaluate", counting_evaluate)
+        monkeypatch.setattr(learning, "filter_samples", recording_filter)
+        monkeypatch.setattr(learning, "_forward", recording_forward)
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
         run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
         step = [ws for ws in built if ws]  # keyed by their first row's address and shape
         keys = {(ws.model.layers[0][0].__array_interface__["data"][0], ws.x_shape) for ws in step}
-        assert len(step) == len(keys) == steps
-        halves = [ws for ws in built if isinstance(ws.model, learning._Member)]
-        assert len({(id(ws.model), ws.rows) for ws in halves}) == len(halves)
-        assert bool(halves) == (config.threshold < 1.0)  # threshold 1 runs no forward pass
-        forward = [ws for ws in built if not (ws or isinstance(ws.model, learning._Member))]
-        assert [ws.rows for ws in forward] == evaluated
+        filters = {id(ws): ws for ws in filtering}.values()  # one per worker row and shard
+        assert len(filters) == 2 and all(any(ws is b for b in step) for ws in filters)
+        assert len(step) == len(keys) == steps + len(filters)
+        ran = [any(ws.forward is b for b in forwards) for ws in filters]
+        assert ran == [config.threshold < 1.0] * 2  # threshold 1 runs no forward pass
+        assert [ws.rows for ws in built if not ws] == evaluated
 
     def test_trial_stack_freed_without_the_cyclic_collector(self):
         # with the collector off, the trial's stack and its parameter block die as soon as
@@ -830,9 +840,11 @@ class TestTrialWorkspaces:
             models, decisions = local_round(state.model, train, [w.rows for w in fleet], 3, 32,
                                             0.05, 0.4, streams, stack=state.schedule.stack)
             assert 0 < sum(d.excluded_count for d in decisions) < len(train)
-            assert all(m.halves for m in models)  # the filter ran in kept halves
-            refs = [weakref.ref(state.schedule.stack), weakref.ref(state.schedule.stack.params)]
-            del state, models
+            stack = state.schedule.stack  # the filter ran in its kept workspaces
+            assert all((j, j + 1, len(w.rows)) in stack.steps
+                       for j, w in zip(stack.position, fleet))
+            refs = [weakref.ref(stack), weakref.ref(stack.params)]
+            del state, models, stack
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()

@@ -126,6 +126,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rownds"):
             load_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # json keeps the last of a repeated key: this config would run 2 rounds at 1.0
+        path = tmp_path / "cfg.json"
+        path.write_text('{"rounds": 1, "rounds": 2, "threshold": 0.5, "threshold": 1.0}\n')
+        with pytest.raises(ConfigError, match="repeats key\\(s\\) rounds, threshold$"):
+            load_config(path)
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {path} repeats key(s) rounds")
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_workers_key_rejected(self, tmp_path, capsys):
         # a round trains all its scheduled workers in one stack: there is no such knob
         path = tmp_path / "cfg.json"

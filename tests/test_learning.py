@@ -730,12 +730,14 @@ class TestStackedRound:
         local_round(model, *joined(shards), 3, 20, 0.1, 1.0, streams[:2])
         assert rows == [40] * 8 * 3  # eight steps of 2 x 20 rows per epoch
         assert passes == [1, 2]  # pass 1 on all rows, then the other two on the kept
-        # once per worker, on its own rows and its own 2-D view of the stack
+        # once per worker, on its own rows and the stack's workspace of its row and shard
         assert all(np.array_equal(d.features, s.features) and np.array_equal(d.labels, s.labels)
                    for (_, d), s in zip(filtered, shards, strict=True))
         (first, _), (second, _) = filtered
-        for (w, b), (v, c) in zip(first.layers, second.layers):
-            assert w.ndim == 2 and b.ndim == 1
+        assert isinstance(first, learning._Workspace)
+        assert first.x_shape == second.x_shape == (1, 160, 6)
+        for (w, b), (v, c) in zip(first.model.layers, second.model.layers):
+            assert w.shape[0] == b.shape[0] == 1
             assert w.base is v.base is not None and not np.shares_memory(w, v)
 
     def test_second_call_trains_on_kept_rows(self, monkeypatch):
@@ -848,8 +850,8 @@ class TestRoundAgainstReference:
 
 class TestTrialStack:
     """One _Stack trained round after round gives the bytes of a fresh stack per round. It
-    builds each step workspace once and keeps it, its members filter in kept forward
-    halves, and every buffer of both is a view of one of the stack's pools."""
+    builds each workspace once and keeps it, the steps' and the filter's alike, and every
+    buffer they bind is a view of one of the stack's pools."""
 
     @staticmethod
     def round(model, sizes, r, stack, threshold=0.4):
@@ -922,9 +924,9 @@ class TestTrialStack:
     def test_step_workspaces_built_once_on_pools(self, batch, monkeypatch):
         # 300 filtered rounds of three workers of 40 rows, in short batches or in one
         # batch per kept pass: the kept counts give new plans and new row slices round
-        # after round.  Each (lo, hi, n) workspace is built once and kept, every buffer it
-        # binds is a view of one of the stack's pools, and every round gives a fresh
-        # stack's bytes.
+        # after round.  Each (lo, hi, n) workspace, a step's or the filter's, is built once
+        # and kept, every buffer it binds is a view of one of the stack's pools, and every
+        # round gives a fresh stack's bytes.
         built = []
 
         class Counting(learning._Workspace):
@@ -958,13 +960,13 @@ class TestTrialStack:
         assert [id(ws) for ws in trial] == [id(ws) for ws in kept]  # every key built once
         assert len(kept) > 2 * 2 * k
         views = stack_buffers(stack)
-        assert views and all(m.halves for m in stack.members)
+        assert views and all((j, j + 1, 40) in stack.steps for j in range(k))  # the filter's
         for view in views:
             assert_pool_view(view)
 
     def test_pools_grow_under_bound_workspaces(self):
         # shards that grow round by round, in batches as long as the longest: each round's
-        # steps and filter halves are longer than any before, so the pools grow under
+        # steps and filter workspaces are longer than any before, so the pools grow under
         # workspaces already bound.  The pool arrays they still hold stay within twice the
         # stack's current pools, and rounds back on the first rounds' shard lengths, through
         # workspaces bound to outgrown pools, still give a fresh stack's bytes.
@@ -1000,10 +1002,11 @@ class TestTrialStack:
                        for ws in used for view in buffers(stack, (ws.forward, ws.backward)))
 
     def test_kept_filter_halves_match_plain_members(self):
-        # members keep one forward half per row count, bound to views of the stack's
-        # pools: on shards of 40, 37, 40 and 23 rows, through rounds, a load and a
-        # row-permuting reorder, their decisions are those of fresh 2-D views of the rows,
-        # and workers 0 and 2, of 40 rows each, take turns in the same pools
+        # the filter runs in the stack's workspace of a worker's row and shard length,
+        # bound to views of the stack's pools: on shards of 40, 37, 40 and 23 rows, through
+        # rounds, a load and a row-permuting reorder, its decisions are those of fresh 2-D
+        # views of the rows, and workers 0 and 2, of 40 rows each, take turns in the same
+        # pools
         shards = skewed_shards()
         data, ranges = joined(shards)
         parts = [data.take(slice(r.start, r.stop)) for r in ranges]
@@ -1016,36 +1019,72 @@ class TestTrialStack:
             assert a.excluded_count == b.excluded_count
             assert a.included_indices.tobytes() == b.included_indices.tobytes()
 
-        def check(members, threshold):
-            decisions = [filter_samples(m, part, threshold) for m, part in zip(members, parts)]
+        def check(threshold):
+            kept = [stack.workspace(j, j + 1, len(part))[0]
+                    for j, part in zip(stack.position, parts)]
+            decisions = [filter_samples(ws, part, threshold) for ws, part in zip(kept, parts)]
             for j, (decision, part) in enumerate(zip(decisions, parts)):
                 plain = learning._member(stack.model, stack.position[j])
                 assert_same(decision, filter_samples(plain, part, threshold))
             before = decisions[0]
-            filter_samples(members[2], parts[2], threshold)  # B writes over A's buffers
-            assert_same(filter_samples(members[0], parts[0], threshold), before)
+            filter_samples(kept[2], parts[2], threshold)  # B writes over A's buffers
+            assert_same(filter_samples(kept[0], parts[0], threshold), before)
             return decisions
 
         outcomes = set()
         for r in range(4):
             streams = [substream(41, TRAIN, 0, w, r) for w in range(len(shards))]
             models, _ = local_round(model, data, ranges, 3, 16, 0.1, 0.7, streams, stack=stack)
-            assert all(m is stack.members[j] for m, j in zip(models, stack.position))
-            outcomes.update(d.excluded_count for d in check(models, 0.7))
+            for m, j in zip(models, stack.position, strict=True):
+                assert all(w.base is stack.params for w, _ in m.layers)
+                assert_models_equal(m, learning._member(stack.model, j))
+            outcomes.update(d.excluded_count for d in check(0.7))
             model = aggregate([(m, len(p)) for m, p in zip(models, parts)])
         assert len(outcomes) > 2
         members = [init_model(arch, rng) for _ in shards]
         stack.load(stacked(members), [3, 1, 0, 2])
         stack.reorder([2, 0, 3, 1])
         # rows hold workers 2, 0, 3, 1, loaded as members 3, 2, 0, 1
-        assert np.array_equal(stack.members[0].layers[0][0], members[3].layers[0][0])
-        workers = [stack.members[stack.position[i]] for i in range(len(shards))]
+        assert np.array_equal(learning._member(stack.model, 0).layers[0][0],
+                              members[3].layers[0][0])
         for threshold in (0.4, 0.6, 0.9):
-            check(workers, threshold)
-        assert sorted({rows for m in stack.members for rows in m.halves}) == [23, 37, 40]
-        assert all(m.pools is stack.pools for m in stack.members)
+            check(threshold)
+        assert sorted({n for lo, hi, n in stack.steps if n > 16}) == [23, 37, 40]
         for view in stack_buffers(stack):
             assert_pool_view(view)
+
+    def test_filter_shares_a_step_workspace(self, monkeypatch):
+        # one worker whose 16-row shard fits one batch of 20: the filter's key is the
+        # step's, (0, 1, 16), so it runs in the very workspace the step built, which is
+        # built once, and decides as a plain 2-D view holding the same weights
+        built, filtered = [], []
+        keep = learning.filter_samples
+
+        class Counting(learning._Workspace):
+            def __new__(cls, model, grads, shape, pools=()):
+                ws = super().__new__(cls, model, grads, shape, pools)
+                built.append(ws)
+                return ws
+
+        def recording(model, data, threshold):
+            filtered.append(model)
+            return keep(model, data, threshold)
+
+        monkeypatch.setattr(learning, "_Workspace", Counting)
+        monkeypatch.setattr(learning, "filter_samples", recording)
+        data = tiny_dataset(n=16, seed=359)
+        stack = learning._Stack((6, 5, 3), 1)
+        model = init_model((6, 5, 3), np.random.default_rng(360))
+        _, (decision,) = local_round(model, data, [range(16)], 1, 20, 0.5, 0.4,
+                                     [substream(47, TRAIN, 0, 0, 0)], stack=stack)
+        assert list(stack.steps) == [(0, 1, 16)]
+        (step,) = [ws for *_, ws, _, _ in stack.plan([16], 20)[3]]
+        assert len(filtered) == 1 and filtered[0] is step is stack.steps[0, 1, 16][0]
+        assert len(built) == len(stack.steps) == 1
+        want = keep(learning._member(stack.model, 0), data, 0.4)
+        assert 0 < decision.excluded_count < 16
+        assert decision.excluded_count == want.excluded_count
+        assert decision.included_indices.tobytes() == want.included_indices.tobytes()
 
 
 def buffers(stack, bound):
@@ -1060,10 +1099,8 @@ def buffers(stack, bound):
 
 
 def stack_buffers(stack):
-    """Every buffer that a stack's step workspaces and its members' forward halves bind."""
-    steps = [(ws.forward, ws.backward) for ws, _, _ in stack.steps.values()]
-    halves = [half for m in stack.members for half in m.halves.values()]
-    return list(buffers(stack, (*steps, *halves)))
+    """Every buffer that a stack's workspaces bind."""
+    return list(buffers(stack, [(ws.forward, ws.backward) for ws, _, _ in stack.steps.values()]))
 
 
 def assert_pool_view(view):
@@ -1281,6 +1318,10 @@ class TestRarelyReachedChecks:
         pytest.param(lambda: evaluate(init_model([6, 3], np.random.default_rng(0)),
                                       LabeledDataset(np.zeros((0, 6)), np.zeros(0, dtype=int))),
                      "empty dataset", id="evaluate-empty"),
+        pytest.param(lambda: filter_samples(learning._Stack((6, 3), 2).workspace(0, 1, 16)[0],
+                                            tiny_dataset(n=15), 0.5),
+                     r"input shape \(15, 6\) does not match the workspace's \(16, 6\)",
+                     id="filter-workspace-rows"),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
