@@ -298,7 +298,7 @@ class TestDefaultDeadline:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the planner's t_cmp_s = deadline - t_up_s keeps only a few digits at a derived "
         "deadline of 3.9e7 s, so a delivered f_cmp_hz falls about 1.1e-8 below f_min; "
-        "ROADMAP items 3 and 12"))
+        "ROADMAP item 18"))
     def test_long_derived_deadline_keeps_clocks_in_the_envelope(self, tmp_path):
         # workers 15-30 km out: the weakest link stretches the derived deadline to 3.9e7 s
         preset = load_config(Path(__file__).resolve().parent.parent / "configs"
@@ -570,6 +570,25 @@ class TestRoundSchedule:
             assert reused == self.each_from_one_model(self.state(**fleet), cfg, (2,))
             assert reused != self.each_from_one_model(self.state(), cfg, (2,))
 
+    def test_reused_state_replans_for_another_batch_size(self):
+        # the trial's stack keeps the plans of its last passes: round 2 at batch 13, on a
+        # state whose round 1 trained at batch 20 on the same shards, must train as a
+        # fresh schedule does
+        cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs"
+                                  / "synthetic_filtered.json"), seed=1)
+        train, test = split_train_test(load_dataset(cfg), cfg.train_fraction, cfg.seed)
+        arch = [train.features.shape[1], 16, int(train.labels.max()) + 1]
+        cfg = replace(cfg, deadline_s=default_deadline(build_workers(cfg, train, 0), cfg,
+                                                       param_bits(arch), 0))
+        states = [ExperimentState(init_model(arch, substream(1, DOMAIN_INIT, 0)),
+                                  build_workers(cfg, train, 0), train, test) for _ in range(2)]
+        for state in states:
+            run_round(state, replace(cfg, batch_size=20), 1)
+        reused, fresh = states
+        fresh.schedule = None
+        cfg = replace(cfg, batch_size=13)
+        assert run_round(reused, cfg, 2) == run_round(fresh, cfg, 2)
+
 
 class TestDeterminism:
     def test_identical_runs_match_bit_for_bit(self):
@@ -771,80 +790,3 @@ class TestTrainingCallSites:
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
         run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
         assert (len(seen), sum(seen)) == (calls, rows)
-
-
-class TestTrialWorkspaces:
-    """A trial's stack builds each workspace its rounds reuse once, and frees them with
-    itself: nothing it holds refers back to it."""
-
-    @pytest.mark.parametrize("preset, steps", [("synthetic_filtered", 47),
-                                               ("synthetic_unfiltered", 1)])
-    def test_preset_workspace_builds(self, preset, steps, monkeypatch, tmp_path):
-        # a seed-1 preset run: one workspace per distinct (lo, hi, n), the steps' and the
-        # filter's of one row and a shard, and a forward workspace per evaluate call only
-        from feelsim import learning
-
-        built, evaluated, filtering, forwards = [], [], [], []
-        evaluate, keep, forward = federation.evaluate, learning.filter_samples, learning._forward
-
-        class Counting(learning._Workspace):
-            def __new__(cls, model, grads, shape, pools=()):
-                ws = super().__new__(cls, model, grads, shape, pools)
-                built.append(ws)
-                return ws
-
-        def counting_evaluate(model, data):
-            evaluated.append(len(data))
-            return evaluate(model, data)
-
-        def recording_filter(model, data, threshold):
-            filtering.append(model)
-            return keep(model, data, threshold)
-
-        def recording_forward(bound, x):
-            forwards.append(bound)
-            return forward(bound, x)
-
-        monkeypatch.setattr(learning, "_Workspace", Counting)
-        monkeypatch.setattr(federation, "evaluate", counting_evaluate)
-        monkeypatch.setattr(learning, "filter_samples", recording_filter)
-        monkeypatch.setattr(learning, "_forward", recording_forward)
-        config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.json")
-        run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
-        step = [ws for ws in built if ws]  # keyed by their first row's address and shape
-        keys = {(ws.model.layers[0][0].__array_interface__["data"][0], ws.x_shape) for ws in step}
-        filters = {id(ws): ws for ws in filtering}.values()  # one per worker row and shard
-        assert len(filters) == 2 and all(any(ws is b for b in step) for ws in filters)
-        assert len(step) == len(keys) == steps + len(filters)
-        ran = [any(ws.forward is b for b in forwards) for ws in filters]
-        assert ran == [config.threshold < 1.0] * 2  # threshold 1 runs no forward pass
-        assert [ws.rows for ws in built if not ws] == evaluated
-
-    def test_trial_stack_freed_without_the_cyclic_collector(self):
-        # with the collector off, the trial's stack and its parameter block die as soon as
-        # the state and the models a round returned are dropped
-        import gc
-        import weakref
-
-        fleet, train = make_fleet()
-        cfg = fast_config(epochs=3, threshold=0.4, seed=61)
-        cfg = replace(cfg, deadline_s=default_deadline(fleet, cfg, param_bits(ARCH), 0))
-        gc.collect()
-        gc.disable()
-        try:
-            state = ExperimentState(model=init_model(ARCH, np.random.default_rng(61)),
-                                    workers=fleet, train_data=train, test_data=TEST_DATA)
-            for r in range(1, 3):
-                run_round(state, cfg, r)
-            streams = [substream(61, DOMAIN_INIT, w) for w in range(len(fleet))]
-            models, decisions = local_round(state.model, train, [w.rows for w in fleet], 3, 32,
-                                            0.05, 0.4, streams, stack=state.schedule.stack)
-            assert 0 < sum(d.excluded_count for d in decisions) < len(train)
-            stack = state.schedule.stack  # the filter ran in its kept workspaces
-            assert all((j, j + 1, len(w.rows)) in stack.steps
-                       for j, w in zip(stack.position, fleet))
-            refs = [weakref.ref(stack), weakref.ref(stack.params)]
-            del state, models, stack
-            assert [ref() for ref in refs] == [None, None]
-        finally:
-            gc.enable()

@@ -12,11 +12,10 @@ from feelsim.learning import (
     aggregate,
     evaluate,
     filter_samples,
+    gradient,
     init_model,
     local_round,
-    loss_and_gradient,
     param_bits,
-    sgd_epoch,
 )
 from feelsim.streams import DOMAIN_TRAIN as TRAIN
 from feelsim.streams import substream
@@ -29,6 +28,12 @@ def tiny_dataset(n=64, dim=6, classes=3, seed=300):
     y = rng.integers(0, classes, size=n).astype(np.int64)
     x = rng.normal(size=(n, dim)) + y[:, None] * 0.5
     return LabeledDataset(x, y)
+
+
+def saturated(data):
+    """data's rows made positive, scaled far out and labelled 0: after a pass every
+    softmax saturates, so the filter at any threshold below 1 keeps none of them."""
+    return LabeledDataset((np.abs(data.features) + 1.0) * 1e3, np.zeros_like(data.labels))
 
 
 def zeroed(model):
@@ -47,26 +52,19 @@ def stacked(members):
         architecture=members[0].architecture)
 
 
-def train_stack(model, data, batch_size, lr, rng, epochs=1):
-    """sgd_epoch on a _Stack filled from model, over the datasets joined into one, worker i
-    training every row of data[i]; returns the stack's model in worker order."""
-    width = model.architecture[0]
-    whole = data[0] if len(data) == 1 else LabeledDataset(  # one dataset: itself, unchecked again
-        np.concatenate([np.empty((0, width)), *(d.features for d in data)]),
-        np.concatenate([np.empty(0, dtype=np.intp), *(d.labels for d in data)]))
-    ends = np.cumsum([0, *(len(d) for d in data)])
-    rows = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    stack = learning._Stack(model.architecture, len(rows))
-    stack.load(model, list(range(len(rows))))
-    sgd_epoch(stack, whole, rows, batch_size, lr, rng, epochs=epochs)
-    stack.reorder(list(range(len(rows))))  # back to worker order
-    return stack.model
+def grads(model, x, y):
+    """gradient's (gw, gb) pairs, written into fresh arrays shaped like model.layers."""
+    out = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in model.layers]
+    gradient(model, x, y, out)
+    return out
 
 
 def train_one(model, data, batch_size, lr, rng, epochs=1):
-    """sgd_epoch on a stack of one worker, returned as that worker's 2-D model."""
-    trained = train_stack(stacked([model]), [data], batch_size, lr, [rng], epochs=epochs)
-    return learning._member(trained, 0)
+    """`epochs` passes of one worker over every row of data: a round at threshold 1.0,
+    whose filter keeps every row.  Returns the worker's model."""
+    (trained,), _ = local_round(model, data, [range(len(data))], epochs, batch_size, lr, 1.0,
+                                [rng])
+    return trained
 
 
 def assert_models_equal(a, b):
@@ -88,6 +86,20 @@ def assert_reference_bytes(pairs, model, x, y):
             assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
 
 
+def assert_round_matches_reference(model, data, shards, epochs, batch, lr, threshold, streams):
+    """local_round gives every worker the bytes and kept rows of the plain reference's
+    round of that worker alone; returns the decisions."""
+    got, decisions = local_round(model, data, shards, epochs, batch, lr, threshold, streams())
+    for g, r, rng, d in zip(got, shards, streams(), decisions, strict=True):
+        layers, kept = reference.local_round(model.layers, data, r, epochs, batch, lr,
+                                             threshold, rng)
+        for (gw, gb), (ww, wb) in zip(g.layers, layers, strict=True):
+            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+        assert d.excluded_count == len(r) - len(kept)
+        assert np.array_equal(np.asarray(r)[d.included_indices], kept)
+    return decisions
+
+
 def confidently_wrong_model():
     """Single layer whose class-1 logit sits 1000 below class 0: p(1) underflows to 0."""
     return ModelParameters(layers=((np.zeros((2, 3)), np.array([0.0, -1000.0])),),
@@ -99,26 +111,27 @@ class TestForward:
         # zero weights and log-probability biases give softmax output [0.2, 0.3, 0.5]
         model = ModelParameters(layers=((np.zeros((3, 2)), np.log([0.2, 0.3, 0.5])),),
                                 architecture=(2, 3))
-        _, grads = loss_and_gradient(model, np.ones((1, 2)), np.eye(3)[[1]])
-        (gw, gb), = grads
+        (gw, gb), = grads(model, np.ones((1, 2)), np.eye(3)[[1]])
         assert np.allclose(gb, [0.2, -0.7, 0.5], atol=1e-15)
         assert np.allclose(gw, np.outer([0.2, -0.7, 0.5], [1.0, 1.0]), atol=1e-15)
 
     def test_uniform_probs_loss_is_log_classes(self):
         zero = zeroed(init_model([4, 10], np.random.default_rng(0)))
         data = tiny_dataset(n=40, dim=4, classes=10)
-        loss, grads = loss_and_gradient(zero, data.features, np.eye(10)[data.labels])
+        loss, _ = evaluate(zero, data)
         assert loss == pytest.approx(math.log(10.0), rel=1e-12)
         # mean of (probs - onehot) with every prob at 1/10
         freq = np.bincount(data.labels, minlength=10) / len(data)
-        assert np.allclose(grads[0][1], 0.1 - freq, atol=1e-15)
+        assert np.allclose(grads(zero, data.features, np.eye(10)[data.labels])[0][1],
+                           0.1 - freq, atol=1e-15)
 
     def test_loss_guard_blocks_log_of_zero(self):
         x, y = np.zeros((4, 3)), np.ones(4, dtype=np.int64)
-        loss, grads = loss_and_gradient(confidently_wrong_model(), x, np.eye(2)[y])
+        loss, _ = evaluate(confidently_wrong_model(), LabeledDataset(x, y))
         assert math.isfinite(loss)
         assert loss == pytest.approx(-math.log(LOG_GUARD), rel=1e-12)
-        assert np.array_equal(grads[0][1], [1.0, -1.0])
+        assert np.array_equal(grads(confidently_wrong_model(), x, np.eye(2)[y])[0][1],
+                              [1.0, -1.0])
 
     def test_label_range_checked(self):
         # sgd_epoch checks the labels of all its passes once, before any step
@@ -139,10 +152,10 @@ class TestForward:
         for targets in (data.labels, np.eye(4)[data.labels], np.eye(3)[data.labels[:7]],
                         np.eye(3)[data.labels][None]):
             with pytest.raises(ValueError, match="targets must have shape"):
-                loss_and_gradient(model, data.features, targets)
+                grads(model, data.features, targets)
 
     def test_relu_mask_by_sign_matches_bool_mask(self):
-        # loss_and_gradient masks with the sign of np.maximum(z, 0.0), which is
+        # gradient masks with the sign of np.maximum(z, 0.0), which is
         # +0.0 or positive: the products must be the bool mask's, signed zeros too
         tiny = np.finfo(np.float64).smallest_subnormal
         special = [-0.0, 0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf,
@@ -157,18 +170,17 @@ class TestForward:
             assert masked.tobytes() == (d * (a > 0.0)).tobytes()
 
     def test_matches_label_reference(self):
-        # the plain reference's gradient bytes and mean loss, worker by worker
+        # the plain reference's gradient bytes, worker by worker, and its evaluation
         rng = np.random.default_rng(328)
         for arch, k, n in [([6, 3], 1, 9), ([6, 5, 3], 1, 16), ([6, 7, 4, 3], 3, 5)]:
             members = [init_model(arch, rng) for _ in range(k)]
             model = members[0] if k == 1 else stacked(members)
             x = rng.normal(size=(k * n, 6)) * 3.0
             y = rng.integers(0, 3, size=k * n)
-            loss, grads = loss_and_gradient(model, x, np.eye(3)[y])
-            assert_reference_bytes(grads, model, x, np.eye(3)[y])
-            parts = [LabeledDataset(x[j * n:(j + 1) * n], y[j * n:(j + 1) * n]) for j in range(k)]
-            want = np.mean([reference.evaluate(m.layers, d)[0] for m, d in zip(members, parts)])
-            assert loss == pytest.approx(want, rel=1e-12)
+            assert_reference_bytes(grads(model, x, np.eye(3)[y]), model, x, np.eye(3)[y])
+            for j, member in enumerate(members):
+                part = LabeledDataset(x[j * n:(j + 1) * n], y[j * n:(j + 1) * n])
+                assert evaluate(member, part) == reference.evaluate(member.layers, part)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(301)
@@ -180,10 +192,9 @@ class TestForward:
         shifted = ModelParameters(layers=tuple(shifted_layers),
                                   architecture=model.architecture)
         targets = np.eye(3)[data.labels]
-        loss, grads = loss_and_gradient(model, data.features, targets)
-        loss_s, grads_s = loss_and_gradient(shifted, data.features, targets)
-        assert abs(loss - loss_s) <= 1e-12
-        for (gw, gb), (sw, sb) in zip(grads, grads_s):
+        assert abs(evaluate(model, data)[0] - evaluate(shifted, data)[0]) <= 1e-12
+        for (gw, gb), (sw, sb) in zip(grads(model, data.features, targets),
+                                      grads(shifted, data.features, targets)):
             assert np.max(np.abs(gw - sw)) <= 1e-12
             assert np.max(np.abs(gb - sb)) <= 1e-12
 
@@ -194,8 +205,7 @@ class TestForward:
         data = tiny_dataset(n=24)
         ref = reference.probabilities(model.layers, data.features)[0]
         for i, (row, label) in enumerate(zip(data.features, data.labels)):
-            _, grads = loss_and_gradient(model, row[None, :], np.eye(3)[label[None]])
-            probs = grads[-1][1].copy()
+            probs = grads(model, row[None, :], np.eye(3)[label[None]])[-1][1]
             probs[label] += 1.0
             assert np.allclose(probs, ref[i], atol=1e-12)
 
@@ -205,7 +215,7 @@ class TestForward:
         with pytest.raises(ValueError):
             evaluate(model, data)
         with pytest.raises(ValueError, match="input shape"):
-            loss_and_gradient(model, data.features, np.eye(3)[data.labels])
+            grads(model, data.features, np.eye(3)[data.labels])
 
 
 class TestGradientAndSgd:
@@ -214,10 +224,10 @@ class TestGradientAndSgd:
         data = tiny_dataset(n=16)
 
         order = substream(9, TRAIN, 0).permutation(np.arange(16, dtype=np.intp))
-        _, grads = loss_and_gradient(model, data.features[order], np.eye(3)[data.labels[order]])
+        step = grads(model, data.features[order], np.eye(3)[data.labels[order]])
         stepped = ModelParameters(layers=tuple(
             (w - 0.1 * gw, b - 0.1 * gb)
-            for (w, b), (gw, gb) in zip(model.layers, grads)),
+            for (w, b), (gw, gb) in zip(model.layers, step)),
             architecture=model.architecture)
 
         trained = train_one(model, data, batch_size=16, lr=0.1, rng=substream(9, TRAIN, 0))
@@ -235,11 +245,11 @@ class TestGradientAndSgd:
         model = init_model([6, 5, 3], np.random.default_rng(305))
         data = tiny_dataset(n=32)
         half = data.take(np.arange(16))
-        _, g16 = loss_and_gradient(model, half.features, np.eye(3)[half.labels])
+        g16 = grads(model, half.features, np.eye(3)[half.labels])
         # duplicating every row leaves the mean gradient unchanged
         dup = LabeledDataset(np.concatenate([half.features] * 2),
                              np.concatenate([half.labels] * 2))
-        _, gdup = loss_and_gradient(model, dup.features, np.eye(3)[dup.labels])
+        gdup = grads(model, dup.features, np.eye(3)[dup.labels])
         for (gw, gb), (dw, db) in zip(g16, gdup):
             assert np.allclose(gw, dw, atol=1e-15)
             assert np.allclose(gb, db, atol=1e-15)
@@ -247,16 +257,17 @@ class TestGradientAndSgd:
     def test_loss_matches_scalar_path(self):
         model = init_model([6, 5, 3], np.random.default_rng(306))
         data = tiny_dataset(n=10)
-        loss, _ = loss_and_gradient(model, data.features, np.eye(3)[data.labels])
+        loss, _ = evaluate(model, data)
         probs = reference.probabilities(model.layers, data.features)[0]
         per_sample = [-math.log(max(p[y], LOG_GUARD)) for p, y in zip(probs, data.labels)]
         assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
 
     def test_input_model_untouched(self):
-        model = stacked([init_model([6, 5, 3], np.random.default_rng(307))])
+        model = init_model([6, 5, 3], np.random.default_rng(307))
         snap = [(w.copy(), b.copy()) for w, b in model.layers]
-        data = tiny_dataset(n=20)
-        train_stack(model, [data], batch_size=8, lr=0.1, rng=[np.random.default_rng(1)])
+        data, shards = joined([tiny_dataset(n=20), tiny_dataset(n=13, seed=301)])
+        local_round(model, data, shards, 3, 8, 0.1, 0.6,
+                    [np.random.default_rng(1), np.random.default_rng(2)])
         for (w0, b0), (w1, b1) in zip(snap, model.layers):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
@@ -276,42 +287,43 @@ class TestGradientAndSgd:
 
     def test_stack_of_no_workers(self):
         model = init_model([6, 3], np.random.default_rng(0))
-        empty = ModelParameters(layers=tuple((np.empty((0, *w.shape)), np.empty((0, *b.shape)))
-                                             for w, b in model.layers),
-                                architecture=model.architecture)
-        trained = train_stack(empty, [], batch_size=4, lr=0.1, rng=[], epochs=2)
-        assert [w.shape for w, _ in trained.layers] == [(0, 3, 6)]
-        models, decisions = local_round(model, tiny_dataset(), [], 2, 4, 0.1, 0.8, [])
-        assert models == [] and decisions == []
+        for threshold in (0.8, 1.0):
+            models, decisions = local_round(model, tiny_dataset(), [], 3, 4, 0.1, threshold, [])
+            assert models == [] and decisions == []
 
     def test_empty_batch_rejected(self):
         model = init_model([6, 3], np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty batch"):
-            loss_and_gradient(model, np.zeros((0, 6)), np.zeros((0, 3)))
+            grads(model, np.zeros((0, 6)), np.zeros((0, 3)))
 
     def test_central_training_reaches_accuracy_floor(self):
         # 30 full-data epochs on separable blobs must learn, not merely move
         rng = np.random.default_rng(71)
         data = generate_synthetic(8, 4, 1200, 0.3, rng)
         train, test = data.take(np.arange(1000)), data.take(np.arange(1000, 1200))
-        model = init_model([8, 16, 4], rng)
-        for _ in range(30):
-            model = train_one(model, train, 20, 0.05, rng)
+        model = train_one(init_model([8, 16, 4], rng), train, 20, 0.05, rng, epochs=30)
         _, acc = evaluate(model, test)
         assert acc >= 0.95
 
 
 class TestGradientInto:
-    """gradient writes the bytes of loss_and_gradient's gradients into views of
-    a flat (k, P) block, row i worker i's W0, b0, W1, b1, ... flattened."""
+    """gradient writes the plain reference's gradient bytes into views of a flat (k, P)
+    block, row i worker i's W0, b0, W1, b1, ... flattened, as a training stack lays out its
+    parameters; a step of local_round has the bytes of a step through such views."""
 
     @staticmethod
     def block_views(model):
+        arch = model.architecture
         k = model.layers[0][0].shape[0] if model.layers[0][0].ndim == 3 else None
-        block = np.full((1 if k is None else k, param_bits(model.architecture) // 64), np.nan)
-        views = learning._layout(block, model.architecture)
+        block = np.full((1 if k is None else k, param_bits(arch) // 64), np.nan)
+        views, at = [], 0
+        for fan_in, fan_out in zip(arch[:-1], arch[1:]):
+            w = block[:, at:at + fan_out * fan_in].reshape(len(block), fan_out, fan_in)
+            at += fan_out * fan_in
+            views.append((w, block[:, at:at + fan_out]))
+            at += fan_out
         if k is None:  # a 2-D model writes into row 0
-            views = tuple((w[0], b[0]) for w, b in views)
+            views = [(w[0], b[0]) for w, b in views]
         return block, views
 
     CASES = [
@@ -334,9 +346,9 @@ class TestGradientInto:
     @pytest.mark.parametrize("arch, k, n", CASES)
     def test_views_of_a_flat_block_match_fresh_arrays(self, arch, k, n):
         model, x, y, _ = self.case(arch, k, n)
-        _, want = loss_and_gradient(model, x, y)
+        want = grads(model, x, y)
         block, views = self.block_views(model)
-        learning.gradient(model, x, y, views)
+        gradient(model, x, y, views)
         assert not np.isnan(block).any()  # every element written
         for (gw, gb), (rw, rb) in zip(views, want, strict=True):
             assert np.shares_memory(gw, block) and np.shares_memory(gb, block)
@@ -345,42 +357,48 @@ class TestGradientInto:
             assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
 
     @staticmethod
-    def workspace(model, k, n):
-        _, views = TestGradientInto.block_views(model)
-        return learning._Workspace(model, views, (n,) if k is None else (k, n))
+    def round_of(arch, k, n, steps, lr, scale=1.0):
+        """A round of one pass at batch n over shards of steps * n rows, one worker or k,
+        from one 2-D model: (model, data, shards, models, stream maker)."""
+        rng = np.random.default_rng(336)
+        model, workers = init_model(arch, rng), k or 1
+        rows = workers * steps * n
+        data = LabeledDataset(rng.normal(size=(rows, arch[0])) * scale,
+                              rng.integers(0, arch[-1], size=rows))
+        shards = [range(j * steps * n, (j + 1) * steps * n) for j in range(workers)]
+
+        def streams():
+            return [substream(53, TRAIN, 0, j, 0) for j in range(workers)]
+
+        models, _ = local_round(model, data, shards, 1, n, lr, 1.0, streams())
+        return model, data, shards, models, streams
 
     @pytest.mark.parametrize("arch, k, n", [*CASES, ([6, 7, 10], 3, 13)])  # and 10 classes
     def test_workspace_matches_plain_views(self, arch, k, n):
-        model, x, y, _ = self.case(arch, k, n)
-        _, plain = self.block_views(model)
-        learning.gradient(model, x, y, plain)
-        ws = self.workspace(model, k, n)
-        learning.gradient(model, x, y, ws)
-        for (gw, gb), (pw, pb) in zip(ws, plain, strict=True):
-            assert gw.tobytes() == pw.tobytes() and gb.tobytes() == pb.tobytes()
+        # one step of local_round per worker, in its stack's own workspace, has the bytes
+        # of w - lr * g, g written by gradient into plain views: of a stacked model of k
+        # copies of the global model, each worker's batch in its stream's order, or of the
+        # 2-D global model
+        model, data, shards, models, streams = self.round_of(arch, k, n, 1, 0.5)
+        order = np.concatenate([np.asarray(r)[g.permutation(n)]
+                                for r, g in zip(shards, streams())])
+        plain = model if k is None else stacked([model] * k)
+        _, views = self.block_views(plain)
+        gradient(plain, data.features[order], np.eye(arch[-1])[data.labels[order]], views)
+        for j, got in enumerate(models):
+            for (w, b), (gw, gb), (v, c) in zip(model.layers, views, got.layers, strict=True):
+                gw, gb = (gw, gb) if k is None else (gw[j], gb[j])
+                assert (w - 0.5 * gw).tobytes() == v.tobytes()
+                assert (b - 0.5 * gb).tobytes() == c.tobytes()
 
     @pytest.mark.parametrize("arch, k, n", [([6, 5, 4, 3], 3, 11), ([6, 7, 10], None, 13)])
     def test_reused_workspace_keeps_no_stale_values(self, arch, k, n):
-        # three steps through one workspace, each with fresh x and y, match fresh calls
-        model, _, _, rng = self.case(arch, k, n)
-        ws = self.workspace(model, k, n)
-        for _ in range(3):
-            rows = n * (k or 1)
-            x = rng.normal(size=(rows, arch[0])) * 4.0
-            y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
-            learning.gradient(model, x, y, ws)
-            _, want = loss_and_gradient(model, x, y)
-            for (gw, gb), (rw, rb) in zip(ws, want, strict=True):
-                assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
-
-    def test_workspace_of_another_model_or_shape_gives_only_its_pairs(self):
-        # a workspace built for another model or row count is wrapped like a plain sequence:
-        # its bound kernel, stale for this call, must not run
-        model, x, y, _ = self.case([6, 5, 3], 2, 8)
-        other, _, _, _ = self.case([6, 5, 3], 2, 8, seed=332)
-        for ws in (self.workspace(other, 2, 8), self.workspace(model, 2, 5)):
-            learning.gradient(model, x, y, ws)
-            assert_reference_bytes(ws, model, x, y)
+        # three steps per worker through one workspace, each on fresh rows, have the
+        # plain reference's bytes
+        model, data, shards, models, streams = self.round_of(arch, k, n, 3, 0.1, scale=4.0)
+        for got, r, g in zip(models, shards, streams(), strict=True):
+            want = reference.sgd(model.layers, data, np.asarray(r), 1, n, 0.1, g)
+            assert_models_equal(got, ModelParameters(tuple(want), model.architecture))
 
     @pytest.mark.parametrize("arch, k, n", [
         *CASES,
@@ -389,19 +407,15 @@ class TestGradientInto:
         ([6, 7, 10], None, 1),  # a one-row batch, 2-D
     ])
     def test_kernel_matches_reference_bytes(self, arch, k, n):
-        # against the plain reference, through a fresh workspace (plain views, wrapped)
-        # and through one workspace reused for three batches
+        # against the plain reference, through plain views, for three batches
         model, _, _, rng = self.case(arch, k, n)
-        ws = self.workspace(model, k, n)
         for _ in range(3):
             rows = n * (k or 1)
             x = rng.normal(size=(rows, arch[0])) * 3.0
             y = np.eye(arch[-1])[rng.integers(0, arch[-1], size=rows)]
             _, plain = self.block_views(model)
-            learning.gradient(model, x, y, plain)
+            gradient(model, x, y, plain)
             assert_reference_bytes(plain, model, x, y)
-            learning.gradient(model, x, y, ws)
-            assert_reference_bytes(ws, model, x, y)
 
     @pytest.mark.parametrize("arch, k", [([6, 5, 3], None), ([6, 5, 4, 3], 2)])
     def test_kernel_matches_reference_bytes_at_relu_kinks(self, arch, k):
@@ -420,13 +434,7 @@ class TestGradientInto:
         w0, b0 = model.layers[0]
         z0 = x.reshape(*lead, n, arch[0]) @ w0.swapaxes(-1, -2) + b0[..., None, :]
         assert np.count_nonzero(z0 == 0.0) > 5  # kinks reached
-        ws = self.workspace(model, k, n)
-        for _ in range(2):
-            learning.gradient(model, x, y, ws)
-            assert_reference_bytes(ws, model, x, y)
-        _, plain = self.block_views(model)
-        learning.gradient(model, x, y, plain)
-        assert_reference_bytes(plain, model, x, y)
+        assert_reference_bytes(grads(model, x, y), model, x, y)
 
     @pytest.mark.parametrize("rows, width, target", [
         (8, 5, (8, 3)),  # input width
@@ -435,8 +443,8 @@ class TestGradientInto:
         (7, 6, (7, 3)),  # rows not a multiple of the stack
     ])
     def test_checks_raise_as_the_reference(self, rows, width, target):
-        # the checks run before the kernel, with a workspace built for a valid batch:
-        # each raises its message and leaves the pairs all NaN, as block_views made them
+        # the checks run before the kernel: each raises its message and leaves the pairs
+        # all NaN, as block_views made them
         message = {
             (8, 5): "input shape (8, 5) does not match network input width 6",
             (0, 6): "cannot take the gradient of an empty batch",
@@ -444,11 +452,11 @@ class TestGradientInto:
             (7, 6): "a stack of 2 workers needs a multiple of 2 rows, got 7",
         }[rows, width]
         model, _, _, _ = self.case([6, 5, 3], 2, 4)
-        ws = self.workspace(model, 2, 4)
+        block, views = self.block_views(model)
         with pytest.raises(ValueError) as caught:
-            learning.gradient(model, np.zeros((rows, width)), np.zeros(target), ws)
+            gradient(model, np.zeros((rows, width)), np.zeros(target), views)
         assert str(caught.value) == message
-        assert all(np.isnan(g).all() for pair in ws for g in pair)
+        assert np.isnan(block).all()
 
     @pytest.mark.parametrize("classes", [4, 10])
     def test_class_major_max_keeps_softmax_bytes(self, classes):
@@ -469,18 +477,21 @@ class TestGradientInto:
             p /= np.add.reduce(p, axis=-1, keepdims=True)
             return p
 
-        # through the forward pass: one worker per row, zero weights, the
-        # logits carried by the biases
+        # through gradient: one worker per row, zero weights, the logits carried by the
+        # biases; a one-row batch's bias gradient is its probabilities minus its target
         k = len(z)
         model = ModelParameters(layers=((np.zeros((k, classes, 1)), z.copy()),),
                                 architecture=(1, classes))
-        x = np.full((k, 1, 1), -1.0)
+        x = np.full((k, 1), -1.0)
+        y = np.eye(classes)[rng.integers(0, classes, size=k)]
         with np.errstate(all="ignore"):
-            logits = x @ model.layers[0][0].swapaxes(-1, -2)
+            logits = x[:, None, :] @ model.layers[0][0].swapaxes(-1, -2)
             logits += model.layers[0][1][:, None, :]
-            probs = learning._probabilities(model, x)
+            (_, gb), = grads(model, x, y)
             want = softmax(logits, np.maximum.reduce(logits, axis=-1))
-            assert probs.tobytes() == want.tobytes()
+            want -= y[:, None, :]
+            want /= 1.0
+            assert gb.tobytes() == want.tobytes()
             assert softmax(z, want_max).tobytes() == softmax(z, np.maximum.reduce(
                 z.T.copy(), axis=0)).tobytes()
 
@@ -493,13 +504,12 @@ class TestFiltering:
         assert dec.excluded_count == 0
         assert np.array_equal(dec.included_indices, np.arange(len(data)))
 
-    def test_threshold_one_skips_the_forward_pass(self, monkeypatch):
-        def no_forward(*args, **kwargs):
-            raise AssertionError("forward pass run at threshold 1.0")
-
-        monkeypatch.setattr(learning, "_probabilities", no_forward)
-        model = init_model([6, 5, 3], np.random.default_rng(308))
+    def test_threshold_one_skips_the_forward_pass(self):
+        # a model too narrow for the data: any forward pass would raise
+        model = init_model([5, 3], np.random.default_rng(308))
         data = tiny_dataset(n=5000)
+        with pytest.raises(ValueError, match="input shape"):
+            filter_samples(model, data, 0.99)
         dec = filter_samples(model, data, 1.0)
         assert dec.excluded_count == 0
         assert np.array_equal(dec.included_indices, np.arange(len(data)))
@@ -572,11 +582,9 @@ class TestLocalRound:
         (got,), (dec,) = local_round(model, *joined([data]), epochs=3, batch_size=16, lr=0.1,
                                      threshold=1.0, rng=[substream(9, TRAIN, 2, 0, 5)])
         assert dec.excluded_count == 0
-        ref_rng = substream(9, TRAIN, 2, 0, 5)
-        ref = model
-        for _ in range(3):
-            ref = train_one(ref, data, batch_size=16, lr=0.1, rng=ref_rng)
-        assert_models_equal(got, ref)
+        want = reference.sgd(model.layers, data, np.arange(40), 3, 16, 0.1,
+                             substream(9, TRAIN, 2, 0, 5))
+        assert_models_equal(got, ModelParameters(tuple(want), model.architecture))
 
     def test_filter_applies_from_second_epoch(self):
         model = init_model([6, 5, 3], np.random.default_rng(315))
@@ -682,17 +690,13 @@ class TestStackedRound:
         rng = np.random.default_rng(323)
         models = [init_model([6, 5, 3], rng) for _ in range(3)]
         data = tiny_dataset(n=3 * 11, seed=324)
-        loss, grads = loss_and_gradient(stacked(models), data.features, np.eye(3)[data.labels])
-        losses = []
+        stacked_grads = grads(stacked(models), data.features, np.eye(3)[data.labels])
         for j, model in enumerate(models):
             rows = slice(11 * j, 11 * (j + 1))
-            part_loss, ref = loss_and_gradient(model, data.features[rows],
-                                              np.eye(3)[data.labels[rows]])
-            losses.append(part_loss)
-            for (gw, gb), (rw, rb) in zip(grads, ref):
+            ref = grads(model, data.features[rows], np.eye(3)[data.labels[rows]])
+            for (gw, gb), (rw, rb) in zip(stacked_grads, ref):
                 assert np.array_equal(gw[j], rw)
                 assert np.array_equal(gb[j], rb)
-        assert loss == pytest.approx(np.mean(losses), rel=1e-12)
 
     def test_one_gradient_call_per_batch_length(self, monkeypatch):
         rows, filtered, passes = [], [], []
@@ -703,7 +707,7 @@ class TestStackedRound:
             grad(model, x, y, out)
 
         def recording(model, data, threshold):
-            filtered.append((model, data))
+            filtered.append(data)
             return keep(model, data, threshold)
 
         def sgd_passes(*args, epochs=1):
@@ -730,15 +734,9 @@ class TestStackedRound:
         local_round(model, *joined(shards), 3, 20, 0.1, 1.0, streams[:2])
         assert rows == [40] * 8 * 3  # eight steps of 2 x 20 rows per epoch
         assert passes == [1, 2]  # pass 1 on all rows, then the other two on the kept
-        # once per worker, on its own rows and the stack's workspace of its row and shard
+        # once per worker, on its own rows
         assert all(np.array_equal(d.features, s.features) and np.array_equal(d.labels, s.labels)
-                   for (_, d), s in zip(filtered, shards, strict=True))
-        (first, _), (second, _) = filtered
-        assert isinstance(first, learning._Workspace)
-        assert first.x_shape == second.x_shape == (1, 160, 6)
-        for (w, b), (v, c) in zip(first.model.layers, second.model.layers):
-            assert w.shape[0] == b.shape[0] == 1
-            assert w.base is v.base is not None and not np.shares_memory(w, v)
+                   for d, s in zip(filtered, shards, strict=True))
 
     def test_second_call_trains_on_kept_rows(self, monkeypatch):
         calls = []
@@ -784,30 +782,38 @@ class TestStackedRound:
                         [np.random.default_rng(1)])
 
 
-def round_case(sizes, scales, classes, seed):
-    """Shards of the given sizes, worker i's features scaled by scales[i].  Scale
-    1e3 also makes them positive and the labels 0, so every softmax saturates
-    (the filter keeps nothing); scale 0 gives every row one prediction."""
-    data = tiny_dataset(n=sum(sizes), classes=classes, seed=seed)
+def round_case(sizes, scales, classes, arch, batch, kinks):
+    """A model of this architecture and the joined shards of the given sizes, worker i's
+    features scaled by scales[i]: scale 1e3 saturates them (see saturated), scale 0 gives
+    every row one prediction.  With kinks the features and the model's parameters are
+    small integers, so that many hidden pre-activations of the first step are exactly 0."""
+    data = tiny_dataset(n=sum(sizes), dim=arch[0], classes=classes, seed=340 + sum(sizes))
+    rng = np.random.default_rng(sum(sizes) + batch)
+    model = init_model(arch, rng)
+    if kinks:
+        data = LabeledDataset(np.rint(data.features), data.labels)
+        model = ModelParameters(tuple((rng.integers(-2, 3, size=w.shape).astype(float),
+                                       rng.integers(-1, 2, size=b.shape).astype(float))
+                                      for w, b in model.layers), model.architecture)
     ends = np.cumsum([0, *sizes])
-    shards = []
-    for a, b, scale in zip(ends[:-1], ends[1:], scales):
-        x, y = data.features[a:b], data.labels[a:b]
-        if scale == 1e3:
-            x, y = np.abs(x) + 1.0, np.zeros_like(y)
-        shards.append(LabeledDataset(x * scale, y))
-    return shards
+    shards = [data.take(slice(a, b)) for a, b in zip(ends[:-1], ends[1:])]
+    shards = [saturated(s) if scale == 1e3 else LabeledDataset(s.features * scale, s.labels)
+              for s, scale in zip(shards, scales)]
+    return model, *joined(shards)
 
 
 ROUND_CASES = [
-    # sizes, feature scales, classes, architecture, batch, epochs, threshold
-    ([40, 40, 40], [1, 1, 1], 4, [6, 5, 4], 8, 5, 0.7),  # equal shards, batch divides
-    ([40, 37, 23], [1, 1, 1e3], 4, [6, 5, 4], 7, 2, 0.7),  # unequal; one keeps nothing
-    ([12, 23, 40], [0, 1, 1], 10, [6, 7, 5, 10], 5, 5, 0.5),  # ascending: the order flips
-    ([30, 30], [1, 1], 10, [6, 8, 10], 10, 1, 0.9),  # one epoch
-    ([25, 40, 40, 9], [1e3, 1, 0, 1], 4, [6, 7, 5, 4], 16, 2, 0.6),
-    ([40, 40], [1, 1], 4, [6, 5, 4], 20, 5, 1.0),  # the presets' shape: all rows kept
-    ([33, 33, 33], [1, 1, 1], 4, [6, 5, 4], 11, 5, 0.6),  # kept sets reorder the stack
+    # sizes, feature scales, classes, architecture, batch, epochs, threshold, ReLU kinks
+    ([40, 40, 40], [1, 1, 1], 4, [6, 5, 4], 8, 5, 0.7, False),  # equal shards, batch divides
+    ([40, 37, 23], [1, 1, 1e3], 4, [6, 5, 4], 7, 2, 0.7, False),  # unequal; one keeps nothing
+    ([12, 23, 40], [0, 1, 1], 10, [6, 7, 5, 10], 5, 5, 0.5, False),  # ascending: order flips
+    ([30, 30], [1, 1], 10, [6, 8, 10], 10, 1, 0.9, False),  # one epoch
+    ([25, 40, 40, 9], [1e3, 1, 0, 1], 4, [6, 7, 5, 4], 16, 2, 0.6, False),
+    ([40, 40], [1, 1], 4, [6, 5, 4], 20, 5, 1.0, False),  # the presets' shape: all rows kept
+    ([33, 33, 33], [1, 1, 1], 4, [6, 5, 4], 11, 5, 0.6, False),  # kept sets reorder the stack
+    ([24, 24, 17], [1, 1, 1], 3, [6, 5, 4, 3], 8, 3, 0.6, True),  # ReLU kinks
+    ([20, 17], [1, 1], 10, [784, 16, 10], 20, 2, 0.9, False),  # 784 wide
+    ([5, 3, 5], [1, 1, 1], 4, [6, 5, 4], 1, 2, 0.7, False),  # one-row batches
 ]
 
 
@@ -816,299 +822,31 @@ class TestRoundAgainstReference:
     reference's round of that worker alone."""
 
     @staticmethod
-    def rounds(sizes, scales, classes, arch, batch, epochs, threshold):
-        data, shards = joined(round_case(sizes, scales, classes, seed=340 + sum(sizes)))
-        model = init_model(arch, np.random.default_rng(sum(sizes) + batch))
+    def rounds(sizes, scales, classes, arch, batch, epochs, threshold, kinks):
+        model, data, shards = round_case(sizes, scales, classes, arch, batch, kinks)
+        if kinks:
+            w0, b0 = model.layers[0]
+            assert np.count_nonzero(data.features @ w0.T + b0 == 0.0) > 5 * len(sizes)
 
         def streams():
             return [substream(19, TRAIN, 0, w, epochs) for w in range(len(shards))]
 
-        return (local_round(model, data, shards, epochs, batch, 0.1, threshold, streams()),
-                [reference.local_round(model.layers, data, r, epochs, batch, 0.1, threshold, g)
-                 for r, g in zip(shards, streams())], shards)
+        return assert_round_matches_reference(model, data, shards, epochs, batch, 0.1,
+                                              threshold, streams)
 
     @pytest.mark.parametrize("case", ROUND_CASES)
     def test_matches_two_call_round(self, case):
-        (got, decisions), want, shards = self.rounds(*case)
-        for g, (layers, kept), d, r in zip(got, want, decisions, shards, strict=True):
-            for (gw, gb), (ww, wb) in zip(g.layers, layers, strict=True):
-                assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
-            assert d.excluded_count == len(r) - len(kept)
-            assert np.array_equal(d.included_indices, kept - r.start)
+        self.rounds(*case)
 
     def test_cases_reach_every_filter_outcome(self):
         # a worker keeping nothing, one keeping everything beside one that does
         # not, and kept counts that reorder the stack for the later epochs
-        kept = [[d.included_indices.size for d in self.rounds(*case)[0][1]]
-                for case in ROUND_CASES]
+        kept = [[d.included_indices.size for d in self.rounds(*case)] for case in ROUND_CASES]
         assert any(0 in k for k in kept)
         assert any(n == size and k != case[0]
                    for k, case in zip(kept, ROUND_CASES) for n, size in zip(k, case[0]))
         assert any(sorted(k, reverse=True) != k and case[0] == sorted(case[0], reverse=True)
                    for k, case in zip(kept, ROUND_CASES))
-
-
-class TestTrialStack:
-    """One _Stack trained round after round gives the bytes of a fresh stack per round. It
-    builds each workspace once and keeps it, the steps' and the filter's alike, and every
-    buffer they bind is a view of one of the stack's pools."""
-
-    @staticmethod
-    def round(model, sizes, r, stack, threshold=0.4):
-        shards = round_case(sizes, [1] * len(sizes), 4, seed=350 + sum(sizes))
-
-        def streams():
-            return [substream(29, TRAIN, 0, w, r) for w in range(len(sizes))]
-
-        got = local_round(model, *joined(shards), 3, 8, 0.1, threshold, streams(), stack=stack)
-        return got, local_round(model, *joined(shards), 3, 8, 0.1, threshold, streams())
-
-    def test_reused_stack_matches_fresh_stacks(self, monkeypatch):
-        # patterns A, A, B, A: B is ascending, so it is loaded in the reverse order, and
-        # kept counts reorder the stack in place between a round's two calls
-        moves, dropped = [], 0
-        reorder = learning._Stack.reorder
-
-        def recording(stack, order):
-            moves.append(order != stack.order)
-            reorder(stack, order)
-
-        monkeypatch.setattr(learning._Stack, "reorder", recording)
-        a, b = [40, 37, 40, 23], [12, 23, 30, 40]
-        model = init_model([6, 7, 4], np.random.default_rng(351))
-        stack = learning._Stack(model.architecture, 4)
-        for r, sizes in enumerate([a, a, b, a]):
-            (models, decisions), (want, expect) = self.round(model, sizes, r, stack)
-            for m in models:
-                assert all(np.shares_memory(w, stack.params) for w, _ in m.layers)
-            for got, ref in zip(models, want, strict=True):
-                assert_models_equal(got, ref)
-            for d, e in zip(decisions, expect, strict=True):
-                assert d.excluded_count == e.excluded_count
-                assert np.array_equal(d.included_indices, e.included_indices)
-                dropped += d.excluded_count
-            model = aggregate([(m, n) for m, n in zip(models, sizes)])  # before it trains again
-        assert any(moves) and dropped
-
-    def test_step_workspaces_follow_load_and_reorder(self):
-        # workspaces bind views of the parameter block: after a new model is loaded and the
-        # rows are permuted in place, a pass through them updates the new rows, with the
-        # bytes of a fresh stack holding the same rows
-        arch, sizes, batch = (6, 7, 4), [12, 12, 12], 5
-        rng = np.random.default_rng(354)
-        data = tiny_dataset(n=36, classes=4, seed=355)
-        rows = [np.arange(12 * w, 12 * (w + 1)) for w in range(3)]
-
-        def streams():
-            return [substream(37, TRAIN, 0, w, 0) for w in range(3)]
-
-        stack = learning._Stack(arch, 3)
-        stack.load(init_model(arch, rng), [0, 1, 2])
-        stack.plan(sizes, batch)
-        built = dict(stack.steps)
-        members = [init_model(arch, rng) for _ in range(3)]
-        stack.load(stacked(members), [2, 0, 1])  # workers 2, 0, 1 get members 0, 1, 2
-        stack.reorder([1, 2, 0])  # rows: worker 1 (members[2]), 2 (members[0]), 0 (members[1])
-        sgd_epoch(stack, data, rows, batch, 0.3, streams(), epochs=2)
-        assert stack.steps and all(stack.steps[key][0] is ws for key, (ws, _, _) in built.items())
-        fresh = learning._Stack(arch, 3)
-        moved = stacked([members[2], members[0], members[1]])
-        fresh.load(moved, [1, 2, 0])
-        sgd_epoch(fresh, data, rows, batch, 0.3, streams(), epochs=2)
-        assert stack.order == fresh.order == [1, 2, 0]
-        assert stack.params.tobytes() == fresh.params.tobytes()
-        assert not any(np.array_equal(w, v) for (w, _), (v, _) in zip(stack.model.layers,
-                                                                     moved.layers))
-
-    @pytest.mark.parametrize("batch", [8, 40])
-    def test_step_workspaces_built_once_on_pools(self, batch, monkeypatch):
-        # 300 filtered rounds of three workers of 40 rows, in short batches or in one
-        # batch per kept pass: the kept counts give new plans and new row slices round
-        # after round.  Each (lo, hi, n) workspace, a step's or the filter's, is built once
-        # and kept, every buffer it binds is a view of one of the stack's pools, and every
-        # round gives a fresh stack's bytes.
-        built = []
-
-        class Counting(learning._Workspace):
-            def __new__(cls, model, grads, shape, pools=()):
-                ws = super().__new__(cls, model, grads, shape, pools)
-                built.append(ws)
-                return ws
-
-        monkeypatch.setattr(learning, "_Workspace", Counting)
-        k, arch = 3, (6, 7, 4)
-        model = init_model(arch, np.random.default_rng(352))
-        stack = learning._Stack(arch, k)
-        data = tiny_dataset(n=3 * 40, classes=4, seed=353)
-        shards = [data.take(np.arange(40 * w, 40 * (w + 1))) for w in range(k)]
-        trial = []
-
-        def streams(r):
-            return [substream(31, TRAIN, 0, w, r) for w in range(k)]
-
-        for r in range(300):
-            built.clear()
-            models, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams(r),
-                                    stack=stack)
-            trial += [ws for ws in built if ws]
-            want, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams(r))
-            for got, ref in zip(models, want, strict=True):
-                assert_models_equal(got, ref)
-            model = aggregate([(m, 40) for m in models])
-            assert len(stack.plans) <= 2
-        kept = [ws for ws, _, _ in stack.steps.values()]
-        assert [id(ws) for ws in trial] == [id(ws) for ws in kept]  # every key built once
-        assert len(kept) > 2 * 2 * k
-        views = stack_buffers(stack)
-        assert views and all((j, j + 1, 40) in stack.steps for j in range(k))  # the filter's
-        for view in views:
-            assert_pool_view(view)
-
-    def test_pools_grow_under_bound_workspaces(self):
-        # shards that grow round by round, in batches as long as the longest: each round's
-        # steps and filter workspaces are longer than any before, so the pools grow under
-        # workspaces already bound.  The pool arrays they still hold stay within twice the
-        # stack's current pools, and rounds back on the first rounds' shard lengths, through
-        # workspaces bound to outgrown pools, still give a fresh stack's bytes.
-        k, arch = 3, (6, 7, 4)
-        data = tiny_dataset(n=3 * 64, classes=4, seed=357)
-        model = init_model(arch, np.random.default_rng(358))
-        stack = learning._Stack(arch, k)
-        rounds = [[n, n + 3, n + 1] for n in range(2, 61, 6)]
-
-        def run(model, sizes, r):
-            ranges = [range(64 * w, 64 * w + n) for w, n in enumerate(sizes)]
-
-            def streams():
-                return [substream(43, TRAIN, 0, w, r) for w in range(k)]
-
-            models, _ = local_round(model, data, ranges, 2, 64, 0.5, 0.6, streams(), stack=stack)
-            want, _ = local_round(model, data, ranges, 2, 64, 0.5, 0.6, streams())
-            for got, ref in zip(models, want, strict=True):
-                assert_models_equal(got, ref)
-            return aggregate([(m, n) for m, n in zip(models, sizes)])
-
-        outgrown = set()
-        for r, sizes in enumerate(rounds):
-            model = run(model, sizes, r)
-            pools = {id(view.base): view.base for view in stack_buffers(stack)}
-            assert sum(p.nbytes for p in pools.values()) <= 2 * sum(p.nbytes for p in stack.pools)
-            outgrown.update(i for i, p in pools.items() if not any(p is q for q in stack.pools))
-        assert outgrown
-        for r, sizes in enumerate(rounds[:3], len(rounds)):
-            model = run(model, sizes, r)
-            used = [ws for *_, steps in stack.plans.values() for *_, ws, _, _ in steps]
-            assert any(id(view.base) in outgrown
-                       for ws in used for view in buffers(stack, (ws.forward, ws.backward)))
-
-    def test_kept_filter_halves_match_plain_members(self):
-        # the filter runs in the stack's workspace of a worker's row and shard length,
-        # bound to views of the stack's pools: on shards of 40, 37, 40 and 23 rows, through
-        # rounds, a load and a row-permuting reorder, its decisions are those of fresh 2-D
-        # views of the rows, and workers 0 and 2, of 40 rows each, take turns in the same
-        # pools
-        shards = skewed_shards()
-        data, ranges = joined(shards)
-        parts = [data.take(slice(r.start, r.stop)) for r in ranges]
-        arch = (6, 5, 3)
-        rng = np.random.default_rng(356)
-        model = init_model(arch, rng)
-        stack = learning._Stack(arch, len(shards))
-
-        def assert_same(a, b):
-            assert a.excluded_count == b.excluded_count
-            assert a.included_indices.tobytes() == b.included_indices.tobytes()
-
-        def check(threshold):
-            kept = [stack.workspace(j, j + 1, len(part))[0]
-                    for j, part in zip(stack.position, parts)]
-            decisions = [filter_samples(ws, part, threshold) for ws, part in zip(kept, parts)]
-            for j, (decision, part) in enumerate(zip(decisions, parts)):
-                plain = learning._member(stack.model, stack.position[j])
-                assert_same(decision, filter_samples(plain, part, threshold))
-            before = decisions[0]
-            filter_samples(kept[2], parts[2], threshold)  # B writes over A's buffers
-            assert_same(filter_samples(kept[0], parts[0], threshold), before)
-            return decisions
-
-        outcomes = set()
-        for r in range(4):
-            streams = [substream(41, TRAIN, 0, w, r) for w in range(len(shards))]
-            models, _ = local_round(model, data, ranges, 3, 16, 0.1, 0.7, streams, stack=stack)
-            for m, j in zip(models, stack.position, strict=True):
-                assert all(w.base is stack.params for w, _ in m.layers)
-                assert_models_equal(m, learning._member(stack.model, j))
-            outcomes.update(d.excluded_count for d in check(0.7))
-            model = aggregate([(m, len(p)) for m, p in zip(models, parts)])
-        assert len(outcomes) > 2
-        members = [init_model(arch, rng) for _ in shards]
-        stack.load(stacked(members), [3, 1, 0, 2])
-        stack.reorder([2, 0, 3, 1])
-        # rows hold workers 2, 0, 3, 1, loaded as members 3, 2, 0, 1
-        assert np.array_equal(learning._member(stack.model, 0).layers[0][0],
-                              members[3].layers[0][0])
-        for threshold in (0.4, 0.6, 0.9):
-            check(threshold)
-        assert sorted({n for lo, hi, n in stack.steps if n > 16}) == [23, 37, 40]
-        for view in stack_buffers(stack):
-            assert_pool_view(view)
-
-    def test_filter_shares_a_step_workspace(self, monkeypatch):
-        # one worker whose 16-row shard fits one batch of 20: the filter's key is the
-        # step's, (0, 1, 16), so it runs in the very workspace the step built, which is
-        # built once, and decides as a plain 2-D view holding the same weights
-        built, filtered = [], []
-        keep = learning.filter_samples
-
-        class Counting(learning._Workspace):
-            def __new__(cls, model, grads, shape, pools=()):
-                ws = super().__new__(cls, model, grads, shape, pools)
-                built.append(ws)
-                return ws
-
-        def recording(model, data, threshold):
-            filtered.append(model)
-            return keep(model, data, threshold)
-
-        monkeypatch.setattr(learning, "_Workspace", Counting)
-        monkeypatch.setattr(learning, "filter_samples", recording)
-        data = tiny_dataset(n=16, seed=359)
-        stack = learning._Stack((6, 5, 3), 1)
-        model = init_model((6, 5, 3), np.random.default_rng(360))
-        _, (decision,) = local_round(model, data, [range(16)], 1, 20, 0.5, 0.4,
-                                     [substream(47, TRAIN, 0, 0, 0)], stack=stack)
-        assert list(stack.steps) == [(0, 1, 16)]
-        (step,) = [ws for *_, ws, _, _ in stack.plan([16], 20)[3]]
-        assert len(filtered) == 1 and filtered[0] is step is stack.steps[0, 1, 16][0]
-        assert len(built) == len(stack.steps) == 1
-        want = keep(learning._member(stack.model, 0), data, 0.4)
-        assert 0 < decision.excluded_count < 16
-        assert decision.excluded_count == want.excluded_count
-        assert decision.included_indices.tobytes() == want.included_indices.tobytes()
-
-
-def buffers(stack, bound):
-    """The arrays in bound, nested operand tuples of a stack's workspaces, that are not
-    views of its parameter or gradient block: the buffers those workspaces bind."""
-    for item in bound:
-        if isinstance(item, tuple):
-            yield from buffers(stack, item)
-        elif isinstance(item, np.ndarray) and not (np.may_share_memory(item, stack.params)
-                                                   or np.may_share_memory(item, stack.grads)):
-            yield item
-
-
-def stack_buffers(stack):
-    """Every buffer that a stack's workspaces bind."""
-    return list(buffers(stack, [(ws.forward, ws.backward) for ws, _, _ in stack.steps.values()]))
-
-
-def assert_pool_view(view):
-    """view starts at the first element of a 1-D float64 array that owns its memory."""
-    pool = view.base
-    assert pool is not None and pool.base is None
-    assert pool.ndim == 1 and pool.dtype == np.float64
-    assert view.__array_interface__["data"][0] == pool.__array_interface__["data"][0]
 
 
 def random_epoch_cases():
@@ -1128,75 +866,78 @@ EPOCH_CASES = [
     ([5, 23, 40], 16),  # ascending sizes: the longest-first stack reverses them
 ]
 
+KEEP = 0.999  # no row of an unsaturated shard is this sure after one pass
+
 
 def epoch_case(sizes, batch):
-    """A stack of len(sizes) workers, their data, kept indices, the kept rows
-    of each worker's data and a stream maker."""
+    """A model, the joined data and shards of len(sizes) workers, and a stream maker.
+    Worker j's shard is a sorted random subset of sizes[j] of its 60 rows; at size 0 it is
+    all 60 saturated instead, which a filter at KEEP drops whole after the first pass, so
+    that every later pass trains worker j on sizes[j] rows, in a stack reordered when a
+    worker drops from longest to none."""
     rng = np.random.default_rng(sum(sizes) + batch)
-    stack = stacked([init_model([6, 5, 3], rng) for _ in sizes])
-    data = [tiny_dataset(n=60, seed=330 + j) for j in range(len(sizes))]
-    kept = [np.sort(rng.choice(60, size=n, replace=False)) for n in sizes]
+    model = init_model([6, 5, 3], rng)
+    parts = [tiny_dataset(n=60, seed=330 + j) for j in range(len(sizes))]
+    parts = [d.take(np.sort(rng.choice(60, size=n, replace=False))) if n
+             else saturated(d) for d, n in zip(parts, sizes)]
 
     def streams():
         return [substream(17, TRAIN, 0, j, batch) for j in range(len(sizes))]
 
-    return stack, data, kept, [d.take(k) for d, k in zip(data, kept)], streams
-
-
-def reference_passes(stack, data, kept, batch, streams, epochs=1):
-    """Each worker of stack trained alone by the plain reference, stacked again."""
-    trained = []
-    for j, (d, k, g) in enumerate(zip(data, kept, streams, strict=True)):
-        layers = reference.sgd(learning._member(stack, j).layers, d, k, epochs, batch, 0.1, g)
-        trained.append(ModelParameters(tuple(layers), stack.architecture))
-    return stacked(trained)
+    return model, *joined(parts), streams
 
 
 class TestEpochAgainstReference:
-    """sgd_epoch gives the plain reference's bytes on any mix of shard sizes."""
+    """local_round's passes after the filter give the plain reference's bytes on any mix
+    of row counts, 0 for a worker whose filter kept nothing (see epoch_case)."""
+
+    @staticmethod
+    def passes(sizes, batch, epochs):
+        """1 + epochs passes at KEEP, checked against the reference."""
+        model, data, shards, streams = epoch_case(sizes, batch)
+        decisions = assert_round_matches_reference(model, data, shards, 1 + epochs, batch, 0.1,
+                                                   KEEP, streams)
+        assert [d.included_indices.size for d in decisions] == sizes
 
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_matches_reference_loop(self, sizes, batch):
-        stack, data, kept, rows, streams = epoch_case(sizes, batch)
-        got = train_stack(stack, rows, batch, 0.1, streams())
-        assert_models_equal(got, reference_passes(stack, data, kept, batch, streams()))
-        if not any(sizes):
-            assert_models_equal(got, stack)
+        self.passes(sizes, batch, 1)
 
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_every_step_updates_views_of_one_stack(self, sizes, batch, monkeypatch):
+        # every step writes into views of one parameter block, and the pass after the
+        # filter trains sizes[j] rows of worker j, none for a worker with no kept rows
         calls = []
         grad = learning.gradient
 
         def recording(model, x, y, out):
-            calls.append(model.layers)
+            calls.append((model.layers, len(x)))
             grad(model, x, y, out)
 
         monkeypatch.setattr(learning, "gradient", recording)
-        stack, _, _, rows, streams = epoch_case(sizes, batch)
-        train_stack(stack, rows, batch, 0.1, streams())
-        assert bool(calls) == any(sizes)  # a stack with no rows takes no step
-        for layers in calls:
-            for (w, b), (w0, b0) in zip(layers, calls[0]):
+        self.passes(sizes, batch, 1)
+        _, _, shards, _ = epoch_case(sizes, batch)
+        assert sum(n for _, n in calls) == sum(len(r) for r in shards) + sum(sizes)
+        for layers, _ in calls:
+            for (w, b), (w0, b0) in zip(layers, calls[0][0]):
                 assert w.base is not None and w.base is w0.base
                 assert b.base is not None and b.base is b0.base
 
     @pytest.mark.parametrize("epochs", [2, 4])  # epochs 1: test_matches_reference_loop
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_passes_match_reference_loop(self, sizes, batch, epochs):
-        stack, data, kept, rows, streams = epoch_case(sizes, batch)
-        got = train_stack(stack, rows, batch, 0.1, streams(), epochs=epochs)
-        assert_models_equal(got, reference_passes(stack, data, kept, batch, streams(), epochs))
+        self.passes(sizes, batch, epochs)
 
     @pytest.mark.parametrize("epochs", [2, 4])
     @pytest.mark.parametrize("sizes, batch", EPOCH_CASES)
     def test_passes_equal_chained_calls(self, sizes, batch, epochs):
-        stack, _, _, rows, streams = epoch_case(sizes, batch)
-        got = train_stack(stack, rows, batch, 0.1, streams(), epochs=epochs)
-        want, rngs = stack, streams()
-        for _ in range(epochs):
-            want = train_stack(want, rows, batch, 0.1, rngs)
-        assert_models_equal(got, want)
+        # at threshold 1.0 a round's 1 + (epochs - 1) passes, in two sgd_epoch calls, give
+        # the bytes of the reference's one loop of epochs passes
+        model, data, shards, streams = epoch_case(sizes, batch)
+        got, _ = local_round(model, data, shards, epochs, batch, 0.1, 1.0, streams())
+        for g, r, rng in zip(got, shards, streams(), strict=True):
+            want = reference.sgd(model.layers, data, np.asarray(r), epochs, batch, 0.1, rng)
+            assert_models_equal(g, ModelParameters(tuple(want), model.architecture))
 
 
 class TestAggregateAndEvaluate:
@@ -1305,12 +1046,6 @@ class TestRarelyReachedChecks:
     @pytest.mark.parametrize("call, match", [
         pytest.param(lambda: LabeledDataset(np.zeros((4, 2)), np.zeros((4, 1), dtype=np.int64)),
                      "labels must be 1-D", id="labels-2d"),
-        pytest.param(lambda: learning._Stack((6, 3), 2).load(
-            init_model([6, 4, 3], np.random.default_rng(0)), [0, 1]),
-                     "cannot load", id="stack-load-other-architecture"),
-        pytest.param(lambda: learning._Stack((6, 3), 2).load(
-            init_model([6, 3], np.random.default_rng(0)), [0, 0]),
-                     "cannot load", id="stack-load-repeated-worker"),
         pytest.param(lambda: local_round(init_model([6, 3], np.random.default_rng(0)),
                                          *joined([tiny_dataset(n=40)]), 0, 16, 0.1, 0.7,
                                          [np.random.default_rng(1)]),
@@ -1318,10 +1053,6 @@ class TestRarelyReachedChecks:
         pytest.param(lambda: evaluate(init_model([6, 3], np.random.default_rng(0)),
                                       LabeledDataset(np.zeros((0, 6)), np.zeros(0, dtype=int))),
                      "empty dataset", id="evaluate-empty"),
-        pytest.param(lambda: filter_samples(learning._Stack((6, 3), 2).workspace(0, 1, 16)[0],
-                                            tiny_dataset(n=15), 0.5),
-                     r"input shape \(15, 6\) does not match the workspace's \(16, 6\)",
-                     id="filter-workspace-rows"),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
