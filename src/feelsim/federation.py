@@ -309,6 +309,11 @@ def run_round(
         config.batch_size, config.learning_rate, config.threshold,
         train_rngs, stack=schedule.stack,
     )
+    # a diverged model drops every sample as NaN fails the filter, and would be priced as
+    # a cheap round: stop the run instead
+    if not np.isfinite(schedule.stack.params).all():
+        raise ConfigError(f"trial {state.trial}, round {round_index}: training diverged to "
+                          f"non-finite weights at learning_rate {config.learning_rate!r}")
     workloads = [_workload(p, config, model_bits, d.excluded_count)
                  for p, d in zip(selected, decisions)]
 

@@ -108,19 +108,17 @@ class _Workspace(tuple):
     last down to layer 1 (delta_t, delta, input activation, gw, gb, weights, back buffer),
     back being the next layer's delta, and layer 0's (delta_t, delta, gw, gb), whose input
     is the call's x.  The weights and biases are the model's own arrays (views of a stack's
-    parameter block), so the workspace sees every write into them.  With no pairs it holds
-    only the forward half.  Each buffer is a view of pools (see _buffer) in one role per
-    buffer: the layers' outputs, the class-major logits, the row max and sum, then the
-    hidden layers' deltas.  Steps and filter passes run one at a time, each writing a buffer
-    before it reads it, so all of a stack's workspaces share its pools."""
+    parameter block), so the workspace sees every write into them.  Each buffer is a view of
+    pools (see _buffer) in one role per buffer: the layers' outputs, the class-major logits,
+    the row max and sum, then the hidden layers' deltas.  Steps run one at a time, each
+    writing a buffer before it reads it, so all of a stack's workspaces share its pools."""
 
     def __new__(cls, model: ModelParameters, grads, shape: tuple[int, ...], pools=()):
         ws = super().__new__(cls, grads)  # shape: a batch's leading dims, (k, n) or (n,)
         arch = model.architecture
         ws.model, ws.rows, ws.x_shape = model, math.prod(shape), (*shape, arch[0])
-        shapes = [*((*shape, n) for n in arch[1:]), (arch[-1], *shape), shape, (*shape, 1)]
-        if ws:  # and the hidden layers' deltas
-            shapes += [(*shape, n) for n in arch[1:-1]]
+        shapes = [*((*shape, n) for n in arch[1:]), (arch[-1], *shape), shape, (*shape, 1),
+                  *((*shape, n) for n in arch[1:-1])]  # and the hidden layers' deltas
         buffers = [_buffer(pools, role, s) for role, s in enumerate(shapes)]
         out = buffers[:len(arch) - 1]
         classes, row_max, row_sum, *deltas = buffers[len(arch) - 1:]
@@ -129,13 +127,12 @@ class _Workspace(tuple):
         logits_t = out[-1].transpose(-1, *range(len(shape)))  # class-major view
         ws.forward = (layers[:-1], layers[-1], classes, logits_t, row_max, row_max[..., None],
                       row_sum)
-        if ws:
-            deltas.append(out[-1])
-            backward = tuple((deltas[i].swapaxes(-1, -2), deltas[i], out[i - 1], *ws[i],
-                              model.layers[i][0], deltas[i - 1])
-                             for i in range(len(out) - 1, 0, -1))
-            ws.backward = (out[-1].reshape(ws.rows, arch[-1]), float(shape[-1]),
-                           backward, (deltas[0].swapaxes(-1, -2), deltas[0], *ws[0]))
+        deltas.append(out[-1])
+        backward = tuple((deltas[i].swapaxes(-1, -2), deltas[i], out[i - 1], *ws[i],
+                          model.layers[i][0], deltas[i - 1])
+                         for i in range(len(out) - 1, 0, -1))
+        ws.backward = (out[-1].reshape(ws.rows, arch[-1]), float(shape[-1]),
+                       backward, (deltas[0].swapaxes(-1, -2), deltas[0], *ws[0]))
         return ws
 
 
@@ -163,20 +160,53 @@ def _forward(bound: tuple, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _probabilities(model: ModelParameters | _Workspace, x: np.ndarray) -> np.ndarray:
-    """Softmax probabilities of every row of x.  A stacked model (weights (k, out, in))
-    runs x[i] of x (k, n, d) through worker i as a 2-D call would, in a fresh workspace.
-    A stack's workspace runs x (rows, d), its workers' rows one after another as gradient
-    reads them, into (rows, classes) views of the stack's pools, valid until its next call."""
-    if isinstance(model, _Workspace):
-        if x.shape != (model.rows, model.x_shape[-1]):
-            raise ValueError(f"input shape {x.shape} does not match the workspace's "
-                             f"({model.rows}, {model.x_shape[-1]})")
-        return _forward(model.forward, x.reshape(model.x_shape)).reshape(model.rows, -1)
-    arch = model.architecture
-    if x.ndim != model.layers[0][0].ndim or x.shape[-1] != arch[0]:
+def _shifted_exp(model: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """The forward-only pass: exp(logits - the row's top logit) for every row of x as
+    (classes, rows), or (m, classes, n) for a model stacked over m workers whose x holds
+    their n rows each one after another, as gradient's x does.  Feature-major, W @ x.T (the
+    bytes of (x @ W.T).T), so the bias adds, ReLU, the max, the shift and exp run along rows
+    as long as the batch, not over hundreds of rows of a few classes."""
+    arch, lead = model.architecture, model.layers[0][0].shape[:-2]  # lead: (m,) or ()
+    if x.ndim != 2 or x.shape[1] != arch[0]:
         raise ValueError(f"input shape {x.shape} does not match network input width {arch[0]}")
-    return _forward(_Workspace(model, (), x.shape[:-1]).forward, x)
+    m = math.prod(lead)
+    if len(x) % m:
+        raise ValueError(f"a stack of {m} workers needs a multiple of {m} rows, got {len(x)}")
+    *hidden, (w, b) = model.layers
+    a = x.reshape(*lead, -1, arch[0]).swapaxes(-1, -2)
+    for h_w, h_b in hidden:
+        a = np.matmul(h_w, a)
+        a += h_b[..., None]
+        np.maximum(a, 0.0, out=a)
+    z = np.matmul(w, a)
+    z += b[..., None]
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True)  # shift-invariant softmax
+    return np.exp(z, out=z)
+
+
+def _class_sums(e: np.ndarray) -> np.ndarray:
+    """e summed over its class axis (-2) with the bytes of numpy's row-major
+    np.add.reduce(..., axis=-1), whose pairwise order this restates: in turn below 8
+    classes; up to 128, class i into accumulator i mod 8, combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the c mod 8 left in turn; above 128, the halves split
+    at c // 2 rounded down to a multiple of 8, each summed so.  Adding in turn moves bytes
+    from 8 classes on."""
+    c = e.shape[-2]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sums(e[..., :half, :]) + _class_sums(e[..., half:, :])
+    if c < 8:
+        s, rest = e[..., 0, :] + 0.0, range(1, c)  # numpy starts a short sum at 0.0
+    else:
+        r = e[..., :8, :].copy()
+        for i in range(8, c - c % 8, 8):
+            r += e[..., i:i + 8, :]
+        s = (((r[..., 0, :] + r[..., 1, :]) + (r[..., 2, :] + r[..., 3, :]))
+             + ((r[..., 4, :] + r[..., 5, :]) + (r[..., 6, :] + r[..., 7, :])))
+        rest = range(c - c % 8, c)
+    for i in rest:
+        s += e[..., i, :]
+    return s
 
 
 def gradient(model: ModelParameters, x: np.ndarray, y: np.ndarray,
@@ -234,8 +264,11 @@ def loss_and_gradient(
     """
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in model.layers]
     gradient(model, x, y, grads)
-    probs = _probabilities(model, x.reshape(*model.layers[0][0].shape[:-2], -1, x.shape[-1]))
-    return -np.vdot(y, np.log(np.maximum(probs, LOG_GUARD))) / x.shape[0], grads
+    probs = _shifted_exp(model, x)
+    probs /= _class_sums(probs)[..., None, :]
+    # vdot reads both in row order: y's (rows, classes) against the probabilities transposed back
+    log_p = np.log(np.maximum(probs, LOG_GUARD)).swapaxes(-1, -2)
+    return -np.vdot(y, log_p) / x.shape[0], grads
 
 
 def _layout(block: np.ndarray, arch: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -261,13 +294,13 @@ class _Stack:
 
     A stack is built once for as many rounds as its owner trains k workers
     (a trial's round schedule keeps one), and builds each workspace its rounds reuse
-    once.  Its blocks never move: load and reorder write into them, so a workspace, views
-    of a row slice keyed by (lo, hi, batch length), stays valid for the stack's life, and
-    every one it builds is kept: a step's, and the filter's for one row and a whole shard.
-    Their buffers are views of pools, one array per buffer role, so their bytes follow its
-    largest workspace, not its number of workspaces.  The two most recent plans are kept (a
-    round's full pass and kept pass), and every plan's batches are views of one pass block,
-    grown to the most rows seen.  onehot is the targets' one-hot table."""
+    once.  Its blocks never move: load and reorder write into them, so a step's workspace,
+    views of a row slice keyed by (lo, hi, batch length), stays valid for the stack's life,
+    and every one it builds is kept.  Their buffers are views of pools, one array per buffer
+    role, so their bytes follow its largest workspace, not its number of workspaces.  The two
+    most recent plans are kept (a round's full pass and kept pass), and every plan's batches
+    are views of one pass block, x and y, grown to the most rows seen; local_round gathers
+    the filter's rows into x too.  onehot is the targets' one-hot table."""
 
     def __init__(self, arch: tuple[int, ...], k: int):
         self.arch, self.order, self.position = arch, list(range(k)), list(range(k))
@@ -300,16 +333,6 @@ class _Stack:
             np.copyto(self.params, self.grads)
             self.order, self.position = order, sorted(range(len(order)), key=order.__getitem__)
 
-    def workspace(self, lo: int, hi: int, n: int) -> tuple:
-        """(ws, p, g): the workspace of rows [lo, hi) at n rows a worker, and those rows of
-        the parameter and gradient blocks, built on the first call for this key and kept."""
-        if (lo, hi, n) not in self.steps:
-            p, g = self.params[lo:hi], self.grads[lo:hi]
-            sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
-            ws = _Workspace(sub, _layout(g, self.arch), (hi - lo, n), self.pools)
-            self.steps[lo, hi, n] = ws, p, g
-        return self.steps[lo, hi, n]
-
     def plan(self, sizes: list[int], batch_size: int) -> tuple:
         """A pass's plan for workers of these row counts, rows ordered longest first so that
         workers whose batches have the same length at a step are a row slice of the blocks.
@@ -340,7 +363,12 @@ class _Stack:
                     groups.setdefault(min(batch_size, sizes[i] - start), []).append(j)
             for n, group in groups.items():
                 lo, hi = group[0], group[-1] + 1
-                ws, p, g = self.workspace(lo, hi, n)
+                if (lo, hi, n) not in self.steps:  # built once per key, and kept
+                    p, g = self.params[lo:hi], self.grads[lo:hi]
+                    sub = ModelParameters(layers=_layout(p, self.arch), architecture=self.arch)
+                    ws = _Workspace(sub, _layout(g, self.arch), (hi - lo, n), self.pools)
+                    self.steps[lo, hi, n] = ws, p, g
+                ws, p, g = self.steps[lo, hi, n]
                 at = slice(len(pos), len(pos) + ws.rows)
                 steps.append((ws.model, x[at], y[at], ws, p, g))
                 for i in self.order[lo:hi]:
@@ -405,16 +433,21 @@ def filter_samples(
     """Keep samples the model is still unsure about.
 
     A sample is excluded when its top softmax probability exceeds threshold;
-    threshold 1.0 keeps everything, threshold 0.0 excludes everything.  model may be a
-    stack's workspace of one worker and len(data) rows (see _probabilities).
+    threshold 1.0 keeps everything, threshold 0.0 excludes everything.  model may be
+    stacked over m workers, data then holding their n rows each one after another (see
+    _shifted_exp); included_indices are positions into data all the same.
+
+    The top probability is read as 1.0 / the row's sum: the top class's shifted exponential
+    is exp(0) == 1.0, so this has the bytes of the largest e / sum.  A NaN or infinite
+    logit makes the sum NaN, and that row fails the test, as its NaN probabilities would.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     if threshold == 1.0:
         # no softmax probability exceeds 1: skip the forward pass
         return FilterDecision(included_indices=np.arange(len(data)), excluded_count=0)
-    probs = _probabilities(model, data.features)
-    idx = np.flatnonzero(np.maximum.reduce(probs.T.copy(), axis=0) <= threshold)  # see _Workspace
+    row_sum = _class_sums(_shifted_exp(model, data.features))
+    idx = np.flatnonzero(1.0 / row_sum <= threshold)  # worker by worker for a stacked model
     return FilterDecision(included_indices=idx, excluded_count=len(data) - idx.size)
 
 
@@ -436,11 +469,14 @@ def local_round(
     passes its trial's); None builds one for this call.  global_model is loaded into every
     row of the stack, and two sgd_epoch calls train it in place, sharing its plans and
     workspaces: a pass on every row, then, after each worker is filtered on its own model
-    and rows (in the stack's workspace of its row and shard length), epochs - 1 passes on
-    the rows it kept, shards[i][included_indices].  The filter always runs: its verdict
-    prices the round.  Returns models and decisions in worker order.  The models are 2-D
-    views of the stack's rows, valid until that stack trains again.  A worker's bytes depend
-    neither on which others share its stack nor on what the stack trained before.
+    and rows, epochs - 1 passes on the rows it kept, shards[i][included_indices].  After the
+    first pass the stack is longest first, so the workers of one shard length are a row
+    slice [lo, hi): each such group is filtered in one filter_samples call on that slice of
+    the stack, its rows gathered into the stack's pass block, and the one decision is split
+    back to its workers.  The filter always runs: its verdict prices the round.  Returns
+    models and decisions in worker order.  The models are 2-D views of the stack's rows,
+    valid until that stack trains again.  A worker's bytes depend neither on which others
+    share its stack nor on what the stack trained before.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -452,9 +488,26 @@ def local_round(
         stack = _Stack(global_model.architecture, len(shards))
     stack.load(global_model, _longest_first([len(r) for r in shards]))  # rows all equal: free
     sgd_epoch(stack, data, shards, batch_size, lr, rng)
-    # kept workspaces, not one bound per call: preset-filtered run_s 5.0 % lower, 7 of 10 pairs
-    decisions = [filter_samples(stack.workspace(j, j + 1, len(r))[0], data.take(r), threshold)
-                 for j, r in zip(stack.position, shards)]
+    # one feature-major filter pass per shard-length group, with evaluate's: preset-filtered
+    # round_ms_p50 5 % lower, 10 of 10 pairs at each of seeds 1 and 3
+    decided: dict[int, FilterDecision] = {}
+    lo = 0
+    for n, run in itertools.groupby(len(shards[i]) for i in stack.order):
+        hi = lo + len(list(run))
+        workers = stack.order[lo:hi]
+        rows = np.concatenate([shards[i] for i in workers])
+        x = stack.x[:len(rows)]  # the pass block, which held the first pass's rows
+        data.features.take(rows, axis=0, out=x, mode="wrap")  # every index checked above
+        group = ModelParameters(_layout(stack.params[lo:hi], stack.arch), stack.arch)
+        included = filter_samples(group, LabeledDataset(x, data.labels.take(rows)),
+                                  threshold).included_indices
+        # worker j's rows are the group's [j * n, (j + 1) * n): split there
+        ends = included.searchsorted(np.arange(0, len(rows) + 1, n)).tolist()
+        for j, i in enumerate(workers):
+            idx = included[ends[j]:ends[j + 1]] - j * n
+            decided[i] = FilterDecision(included_indices=idx, excluded_count=n - idx.size)
+        lo = hi
+    decisions = [decided[i] for i in range(len(shards))]
     if epochs > 1:
         kept = [r[decision.included_indices] for r, decision in zip(shards, decisions)]
         sgd_epoch(stack, data, kept, batch_size, lr, rng, epochs=epochs - 1)
@@ -488,8 +541,9 @@ def evaluate(model: ModelParameters, data: LabeledDataset) -> tuple[float, float
     (argmax picks the lowest index on a tie and the first NaN in a row with a NaN)."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    probs = _probabilities(model, data.features)
-    p_true = probs[np.arange(len(data)), data.labels]
+    probs = _shifted_exp(model, data.features)  # (classes, rows)
+    probs /= _class_sums(probs)
+    p_true = probs[data.labels, np.arange(len(data))]
     loss = float(-np.log(np.maximum(p_true, LOG_GUARD)).sum())
-    correct = np.count_nonzero(probs.argmax(axis=1) == data.labels)
+    correct = np.count_nonzero(probs.argmax(axis=0) == data.labels)
     return loss / len(data), correct / len(data)

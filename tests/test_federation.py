@@ -762,13 +762,15 @@ class TestTrainingCallSites:
                                 workers=fleet, train_data=train, test_data=TEST_DATA)
         record = run_round(state, cfg, 1)
 
-        assert len(filtered) == len(record.worker_stats) == 6
-        assert [n - kept for n, kept in filtered] == [s.kappa for s in record.worker_stats]
-        assert sum(rows) == sum(n + (cfg.epochs - 1) * kept for n, kept in filtered)
-        assert 0 < sum(kept for _, kept in filtered) < sum(n for n, _ in filtered)
+        # the six scheduled 100-row shards are one shard-length group: one filter call
+        kappa = [s.kappa for s in record.worker_stats]
+        assert len(kappa) == 6 and filtered == [(600, 600 - sum(kappa))]
+        kept = [100 - k for k in kappa]
+        assert sum(rows) == sum(100 + (cfg.epochs - 1) * n for n in kept)
+        assert 0 < sum(kept) < 600
         # one call per step for all six 100-row shards, not one per worker
-        batches = sum(math.ceil(n / cfg.batch_size) + (cfg.epochs - 1)
-                      * math.ceil(kept / cfg.batch_size) for n, kept in filtered)
+        batches = sum(math.ceil(100 / cfg.batch_size) + (cfg.epochs - 1)
+                      * math.ceil(n / cfg.batch_size) for n in kept)
         assert 0 < len(rows) < batches
 
     @pytest.mark.parametrize("preset, calls, rows", [

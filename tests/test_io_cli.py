@@ -790,6 +790,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mnist_subset 1000 exceeds the 40 examples" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_run_diverged_training_exits_2(self, tmp_path, capsys):
+        # a learning rate that sends the weights to inf and NaN: every probability is NaN,
+        # the filter drops every sample, and the run must not report that as a cheap round
+        preset = next(p for p in PRESETS if p.name == "synthetic_filtered.json")
+        cfg = dataclasses.replace(load_config(preset), learning_rate=1e308, rounds=4, seed=1)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg, cfg_path)
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial 0, round 1: training diverged")
+        assert "learning_rate 1e+308" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     @pytest.mark.parametrize("over, message", [
         (dict(workers=5000),
          "workers 5000 with partition 'iid' and classes_per_worker 2 do not fit the 320 "

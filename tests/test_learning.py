@@ -557,6 +557,31 @@ class TestFiltering:
         keep = np.flatnonzero(probs.max(axis=1) <= 0.75)
         assert np.array_equal(dec.included_indices, keep)
 
+    @pytest.mark.parametrize("classes", [2, 4, 10, 130])
+    def test_top_probability_read_matches_reference_at_extremes(self, classes):
+        # one worker per row of a stacked model whose zero weights leave its biases as the
+        # row's logits: ties at the top, NaN, +inf, -inf and exponentials that underflow
+        # to 0.  At every threshold that equals some row's top probability, and at its
+        # neighbours, the filter keeps exactly the rows the reference's probabilities keep
+        rng = np.random.default_rng(362)
+        k = 300
+        z = rng.normal(size=(k, classes)) * 10.0 ** rng.integers(-2, 4, size=(k, 1))
+        special = rng.random(size=z.shape) < 0.05
+        z[special] = rng.choice([np.nan, np.inf, -np.inf, -1e308, 1e308, 0.0], special.sum())
+        z[:20, 1] = z[:20, 0] = z[:20].max(axis=1)  # ties at the top
+        z[20:30] = 0.0  # every class tied: the top probability is 1 / classes
+        members = [ModelParameters(((np.zeros((classes, 1)), row),), (1, classes)) for row in z]
+        model, x = stacked(members), np.ones((k, 1))
+        with np.errstate(all="ignore"):
+            probs = [reference.probabilities(m.layers, x[:1])[0][0] for m in members]
+            top = np.array([p.max() for p in probs])
+            assert np.isnan(top).any() and any((p == 0.0).any() for p in probs)
+            finite = np.unique(top[np.isfinite(top) & (top < 1.0)])
+            thresholds = [0.0, *finite, *np.nextafter(finite, 0.0), *np.nextafter(finite, 1.0)]
+            for threshold in thresholds:
+                got = filter_samples(model, LabeledDataset(x, np.zeros(k, dtype=int)), threshold)
+                assert np.array_equal(got.included_indices, np.flatnonzero(top <= threshold))
+
     def test_threshold_validated(self):
         model = init_model([6, 3], np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -652,6 +677,14 @@ class TestLocalRound:
             assert np.array_equal(decision.included_indices, kept.included_indices)
 
 
+def assert_filtered_groups(filtered, groups):
+    """The filter's datasets, one per call, are the groups' shards one after another."""
+    assert len(filtered) == len(groups)
+    for data, group in zip(filtered, groups):
+        assert np.array_equal(data.features, np.concatenate([s.features for s in group]))
+        assert np.array_equal(data.labels, np.concatenate([s.labels for s in group]))
+
+
 def skewed_shards():
     """Label-skewed shards of 40, 37, 40 and 23 rows; the last one's features are
     scaled so far out that every softmax saturates and the filter keeps nothing."""
@@ -707,7 +740,9 @@ class TestStackedRound:
             grad(model, x, y, out)
 
         def recording(model, data, threshold):
-            filtered.append(data)
+            # a copy: the rows are gathered into the stack's pass block, which the next
+            # filter call and pass write over
+            filtered.append(LabeledDataset(data.features.copy(), data.labels))
             return keep(model, data, threshold)
 
         def sgd_passes(*args, epochs=1):
@@ -724,6 +759,9 @@ class TestStackedRound:
         # steps of 16 x 4 workers, then 16 x 3 + 7, then 8 x 2 + 5
         assert rows == [64, 48, 7, 16, 5]
         assert passes == [1]  # epochs 1: one call, then the filter
+        # one filter call per shard length, on the group's rows in stack order: longest
+        # first, ties in worker order
+        assert_filtered_groups(filtered, [[shards[0], shards[2]], [shards[1]], [shards[3]]])
 
         # the presets' shape: two 160-row shards at batch 20, threshold 1.0
         rows.clear()
@@ -734,9 +772,7 @@ class TestStackedRound:
         local_round(model, *joined(shards), 3, 20, 0.1, 1.0, streams[:2])
         assert rows == [40] * 8 * 3  # eight steps of 2 x 20 rows per epoch
         assert passes == [1, 2]  # pass 1 on all rows, then the other two on the kept
-        # once per worker, on its own rows
-        assert all(np.array_equal(d.features, s.features) and np.array_equal(d.labels, s.labels)
-                   for d, s in zip(filtered, shards, strict=True))
+        assert_filtered_groups(filtered, [shards])  # both workers in one call
 
     def test_second_call_trains_on_kept_rows(self, monkeypatch):
         calls = []
@@ -774,6 +810,33 @@ class TestStackedRound:
         kept = [dec.included_indices for dec in decisions]
         assert [len(r) for r in rows2] == [k.size for k in kept] != [len(s) for s in shards]
         assert_rows(second, rows2, [s.take(k) for s, k in zip(shards, kept, strict=True)])
+
+    def test_grouped_filter_matches_reference_on_mixed_sizes(self, monkeypatch):
+        # shards of 30, 17, 30, 5, 17, 30 and 1 scattered rows: the stack filters its four
+        # shard-length groups in one call each, longest first, and every worker's decision
+        # is that of the reference's round of that worker alone
+        calls = []
+        keep = learning.filter_samples
+
+        def recording(model, data, threshold):
+            calls.append(len(data))
+            return keep(model, data, threshold)
+
+        monkeypatch.setattr(learning, "filter_samples", recording)
+        data = tiny_dataset(n=200, seed=363)
+        sizes = [30, 17, 30, 5, 17, 30, 1]
+        order = np.random.default_rng(364).permutation(len(data))
+        shards = np.split(order[:sum(sizes)], np.cumsum(sizes)[:-1])
+        model = init_model([6, 7, 3], np.random.default_rng(365))
+
+        def streams():
+            return [substream(19, TRAIN, 0, w, 2) for w in range(len(sizes))]
+
+        decisions = assert_round_matches_reference(model, data, shards, 2, 8, 0.5, 0.6,
+                                                   streams)
+        assert calls == [90, 34, 5, 1]
+        kept = [d.included_indices.size for d in decisions]
+        assert 0 < sum(kept) < sum(sizes) and kept != sizes
 
     def test_rejects_mismatched_streams(self):
         model = init_model([6, 3], np.random.default_rng(0))

@@ -1,13 +1,15 @@
 """Resource checks of the training engine: the one test module that names the private
-internals of feelsim.learning (_Stack, _Workspace, _forward, a stack's pools, steps, plans
-and position).
+internals of feelsim.learning (_Stack, _Workspace, _forward, _shifted_exp, _class_sums, a
+stack's pools, steps, plans and position).
 
 Every other module pins training by its bytes, through tests/reference.py and public calls
 (local_round, filter_samples, evaluate, gradient with plain (gw, gb) pairs, run_round), and
 test_no_other_module_names_learning_internals keeps it so.  What is left here is what bytes
 cannot show: each workspace is built once per key, its buffers are views of the stack's
-pools, the pools and the plan cache stay bounded, a trial's stack is freed without the
-cyclic collector, and a workspace bound to another model never runs.
+pools, the pools and the plan cache stay bounded, the forward-only passes build none, a
+trial's stack is freed without the cyclic collector, and a workspace bound to another model
+never runs.  And one rule that bytes show only case by case: the class-axis sum adds as
+numpy's last-axis sum does, at every class count.
 """
 import gc
 import re
@@ -69,17 +71,17 @@ def assert_pool_view(view):
 
 
 class TestTrialStack:
-    """One _Stack trained round after round builds each workspace once and keeps it, the
-    steps' and the filter's alike, every buffer they bind is a view of one of the stack's
-    pools, and every round gives a fresh stack's bytes."""
+    """One _Stack trained round after round builds each step's workspace once and keeps it,
+    every buffer they bind is a view of one of the stack's pools, the filter builds none, and
+    every round gives a fresh stack's bytes."""
 
     @pytest.mark.parametrize("batch", [8, 40])
     def test_step_workspaces_built_once_on_pools(self, batch, built):
         # 300 filtered rounds of three workers of 40 rows, in short batches or in one
         # batch per kept pass: the kept counts give new plans and new row slices round
-        # after round.  Each (lo, hi, n) workspace, a step's or the filter's, is built once
-        # and kept, every buffer it binds is a view of one of the stack's pools, and every
-        # round gives a fresh stack's bytes.
+        # after round.  Each (lo, hi, n) step workspace is built once and kept, every buffer
+        # it binds is a view of one of the stack's pools, and every round gives a fresh
+        # stack's bytes.
         k, arch = 3, (6, 7, 4)
         model = init_model(arch, np.random.default_rng(352))
         stack = learning._Stack(arch, k)
@@ -104,13 +106,13 @@ class TestTrialStack:
         assert [id(ws) for ws in trial] == [id(ws) for ws in kept]  # every key built once
         assert len(kept) > 2 * 2 * k
         views = stack_buffers(stack)
-        assert views and all((j, j + 1, 40) in stack.steps for j in range(k))  # the filter's
+        assert views
         for view in views:
             assert_pool_view(view)
 
     def test_pools_grow_under_bound_workspaces(self):
         # shards that grow round by round, in batches as long as the longest: each round's
-        # steps and filter workspaces are longer than any before, so the pools grow under
+        # step workspaces are longer than any before, so the pools grow under
         # workspaces already bound.  The pool arrays they still hold stay within twice the
         # stack's current pools, and rounds back on the first rounds' shard lengths, through
         # workspaces bound to outgrown pools, still give a fresh stack's bytes.
@@ -145,10 +147,10 @@ class TestTrialStack:
             assert any(id(view.base) in outgrown
                        for ws in used for view in buffers(stack, (ws.forward, ws.backward)))
 
-    def test_filter_shares_a_step_workspace(self, built, monkeypatch):
-        # one worker whose 16-row shard fits one batch of 20: the filter's key is the
-        # step's, (0, 1, 16), so it runs in the very workspace the step built, which is
-        # built once, and decides as a plain 2-D view holding the same weights
+    def test_filter_builds_no_workspace(self, built, monkeypatch):
+        # one worker whose 16-row shard fits one batch of 20: the round builds the step's
+        # workspace only, and the filter runs on a stacked view of the stack's own row,
+        # deciding as a plain 2-D view holding the same weights
         filtered = []
         keep = learning.filter_samples
 
@@ -163,9 +165,10 @@ class TestTrialStack:
         _, (decision,) = local_round(model, data, [range(16)], 1, 20, 0.5, 0.4,
                                      [substream(47, TRAIN, 0, 0, 0)], stack=stack)
         assert list(stack.steps) == [(0, 1, 16)]
-        (step,) = [ws for *_, ws, _, _ in stack.plan([16], 20)[3]]
-        assert len(filtered) == 1 and filtered[0] is step is stack.steps[0, 1, 16][0]
-        assert len(built) == len(stack.steps) == 1
+        assert len(built) == 1 and built[0] is stack.steps[0, 1, 16][0]
+        (group,) = filtered
+        assert group.layers[0][0].shape == (1, 5, 6)
+        assert all(np.shares_memory(a, stack.params) for layer in group.layers for a in layer)
         want = keep(learning._member(stack.model, 0), data, 0.4)
         assert 0 < decision.excluded_count < 16
         assert decision.excluded_count == want.excluded_count
@@ -179,36 +182,37 @@ class TestTrialWorkspaces:
     @pytest.mark.parametrize("preset, steps", [("synthetic_filtered", 47),
                                                ("synthetic_unfiltered", 1)])
     def test_preset_workspace_builds(self, preset, steps, built, monkeypatch, tmp_path):
-        # a seed-1 preset run: one workspace per distinct (lo, hi, n), the steps' and the
-        # filter's of one row and a shard, and a forward workspace per evaluate call only
+        # a seed-1 preset run: one workspace per distinct step (lo, hi, n) and none for the
+        # forward-only passes; the filter runs once a round on both scheduled 160-row shards,
+        # in one forward pass below threshold 1 and in none at 1, and evaluate in one a round
         evaluated, filtering, forwards = [], [], []
-        evaluate, keep, forward = federation.evaluate, learning.filter_samples, learning._forward
+        evaluate, keep = federation.evaluate, learning.filter_samples
+        shifted_exp = learning._shifted_exp
 
         def counting_evaluate(model, data):
             evaluated.append(len(data))
             return evaluate(model, data)
 
         def recording_filter(model, data, threshold):
-            filtering.append(model)
+            filtering.append(len(data))
             return keep(model, data, threshold)
 
-        def recording_forward(bound, x):
-            forwards.append(bound)
-            return forward(bound, x)
+        def counting_forward(model, x):
+            forwards.append(len(x))
+            return shifted_exp(model, x)
 
         monkeypatch.setattr(federation, "evaluate", counting_evaluate)
         monkeypatch.setattr(learning, "filter_samples", recording_filter)
-        monkeypatch.setattr(learning, "_forward", recording_forward)
+        monkeypatch.setattr(learning, "_shifted_exp", counting_forward)
         config = load_config(ROOT / "configs" / f"{preset}.json")
         run_from_config(config, seed=1, out_dir=tmp_path, quiet=True)
-        step = [ws for ws in built if ws]  # keyed by their first row's address and shape
-        keys = {(ws.model.layers[0][0].__array_interface__["data"][0], ws.x_shape) for ws in step}
-        filters = {id(ws): ws for ws in filtering}.values()  # one per worker row and shard
-        assert len(filters) == 2 and all(any(ws is b for b in step) for ws in filters)
-        assert len(step) == len(keys) == steps + len(filters)
-        ran = [any(ws.forward is b for b in forwards) for ws in filters]
-        assert ran == [config.threshold < 1.0] * 2  # threshold 1 runs no forward pass
-        assert [ws.rows for ws in built if not ws] == evaluated
+        # keyed by their first row's address and shape
+        keys = {(ws.model.layers[0][0].__array_interface__["data"][0], ws.x_shape) for ws in built}
+        assert all(built) and len(built) == len(keys) == steps  # step workspaces only
+        assert filtering == [320] * config.rounds
+        assert len(evaluated) == config.rounds
+        filter_passes = filtering if config.threshold < 1.0 else []
+        assert sorted(forwards) == sorted(filter_passes + evaluated)
 
     def test_trial_stack_freed_without_the_cyclic_collector(self):
         # with the collector off, the trial's stack and its parameter block die as soon as
@@ -227,9 +231,7 @@ class TestTrialWorkspaces:
             models, decisions = local_round(state.model, train, [w.rows for w in fleet], 3, 32,
                                             0.05, 0.4, streams, stack=state.schedule.stack)
             assert 0 < sum(d.excluded_count for d in decisions) < len(train)
-            stack = state.schedule.stack  # the filter ran in its kept workspaces
-            assert all((j, j + 1, len(w.rows)) in stack.steps
-                       for j, w in zip(stack.position, fleet))
+            stack = state.schedule.stack
             refs = [weakref.ref(stack), weakref.ref(stack.params)]
             del state, models, stack
             assert [ref() for ref in refs] == [None, None]
@@ -251,6 +253,21 @@ class TestGradientInto:
             assert_reference_bytes(ws, model, x, y)
 
 
+class TestClassSums:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
+    def test_equal_numpy_last_axis_sum_at_every_class_count(self, lead):
+        # the filter reads its top probability from this sum and evaluate divides by it:
+        # it must keep the bytes of numpy's row-major sum, whose pairwise order changes at
+        # 8 and above 128 classes; a numpy release that changes that order fails here
+        rng = np.random.default_rng(361)
+        for classes in range(2, 301):
+            rows = rng.uniform(size=(*lead, 37, classes)) * 10.0 ** rng.integers(
+                -300, 300, size=(*lead, 37, classes))
+            want = np.add.reduce(rows, axis=-1)
+            got = learning._class_sums(np.ascontiguousarray(rows.swapaxes(-1, -2)))
+            assert got.tobytes() == want.tobytes(), classes
+
+
 class TestRarelyReachedChecks:
     """Checks of the stack that no public call reaches, one case each."""
 
@@ -261,10 +278,10 @@ class TestRarelyReachedChecks:
         pytest.param(lambda: learning._Stack((6, 3), 2).load(
             init_model([6, 3], np.random.default_rng(0)), [0, 0]),
                      "cannot load", id="stack-load-repeated-worker"),
-        pytest.param(lambda: filter_samples(learning._Stack((6, 3), 2).workspace(0, 1, 16)[0],
+        pytest.param(lambda: filter_samples(learning._Stack((6, 3), 2).model,
                                             tiny_dataset(n=15), 0.5),
-                     r"input shape \(15, 6\) does not match the workspace's \(16, 6\)",
-                     id="filter-workspace-rows"),
+                     "a stack of 2 workers needs a multiple of 2 rows, got 15",
+                     id="filter-stack-rows"),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -272,7 +289,8 @@ class TestRarelyReachedChecks:
 
 
 INTERNALS = re.compile(r"\b_(Stack|Workspace|forward|probabilities|member|layout|buffer"
-                       r"|longest_first)\b|\.(pools|steps|plans|position)\b")
+                       r"|longest_first|shifted_exp|class_sums)\b"
+                       r"|\.(pools|steps|plans|position)\b")
 
 
 def test_no_other_module_names_learning_internals():

@@ -86,6 +86,9 @@ CASES = {
     # cycles per sample whose products round: the derived deadline prices a shard's
     # cycles as effective_cycles groups them, cycles_per_sample * (epochs * rows)
     "fractional-cycles": (FILTERED, {"cycles_per_sample": 123456.789}),
+    # more than 128 classes: numpy adds a row's class sum as two recursive halves, which
+    # the filter's and the evaluation's class-axis sums must reproduce
+    "classes-130": (FILTERED, {"synthetic_classes": 130, "threshold": 0.05}),
 }
 SEEDS = (1, 2, 3)
 # run at one seed only: the benchmark's fleet seed, the 784-64-10 wide shape with 100
