@@ -8,6 +8,7 @@ combiner; the achievable rate then follows the usual bandwidth-scaled log law.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -28,17 +29,61 @@ def sample_channel(
     los_angle; the scattered component is i.i.d. complex Gaussian with unit
     power per antenna.  The whole vector is scaled by sqrt(distance^-pathloss_exp),
     so the expected per-antenna power equals the large-scale pathloss exactly.
+    This is sample_gains' draw of one row.
     """
-    if distance_m <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
+    return _channels([rng], [distance_m], [los_angle], pathloss_exp, rician_k_db, antennas)[0]
+
+
+def sample_gains(
+    rngs: Iterable[np.random.Generator],
+    distances_m: Sequence[float],
+    los_angles: Sequence[float],
+    pathloss_exp: float,
+    rician_k_db: float,
+    antennas: int,
+    noise_power_w: float,
+) -> list[float]:
+    """Matched-filter gain beta of one channel draw per row, as beam_and_gain(sample_channel(
+    rng, distance, pathloss_exp, rician_k_db, antennas, angle), noise_power_w) gives it, bit
+    for bit, for the rows of (rngs, distances_m, los_angles).
+
+    The rows' channels are drawn as one block.  Row i's draws are all taken from its stream
+    before the next stream is read, so rngs may yield one generator reseeded per row.
+    """
+    block = _channels(rngs, distances_m, los_angles, pathloss_exp, rician_k_db, antennas)
+    return [beam_and_gain(h, noise_power_w) for h in block]
+
+
+def _channels(
+    rngs: Iterable[np.random.Generator],
+    distances_m: Sequence[float],
+    los_angles: Sequence[float],
+    pathloss_exp: float,
+    rician_k_db: float,
+    antennas: int,
+) -> np.ndarray:
+    """(rows, antennas) block of sample_channel's draws: row i from the next stream of rngs
+    at distances_m[i] and los_angles[i].  Each row takes its real then its imaginary
+    scatter from its stream; the law is applied elementwise, so a row's bytes do not depend
+    on the block it is drawn in.  The pathloss power and the steering angle's sine are
+    taken per row, on scalars: numpy's array ** and sin may round otherwise."""
+    n = len(distances_m)
+    for d in distances_m:
+        if d <= 0.0:
+            raise ValueError(f"distance must be positive, got {d}")
     if antennas < 1:
         raise ValueError(f"need at least one antenna, got {antennas}")
+    draws = np.empty((n, 2, antennas))
+    for rng, row in zip(rngs, draws, strict=True):
+        rng.standard_normal(out=row[0])
+        rng.standard_normal(out=row[1])
     k_lin = 10.0 ** (rician_k_db / 10.0)
-    m = np.arange(antennas)
-    v_los = np.exp(1j * np.pi * m * np.sin(los_angle))
-    g = (rng.standard_normal(antennas) + 1j * rng.standard_normal(antennas)) / np.sqrt(2.0)
+    sines = np.array([np.sin(a) for a in los_angles]).reshape(n, 1)
+    v_los = np.exp(1j * np.pi * np.arange(antennas) * sines)
+    g = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     small = np.sqrt(k_lin / (k_lin + 1.0)) * v_los + np.sqrt(1.0 / (k_lin + 1.0)) * g
-    return np.sqrt(distance_m ** (-pathloss_exp)) * small
+    scale = np.sqrt(np.array([d ** (-pathloss_exp) for d in distances_m])).reshape(n, 1)
+    return scale * small
 
 
 def beam_and_gain(target: np.ndarray, noise_power_w: float) -> float:

@@ -1,17 +1,19 @@
 """Round orchestration: partitioning, scheduling, training, energy accounting.
 
-A round proceeds as: sample the scheduled workers, draw their uplink channels,
-run local training (full first epoch, confidence filter, remaining epochs on
-the surviving samples), matched-filter each worker's channel (every worker
-uploads on its own orthogonal share of the band), split the bandwidth, plan
-each worker's compute/upload operating point, charge energy budgets, and
-aggregate the updates that made it back in time.
+A round proceeds as: sample the scheduled workers, read the matched-filter
+gains of their uplink channels (every worker uploads on its own orthogonal
+share of the band; the gains are drawn a window of rounds at a time), run local
+training (full first epoch, confidence filter, remaining epochs on the
+surviving samples), split the bandwidth, plan each worker's compute/upload
+operating point, charge energy budgets, and aggregate the updates that made it
+back in time.
 
 Every random draw comes from a stream keyed by (seed, domain, trial, worker,
 round), so per-worker work is order-independent: a round trains its scheduled
 workers as one stacked model, and no worker's bytes depend on which others
 share its stack.  A trial's round streams are derived a window of rounds at a
-time (_Schedule) and replayed in a few reused generators.
+time (_Schedule): the window's channels are drawn there in one block, and its
+training streams replayed in a few reused generators.
 """
 from __future__ import annotations
 
@@ -22,7 +24,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import beam_and_gain, sample_channel, uplink_rate
+from .channel import sample_gains, uplink_rate
+
+# unused here: bench/tracer.py rebinds these two names (ROADMAP item 1)
+from .channel import beam_and_gain, sample_channel
 from .learning import (
     LabeledDataset,
     ModelParameters,
@@ -185,15 +190,17 @@ def select_workers(
     return [workers[i] for i in chosen]
 
 
-def _link_gain(
-    profile: WorkerProfile, config: ExperimentConfig, rng: np.random.Generator
-) -> float:
-    """Draw the worker's channel from rng; return its matched-filter gain beta."""
-    h = sample_channel(
-        rng, profile.distance_m, config.pathloss_exp, config.rician_k_db,
-        config.antennas, profile.los_angle,
+def _channel_gains(
+    profiles: list[WorkerProfile], seeds: list, config: ExperimentConfig,
+    rng: np.random.Generator,
+) -> list[float]:
+    """Matched-filter gain beta of each profile's channel, drawn on its stream in seeds
+    (stream_seeds' pairs), which rng replays one after another."""
+    return sample_gains(
+        (reseed(rng, s) for s in seeds), [p.distance_m for p in profiles],
+        [p.los_angle for p in profiles], config.pathloss_exp, config.rician_k_db,
+        config.antennas, config.noise_power_w,
     )
-    return beam_and_gain(h, config.noise_power_w)
 
 
 def _workload(p: WorkerProfile, config: ExperimentConfig, bits: int, excluded: int) -> Workload:
@@ -215,10 +222,9 @@ def default_deadline(
     if not workers:
         raise ValueError("no workers to derive a deadline from")
     share = config.bandwidth_hz / schedule_size(len(workers), config.select_fraction)
-    rng = np.random.Generator(np.random.PCG64(0))
     seeds = stream_seeds(config.seed, [(DOMAIN_DEADLINE, trial, p.worker_id)
                                        for p in workers])
-    betas = [_link_gain(p, config, reseed(rng, s)) for p, s in zip(workers, seeds)]
+    betas = _channel_gains(workers, seeds, config, np.random.Generator(np.random.PCG64(0)))
     beta_worst = min(betas) / 4.0  # 6 dB margin for the per-round refresh
     p_max = min(p.bounds.p_max_w for p in workers)
     t_up = model_bits / uplink_rate(share, beta_worst, p_max)
@@ -232,55 +238,61 @@ _WINDOW_STREAMS = 4096
 
 
 class _Schedule:
-    """A trial's round streams: each round's selection, and the (state, inc) seeds of its
-    selected workers' channel and training streams, the streams substream would open; and
-    the trial's training stack for the scheduled count, whose blocks, plans and step
-    workspaces every round reuses.  A round's local models are views of the stack, valid
-    until the next round trains; run_round aggregates them before it returns.
+    """A trial's round streams: each round's selection, the matched-filter gains of its
+    selected workers' channels, and the (state, inc) seeds of their training streams, the
+    streams substream would open; and the trial's training stack for the scheduled count,
+    whose blocks, plans and step workspaces every round reuses.  A round's local models are
+    views of the stack, valid until the next round trains; run_round aggregates them before
+    it returns.
 
     draw(config, first) replaces the rounds it holds by a window from round `first` up to
     config.rounds, or further when `first` is past it, of at most _WINDOW_STREAMS streams.
-    Each kind of stream in the window is hashed in one stream_seeds call.  take(r) drops
-    round r and returns its selection and its streams, replayed in reused generators that
-    stay valid until the next take.  A schedule serves only the seed, trial, fraction,
-    channel mode, model architecture and fleet it was made for; fits tells whether it
-    still does.
+    Each kind of stream in the window is hashed in one stream_seeds call, and every channel
+    in the window is drawn in one sample_gains block, from each profile's distance_m and
+    los_angle as they are when the window is drawn.  take(r) drops round r and returns its
+    selection, its gains and its training streams, replayed in reused generators that stay
+    valid until the next take.  A schedule serves only the seed, trial, fraction, channel
+    mode and law (antennas, pathloss exponent, Rician factor, noise power), model
+    architecture and fleet it was made for; fits tells whether it still does.
     """
 
     def __init__(self, key: tuple, workers: list[WorkerProfile]):
-        self.key = key  # (seed, trial, select_fraction, channel_mode, architecture)
+        self.key = key  # (seed, trial, select_fraction, channel_mode, architecture, *law)
         self.workers = list(workers)
-        self.rounds: dict[int, tuple[list[WorkerProfile], list, list]] = {}
+        self.rounds: dict[int, tuple[list[WorkerProfile], list[float], list]] = {}
         n = schedule_size(len(workers), key[2])
         self.stack = _Stack(key[4], n)
-        self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(2 * n + 1)]
+        self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(n + 1)]
 
     def fits(self, key: tuple, workers: list[WorkerProfile]) -> bool:
         return (key == self.key and len(workers) == len(self.workers)
                 and all(map(operator.is_, workers, self.workers)))
 
     def draw(self, config: ExperimentConfig, first: int) -> None:
-        seed, trial, fraction, mode, _ = self.key
-        per_round = len(self.generators)  # one selection, then a channel and a training stream
+        seed, trial, fraction, mode = self.key[:4]
+        # one selection, then a channel and a training stream per scheduled worker
+        per_round = 2 * schedule_size(len(self.workers), fraction) + 1
         last = min(config.rounds, first + _WINDOW_STREAMS // per_round - 1)
         window = range(first, max(first, last) + 1)
-        picks = [select_workers(self.workers, fraction, reseed(self.generators[0], s))
+        rng = self.generators[0]
+        picks = [select_workers(self.workers, fraction, reseed(rng, s))
                  for s in stream_seeds(seed, [(DOMAIN_SELECT, trial, r) for r in window])]
-        slots = [(p.worker_id, r) for r, picked in zip(window, picks) for p in picked]
+        slots = [(p, r) for r, picked in zip(window, picks) for p in picked]
         static = mode == "static"  # a static channel is drawn once a trial: its key has no round
-        channel = stream_seeds(seed, [(DOMAIN_CHANNEL, trial, w) if static
-                                      else (DOMAIN_CHANNEL, trial, w, r) for w, r in slots])
-        train = stream_seeds(seed, [(DOMAIN_TRAIN, trial, w, r) for w, r in slots])
+        betas = _channel_gains(
+            [p for p, _ in slots],
+            stream_seeds(seed, [(DOMAIN_CHANNEL, trial, p.worker_id) if static
+                                else (DOMAIN_CHANNEL, trial, p.worker_id, r) for p, r in slots]),
+            config, rng)
+        train = stream_seeds(seed, [(DOMAIN_TRAIN, trial, p.worker_id, r) for p, r in slots])
         self.rounds, end = {}, 0
         for r, picked in zip(window, picks):
             start, end = end, end + len(picked)
-            self.rounds[r] = (picked, channel[start:end], train[start:end])
+            self.rounds[r] = (picked, betas[start:end], train[start:end])
 
-    def take(self, round_index: int) -> tuple[list[WorkerProfile], list, list]:
-        selected, channel, train = self.rounds.pop(round_index)
-        n = len(selected)
-        rngs = [reseed(g, s) for g, s in zip(self.generators[1:], channel + train)]
-        return selected, rngs[:n], rngs[n:]
+    def take(self, round_index: int) -> tuple[list[WorkerProfile], list[float], list]:
+        selected, betas, train = self.rounds.pop(round_index)
+        return selected, betas, [reseed(g, s) for g, s in zip(self.generators[1:], train)]
 
 
 def run_round(
@@ -294,15 +306,14 @@ def run_round(
     deadline = config.deadline_s
     model_bits = param_bits(state.model.architecture)
     key = (config.seed, state.trial, config.select_fraction, config.channel_mode,
-           state.model.architecture)
+           state.model.architecture, config.antennas, config.pathloss_exp,
+           config.rician_k_db, config.noise_power_w)
     schedule = state.schedule
     if schedule is None or not schedule.fits(key, state.workers):
         schedule = state.schedule = _Schedule(key, state.workers)
     if round_index not in schedule.rounds:
         schedule.draw(config, round_index)
-    selected, channel_rngs, train_rngs = schedule.take(round_index)
-
-    betas = [_link_gain(p, config, rng) for p, rng in zip(selected, channel_rngs)]
+    selected, betas, train_rngs = schedule.take(round_index)
 
     local_models, decisions = local_round(
         state.model, state.train_data, [p.rows for p in selected], config.epochs,

@@ -408,8 +408,7 @@ def sgd_epoch(
     for r, g, at in zip(rows, rng, itertools.accumulate(sizes, initial=0)):
         part = shuffled[:, at:at + len(r)]
         part[...] = r
-        for row in part:
-            g.shuffle(row)  # the draws of g.permutation(len(r)), applied to r
+        g.permuted(part, axis=1, out=part)  # each pass takes g.permutation(len(r))'s draws
     pos, x, y, steps = stack.plan(sizes, batch_size)
     cols = shuffled.take(pos, axis=1)  # (epochs, rows of one pass), in step order
     labels = data.labels.take(cols)  # mode "raise": every index is a row of data

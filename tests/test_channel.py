@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from feelsim.channel import beam_and_gain, sample_channel, uplink_rate
+from feelsim.channel import beam_and_gain, sample_channel, sample_gains, uplink_rate
+from feelsim.streams import DOMAIN_CHANNEL, reseed, stream_seeds, substream
 
 
 class TestSampleChannel:
@@ -100,6 +101,65 @@ class TestBeamAndGain:
         assert beam_and_gain(np.array([1e150]), 1e-7) == pytest.approx(1e307)
         with pytest.raises(ValueError, match="must be positive and finite, got inf"):
             beam_and_gain(np.array([1e150, 1e150]), 1e-12)
+
+
+class TestSampleGains:
+    """sample_gains draws its rows as one block; each row's beta has the bytes of one
+    sample_channel draw through beam_and_gain, whatever the block's size."""
+
+    @staticmethod
+    def rows(n, seed):
+        """n (distance, angle) placements: the config's distance bounds (the defaults and
+        the shipped presets'), the steering angle's edges, then random ones."""
+        rng = np.random.default_rng(seed)
+        distances = [25.0, 100.0, 10.0, 60.0] + rng.uniform(10.0, 100.0, n).tolist()
+        angles = [0.0, math.pi / 2, math.pi, math.nextafter(2 * math.pi, 0.0)]
+        return distances[:n], (angles + rng.uniform(0.0, 2 * math.pi, n).tolist())[:n]
+
+    @pytest.mark.parametrize("k_db", [8.0, -20.0])
+    @pytest.mark.parametrize("n", [1, 3, 17, 64])
+    @pytest.mark.parametrize("antennas", [1, 4, 64])
+    def test_block_equals_one_row_draws(self, antennas, n, k_db):
+        distances, angles = self.rows(n, 10 * antennas + n)
+        # the block reads one generator reseeded per row, as a round schedule does
+        seeds = stream_seeds(5, [(DOMAIN_CHANNEL, 0, i) for i in range(n)])
+        got = sample_gains((reseed(np.random.default_rng(), s) for s in seeds), distances,
+                           angles, 3.2, k_db, antennas, 1e-12)
+        want = [beam_and_gain(sample_channel(substream(5, DOMAIN_CHANNEL, 0, i), d, 3.2, k_db,
+                                             antennas, a), 1e-12)
+                for i, (d, a) in enumerate(zip(distances, angles))]
+        assert got == want
+        assert all(type(beta) is float for beta in got)
+
+    # an underflowing pathloss gives gain 0, a NaN distance NaN, a finite power over the
+    # noise inf
+    @pytest.mark.parametrize("bad, expect", [(1e200, "got 0.0"), (math.nan, "got nan"),
+                                             (1e-95, "got inf")])
+    def test_bad_row_raises_as_one_row(self, bad, expect):
+        with pytest.raises(ValueError, match="must be positive and finite") as one_row:
+            beam_and_gain(sample_channel(np.random.default_rng(1), bad, 3.2, 8.0, 4, 0.3),
+                          1e-12)
+        assert str(one_row.value).endswith(expect)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(ValueError) as block:
+            sample_gains(rngs, [40.0, bad, 40.0], [0.1, 0.3, 0.5], 3.2, 8.0, 4, 1e-12)
+        assert str(block.value) == str(one_row.value)
+
+    def test_validation_as_one_row(self):
+        rngs = [np.random.default_rng(0)] * 2
+        with pytest.raises(ValueError, match="distance must be positive, got 0.0"):
+            sample_gains(rngs, [10.0, 0.0], [0.5, 0.5], 3.2, 8.0, 4, 1e-12)
+        # each row is checked: a NaN row ahead does not hide a bad one
+        with pytest.raises(ValueError, match="distance must be positive, got -1.0"):
+            sample_gains(rngs, [math.nan, -1.0], [0.5, 0.5], 3.2, 8.0, 4, 1e-12)
+        # one stream per row: a row left without one is not left undrawn
+        with pytest.raises(ValueError, match="zip"):
+            sample_gains(rngs[:1], [10.0, 10.0], [0.5, 0.5], 3.2, 8.0, 4, 1e-12)
+        with pytest.raises(ValueError, match="need at least one antenna, got 0"):
+            sample_gains(rngs, [10.0, 10.0], [0.5, 0.5], 3.2, 8.0, 0, 1e-12)
+        with pytest.raises(ValueError, match="noise power must be positive"):
+            sample_gains(rngs, [10.0, 10.0], [0.5, 0.5], 3.2, 8.0, 4, 0.0)
+        assert sample_gains([], [], [], 3.2, 8.0, 4, 1e-12) == []
 
 
 class TestUplinkRate:

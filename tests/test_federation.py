@@ -548,9 +548,13 @@ class TestRoundSchedule:
         assert_models_equal(ma, mb)
         assert ra == rb
 
-    # another fraction schedules 5 of 7 workers, not 3: the trial's stack is rebuilt too
+    # another fraction schedules 5 of 7 workers, not 3: the trial's stack is rebuilt too;
+    # a window's gains are drawn ahead of its rounds, so each field of the channel law
+    # must redraw them
     @pytest.mark.parametrize("change", [dict(seed=84), dict(channel_mode="static"),
-                                        dict(select_fraction=0.6)])
+                                        dict(select_fraction=0.6), dict(rician_k_db=2.0),
+                                        dict(antennas=8), dict(pathloss_exp=3.0),
+                                        dict(noise_power_w=4e-12)])
     def test_reused_state_is_redrawn_for_another_config(self, change):
         cfg = self.config()
         state = self.state()

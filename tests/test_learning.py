@@ -1002,6 +1002,25 @@ class TestEpochAgainstReference:
             want = reference.sgd(model.layers, data, np.asarray(r), epochs, batch, 0.1, rng)
             assert_models_equal(g, ModelParameters(tuple(want), model.architecture))
 
+    def test_one_permuted_call_draws_a_permutation_per_pass(self):
+        # sgd_epoch shuffles a worker's passes, rows of a column slice of one block, in one
+        # Generator.permuted call: each pass and the generator's state after it are those of
+        # a fresh permutation drawn per pass, and the block's other columns stay as they were
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            epochs, n = int(rng.integers(1, 7)), int(rng.integers(0, 90))
+            rows = rng.choice(10_000, size=n, replace=False)
+            seed = int(rng.integers(2**32))
+            block = np.full((epochs, n + 5), -1, dtype=np.intp)
+            part = block[:, 2:n + 2]
+            part[...] = rows
+            g, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            g.permuted(part, axis=1, out=part)
+            passes = [rows[want.permutation(n)] for _ in range(epochs)]
+            assert np.array_equal(part, np.array(passes, dtype=np.intp).reshape(epochs, n))
+            assert g.bit_generator.state == want.bit_generator.state
+            assert (block[:, :2] == -1).all() and (block[:, n + 2:] == -1).all()
+
 
 class TestAggregateAndEvaluate:
     def test_weighted_mean_exact(self):

@@ -89,6 +89,10 @@ CASES = {
     # more than 128 classes: numpy adds a row's class sum as two recursive halves, which
     # the filter's and the evaluation's class-axis sums must reproduce
     "classes-130": (FILTERED, {"synthetic_classes": 130, "threshold": 0.05}),
+    # the antenna count sets the channel block's width: one antenna, and 64 on a channel
+    # drawn once a trial
+    "antennas-1": (FILTERED, {"antennas": 1}),
+    "antennas-64-static": (FILTERED, {"antennas": 64, "channel_mode": "static"}),
 }
 SEEDS = (1, 2, 3)
 # run at one seed only: the benchmark's fleet seed, the 784-64-10 wide shape with 100
