@@ -18,7 +18,6 @@ training streams replayed in a few reused generators.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -115,11 +114,14 @@ class RoundRecord:
 class ExperimentState:
     """Mutable state threaded through the rounds of one trial.
 
-    train_data is the training split, which every trial shares: each worker's rows index it.
-    schedule holds the trial's round streams and training stack; run_round builds it when it
-    is first needed, and again when it no longer fits the config or the fleet.
+    config, with its deadline resolved, the fleet in workers and the model's architecture are
+    fixed for the state's life: the state runs one trial under one config.  train_data is the
+    training split, which every trial shares: each worker's rows index it.  schedule holds the
+    trial's round streams and training stack, drawn from them; run_round builds it in the
+    state's first round.
     """
 
+    config: ExperimentConfig
     model: ModelParameters
     workers: list[WorkerProfile]
     train_data: LabeledDataset
@@ -245,31 +247,28 @@ class _Schedule:
     views of the stack, valid until the next round trains; run_round aggregates them before
     it returns.
 
-    draw(config, first) replaces the rounds it holds by a window from round `first` up to
+    draw(first) replaces the rounds it holds by a window from round `first` up to
     config.rounds, or further when `first` is past it, of at most _WINDOW_STREAMS streams.
     Each kind of stream in the window is hashed in one stream_seeds call, and every channel
     in the window is drawn in one sample_gains block, from each profile's distance_m and
     los_angle as they are when the window is drawn.  take(r) drops round r and returns its
     selection, its gains and its training streams, replayed in reused generators that stay
-    valid until the next take.  A schedule serves only the seed, trial, fraction, channel
-    mode and law (antennas, pathloss exponent, Rician factor, noise power), model
-    architecture and fleet it was made for; fits tells whether it still does.
+    valid until the next take.  The schedule copies its state's config, trial, fleet and
+    architecture, and keeps no reference to the state, which holds it: no cycle keeps a
+    trial's stack alive for the cyclic collector.
     """
 
-    def __init__(self, key: tuple, workers: list[WorkerProfile]):
-        self.key = key  # (seed, trial, select_fraction, channel_mode, architecture, *law)
-        self.workers = list(workers)
+    def __init__(self, state: ExperimentState):
+        self.config, self.trial = state.config, state.trial
+        self.workers = list(state.workers)
         self.rounds: dict[int, tuple[list[WorkerProfile], list[float], list]] = {}
-        n = schedule_size(len(workers), key[2])
-        self.stack = _Stack(key[4], n)
+        n = schedule_size(len(self.workers), self.config.select_fraction)
+        self.stack = _Stack(state.model.architecture, n)
         self.generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(n + 1)]
 
-    def fits(self, key: tuple, workers: list[WorkerProfile]) -> bool:
-        return (key == self.key and len(workers) == len(self.workers)
-                and all(map(operator.is_, workers, self.workers)))
-
-    def draw(self, config: ExperimentConfig, first: int) -> None:
-        seed, trial, fraction, mode = self.key[:4]
+    def draw(self, first: int) -> None:
+        config, trial = self.config, self.trial
+        seed, fraction = config.seed, config.select_fraction
         # one selection, then a channel and a training stream per scheduled worker
         per_round = 2 * schedule_size(len(self.workers), fraction) + 1
         last = min(config.rounds, first + _WINDOW_STREAMS // per_round - 1)
@@ -278,7 +277,8 @@ class _Schedule:
         picks = [select_workers(self.workers, fraction, reseed(rng, s))
                  for s in stream_seeds(seed, [(DOMAIN_SELECT, trial, r) for r in window])]
         slots = [(p, r) for r, picked in zip(window, picks) for p in picked]
-        static = mode == "static"  # a static channel is drawn once a trial: its key has no round
+        # a static channel is drawn once a trial: its key has no round
+        static = config.channel_mode == "static"
         betas = _channel_gains(
             [p for p, _ in slots],
             stream_seeds(seed, [(DOMAIN_CHANNEL, trial, p.worker_id) if static
@@ -295,24 +295,16 @@ class _Schedule:
         return selected, betas, [reseed(g, s) for g, s in zip(self.generators[1:], train)]
 
 
-def run_round(
-    state: ExperimentState,
-    config: ExperimentConfig,
-    round_index: int,
-) -> RoundRecord:
-    """Advance the experiment by one deadline-bound communication round."""
+def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
+    """Advance the experiment by one deadline-bound communication round, under state.config."""
+    config = state.config
     if config.deadline_s is None:
         raise ValueError("run_round needs a resolved deadline; see run_experiment")
     deadline = config.deadline_s
     model_bits = param_bits(state.model.architecture)
-    key = (config.seed, state.trial, config.select_fraction, config.channel_mode,
-           state.model.architecture, config.antennas, config.pathloss_exp,
-           config.rician_k_db, config.noise_power_w)
-    schedule = state.schedule
-    if schedule is None or not schedule.fits(key, state.workers):
-        schedule = state.schedule = _Schedule(key, state.workers)
+    schedule = state.schedule = state.schedule or _Schedule(state)
     if round_index not in schedule.rounds:
-        schedule.draw(config, round_index)
+        schedule.draw(round_index)
     selected, betas, train_rngs = schedule.take(round_index)
 
     local_models, decisions = local_round(
@@ -423,7 +415,6 @@ def run_experiment(
     if config.deadline_s - t_cmp == config.deadline_s:
         raise ConfigError(f"deadline {float(config.deadline_s)!r} s leaves no compute slot: "
                           f"{t_cmp!r} s at f_max does not change it in floating point")
-    state = ExperimentState(model=model, workers=workers, train_data=train_data,
-                            test_data=test_data, trial=trial)
-    records = [run_round(state, config, r) for r in range(1, config.rounds + 1)]
+    state = ExperimentState(config, model, workers, train_data, test_data, trial)
+    records = [run_round(state, r) for r in range(1, config.rounds + 1)]
     return records, state.model

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,15 +15,14 @@ class TestSampleChannel:
         assert np.array_equal(a, b)
 
     def test_mean_power_matches_pathloss(self):
-        # Monte Carlo over 100,000 draws, each at a uniform line-of-sight angle:
-        # mean per-antenna power = d^-pl within 2%
+        # Monte Carlo over 100,000 draws, each at a uniform line-of-sight angle, drawn as
+        # one block (TestSampleGains pins a block row to sample_channel): at unit noise
+        # power beta is ||h||^2, so mean per-antenna power = d^-pl within 2%
         rng = np.random.default_rng(17)
         d, m, n = 40.0, 4, 100_000
-        total = 0.0
-        for _ in range(n):
-            h = sample_channel(rng, d, 3.2, 8.0, m, float(rng.uniform(0.0, 2.0 * np.pi)))
-            total += float(np.vdot(h, h).real)
-        mean_power = total / (n * m)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n).tolist()
+        betas = sample_gains(itertools.repeat(rng, n), [d] * n, angles, 3.2, 8.0, m, 1.0)
+        mean_power = sum(betas) / (n * m)
         expect = d ** (-3.2)
         assert abs(mean_power - expect) <= 0.02 * expect
 

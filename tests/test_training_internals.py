@@ -75,13 +75,14 @@ class TestTrialStack:
     every buffer they bind is a view of one of the stack's pools, the filter builds none, and
     every round gives a fresh stack's bytes."""
 
-    @pytest.mark.parametrize("batch", [8, 40])
-    def test_step_workspaces_built_once_on_pools(self, batch, built):
-        # 300 filtered rounds of three workers of 40 rows, in short batches or in one
-        # batch per kept pass: the kept counts give new plans and new row slices round
-        # after round.  Each (lo, hi, n) step workspace is built once and kept, every buffer
-        # it binds is a view of one of the stack's pools, and every round gives a fresh
-        # stack's bytes.
+    @pytest.mark.parametrize("batches", [(8,), (40,), (8, 40)], ids=["8", "40", "8-40"])
+    def test_step_workspaces_built_once_on_pools(self, batches, built):
+        # 300 filtered rounds of three workers of 40 rows, in short batches, in one batch
+        # per kept pass, or in each by turns (round r at batches[r % len(batches)]): the
+        # kept counts give new plans and new row slices round after round, and a plan kept
+        # from a round at another batch size must not be reused.  Each (lo, hi, n) step
+        # workspace is built once and kept, every buffer it binds is a view of one of the
+        # stack's pools, and every round gives a fresh stack's bytes.
         k, arch = 3, (6, 7, 4)
         model = init_model(arch, np.random.default_rng(352))
         stack = learning._Stack(arch, k)
@@ -94,6 +95,7 @@ class TestTrialStack:
 
         for r in range(300):
             built.clear()
+            batch = batches[r % len(batches)]
             models, _ = local_round(model, *joined(shards), 2, batch, 0.5, 0.6, streams(r),
                                     stack=stack)
             trial += [ws for ws in built if ws]
@@ -223,10 +225,10 @@ class TestTrialWorkspaces:
         gc.collect()
         gc.disable()
         try:
-            state = ExperimentState(model=init_model(ARCH, np.random.default_rng(61)),
+            state = ExperimentState(config=cfg, model=init_model(ARCH, np.random.default_rng(61)),
                                     workers=fleet, train_data=train, test_data=TEST_DATA)
             for r in range(1, 3):
-                run_round(state, cfg, r)
+                run_round(state, r)
             streams = [substream(61, DOMAIN_INIT, w) for w in range(len(fleet))]
             models, decisions = local_round(state.model, train, [w.rows for w in fleet], 3, 32,
                                             0.05, 0.4, streams, stack=state.schedule.stack)
