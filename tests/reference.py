@@ -2,10 +2,12 @@
 
 Each scheduled worker trains its own 2-D copy of the global model: one epoch of SGD, the
 confidence filter, then epochs - 1 epochs on the rows it kept.  The round prices each worker
-on the deadline, splits the band, charges the energy ledger and averages the delivered models
-by dataset size (FedAvg, arXiv:1602.05629).  Every draw is from `substream`.  Borrowed, and
-pinned by other tests: the data, split and fleet, init_model, select_workers, the channel
-model, the planner (minimize_round_energy, optimal_bandwidth) and the record types.
+on the deadline with `plan`, splits the band (`least_band` in `adaptive` mode), charges the
+energy ledger and averages the delivered models by dataset size (FedAvg, arXiv:1602.05629).
+Every draw is from `substream`.  `plan` and `least_band` solve the problems stated in
+feelsim.resource_optimizer's docstring by bisection.  Borrowed, and pinned by other tests: the
+data, split and fleet, init_model, select_workers, the channel model and, from the planner's
+module, types only (test_reference_borrows_no_planner_function keeps it so).
 """
 import dataclasses
 import math
@@ -16,8 +18,9 @@ from feelsim.channel import beam_and_gain, sample_channel, uplink_rate
 from feelsim.federation import RoundRecord, WorkerRoundStats, select_workers
 from feelsim.io_cli import build_workers, load_dataset, split_train_test
 from feelsim.learning import LOG_GUARD, init_model
-from feelsim.resource_optimizer import InfeasibleError, ResourcePlan, Workload
-from feelsim.resource_optimizer import minimize_round_energy, optimal_bandwidth
+from feelsim.resource_optimizer import InfeasibleBandwidthError, InfeasibleDeadlineError
+from feelsim.resource_optimizer import InfeasibleError, InfeasiblePowerError, ResourcePlan
+from feelsim.resource_optimizer import Workload
 from feelsim.streams import DOMAIN_CHANNEL, DOMAIN_DEADLINE, DOMAIN_INIT, DOMAIN_SELECT
 from feelsim.streams import DOMAIN_TRAIN, substream
 
@@ -107,6 +110,64 @@ def deadline(config, fleet, trial, bits):
     return 1.5 * (t_cmp + t_up)
 
 
+def least_float(holds, a, b):
+    """The least float in (a, b], 0 <= a < b, at which `holds` is true, for a predicate false up
+    to some float and true from it on (b if it is true nowhere before): bisection on the bit
+    patterns, which order non-negative floats as integers do."""
+    lo, hi = (int(np.float64(t).view(np.int64)) for t in (a, b))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(float(np.int64(mid).view(np.float64))) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def link_power(bits, t_up, band, beta):
+    """The power that uploads `bits` in t_up seconds at rate band log2(1 + beta p / band)."""
+    with np.errstate(over="ignore"):
+        return band / beta * float(np.expm1(bits * math.log(2.0) / (t_up * band)))
+
+
+def plan(job, deadline, band, beta, bounds):
+    """The least-energy operating point of one worker-round on `band` Hz: computing at f in
+    [f_min, f_max], then uploading at max(link_power, p_min) <= p_max, fills the deadline.  The
+    energy C cycles f^2 / 2 + t_up p is convex in the upload slot t_up, so the optimum is the
+    first slot, from the first that p_max can use, where it stops falling."""
+    cycles = job.cycles_per_sample * (job.dataset_size
+                                      + (job.epochs - 1) * (job.dataset_size - job.excluded_count))
+    hi = deadline - cycles / bounds.f_max_hz
+    if hi <= 0.0:
+        raise InfeasibleDeadlineError(f"{cycles} cycles do not fit in {deadline} s at f_max")
+
+    def usable(t_up):
+        return link_power(job.model_bits, t_up, band, beta) <= bounds.p_max_w
+
+    def rising(t_up):  # dE/dt_up >= 0: C f^3 plus p_min, or plus (band / beta)(expm1(x) - x e^x)
+        x = job.model_bits * math.log(2.0) / (t_up * band)
+        upload = (bounds.p_min_w if link_power(job.model_bits, t_up, band, beta) <= bounds.p_min_w
+                  else band / beta * (math.expm1(x) - x * math.exp(x)))
+        return bounds.capacitance * (cycles / (deadline - t_up)) ** 3 + upload >= 0.0
+
+    if not usable(hi):
+        raise InfeasiblePowerError(f"p_max cannot upload {job.model_bits} bits in {hi} s")
+    lo = max(deadline - cycles / bounds.f_min_hz, 0.0)
+    first = lo if lo > 0.0 and usable(lo) else least_float(usable, lo, hi)
+    t_up = first if rising(first) else least_float(rising, first, hi)
+    f = cycles / (deadline - t_up)
+    p = max(link_power(job.model_bits, t_up, band, beta), bounds.p_min_w)
+    return ResourcePlan(deadline - t_up, t_up, f, p, band,
+                        0.5 * bounds.capacitance * f * f * cycles, t_up * p)
+
+
+def least_band(bits, t_up, power, beta):
+    """The least band on which `power` uploads `bits` in t_up seconds: the rate
+    band log2(1 + power beta / band) rises with the band, towards power beta / ln2."""
+    band = least_float(lambda b: b * math.log1p(power * beta / b) * t_up >= bits * math.log(2.0),
+                       0.0, math.inf)
+    if band == math.inf:
+        raise InfeasibleBandwidthError(f"no band uploads {bits} bits in {t_up} s at {power} W")
+    return band
+
+
 def run_round(config, trial, r, layers, fleet, data, test, t, cum):
     """Round r from the global model `layers` and the energy `cum` spent before it: its
     record and the next global model."""
@@ -128,7 +189,7 @@ def run_round(config, trial, r, layers, fleet, data, test, t, cum):
         plans = []
         for p, job, share, beta in zip(selected, jobs, shares, betas):
             try:
-                plans.append(minimize_round_energy(job, t, share, beta, p.bounds))
+                plans.append(plan(job, t, share, beta, p.bounds))
             except InfeasibleError:  # no operating point meets the deadline
                 plans.append(None)
         return plans
@@ -141,7 +202,7 @@ def run_round(config, trial, r, layers, fleet, data, test, t, cum):
         for i, (p, pl, beta) in enumerate(zip(selected, plans, betas)):
             if pl is not None and pl.p_w == p.bounds.p_min_w:
                 try:
-                    shrunk[i] = optimal_bandwidth(bits, pl.t_up_s, pl.p_w, beta)
+                    shrunk[i] = least_band(bits, pl.t_up_s, pl.p_w, beta)
                 except InfeasibleError:  # no finite band uploads in the slot: it keeps its share
                     pass
         kept = sum(s for i, s in enumerate(shares) if i not in shrunk)

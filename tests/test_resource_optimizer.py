@@ -21,7 +21,6 @@ from feelsim.resource_optimizer import (
     InfeasibleError,
     InfeasiblePowerError,
     Interval,
-    ResourcePlan,
     Workload,
     computation_energy,
     effective_cycles,
@@ -33,6 +32,7 @@ from feelsim.resource_optimizer import (
     round_energy_slope,
     upload_time_bounds,
 )
+import reference
 
 LN2 = math.log(2.0)
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,80 +42,58 @@ BOUNDS = DeviceBounds(f_min_hz=1e9, f_max_hz=9e9, p_min_w=1e-4, p_max_w=0.1,
 
 
 def draw_case(rng):
-    """Random but power-feasible planning instance in the reference ranges."""
-    size = int(rng.integers(200, 2001))
-    kappa = int(rng.integers(0, size + 1))
-    epochs = int(rng.integers(1, 6))
-    w = Workload(size, kappa, epochs, 20.0, 13568)
-    rho = effective_cycles(w)
-    beta = 10.0 ** rng.uniform(4, 8)
-    bw = 10.0 ** rng.uniform(5.5, 6.5)
-    t_fast = rho / BOUNDS.f_max_hz
-    t_need = w.model_bits / uplink_rate(bw, beta, BOUNDS.p_max_w)
-    deadline = t_fast * rng.uniform(1.05, 3.0) + t_need * rng.uniform(1.05, 5.0)
-    if required_power(w.model_bits, deadline - t_fast, bw, beta) > BOUNDS.p_max_w:
-        return None
-    return w, deadline, bw, beta
+    """Random planning instance on BOUNDS in the reference ranges: the first of rng's
+    draws that p_max can serve."""
+    while True:
+        size = int(rng.integers(200, 2001))
+        kappa = int(rng.integers(0, size + 1))
+        epochs = int(rng.integers(1, 6))
+        w = Workload(size, kappa, epochs, 20.0, 13568)
+        t_fast = effective_cycles(w) / BOUNDS.f_max_hz
+        beta = 10.0 ** rng.uniform(4, 8)
+        bw = 10.0 ** rng.uniform(5.5, 6.5)
+        t_need = w.model_bits / uplink_rate(bw, beta, BOUNDS.p_max_w)
+        deadline = t_fast * rng.uniform(1.05, 3.0) + t_need * rng.uniform(1.05, 5.0)
+        if required_power(w.model_bits, deadline - t_fast, bw, beta) <= BOUNDS.p_max_w:
+            return w, deadline, bw, beta, BOUNDS
 
 
-def grid_objective(ts, w, deadline, bw, beta, bounds):
-    """Independent formula-level recomputation of the round energy curve."""
-    rho = w.cycles_per_sample * (w.epochs * w.dataset_size - w.excluded_count * (w.epochs - 1))
-    f = rho / (deadline - ts)
-    e_cmp = 0.5 * bounds.capacitance * f * f * rho
-    with np.errstate(over="ignore"):
-        p_req = bw * np.expm1(w.model_bits * LN2 / (ts * bw)) / beta
-    e = e_cmp + ts * np.maximum(p_req, bounds.p_min_w)
-    return np.where(p_req > bounds.p_max_w, np.inf, e)
+# reference.plan's energy is the optimum to rounding; golden section stops on a bracket 1e-9
+# of the window wide, so a plan may spend more by ABOVE_REL (3.2e-11 at most on the random
+# cases), less by BELOW_REL; where the energy is not flat, its numbers agree to PLAN_REL
+ABOVE_REL = 1e-9
+BELOW_REL = 1e-14
+PLAN_REL = 1e-6
 
 
-def search_then_endpoint_check(w, deadline, bw, beta, bounds):
-    """The planner without the edge certificate: golden section over the whole
-    window, then the endpoint check, as minimize_round_energy did before it."""
-    rho = effective_cycles(w)
-    win = upload_time_bounds(rho, deadline, bounds)
-    if required_power(w.model_bits, win.hi, bw, beta) > bounds.p_max_w:
-        raise InfeasiblePowerError("p_max cannot close the link")
-
-    def objective(t):
-        return round_energy_objective(t, w, deadline, bw, beta, bounds)
-
-    t_up, e_best = golden_section_min(objective, win, tol=max(win.width * 1e-9, 1e-15),
-                                      max_iter=1000)
-    for t_edge in (win.lo, win.hi):
-        e_edge = objective(t_edge)
-        if e_edge < e_best:
-            t_up, e_best = t_edge, e_edge
-    t_cmp = deadline - t_up
-    f = rho / t_cmp
-    p = min(max(required_power(w.model_bits, t_up, bw, beta), bounds.p_min_w), bounds.p_max_w)
-    return ResourcePlan(t_cmp, t_up, f, p, bw, computation_energy(w, f, bounds.capacitance),
-                        t_up * p)
+def assert_matches_reference(plan, case, numbers=True):
+    """plan costs what reference.plan's does, and with `numbers` has its numbers."""
+    want = reference.plan(*case)
+    assert (want.total_energy_j * (1.0 - BELOW_REL) <= plan.total_energy_j
+            <= want.total_energy_j * (1.0 + ABOVE_REL)), (plan, want)
+    assert not numbers or dataclasses.astuple(plan) == pytest.approx(
+        dataclasses.astuple(want), rel=PLAN_REL, abs=0.0), (plan, want)
+    return want
 
 
-def plan_bytes(plan):
-    return tuple(float(v).hex() for v in dataclasses.astuple(plan))
+def assert_first_usable_slot(plan, case, past=0):
+    """plan's slot is at most `past` floats beyond the first in which p_max closes the link."""
+    w, _, bw, beta, bounds = case
+    t_before = plan.t_up_s
+    for _ in range(past + 1):
+        t_before = math.nextafter(t_before, 0.0)
+    assert (required_power(w.model_bits, plan.t_up_s, bw, beta) <= bounds.p_max_w
+            < required_power(w.model_bits, t_before, bw, beta)), plan
 
 
-def power_limit_slot(w, deadline, bw, beta, bounds):
-    """The first slot in which p_max closes the link: the closed form
-    bits ln2 / (B log1p(p_max beta / B)), stepped up to a float that p_max
-    reaches; None unless it lies strictly inside the window."""
-    win = upload_time_bounds(effective_cycles(w), deadline, bounds)
-    t_p = w.model_bits * LN2 / (bw * math.log1p(bounds.p_max_w * beta / bw))
-    if not win.lo < t_p < win.hi:
-        return None
-    while required_power(w.model_bits, t_p, bw, beta) > bounds.p_max_w:
-        t_p = math.nextafter(t_p, math.inf)
-    return t_p
-
-
-def assert_power_limit_plan(plan, case, ref):
-    """plan sits at the first slot p_max can use, and costs no more than ref."""
-    assert plan.t_up_s == power_limit_slot(*case)
-    assert plan.p_w <= case[4].p_max_w
-    assert plan.p_w == pytest.approx(case[4].p_max_w, rel=1e-13, abs=0.0)
-    assert plan.total_energy_j <= ref.total_energy_j
+def plan_class(plan, case):
+    """Where in case's window plan's slot lies."""
+    w, deadline, bw, beta, bounds = case
+    t, cycles = plan.t_up_s, effective_cycles(w)
+    if t == deadline - cycles / bounds.f_min_hz:
+        return "lo clamped" if plan.p_w == bounds.p_min_w else "lo"
+    first = reference.link_power(w.model_bits, math.nextafter(t, 0.0), bw, beta) > bounds.p_max_w
+    return "hi" if t == deadline - cycles / bounds.f_max_hz else "p_max" if first else "interior"
 
 
 def draw_wide_case(rng):
@@ -158,15 +136,7 @@ def draw_flat_edge_case(rng):
     hi = deadline - rho / BOUNDS.f_max_hz
     if round_energy_slope(hi, -1, *args) <= 0.0:
         return None  # t* lies beyond f_max
-    lo, t_star = 0.0, hi
-    while True:  # bisect the monotone slope for t*
-        mid = 0.5 * (lo + t_star)
-        if mid in (lo, t_star):
-            break
-        if round_energy_slope(mid, +1, *args) < 0.0:
-            lo = mid
-        else:
-            t_star = mid
+    t_star = reference.least_float(lambda t: round_energy_slope(t, +1, *args) >= 0.0, 0.0, hi)
     if required_power(w.model_bits, t_star, bw, beta) > BOUNDS.p_max_w:
         return None
     edge = t_star * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -3))
@@ -199,16 +169,10 @@ class TestEffectiveCycles:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Workload(0, 0, 1, 20.0, 13568)
-        with pytest.raises(ValueError):
-            Workload(100, 101, 1, 20.0, 13568)
-        with pytest.raises(ValueError):
-            Workload(100, 0, 0, 20.0, 13568)
-        with pytest.raises(ValueError):
-            Workload(100, 0, 1, 0.0, 13568)
-        with pytest.raises(ValueError):
-            Workload(100, 0, 1, 20.0, 0)
+        for args in ((0, 0, 1, 20.0, 13568), (100, 101, 1, 20.0, 13568), (100, 0, 0, 20.0, 13568),
+                     (100, 0, 1, 0.0, 13568), (100, 0, 1, 20.0, 0)):
+            with pytest.raises(ValueError):
+                Workload(*args)
 
 
 class TestComputationEnergy:
@@ -420,63 +384,32 @@ class TestMinimizeRoundEnergy:
         assert proc.stderr.splitlines()[-1].startswith(
             "ValueError: p_max = 1e+17 W does not close the link of gain 3.744e+300"), proc.stderr
 
-    def test_matches_grid_on_random_cases(self):
-        rng = np.random.default_rng(53)
-        done = 0
-        while done < 30:
-            case = draw_case(rng)
-            if case is None:
-                continue
-            w, deadline, bw, beta = case
-            plan = minimize_round_energy(w, deadline, bw, beta, BOUNDS)
-            win = upload_time_bounds(effective_cycles(w), deadline, BOUNDS)
-            ts = np.linspace(win.lo, win.hi, 200_001)
-            es = grid_objective(ts, w, deadline, bw, beta, BOUNDS)
-            k = int(np.argmin(es))
-            spacing = win.width / 200_000
-            assert abs(plan.t_up_s - ts[k]) <= max(1e-4 * max(ts[k], 1e-12), 2 * spacing)
-            assert plan.total_energy_j <= es[k] * (1 + 1e-9)
-            done += 1
-
     def test_deadline_filled_exactly(self):
         rng = np.random.default_rng(59)
-        done = 0
-        while done < 20:
+        for _ in range(20):
             case = draw_case(rng)
-            if case is None:
-                continue
-            w, deadline, bw, beta = case
-            plan = minimize_round_energy(w, deadline, bw, beta, BOUNDS)
-            assert abs(plan.t_cmp_s + plan.t_up_s - deadline) <= 1e-9 * deadline
-            done += 1
+            plan = minimize_round_energy(*case)
+            assert abs(plan.t_cmp_s + plan.t_up_s - case[1]) <= 1e-9 * case[1]
 
     def test_operating_point_inside_envelope(self):
         rng = np.random.default_rng(61)
-        done = 0
-        while done < 20:
-            case = draw_case(rng)
-            if case is None:
-                continue
-            w, deadline, bw, beta = case
-            plan = minimize_round_energy(w, deadline, bw, beta, BOUNDS)
+        for _ in range(20):
+            plan = minimize_round_energy(*draw_case(rng))
             assert BOUNDS.f_min_hz * (1 - 1e-9) <= plan.f_hz <= BOUNDS.f_max_hz * (1 + 1e-9)
             assert BOUNDS.p_min_w <= plan.p_w <= BOUNDS.p_max_w
             assert plan.e_cmp_j > 0.0 and plan.e_up_j > 0.0
-            done += 1
 
     def test_filtered_plan_never_costs_more(self):
         # the planned total with kappa > 0 is at most the kappa = 0 total
         rng = np.random.default_rng(67)
         done = 0
         while done < 1000:
-            case = draw_case(rng)
-            if case is None or case[0].excluded_count == 0 or case[0].epochs == 1:
+            w, *rest = draw_case(rng)
+            if w.excluded_count == 0 or w.epochs == 1:
                 continue
-            w, deadline, bw, beta = case
             base = Workload(w.dataset_size, 0, w.epochs, w.cycles_per_sample, w.model_bits)
-            e_f = minimize_round_energy(w, deadline, bw, beta, BOUNDS).total_energy_j
-            e_0 = minimize_round_energy(base, deadline, bw, beta, BOUNDS).total_energy_j
-            assert e_f <= e_0 * (1 + 1e-9)
+            e_0 = minimize_round_energy(base, *rest).total_energy_j
+            assert minimize_round_energy(w, *rest).total_energy_j <= e_0 * (1 + 1e-9)
             done += 1
 
     def test_power_clamped_to_floor(self):
@@ -497,13 +430,9 @@ class TestMinimizeRoundEnergy:
             minimize_round_energy(w, 1e-6, 1e6, 1e6, BOUNDS)
 
     def test_objective_exposed_matches_plan(self):
-        rng = np.random.default_rng(71)
-        case = None
-        while case is None:
-            case = draw_case(rng)
-        w, deadline, bw, beta = case
-        plan = minimize_round_energy(w, deadline, bw, beta, BOUNDS)
-        e = round_energy_objective(plan.t_up_s, w, deadline, bw, beta, BOUNDS)
+        case = draw_case(np.random.default_rng(71))
+        plan = minimize_round_energy(*case)
+        e = round_energy_objective(plan.t_up_s, *case)
         assert e == pytest.approx(plan.total_energy_j, rel=1e-12)
 
     def test_degenerate_envelope_is_analytic(self):
@@ -517,14 +446,10 @@ class TestMinimizeRoundEnergy:
         assert plan.t_up_s == pytest.approx(deadline - rho / 2e9, rel=1e-12)
 
     def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            DeviceBounds(0.0, 1e9, 1e-4, 0.1, 2e-28)
-        with pytest.raises(ValueError):
-            DeviceBounds(2e9, 1e9, 1e-4, 0.1, 2e-28)
-        with pytest.raises(ValueError):
-            DeviceBounds(1e9, 9e9, 0.2, 0.1, 2e-28)
-        with pytest.raises(ValueError):
-            DeviceBounds(1e9, 9e9, 1e-4, 0.1, 0.0)
+        for args in ((0.0, 1e9, 1e-4, 0.1, 2e-28), (2e9, 1e9, 1e-4, 0.1, 2e-28),
+                     (1e9, 9e9, 0.2, 0.1, 2e-28), (1e9, 9e9, 1e-4, 0.1, 0.0)):
+            with pytest.raises(ValueError):
+                DeviceBounds(*args)
 
 
 class TestRoundEnergySlope:
@@ -607,11 +532,9 @@ class TestEdgeCertificate:
 
         monkeypatch.setattr(resource_optimizer, "golden_section_min", no_search)
 
-    def test_matches_search_then_endpoint_check(self):
-        # every plan equals the search's byte for byte, except where a slope
-        # proves the first slot p_max can use optimal, or where a window
-        # edge's slope into the window does not descend: there the search may
-        # pick a point of equal energy to rounding, the planner the edge
+    def test_matches_the_reference_planner(self):
+        # every plan costs what the reference's does, and is infeasible for the same cause;
+        # at the first slot p_max can use, t_p's closed form may land one float past it
         rng = np.random.default_rng(79)
         classes = {}
         cases = [(draw_wide_case(rng), None) for _ in range(1500)]
@@ -619,33 +542,15 @@ class TestEdgeCertificate:
         cases += [(draw_power_limited_case(rng), None) for _ in range(200)]
         for case, moved in cases:
             try:
-                ref = search_then_endpoint_check(*case)
+                plan = minimize_round_energy(*case)
             except InfeasibleError as exc:
                 with pytest.raises(type(exc)):
-                    minimize_round_energy(*case)
+                    reference.plan(*case)
                 kind = type(exc).__name__
             else:
-                plan = minimize_round_energy(*case)
-                w, deadline, bw, beta, bounds = case
-                win = upload_time_bounds(effective_cycles(w), deadline, bounds)
-                t_p = power_limit_slot(*case)
-                if t_p is not None and round_energy_slope(t_p, +1, *case) >= 0.0:
-                    assert_power_limit_plan(plan, case, ref)
-                    kind = "p_max"
-                else:
-                    if plan_bytes(plan) != plan_bytes(ref):
-                        assert any(
-                            plan.t_up_s == t_edge
-                            and required_power(w.model_bits, t_edge, bw, beta) <= bounds.p_max_w
-                            and side * round_energy_slope(t_edge, side, *case) >= 0.0
-                            for t_edge, side in ((win.lo, +1), (win.hi, -1))
-                        ), (plan, ref)
-                        assert plan.total_energy_j <= ref.total_energy_j * (
-                            1.0 + 8.0 * math.ulp(1.0))
-                    if ref.t_up_s == win.lo:
-                        kind = "lo clamped" if ref.p_w == bounds.p_min_w else "lo"
-                    else:
-                        kind = "hi" if ref.t_up_s == win.hi else "interior"
+                kind = plan_class(assert_matches_reference(plan, case, numbers=False), case)
+                if kind == "p_max":
+                    assert_first_usable_slot(plan, case, past=1)
                 if moved is not None:
                     kind = f"flat {kind}"
             classes[kind] = classes.get(kind, 0) + 1
@@ -660,16 +565,10 @@ class TestEdgeCertificate:
           DeviceBounds(1e9, 2e9, 1e-4, 0.1, 1e-30)), "hi"),
     ], ids=["f_min", "f_min-p_min", "f_max"])
     def test_edge_optimum_skips_the_search(self, monkeypatch, case, edge):
-        ref = search_then_endpoint_check(*case)
         self.forbid_search(monkeypatch)
         plan = minimize_round_energy(*case)
-        assert plan_bytes(plan) == plan_bytes(ref)
-        w, deadline, _, _, bounds = case
-        if edge == "hi":
-            assert plan.f_hz == pytest.approx(bounds.f_max_hz, rel=1e-12)
-        else:
-            assert plan.f_hz == pytest.approx(bounds.f_min_hz, rel=1e-12)
-            assert (plan.p_w == bounds.p_min_w) == (edge == "lo clamped")
+        assert_matches_reference(plan, case)
+        assert plan_class(plan, case) == edge
 
     def test_flat_edge_returned_on_the_slope_sign(self, monkeypatch):
         # an edge within rounding of the unconstrained minimizer is returned
@@ -705,11 +604,10 @@ class TestEdgeCertificate:
         assert required_power(w.model_bits, math.nextafter(hi, 0.0), bw, beta) > p_max
         assert (w.model_bits * LN2 / (bw * math.log1p(p_max * beta / bw)) > hi) == past
         case = (w, 0.05, bw, beta, dataclasses.replace(BOUNDS, p_max_w=p_max))
-        ref = search_then_endpoint_check(*case)
         self.forbid_search(monkeypatch)
         plan = minimize_round_energy(*case)
         assert plan.t_up_s == hi and plan.p_w <= p_max
-        assert plan_bytes(plan) == plan_bytes(ref)
+        assert_matches_reference(plan, case)
 
     def test_edge_the_link_cannot_use_is_not_certified(self, monkeypatch):
         # at f_min the slot is too short for p_max, yet the energy's slope
@@ -721,23 +619,21 @@ class TestEdgeCertificate:
         case = (w, t_lo + effective_cycles(w) / bounds.f_min_hz, 1e6, 1e8, bounds)
         assert required_power(w.model_bits, t_lo, 1e6, 1e8) > bounds.p_max_w
         assert round_energy_slope(t_lo, 1, *case) > 0.0
-        ref = search_then_endpoint_check(*case)
         self.forbid_search(monkeypatch)
         plan = minimize_round_energy(*case)
         assert plan.t_up_s > t_lo
-        assert_power_limit_plan(plan, case, ref)
+        assert_first_usable_slot(plan, case)
+        assert_matches_reference(plan, case)
 
     def test_power_limit_optimum_skips_the_search(self, monkeypatch):
         # the unfiltered preset's shape: too slow at f_min, and the energy
         # still rises where p_max first closes the link
         case = (Workload(160, 0, 5, 5e5, 13568), 0.35, 5e5, 4e7, BOUNDS)
-        t_p = power_limit_slot(*case)
-        assert t_p is not None and round_energy_slope(t_p, +1, *case) > 0.0
-        ref = search_then_endpoint_check(*case)
         self.forbid_search(monkeypatch)
         plan = minimize_round_energy(*case)
-        assert_power_limit_plan(plan, case, ref)
-        assert plan.total_energy_j < ref.total_energy_j
+        assert round_energy_slope(plan.t_up_s, +1, *case) > 0.0
+        assert_first_usable_slot(plan, case)
+        assert_matches_reference(plan, case)
         assert plan.t_cmp_s + plan.t_up_s == pytest.approx(0.35, rel=1e-15)
 
     def test_interior_optimum_still_searches(self, monkeypatch):
@@ -748,10 +644,9 @@ class TestEdgeCertificate:
                             lambda *a, **k: calls.append(1) or golden_section_min(*a, **k))
         case = (Workload(160, 0, 5, 5e5, 13568), 0.35, 5e5, 1e9, BOUNDS)
         plan = minimize_round_energy(*case)
-        win = upload_time_bounds(effective_cycles(case[0]), 0.35, BOUNDS)
-        assert win.lo < plan.t_up_s < win.hi and calls == [1]
+        assert plan_class(plan, case) == "interior" and calls == [1]
         assert BOUNDS.p_min_w < plan.p_w < 0.9 * BOUNDS.p_max_w
-        assert plan_bytes(plan) == plan_bytes(search_then_endpoint_check(*case))
+        assert_matches_reference(plan, case)
 
     def test_preset_unfiltered_plans_rarely_search(self, monkeypatch, tmp_path):
         # on the unfiltered preset nearly every optimum is the first slot
